@@ -16,12 +16,13 @@ chain still transitions there but no emission is scored.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _sigmoid, encode_keys
 from .seeds import derive_seed
 
 PROB_FLOOR = 1e-6
@@ -61,12 +62,14 @@ class BktParams:
         }
 
 
-def _clamp(p: float) -> float:
+def _clamp(p):
+    if isinstance(p, np.ndarray):
+        return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
     return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
 def bkt_predict_next(belief: float, params: BktParams) -> float:
-    """Probability of a correct answer given the current mastery belief."""
+    """Probability of a correct answer given the current mastery belief (elementwise on arrays)."""
     return belief * (1.0 - params.p_slip) + (1.0 - belief) * params.p_guess
 
 
@@ -74,7 +77,8 @@ def bkt_posterior_update(belief: float, obs: int, params: BktParams) -> float:
     """Condition the mastery belief on one observed outcome, then apply learning.
 
     All probabilities are clamped away from 0 and 1 before the division so a
-    noiseless parameter set cannot produce a degenerate denominator.
+    noiseless parameter set cannot produce a degenerate denominator. Beliefs
+    and parameter fields may also be arrays, updated elementwise on one outcome.
     """
     b = _clamp(belief)
     s = _clamp(params.p_slip)
@@ -120,35 +124,25 @@ def sequence_loglik(observations: Sequence[int], params: BktParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sequences_by_question(ds: Dataset) -> dict[str, list[tuple[str, dict[int, int]]]]:
-    """Labeled observations grouped per question as (learner, attempt -> obs) pairs."""
-    grouped: dict[str, dict[str, dict[int, int]]] = {q: {} for q in ds.question_index}
-    for rec in ds.records:
-        if rec.obs is None:
-            continue
-        grouped[rec.question_id].setdefault(rec.learner_id, {})[rec.attempt] = rec.obs
-    return {
-        qid: sorted(by_learner.items(), key=lambda kv: ds.learner_index[kv[0]])
-        for qid, by_learner in grouped.items()
-    }
+def _question_sequences(ds: Dataset) -> list[tuple | None]:
+    """Per question code: its learners' labeled attempts, padded, or None if it has none.
 
-
-def _pack_sequences(sequences: list[dict[int, int]]):
-    """Pad attempt-indexed observations into (obs, observed, length) arrays.
-
-    Slot t of a sequence is attempt t+1. A slot inside the sequence without
-    an observation (held-out attempt) has observed=False; slots past the last
-    observed attempt are outside the sequence and excluded via ``lengths``.
+    Each entry is (learner codes, obs, observed, lengths), sequences in
+    learner-code order. Slot t of a sequence is attempt t+1. A slot inside
+    the sequence without an observation (held-out attempt) has
+    observed=False; slots past the last observed attempt are outside the
+    sequence and excluded via ``lengths``.
     """
-    lengths = np.array([max(s) for s in sequences], dtype=int)
-    t_max = int(lengths.max())
-    obs = np.zeros((len(sequences), t_max))
-    observed = np.zeros((len(sequences), t_max), dtype=bool)
-    for i, seq in enumerate(sequences):
-        for attempt, value in seq.items():
-            obs[i, attempt - 1] = value
-            observed[i, attempt - 1] = True
-    return obs, observed, lengths
+    table = ds.outcome_table()[:-1, :-1, :-1]  # without the padding
+    out: list[tuple | None] = []
+    for q in range(table.shape[1]):
+        learners = np.flatnonzero((table[:, q, :] >= 0).any(axis=1))
+        observed = table[learners, q, :] >= 0
+        lengths = observed.shape[1] - np.argmax(observed[:, ::-1], axis=1)
+        t_max = int(lengths.max(initial=0))
+        obs = (table[learners, q, :t_max] == 1).astype(float)
+        out.append((learners, obs, observed[:, :t_max], lengths) if learners.size else None)
+    return out
 
 
 def _forward_backward(obs, observed, lengths, params: BktParams):
@@ -208,12 +202,13 @@ def _forward_backward(obs, observed, lengths, params: BktParams):
 
 
 def _em_single_question(
-    sequences: list[dict[int, int]],
+    obs: np.ndarray,
+    observed: np.ndarray,
+    lengths: np.ndarray,
     init: BktParams,
     max_iter: int,
     tol: float,
 ) -> tuple[BktParams, list[float]]:
-    obs, observed, lengths = _pack_sequences(sequences)
     n, t_max = obs.shape
     slot_valid = np.arange(t_max)[None, :] < lengths[:, None]
     trans_valid = np.arange(max(t_max - 1, 0))[None, :] < (lengths - 1)[:, None]
@@ -282,12 +277,10 @@ def bkt_fit_em(
     p_init is fitted afterwards against each learner's own sequences.
     """
     fallback = BktParams(**DEFAULT_INIT)
-    grouped = _sequences_by_question(train)
     question_params: dict[str, BktParams] = {}
     traces: dict[str, list[float]] = {}
-    for qid in train.question_index:
-        pairs = grouped.get(qid, [])
-        if not pairs:
+    for qid, sequences in zip(train.question_index, _question_sequences(train)):
+        if sequences is None:
             warnings.warn(f"question {qid}: no labeled sequences, using prior parameters")
             question_params[qid] = fallback
             traces[qid] = []
@@ -300,9 +293,7 @@ def bkt_fit_em(
             p_slip=min(max(DEFAULT_INIT["p_slip"] + jitter[2], PROB_FLOOR), NOISE_CAP),
             p_guess=min(max(DEFAULT_INIT["p_guess"] + jitter[3], PROB_FLOOR), NOISE_CAP),
         )
-        params, trace = _em_single_question(
-            [seq for _, seq in pairs], init, max_iter, tol
-        )
+        params, trace = _em_single_question(*sequences[1:], init, max_iter, tol)
         question_params[qid] = params
         traces[qid] = trace
 
@@ -312,20 +303,21 @@ def bkt_fit_em(
     return fit
 
 
-def _offset_params(params: BktParams, delta: float) -> BktParams:
-    logit = np.log(params.p_init / (1.0 - params.p_init))
-    p0 = 1.0 / (1.0 + np.exp(-(logit + delta)))
-    return BktParams(_clamp(float(p0)), params.p_learn, params.p_slip, params.p_guess)
+def _offset_p_init(p_init, delta):
+    """p_init with ``delta`` added to its logit; elementwise on arrays."""
+    return _clamp(_sigmoid(np.log(p_init / (1.0 - p_init)) + delta))
 
 
 def _fit_learner_offsets(ds: Dataset, fit: BktFit) -> dict[str, float]:
     """Golden-section search for each learner's p_init logit offset."""
+    learner_ids = list(ds.learner_index)
     by_learner: dict[str, list[tuple[str, list[int]]]] = {}
-    grouped = _sequences_by_question(ds)
-    for qid, pairs in grouped.items():
-        for lid, seq in pairs:
-            ordered = [seq[a] for a in sorted(seq)]
-            by_learner.setdefault(lid, []).append((qid, ordered))
+    for qid, sequences in zip(ds.question_index, _question_sequences(ds)):
+        if sequences is None:
+            continue
+        learners, obs, observed, _ = sequences
+        for l, row, seen in zip(learners.tolist(), obs, observed):
+            by_learner.setdefault(learner_ids[l], []).append((qid, row[seen].astype(int).tolist()))
 
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     offsets: dict[str, float] = {}
@@ -333,7 +325,8 @@ def _fit_learner_offsets(ds: Dataset, fit: BktFit) -> dict[str, float]:
         def neg_loglik(delta: float) -> float:
             total = 0.0
             for qid, observations in seqs:
-                params = _offset_params(fit.question_params[qid], delta)
+                params = fit.question_params[qid]
+                params = replace(params, p_init=float(_offset_p_init(params.p_init, delta)))
                 total += sequence_loglik(observations, params)
             return -total
 
@@ -366,7 +359,10 @@ class BktModel:
     forward through that learner's earlier attempts on the question: attempts
     whose outcome is in the training data update the belief by Bayes rule,
     attempts falling in the query's past but absent from training apply the
-    learning transition only.
+    learning transition only. All queries roll forward together, one attempt
+    slot at a time. Unseen ids are coded -1, which selects the last row of
+    each lookup table: the fallback parameters, a zero learner offset, and
+    the padding of the outcome table.
     """
 
     name = "bkt"
@@ -383,7 +379,7 @@ class BktModel:
         self.tol = tol
         self.individualized = individualized
         self.fit_result: BktFit | None = None
-        self._history: dict[tuple[str, str], dict[int, int]] = {}
+        self._train: Dataset | None = None
 
     def fit(self, train: Dataset) -> "BktModel":
         self.fit_result = bkt_fit_em(
@@ -393,37 +389,41 @@ class BktModel:
             seed=self.seed,
             individualized=self.individualized,
         )
-        self._history = {}
-        for rec in train.records:
-            if rec.obs is None:
-                continue
-            self._history.setdefault((rec.learner_id, rec.question_id), {})[rec.attempt] = rec.obs
+        self._train = train
         return self
 
-    def _params_for(self, learner_id: str, question_id: str) -> BktParams:
-        assert self.fit_result is not None
-        params = self.fit_result.question_params.get(question_id, self.fit_result.fallback)
-        delta = self.fit_result.learner_offsets.get(learner_id)
-        if delta:
-            params = _offset_params(params, delta)
+    def _row_params(self, learner: np.ndarray, question: np.ndarray) -> SimpleNamespace:
+        """Chain parameters for each queried row, learner offsets applied to p_init."""
+        fit = self.fit_result
+        per_question = [fit.question_params[qid] for qid in self._train.question_index]
+        table = np.array([[getattr(p, f) for f in DEFAULT_INIT] for p in per_question + [fit.fallback]])
+        params = SimpleNamespace(**{name: table[question, j] for j, name in enumerate(DEFAULT_INIT)})
+        offsets = [fit.learner_offsets.get(lid, 0.0) for lid in self._train.learner_index]
+        delta = np.array(offsets + [0.0])[learner]
+        shifted = delta != 0.0
+        params.p_init[shifted] = _offset_p_init(params.p_init[shifted], delta[shifted])
         return params
 
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
         if self.fit_result is None:
             raise RuntimeError("predict called before fit")
-        preds = np.empty(len(rows))
-        for i, (lid, qid, attempt) in enumerate(rows):
-            params = self._params_for(lid, qid)
-            history = self._history.get((lid, qid), {})
-            belief = params.p_init
-            for past in range(1, attempt):
-                obs = history.get(past)
-                if obs is None:
-                    belief = belief + (1.0 - belief) * params.p_learn
-                else:
-                    belief = bkt_posterior_update(belief, obs, params)
-            preds[i] = bkt_predict_next(belief, params)
-        return np.clip(preds, 0.0, 1.0)
+        train = self._train
+        learner, question, attempt = encode_keys(rows, train.learner_index, train.question_index)
+        params = self._row_params(learner, question)
+        outcomes = train.outcome_table()
+        belief = params.p_init
+        for past in range(1, int(attempt.max(initial=1))):
+            seen = outcomes[learner, question, min(past, outcomes.shape[2]) - 1]
+            belief = np.select(
+                [attempt <= past, seen == 1, seen == 0],
+                [
+                    belief,
+                    bkt_posterior_update(belief, 1, params),
+                    bkt_posterior_update(belief, 0, params),
+                ],
+                belief + (1.0 - belief) * params.p_learn,
+            )
+        return np.clip(bkt_predict_next(belief, params), 0.0, 1.0)
 
     def export_json(self) -> dict:
         if self.fit_result is None:

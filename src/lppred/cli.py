@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .bkt import BktParams
-from .data import DataError, Dataset, parse_dataset, summarize, write_dataset
+from .data import DataError, Dataset, open_input, parse_dataset, summarize, write_dataset
 from .gbt import GbtConfig
 from .llm import (
     ClientError,
@@ -34,7 +34,6 @@ from .tuner import (
     CyclingProposalClient,
     Grid,
     default_grid,
-    format_summary_rows,
     grid_search,
     llm_tuning_loop,
 )
@@ -113,28 +112,42 @@ def _add_client_flags(p: _Parser):
     p.add_argument("--retries", type=int, default=2)
 
 
-def _add_gbt_flags(p: _Parser):
-    p.add_argument("--n-trees", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--subsample", type=float, default=None)
-    p.add_argument("--colsample-bytree", type=float, default=None)
-    p.add_argument("--gbt-gamma", type=float, default=None)
-    p.add_argument("--min-child-weight", type=float, default=None)
+def _rank_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(r) for r in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _model_flags() -> argparse.ArgumentParser:
+    """Parent parser for the local models' flags shared by cv, fit and predict."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--individualized", action="store_true", help="bkt: per-learner start offsets")
+    p.add_argument("--l2", type=float, default=0.1, help="pfa: regularization strength")
+    p.add_argument("--rank", type=int, default=3, help="tensor: factor rank")
+    p.add_argument("--ridge", type=float, default=0.1, help="tensor: ridge strength")
+    p.add_argument("--ranks", type=_rank_list, default="1,2,3,4",
+                   help="sparfa: comma-separated rank candidates")
+    p.add_argument("--n-trees", type=int, default=GbtConfig.n_trees)
+    p.add_argument("--learning-rate", type=float, default=GbtConfig.learning_rate)
+    p.add_argument("--max-depth", type=int, default=GbtConfig.max_depth)
+    p.add_argument("--subsample", type=float, default=GbtConfig.subsample)
+    p.add_argument("--colsample-bytree", type=float, default=GbtConfig.colsample_bytree)
+    p.add_argument("--gbt-gamma", type=float, default=GbtConfig.gamma)
+    p.add_argument("--min-child-weight", type=float, default=GbtConfig.min_child_weight)
+    return p
 
 
 def _gbt_config(args) -> GbtConfig:
-    base = GbtConfig()
-    fields = {
-        "n_trees": args.n_trees,
-        "learning_rate": args.learning_rate,
-        "max_depth": args.max_depth,
-        "subsample": args.subsample,
-        "colsample_bytree": args.colsample_bytree,
-        "gamma": args.gbt_gamma,
-        "min_child_weight": args.min_child_weight,
-    }
-    return GbtConfig(**{k: (v if v is not None else getattr(base, k)) for k, v in fields.items()})
+    return GbtConfig(
+        n_trees=args.n_trees,
+        learning_rate=args.learning_rate,
+        max_depth=args.max_depth,
+        subsample=args.subsample,
+        colsample_bytree=args.colsample_bytree,
+        gamma=args.gbt_gamma,
+        min_child_weight=args.min_child_weight,
+    )
 
 
 def _build_client(args):
@@ -161,7 +174,7 @@ def _model_overrides(name: str, args) -> dict:
     if name == "tensor":
         return {"rank": args.rank, "ridge": args.ridge}
     if name == "sparfa":
-        return {"rank_candidates": tuple(int(r) for r in args.ranks.split(","))}
+        return {"rank_candidates": args.ranks}
     return {}
 
 
@@ -241,41 +254,36 @@ def cmd_cv(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args) -> int:
-    if args.model not in LOCAL_MODELS:
-        raise UsageError(f"fit supports local models only: {', '.join(LOCAL_MODELS)}")
-    ds = _load_dataset(args)
+def _fit_local(args, ds: Dataset):
+    """The chosen local model, fitted on the labeled rows of ``ds``."""
     model = make_model(
         args.model, seed=derive_seed(args.seed, "fit", args.model), **_model_overrides(args.model, args)
     )
-    model.fit(ds.subset(ds.labeled_positions()))
-    out = _outdir(args)
-    _write(out / f"{args.model}-model.json", json.dumps(model.export_json(), indent=2))
+    return model.fit(ds.subset(ds.labeled_positions()))
+
+
+def _write_predictions(path: Path, rows, preds):
+    lines = ["learner_id,question_id,attempt,prediction"]
+    lines += [f"{lid},{qid},{attempt},{p:.6f}" for (lid, qid, attempt), p in zip(rows, preds)]
+    _write(path, "\n".join(lines) + "\n")
+
+
+def cmd_fit(args) -> int:
+    model = _fit_local(args, _load_dataset(args))
+    _write(_outdir(args) / f"{args.model}-model.json", json.dumps(model.export_json(), indent=2))
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    if args.model not in LOCAL_MODELS:
-        raise UsageError(f"predict supports local models only: {', '.join(LOCAL_MODELS)}")
     ds = _load_dataset(args)
-    labeled = ds.subset(ds.labeled_positions())
     if args.targets:
-        targets = parse_dataset(args.targets)
-        rows = [r.key() for r in targets.records]
+        rows = [r.key() for r in parse_dataset(args.targets).records]
     else:
         rows = [ds.records[i].key() for i in ds.unlabeled_positions()]
         if not rows:
             raise DataError("no rows to predict: data has no unlabeled rows and no --targets given")
-    model = make_model(
-        args.model, seed=derive_seed(args.seed, "fit", args.model), **_model_overrides(args.model, args)
-    )
-    model.fit(labeled)
-    preds = model.predict(rows)
-    out = _outdir(args)
-    lines = ["learner_id,question_id,attempt,prediction"]
-    for (lid, qid, attempt), p in zip(rows, preds):
-        lines.append(f"{lid},{qid},{attempt},{p:.6f}")
-    _write(out / "predictions.csv", "\n".join(lines) + "\n")
+    preds = _fit_local(args, ds).predict(rows)
+    _write_predictions(_outdir(args) / "predictions.csv", rows, preds)
     return EXIT_OK
 
 
@@ -286,7 +294,8 @@ def cmd_tune(args) -> int:
     if args.grid == "default":
         grid = default_grid()
     else:
-        grid = Grid.from_json(Path(args.grid).read_text(encoding="utf-8"))
+        with open_input(args.grid) as fh:
+            grid = Grid.from_json(fh.read())
     if args.method == "grid":
         report = grid_search(ds, grid, k=args.k, seed=args.seed, workers=args.workers)
     else:
@@ -358,10 +367,7 @@ def cmd_llm_run(args) -> int:
     }
     _write(out / "report.json", json.dumps(payload, indent=2))
     _write(out / "script.txt", result.script_text)
-    lines = ["learner_id,question_id,attempt,prediction"]
-    for (lid, qid, attempt), p in zip(result.test_keys, result.mean_predictions):
-        lines.append(f"{lid},{qid},{attempt},{p:.6f}")
-    _write(out / "predictions.csv", "\n".join(lines) + "\n")
+    _write_predictions(out / "predictions.csv", result.test_keys, result.mean_predictions)
     if result.mean_rmse is not None:
         print(f"mean RMSE over {result.repeats} runs: {result.mean_rmse:.4f} "
               f"(SE {result.std_error:.4f}, coverage {result.coverage:.3f})")
@@ -373,7 +379,8 @@ def cmd_llm_run(args) -> int:
 def cmd_report(args) -> int:
     reports = []
     for path in args.inputs:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open_input(path) as fh:
+            payload = json.load(fh)
         for model_name, value in payload.items():
             if isinstance(value, dict) and "fold_rmse" in value:
                 reports.append(
@@ -410,40 +417,30 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_summarize)
 
-    p = sub.add_parser("cv", help="k-fold cross-validated RMSE for one model")
+    model_flags = _model_flags()
+
+    p = sub.add_parser(
+        "cv", help="k-fold cross-validated RMSE for one model", parents=[model_flags]
+    )
     _add_common(p)
     p.add_argument("--model", required=True, choices=ALL_MODELS)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--individualized", action="store_true", help="bkt: per-learner start offsets")
-    p.add_argument("--l2", type=float, default=0.1, help="pfa: regularization strength")
-    p.add_argument("--rank", type=int, default=3, help="tensor: factor rank")
-    p.add_argument("--ridge", type=float, default=0.1, help="tensor: ridge strength")
-    p.add_argument("--ranks", default="1,2,3,4", help="sparfa: comma-separated rank candidates")
-    _add_gbt_flags(p)
     _add_client_flags(p)
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("fit", help="fit a local model on all labeled rows, export JSON")
+    p = sub.add_parser(
+        "fit", help="fit a local model on all labeled rows, export JSON", parents=[model_flags]
+    )
     _add_common(p)
     p.add_argument("--model", required=True, choices=LOCAL_MODELS)
-    p.add_argument("--individualized", action="store_true")
-    p.add_argument("--l2", type=float, default=0.1)
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--ridge", type=float, default=0.1)
-    p.add_argument("--ranks", default="1,2,3,4")
-    _add_gbt_flags(p)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="fit on labeled rows, predict targets")
+    p = sub.add_parser(
+        "predict", help="fit on labeled rows, predict targets", parents=[model_flags]
+    )
     _add_common(p)
     p.add_argument("--model", required=True, choices=LOCAL_MODELS)
     p.add_argument("--targets", help="CSV of rows to predict (defaults to unlabeled rows of --data)")
-    p.add_argument("--individualized", action="store_true")
-    p.add_argument("--l2", type=float, default=0.1)
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--ridge", type=float, default=0.1)
-    p.add_argument("--ranks", default="1,2,3,4")
-    _add_gbt_flags(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("tune", help="hyperparameter search for gbt")

@@ -9,17 +9,29 @@ The on-disk format is comma-separated UTF-8 text with the header
 ``learner_id,question_id,attempt,obs``, one record per line. An optional
 lesson metadata file is a JSON object with ``lesson_name`` and a
 ``questions`` map from question id to ``{text, options, answer}``.
+
+This module is the one place where ids become integers. A ``Dataset`` keeps,
+beside its records, four int columns aligned with them: ``learner`` and
+``question`` (dense codes in order of first appearance, the values of
+``learner_index``/``question_index``), ``attempt``, and ``obs`` (-1 for rows
+without an outcome). Models fit on these columns. Queries arrive as raw
+``(learner, question, attempt)`` triples, and ``encode_keys`` turns them into
+the same codes, with -1 for ids unseen in training. ``Dataset.subset`` takes
+distinct positions; it indexes the columns and re-densifies the codes
+without validating the records again.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 EXPECTED_HEADER = ("learner_id", "question_id", "attempt", "obs")
+MAX_ATTEMPT = 2**63 - 1  # attempts are stored as int64
 
 
 class DataError(ValueError):
@@ -63,12 +75,17 @@ class Dataset:
 
     ``learner_index`` and ``question_index`` map the opaque ids appearing in
     ``records`` onto dense 0-based integers, in order of first appearance.
+    The int columns ``learner`` to ``obs`` are described in the module docstring.
     """
 
     records: tuple[InteractionRecord, ...]
     meta: LessonMeta
     learner_index: dict[str, int]
     question_index: dict[str, int]
+    learner: np.ndarray = field(compare=False)
+    question: np.ndarray = field(compare=False)
+    attempt: np.ndarray = field(compare=False)
+    obs: np.ndarray = field(compare=False)
 
     @classmethod
     def from_records(
@@ -82,63 +99,112 @@ class Dataset:
             raise DataError("dataset has no records")
         learner_index: dict[str, int] = {}
         question_index: dict[str, int] = {}
-        seen: set[tuple[str, str, int]] = set()
-        max_attempt = 0
+        columns = [array("q") for _ in range(4)]
+        learner_codes, question_codes, attempts, outcomes = columns
         for rec in records:
-            if rec.attempt < 1:
-                raise DataError(f"attempt must be >= 1, got {rec.attempt} for {rec.key()}")
+            if not 1 <= rec.attempt <= MAX_ATTEMPT:
+                raise DataError(f"attempt must be in 1..2^63-1, got {rec.attempt} for {rec.key()}")
             if rec.obs is not None and rec.obs not in (0, 1):
                 raise DataError(f"obs must be 0 or 1, got {rec.obs} for {rec.key()}")
-            key = rec.key()
-            if key in seen:
-                raise DataError(f"duplicate record for (learner, question, attempt) = {key}")
-            seen.add(key)
-            if rec.learner_id not in learner_index:
-                learner_index[rec.learner_id] = len(learner_index)
-            if rec.question_id not in question_index:
-                question_index[rec.question_id] = len(question_index)
-            max_attempt = max(max_attempt, rec.attempt)
+            learner_codes.append(learner_index.setdefault(rec.learner_id, len(learner_index)))
+            question_codes.append(question_index.setdefault(rec.question_id, len(question_index)))
+            attempts.append(rec.attempt)
+            outcomes.append(-1 if rec.obs is None else rec.obs)
+        learner, question, attempt, obs = (np.frombuffer(c, dtype=np.int64) for c in columns)
+        # the sort is stable, so each repeated key comes right after an earlier record's
+        order = np.lexsort((attempt, question, learner))
+        same = (np.diff(np.stack([learner, question, attempt])[:, order], axis=1) == 0).all(axis=0)
+        if same.any():
+            key = records[order[1:][same].min()].key()
+            raise DataError(f"duplicate record for (learner, question, attempt) = {key}")
         meta = LessonMeta(
             lesson_name=lesson_name,
             n_learners=len(learner_index),
             n_questions=len(question_index),
-            max_attempt=max_attempt,
+            max_attempt=int(attempt.max()),
             questions=dict(questions) if questions else {},
         )
-        return cls(records, meta, learner_index, question_index)
+        return cls(records, meta, learner_index, question_index, learner, question, attempt, obs)
 
     @property
     def n_records(self) -> int:
         return len(self.records)
 
     def labeled_positions(self) -> list[int]:
-        return [i for i, r in enumerate(self.records) if r.obs is not None]
+        return np.flatnonzero(self.obs >= 0).tolist()
 
     def unlabeled_positions(self) -> list[int]:
-        return [i for i, r in enumerate(self.records) if r.obs is None]
+        return np.flatnonzero(self.obs < 0).tolist()
 
     def subset(self, positions) -> "Dataset":
-        """New Dataset over the given record positions (indices rebuilt, meta revalidated)."""
-        return Dataset.from_records(
-            (self.records[i] for i in positions),
-            lesson_name=self.meta.lesson_name,
-            questions=self.meta.questions,
-        )
+        """New Dataset over the given distinct record positions, codes re-densified.
 
-    def keys(self) -> list[tuple[str, str, int]]:
-        return [r.key() for r in self.records]
+        The records were validated when this dataset was built, so they are
+        not validated again; repeating a position would repeat its key.
+        """
+        pos = np.asarray(positions, dtype=np.intp)
+        if pos.size == 0:
+            raise DataError("dataset has no records")
+        learner, learner_index = _redensify(self.learner[pos], self.learner_index)
+        question, question_index = _redensify(self.question[pos], self.question_index)
+        attempt = self.attempt[pos]
+        meta = replace(
+            self.meta,
+            n_learners=len(learner_index),
+            n_questions=len(question_index),
+            max_attempt=int(attempt.max()),
+        )
+        records = tuple(self.records[i] for i in pos.tolist())
+        return Dataset(records, meta, learner_index, question_index, learner, question, attempt, self.obs[pos])
+
+    def outcome_table(self) -> np.ndarray:
+        """Outcomes by (learner code, question code, attempt - 1), -1 where unknown.
+
+        A trailing row, column and attempt slot of -1 pad the table, so code
+        -1 (an unseen id) and attempts past ``max_attempt`` find no outcome.
+        """
+        meta = self.meta
+        shape = (meta.n_learners + 1, meta.n_questions + 1, meta.max_attempt + 1)
+        table = np.full(shape, -1, dtype=np.int8)
+        table[self.learner, self.question, self.attempt - 1] = self.obs
+        return table
 
     def obs_array(self, positions=None) -> np.ndarray:
         """Outcomes for the given (labeled) positions as a float array."""
-        if positions is None:
-            positions = range(self.n_records)
-        out = []
-        for i in positions:
-            rec = self.records[i]
-            if rec.obs is None:
-                raise DataError(f"record {rec.key()} has no observation")
-            out.append(float(rec.obs))
-        return np.asarray(out, dtype=float)
+        pos = np.arange(self.n_records) if positions is None else np.asarray(positions, dtype=np.intp)
+        obs = self.obs[pos]
+        if np.any(obs < 0):
+            rec = self.records[pos[np.argmax(obs < 0)]]
+            raise DataError(f"record {rec.key()} has no observation")
+        return obs.astype(float)
+
+
+def _redensify(codes: np.ndarray, index: dict[str, int]) -> tuple[np.ndarray, dict[str, int]]:
+    """Renumber a subset's codes 0..m-1 in order of first appearance, with the id map."""
+    present, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(present), dtype=np.int64)
+    rank[order] = np.arange(len(present))
+    ids = list(index)
+    return rank[inverse], {ids[c]: i for i, c in enumerate(present[order].tolist())}
+
+
+def encode_keys(rows, learner_index: dict[str, int], question_index: dict[str, int]):
+    """Codes of raw (learner, question, attempt) triples: three int arrays.
+
+    Learner and question ids missing from the given maps become -1, so each
+    model can route them to its documented fallback.
+    """
+    learners, questions, attempts = zip(*rows) if len(rows) else ((), (), ())
+    return (
+        np.array([learner_index.get(lid, -1) for lid in learners], dtype=np.int64),
+        np.array([question_index.get(qid, -1) for qid in questions], dtype=np.int64),
+        np.array(attempts, dtype=np.int64),
+    )
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 @dataclass(frozen=True)
@@ -154,15 +220,24 @@ class FoldSplit:
     assignments: tuple[int, ...]
 
     def fold_positions(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignments) if f == fold]
+        return np.flatnonzero(np.asarray(self.assignments) == fold).tolist()
 
     def train_positions(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignments) if f != fold and f >= 0]
+        folds = np.asarray(self.assignments)
+        return np.flatnonzero((folds != fold) & (folds >= 0)).tolist()
+
+
+def open_input(path, **kwargs):
+    """Open an input file for reading as UTF-8; a file that cannot be opened is a DataError."""
+    try:
+        return open(path, encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read input file ({exc.strerror or exc})") from None
 
 
 def parse_meta(meta_path) -> tuple[str, dict[str, QuestionInfo]]:
     """Read the optional lesson metadata JSON file."""
-    with open(meta_path, encoding="utf-8") as fh:
+    with open_input(meta_path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -192,7 +267,7 @@ def parse_dataset(path, meta_path=None) -> Dataset:
         lesson_name, questions = parse_meta(meta_path)
 
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -213,8 +288,8 @@ def parse_dataset(path, meta_path=None) -> Dataset:
                 attempt = int(attempt_s)
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: attempt must be an integer, got {attempt_s!r}") from None
-            if attempt < 1:
-                raise DataError(f"{path}: line {lineno}: attempt must be >= 1, got {attempt}")
+            if not 1 <= attempt <= MAX_ATTEMPT:
+                raise DataError(f"{path}: line {lineno}: attempt must be in 1..2^63-1, got {attempt}")
             if obs_s == "":
                 obs: int | None = None
             elif obs_s in ("0", "1"):
@@ -247,21 +322,16 @@ def make_folds(ds: Dataset, k: int, seed: int) -> FoldSplit:
     """
     if k < 2:
         raise DataError(f"fold count must be >= 2, got {k}")
-    labeled = ds.labeled_positions()
+    labeled = np.flatnonzero(ds.obs >= 0)
     if k > len(labeled):
         raise DataError(f"cannot split {len(labeled)} labeled records into {k} folds")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(labeled))
-    n = len(labeled)
-    base, extra = divmod(n, k)
-    assignments = [-1] * ds.n_records
-    cursor = 0
-    for fold in range(k):
-        size = base + (1 if fold < extra else 0)
-        for j in order[cursor : cursor + size]:
-            assignments[labeled[j]] = fold
-        cursor += size
-    return FoldSplit(k=k, seed=seed, assignments=tuple(assignments))
+    base, extra = divmod(len(labeled), k)
+    assignments = np.full(ds.n_records, -1)
+    # folds take consecutive runs of the permutation, the first ``extra`` one longer
+    assignments[labeled[order]] = np.repeat(np.arange(k), base + (np.arange(k) < extra))
+    return FoldSplit(k=k, seed=seed, assignments=tuple(assignments.tolist()))
 
 
 @dataclass(frozen=True)
@@ -307,29 +377,18 @@ class DatasetSummary:
 
 def summarize(ds: Dataset) -> DatasetSummary:
     """Counts, per-question correct rates (labeled rows), and attempts histogram."""
-    per_q_total: dict[str, int] = {}
-    per_q_correct: dict[str, int] = {}
-    histogram: dict[int, int] = {}
-    n_labeled = 0
-    n_correct = 0
-    for rec in ds.records:
-        histogram[rec.attempt] = histogram.get(rec.attempt, 0) + 1
-        if rec.obs is None:
-            continue
-        n_labeled += 1
-        n_correct += rec.obs
-        per_q_total[rec.question_id] = per_q_total.get(rec.question_id, 0) + 1
-        per_q_correct[rec.question_id] = per_q_correct.get(rec.question_id, 0) + rec.obs
-    rates = {
-        qid: per_q_correct[qid] / per_q_total[qid]
-        for qid in ds.question_index
-        if per_q_total.get(qid)
-    }
+    labeled = ds.obs >= 0
+    totals = np.bincount(ds.question[labeled], minlength=len(ds.question_index))
+    correct = np.bincount(ds.question[labeled], weights=ds.obs[labeled], minlength=len(totals))
+    n_labeled, n_correct = int(labeled.sum()), int(ds.obs[labeled].sum())
+    attempts, counts = np.unique(ds.attempt, return_counts=True)
     return DatasetSummary(
         meta=ds.meta,
         n_records=ds.n_records,
         n_labeled=n_labeled,
         correct_rate=(n_correct / n_labeled) if n_labeled else 0.0,
-        question_correct_rate=rates,
-        attempts_histogram=histogram,
+        question_correct_rate={
+            qid: float(correct[q] / totals[q]) for qid, q in ds.question_index.items() if totals[q]
+        },
+        attempts_histogram=dict(zip(attempts.tolist(), counts.tolist())),
     )

@@ -27,13 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _sigmoid, encode_keys
 from .seeds import derive_seed
 
 LEAF_L2 = 1.0        # leaf-weight ridge constant, not exposed as a tunable
 GAIN_TIE_RTOL = 1e-9
-FEATURE_NAMES = ("learner", "question", "attempt")
-UNSEEN_ID = -1.0     # feature value for ids absent from training; routed like any number
 
 
 @dataclass(frozen=True)
@@ -135,8 +133,12 @@ class TreeNode:
         )
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+def _features(learner, question, attempt) -> np.ndarray:
+    """Float feature matrix with columns learner code, question code, attempt.
+
+    An id absent from training has code -1, a value routed like any number.
+    """
+    return np.column_stack((learner, question, attempt)).astype(float)
 
 
 def _logloss(margins, y) -> float:
@@ -164,12 +166,7 @@ class GbtEnsemble:
         return _sigmoid(self.margins(x))
 
     def feature_matrix(self, keys: Sequence[tuple[str, str, int]]) -> np.ndarray:
-        x = np.empty((len(keys), 3))
-        for i, (lid, qid, attempt) in enumerate(keys):
-            x[i, 0] = self.learner_index.get(lid, UNSEEN_ID)
-            x[i, 1] = self.question_index.get(qid, UNSEEN_ID)
-            x[i, 2] = attempt
-        return x
+        return _features(*encode_keys(keys, self.learner_index, self.question_index))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -352,17 +349,11 @@ def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> G
     per tree from a seed derived as (seed, tree index); with both ratios at 1
     the fit is deterministic and reproducible bit for bit.
     """
-    labeled = train.labeled_positions()
-    if len(labeled) < 2:
+    labeled = train.obs >= 0
+    if labeled.sum() < 2:
         raise ValueError("gbt_fit requires at least 2 labeled rows")
-    keys = [train.records[i].key() for i in labeled]
-    y = train.obs_array(labeled)
-
-    x = np.empty((len(keys), 3))
-    for i, (lid, qid, attempt) in enumerate(keys):
-        x[i, 0] = train.learner_index[lid]
-        x[i, 1] = train.question_index[qid]
-        x[i, 2] = attempt
+    y = train.obs[labeled].astype(float)
+    x = _features(train.learner[labeled], train.question[labeled], train.attempt[labeled])
     ctx = _SplitContext(x)
 
     mean = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)

@@ -321,29 +321,35 @@ def strip_quotes(text: str) -> str:
     return text
 
 
+def braced_records(text: str, aliases: dict[str, str]):
+    """Yield (match, fields) for every innermost ``{key: value, ...}`` block in ``text``.
+
+    ``aliases`` maps a key, lowercased and stripped of quotes and non-letters,
+    to a field name; other pairs are skipped. Values lose surrounding quotes.
+    """
+    for match in _BRACED.finditer(text):
+        fields: dict[str, str] = {}
+        for pair in split_pairs(match.group(0)[1:-1]):
+            raw_key, colon, raw_val = pair.partition(":")
+            name = aliases.get(re.sub(r"[^a-z]", "", strip_quotes(raw_key).lower()))
+            if colon and name:
+                fields[name] = strip_quotes(raw_val)
+        yield match, fields
+
+
 def decode_response(text: str) -> DecodeResult:
     """Extract every braced prediction record from free-form response text.
 
     Tolerates single or double quotes, arbitrary key order, and unquoted id
     values. Records missing required keys, with a non-numeric attempt or
     prediction, or with a prediction outside [0, 1] are collected under
-    ``rejected`` with a reason. Raises DecodeError if nothing decodes.
+    ``rejected`` with a reason; ``unparsed`` is the text outside all braced
+    blocks. Raises DecodeError if nothing decodes.
     """
     predictions: list[DecodedPrediction] = []
     rejected: list[tuple[str, str]] = []
-    remainder = text
-    for match in _BRACED.finditer(text):
+    for match, fields in braced_records(text, _KEY_ALIASES):
         snippet = match.group(0)
-        remainder = remainder.replace(snippet, "", 1)
-        fields: dict[str, str] = {}
-        for pair in split_pairs(snippet[1:-1]):
-            if ":" not in pair:
-                continue
-            raw_key, raw_val = pair.split(":", 1)
-            key = re.sub(r"[^a-z]", "", strip_quotes(raw_key).lower())
-            key = _KEY_ALIASES.get(key)
-            if key:
-                fields[key] = strip_quotes(raw_val)
         required = {"learner_id", "question_id", "attempt", "prediction"}
         if not required <= set(fields):
             rejected.append((snippet, "missing keys"))
@@ -372,7 +378,8 @@ def decode_response(text: str) -> DecodeResult:
         )
     if not predictions:
         raise DecodeError("no predictions found in response")
-    return DecodeResult(predictions=predictions, rejected=rejected, unparsed=remainder.strip())
+    unparsed = _BRACED.sub("", text).strip()
+    return DecodeResult(predictions=predictions, rejected=rejected, unparsed=unparsed)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +585,8 @@ def llm_predict_pipeline(
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
     train_records = [r for r in ds_train.records if r.obs is not None]
-    test_records = list(ds_test.records)
     masked = [
-        InteractionRecord(r.learner_id, r.question_id, r.attempt, None) for r in test_records
+        InteractionRecord(r.learner_id, r.question_id, r.attempt, None) for r in ds_test.records
     ]
     combined = Dataset.from_records(
         train_records + masked,
@@ -592,10 +598,8 @@ def llm_predict_pipeline(
     test_keys = batch.test_keys()
     key_pos = {key: i for i, key in enumerate(test_keys)}
 
-    labels = None
-    if all(r.obs is not None for r in test_records) and test_records:
-        by_key = {r.key(): float(r.obs) for r in test_records}
-        labels = np.array([by_key[k] for k in test_keys])
+    # test_keys follow the test records, so labels align with them
+    labels = ds_test.obs_array() if np.all(ds_test.obs >= 0) else None
 
     def one_run(run: int) -> tuple[DecodeResult, np.ndarray, int]:
         try:

@@ -20,19 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _sigmoid, encode_keys
 from .seeds import derive_seed
-
-
-@dataclass(frozen=True)
-class PfaFeatures:
-    """Feature row: prior-success and prior-failure counts plus the two ids."""
-
-    learner_id: str
-    question_id: str
-    attempt: int
-    s: int
-    f: int
 
 
 @dataclass
@@ -60,40 +49,28 @@ class PfaParams:
         }
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+def _prior_counts(outcomes: np.ndarray, learner, question, attempt) -> tuple[np.ndarray, np.ndarray]:
+    """Successes and failures before each queried attempt, from an outcome table.
 
-
-def pfa_features(ds: Dataset) -> list[PfaFeatures]:
-    """Per-record counts of strictly earlier labeled attempts, aligned with ds.records.
-
-    Counts are causal: only attempts with a lower ordinal contribute, so
-    reordering or relabeling later rows never changes earlier features.
+    ``outcomes`` is ``Dataset.outcome_table()`` of the history; queries are
+    (learner code, question code, attempt) in the same codes.
     """
-    history: dict[tuple[str, str], list[tuple[int, int]]] = {}
-    for rec in ds.records:
-        if rec.obs is None:
-            continue
-        history.setdefault((rec.learner_id, rec.question_id), []).append((rec.attempt, rec.obs))
-
-    out = []
-    for rec in ds.records:
-        earlier = history.get((rec.learner_id, rec.question_id), ())
-        s = sum(1 for a, o in earlier if a < rec.attempt and o == 1)
-        f = sum(1 for a, o in earlier if a < rec.attempt and o == 0)
-        out.append(PfaFeatures(rec.learner_id, rec.question_id, rec.attempt, s, f))
-    return out
+    slot = np.minimum(attempt, outcomes.shape[2]) - 1
+    counts = []
+    for value in (1, 0):
+        hit = outcomes == value
+        counts.append((np.cumsum(hit, axis=2) - hit)[learner, question, slot])
+    return counts[0], counts[1]
 
 
-def pfa_predict(feat: PfaFeatures, params: PfaParams) -> float:
-    """Success probability for one feature row under fitted weights."""
-    z = (
-        params.beta.get(feat.question_id, 0.0)
-        + params.gamma.get(feat.learner_id, 0.0)
-        + params.alpha * feat.s
-        + params.rho * feat.f
-    )
-    return float(_sigmoid(z))
+def pfa_features(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Prior-success and prior-failure counts per record, aligned with ds.records.
+
+    Counts are causal: only labeled attempts of the same (learner, question)
+    with a lower ordinal contribute, so reordering or relabeling later rows
+    never changes earlier features.
+    """
+    return _prior_counts(ds.outcome_table(), ds.learner, ds.question, ds.attempt)
 
 
 def _objective_and_grad(theta, q_idx, l_idx, s, f, y, n_q, n_l, l2):
@@ -135,18 +112,18 @@ def pfa_fit(
     """
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
-    labeled = train.labeled_positions()
-    if not labeled:
+    labeled = train.obs >= 0
+    if not labeled.any():
         raise ValueError("pfa_fit requires at least one labeled record")
 
-    feats = pfa_features(train)
+    successes, failures = pfa_features(train)
     n_q = len(train.question_index)
     n_l = len(train.learner_index)
-    q_idx = np.array([train.question_index[feats[i].question_id] for i in labeled])
-    l_idx = np.array([train.learner_index[feats[i].learner_id] for i in labeled])
-    s = np.array([feats[i].s for i in labeled], dtype=float)
-    f = np.array([feats[i].f for i in labeled], dtype=float)
-    y = train.obs_array(labeled)
+    q_idx = train.question[labeled]
+    l_idx = train.learner[labeled]
+    s = successes[labeled].astype(float)
+    f = failures[labeled].astype(float)
+    y = train.obs[labeled].astype(float)
 
     rng = np.random.default_rng(derive_seed(seed, "pfa"))
     theta = rng.normal(0.0, 0.01, size=n_q + n_l + 2)
@@ -199,10 +176,10 @@ def pfa_fit(
 
 
 class PfaModel:
-    """Predictor wrapper around pfa_fit/pfa_predict.
+    """Predictor wrapper around pfa_fit.
 
-    Prediction features (prior success/failure counts) are recomputed for
-    each queried row from the stored training history.
+    Prediction features (prior success/failure counts) are counted for all
+    queried rows at once from the training rows.
     """
 
     name = "pfa"
@@ -213,31 +190,26 @@ class PfaModel:
         self.max_iter = max_iter
         self.tol = tol
         self.params: PfaParams | None = None
-        self._history: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        self._train: Dataset | None = None
 
     def fit(self, train: Dataset) -> "PfaModel":
         self.params = pfa_fit(
             train, l2=self.l2, max_iter=self.max_iter, tol=self.tol, seed=self.seed
         )
-        self._history = {}
-        for rec in train.records:
-            if rec.obs is None:
-                continue
-            self._history.setdefault((rec.learner_id, rec.question_id), []).append(
-                (rec.attempt, rec.obs)
-            )
+        self._train = train
         return self
 
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
+        """Success probabilities; ids without a fitted weight take weight 0."""
         if self.params is None:
             raise RuntimeError("predict called before fit")
-        preds = np.empty(len(rows))
-        for i, (lid, qid, attempt) in enumerate(rows):
-            earlier = self._history.get((lid, qid), ())
-            s = sum(1 for a, o in earlier if a < attempt and o == 1)
-            f = sum(1 for a, o in earlier if a < attempt and o == 0)
-            preds[i] = pfa_predict(PfaFeatures(lid, qid, attempt, s, f), self.params)
-        return preds
+        train, params = self._train, self.params
+        learner, question, attempt = encode_keys(rows, train.learner_index, train.question_index)
+        s, f = _prior_counts(train.outcome_table(), learner, question, attempt)
+        # code -1 (unseen id) selects the trailing 0.0
+        beta = np.array([params.beta.get(qid, 0.0) for qid in train.question_index] + [0.0])
+        gamma = np.array([params.gamma.get(lid, 0.0) for lid in train.learner_index] + [0.0])
+        return _sigmoid(beta[question] + gamma[learner] + params.alpha * s + params.rho * f)
 
     def export_json(self) -> dict:
         if self.params is None:

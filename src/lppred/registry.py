@@ -8,12 +8,19 @@ client; everything here is purely local.
 from __future__ import annotations
 
 from .bkt import BktModel
-from .gbt import GbtConfig, GbtModel
+from .gbt import GbtModel
 from .pfa import PfaModel
 from .sparfa import SparfaModel
 from .tensor import TensorFactorizationModel
 
-LOCAL_MODELS = ("bkt", "pfa", "sparfa", "tensor", "gbt")
+MODEL_CLASSES = {
+    "bkt": BktModel,
+    "pfa": PfaModel,
+    "sparfa": SparfaModel,
+    "tensor": TensorFactorizationModel,
+    "gbt": GbtModel,
+}
+LOCAL_MODELS = tuple(MODEL_CLASSES)
 ALL_MODELS = LOCAL_MODELS + ("llm", "llm-gbt")
 
 
@@ -24,16 +31,6 @@ def make_model(name: str, seed: int = 0, **overrides):
     ``make_model("gbt", config=GbtConfig(n_trees=50))`` or
     ``make_model("bkt", individualized=True)``.
     """
-    if name == "bkt":
-        return BktModel(seed=seed, **overrides)
-    if name == "pfa":
-        return PfaModel(seed=seed, **overrides)
-    if name == "sparfa":
-        return SparfaModel(seed=seed, **overrides)
-    if name == "tensor":
-        return TensorFactorizationModel(seed=seed, **overrides)
-    if name == "gbt":
-        if "config" not in overrides:
-            overrides = {"config": GbtConfig(), **overrides}
-        return GbtModel(seed=seed, **overrides)
-    raise KeyError(f"unknown model {name!r}; local models: {', '.join(LOCAL_MODELS)}")
+    if name not in MODEL_CLASSES:
+        raise KeyError(f"unknown model {name!r}; local models: {', '.join(LOCAL_MODELS)}")
+    return MODEL_CLASSES[name](seed=seed, **overrides)

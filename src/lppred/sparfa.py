@@ -27,12 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _sigmoid, encode_keys
 from .seeds import derive_seed
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 @dataclass
@@ -64,18 +60,19 @@ class LowRankModel:
 
 
 def _first_attempt_cells(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse to one (learner, question, outcome) cell per pair: earliest labeled attempt."""
-    chosen: dict[tuple[int, int], tuple[int, int]] = {}
-    for rec in ds.records:
-        if rec.obs is None:
-            continue
-        key = (ds.learner_index[rec.learner_id], ds.question_index[rec.question_id])
-        if key not in chosen or rec.attempt < chosen[key][0]:
-            chosen[key] = (rec.attempt, rec.obs)
-    rows = np.array([k[0] for k in chosen], dtype=int)
-    cols = np.array([k[1] for k in chosen], dtype=int)
-    vals = np.array([v[1] for v in chosen.values()], dtype=float)
-    return rows, cols, vals
+    """Collapse to one (learner, question, outcome) cell per pair: earliest labeled attempt.
+
+    Cells come in order of each pair's first labeled record.
+    """
+    labeled = np.flatnonzero(ds.obs >= 0)
+    pair = ds.learner[labeled] * len(ds.question_index) + ds.question[labeled]
+    by_attempt = np.lexsort((ds.attempt[labeled], pair))
+    head = np.ones(len(by_attempt), dtype=bool)
+    head[1:] = pair[by_attempt[1:]] != pair[by_attempt[:-1]]
+    earliest = labeled[by_attempt[head]]  # ascending pair order
+    _, first_seen = np.unique(pair, return_index=True)
+    cells = earliest[np.argsort(first_seen)]
+    return ds.learner[cells], ds.question[cells], ds.obs[cells].astype(float)
 
 
 def _cell_logloss(logits, y):
@@ -227,20 +224,18 @@ def sparfa_fit(
     return build(best_rank, w, c, mu, trace, val_scores)
 
 
-def sparfa_predict(model: LowRankModel, learner_id: str, question_id: str) -> float:
-    """Success probability for one (learner, question) pair.
+def sparfa_predict(model: LowRankModel, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
+    """Success probabilities for (learner, question, attempt) rows; the attempt is ignored.
 
     Unseen learners fall back to the question intercept alone; unseen
     questions fall back to the global training mean.
     """
-    qi = model.question_index.get(question_id)
-    if qi is None:
-        return model.global_mean
-    li = model.learner_index.get(learner_id)
-    if li is None:
-        return float(_sigmoid(model.intercepts[qi]))
-    z = float(model.learner_factors[li] @ model.question_factors[:, qi] + model.intercepts[qi])
-    return float(_sigmoid(z))
+    learner, question, _ = encode_keys(rows, model.learner_index, model.question_index)
+    # codes of -1 index the last row; np.where discards what they pick
+    w = model.learner_factors[learner][:, None, :]
+    c = model.question_factors[:, question].T[:, :, None]
+    z = model.intercepts[question] + np.where(learner >= 0, (w @ c)[:, 0, 0], 0.0)
+    return np.where(question >= 0, _sigmoid(z), model.global_mean)
 
 
 class SparfaModel:
@@ -274,7 +269,7 @@ class SparfaModel:
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
         if self.model is None:
             raise RuntimeError("predict called before fit")
-        return np.array([sparfa_predict(self.model, lid, qid) for lid, qid, _ in rows])
+        return sparfa_predict(self.model, rows)
 
     def export_json(self) -> dict:
         if self.model is None:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, encode_keys
 from .seeds import derive_seed
 
 
@@ -133,23 +133,18 @@ def tensor_fit_als(
     n_q = len(train.question_index)
     n_a = train.meta.max_attempt
 
-    li, qa, y = [], [], []
-    for rec in train.records:
-        if rec.obs is None:
-            continue
-        li.append(train.learner_index[rec.learner_id])
-        qa.append(train.question_index[rec.question_id] * n_a + (rec.attempt - 1))
-        y.append(float(rec.obs))
-    li = np.array(li, dtype=int)
-    qa = np.array(qa, dtype=int)
-    y = np.array(y, dtype=float)
+    labeled = train.obs >= 0
+    li = train.learner[labeled]
+    qa = train.question[labeled] * n_a + (train.attempt[labeled] - 1)
+    y = train.obs[labeled].astype(float)
     if y.size == 0:
         raise ValueError("tensor_fit_als requires labeled records")
 
     u, v, trace = als_fit_cells(li, qa, y, n_l, n_q * n_a, rank, ridge, max_sweeps, tol, seed)
 
-    observed_learners = np.flatnonzero(np.bincount(li, minlength=n_l) > 0)
-    cold = [lid for lid, l in train.learner_index.items() if l not in set(observed_learners)]
+    cells_per_learner = np.bincount(li, minlength=n_l)
+    observed_learners = np.flatnonzero(cells_per_learner > 0)
+    cold = [lid for lid, l in train.learner_index.items() if cells_per_learner[l] == 0]
     if cold:
         mean_row = u[observed_learners].mean(axis=0)
         for lid in cold:
@@ -180,21 +175,22 @@ def tensor_fit_als(
     )
 
 
-def tensor_predict(model: TensorModel, learner_id: str, question_id: str, attempt: int) -> float:
-    """Clamped inner-product estimate for one query.
+def tensor_predict(model: TensorModel, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
+    """Clamped inner-product estimates for (learner, question, attempt) rows.
 
     Attempts beyond the trained range use the last attempt slice; unseen
     learners use the mean factor row; unseen questions fall back to the
     global training mean.
     """
-    qi = model.question_index.get(question_id)
-    if qi is None:
-        return model.global_mean
-    li = model.learner_index.get(learner_id)
-    row = model.learner_factors[li] if li is not None else model.learner_factors.mean(axis=0)
-    a = min(max(attempt, 1), model.qa_factors.shape[2]) - 1
-    est = float(row @ model.qa_factors[:, qi, a])
-    return float(np.clip(est, 0.0, 1.0))
+    learner, question, attempt = encode_keys(rows, model.learner_index, model.question_index)
+    u = model.learner_factors
+    # learner code -1 selects the appended mean row
+    factor_rows = np.vstack([u, u.mean(axis=0)])[learner]
+    slot = np.clip(attempt, 1, model.qa_factors.shape[2]) - 1
+    fibers = model.qa_factors[:, question, slot]
+    # one (1 x r) @ (r x 1) product per row: the same bits as a per-row dot
+    est = (factor_rows[:, None, :] @ fibers.T[:, :, None])[:, 0, 0]
+    return np.where(question >= 0, np.clip(est, 0.0, 1.0), model.global_mean)
 
 
 class TensorFactorizationModel:
@@ -222,7 +218,7 @@ class TensorFactorizationModel:
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
         if self.model is None:
             raise RuntimeError("predict called before fit")
-        return np.array([tensor_predict(self.model, lid, qid, a) for lid, qid, a in rows])
+        return tensor_predict(self.model, rows)
 
     def export_json(self) -> dict:
         if self.model is None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .gbt import GbtConfig, GbtModel
-from .llm import split_pairs, strip_quotes
+from .llm import braced_records
 from .metrics import cross_validate
 from .seeds import derive_seed
 
@@ -83,16 +83,11 @@ class TuneEntry:
 
 @dataclass
 class TuneReport:
-    """Per-configuration scores plus five-number summary over configurations.
-
-    ``aggregation`` names the unit the summary runs over: "configuration"
-    for a grid sweep or LLM session, "session" for cross-session summaries.
-    """
+    """Per-configuration scores plus five-number summary over configurations."""
 
     method: str
     entries: list[TuneEntry]
     failures: list[tuple[int, str]] = field(default_factory=list)  # (index, message)
-    aggregation: str = "configuration"
 
     def __post_init__(self):
         if not self.entries:
@@ -115,7 +110,7 @@ class TuneReport:
     def to_dict(self) -> dict:
         return {
             "method": self.method,
-            "aggregation": self.aggregation,
+            "aggregation": "configuration",
             "n_evaluated": len(self.entries),
             "n_failures": len(self.failures),
             "summary": self.summary(),
@@ -199,24 +194,18 @@ def grid_search(
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = {re.sub(r"[^a-z]", "", name): name for name in GRID_FIELDS}
-_BRACED = re.compile(r"\{[^{}]*\}")
 
 
 def parse_config_proposal(text: str) -> GbtConfig | None:
-    """Extract a full seven-field configuration from a braced block, if any."""
-    for match in _BRACED.finditer(text):
-        fields: dict[str, float] = {}
-        for pair in split_pairs(match.group(0)[1:-1]):
-            if ":" not in pair:
-                continue
-            raw_key, raw_val = pair.split(":", 1)
-            key = _CONFIG_KEYS.get(re.sub(r"[^a-z]", "", strip_quotes(raw_key).lower()))
-            if key is None:
-                continue
-            try:
-                fields[key] = float(strip_quotes(raw_val))
-            except ValueError:
-                break
+    """The first braced block holding all seven fields as valid numbers, if any.
+
+    A block in which any recognised field is not a number is skipped.
+    """
+    for _, raw in braced_records(text, _CONFIG_KEYS):
+        try:
+            fields = {name: float(value) for name, value in raw.items()}
+        except ValueError:
+            continue
         if set(fields) == set(GRID_FIELDS):
             try:
                 return GbtConfig(
@@ -323,16 +312,3 @@ def llm_tuning_loop(
         entries.append(TuneEntry(config, mean_rmse))
     return TuneReport(method="llm", entries=entries, failures=failures)
 
-
-def summarize_tuning(session_minima: Sequence[float]) -> dict[str, float]:
-    """Five-number summary over per-session best RMSEs."""
-    if not session_minima:
-        raise ValueError("no sessions to summarize")
-    values = np.array(session_minima, dtype=float)
-    return {
-        "mean": float(values.mean()),
-        "median": float(np.median(values)),
-        "std": float(values.std(ddof=0)),
-        "min": float(values.min()),
-        "max": float(values.max()),
-    }

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from lppred.bkt import BktModel, BktParams, bkt_fit_em, sequence_predictions
-from lppred.data import parse_dataset
+from lppred.data import _sigmoid, parse_dataset
 from lppred.gbt import GbtConfig, GbtModel, gbt_fit
 from lppred.llm import MockHeuristicClient, heuristic_prediction, llm_predict_pipeline
 from lppred.metrics import cross_validate, format_cell, rmse
 from lppred.pfa import pfa_fit
 from lppred.simulate import SimSpec, simulate_bkt, simulate_lowrank
-from lppred.sparfa import _first_attempt_cells, _fit_intercept_only, _sigmoid, sparfa_fit, sparfa_predict
+from lppred.sparfa import _first_attempt_cells, _fit_intercept_only, sparfa_fit, sparfa_predict
 from lppred.tensor import als_fit_cells, tensor_fit_als
 from lppred.tuner import Grid, default_grid, grid_search
 
@@ -119,7 +119,7 @@ def test_criterion_4_sparfa_recovery_and_rank_selection():
         )
         model = sparfa_fit(train, rank_candidates=(1, 2, 4), seed=trial)
         picks_rank2 += model.rank == 2
-        pred = np.array([sparfa_predict(model, r.learner_id, r.question_id) for r in test])
+        pred = sparfa_predict(model, [r.key() for r in test])
         rows, cols, vals = _first_attempt_cells(train)
         mu = _fit_intercept_only(rows, cols, vals, len(train.question_index))
         base = np.array(

@@ -165,7 +165,40 @@ class TestEmFit:
             assert p.p_slip + p.p_guess < 1
 
 
+def per_row_reference(model, train, rows):
+    """Each query's belief walked through a dict of the learner's training attempts."""
+    fit = model.fit_result
+    history = {}
+    for rec in train.records:
+        if rec.obs is not None:
+            history.setdefault((rec.learner_id, rec.question_id), {})[rec.attempt] = rec.obs
+    out = []
+    for lid, qid, attempt in rows:
+        p = fit.question_params.get(qid, fit.fallback)
+        delta = fit.learner_offsets.get(lid)
+        if delta:
+            p0 = 1.0 / (1.0 + np.exp(-(np.log(p.p_init / (1.0 - p.p_init)) + delta)))
+            p = BktParams(min(max(float(p0), NEAR_ZERO), 1.0 - NEAR_ZERO), p.p_learn, p.p_slip, p.p_guess)
+        belief = p.p_init
+        for past in range(1, attempt):
+            obs = history.get((lid, qid), {}).get(past)
+            if obs is None:
+                belief = belief + (1.0 - belief) * p.p_learn
+            else:
+                belief = bkt_posterior_update(belief, obs, p)
+        out.append(bkt_predict_next(belief, p))
+    return np.clip(out, 0.0, 1.0)
+
+
 class TestPredictor:
+    @pytest.mark.parametrize("individualized", [False, True])
+    def test_batch_matches_per_row_reference(self, individualized):
+        full = simulate_bkt(SimSpec(12, 3, 5, seed=4)).dataset
+        train = full.subset([i for i in range(full.n_records) if i % 3])  # held-out gaps
+        rows = [r.key() for r in full.records] + [("LX", "Q1", 3), ("L1", "QX", 2), ("L2", "Q2", 9)]
+        model = BktModel(seed=0, individualized=individualized).fit(train)
+        assert np.array_equal(model.predict(rows), per_row_reference(model, train, rows))
+
     def test_cv_interface_and_bounds(self, rng):
         res = simulate_bkt(SimSpec(30, 4, 5, seed=3))
         ds = res.dataset
@@ -182,7 +215,6 @@ class TestPredictor:
         )
         model = BktModel(seed=0).fit(ds)
         model.fit_result.question_params["Q1"] = p
-        model._history = {("L1", "Q1"): {1: 1}}
         belief = p.p_init
         belief = bkt_posterior_update(belief, 1, p)
         belief = belief + (1 - belief) * p.p_learn  # gap at attempt 2

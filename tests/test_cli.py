@@ -63,6 +63,31 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["cv", "fit"])
+    def test_non_integer_ranks_is_usage_error(self, sim_data, tmp_path, command):
+        code = main(
+            [command, "--model", "sparfa", "--ranks", "1,x", "--data", str(sim_data),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--data", "--meta", "--targets", "--grid", "--train",
+                                      "--test", "--inputs"])
+    def test_missing_input_file_is_data_error(self, train_test_files, tmp_path, capsys, flag):
+        train, test = train_test_files
+        missing = str(tmp_path / "nope.csv")
+        argv = {
+            "--data": ["cv", "--model", "bkt", "--data", missing],
+            "--meta": ["cv", "--model", "bkt", "--data", str(train), "--meta", missing],
+            "--targets": ["predict", "--model", "gbt", "--data", str(train), "--targets", missing],
+            "--grid": ["tune", "--data", str(train), "--grid", missing],
+            "--train": ["llm-run", "--mock", "--train", missing, "--test", str(test)],
+            "--test": ["llm-run", "--mock", "--train", str(train), "--test", missing],
+            "--inputs": ["report", "--inputs", missing],
+        }[flag]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert missing in capsys.readouterr().err
+
     def test_unreachable_endpoint_is_client_error(self, train_test_files, tmp_path):
         train, test = train_test_files
         code = main(

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lppred.data import (
     DataError,
     Dataset,
     InteractionRecord,
+    encode_keys,
     make_folds,
     parse_dataset,
     parse_meta,
@@ -44,6 +47,13 @@ class TestParse:
         f = write_csv(tmp_path / "d.csv", "learner_id,question_id,attempt,obs\nL1,Q1,0,1\n")
         with pytest.raises(DataError, match=r"line 2.*attempt"):
             parse_dataset(f)
+
+    def test_attempt_past_int64_is_data_error(self, tmp_path):
+        f = write_csv(tmp_path / "d.csv", "learner_id,question_id,attempt,obs\nL1,Q1,9223372036854775808,1\n")
+        with pytest.raises(DataError, match=r"line 2.*attempt"):
+            parse_dataset(f)
+        with pytest.raises(DataError, match="attempt"):
+            Dataset.from_records([InteractionRecord("L1", "Q1", 2**63, 1)])
 
     def test_wrong_column_count(self, tmp_path):
         f = write_csv(tmp_path / "d.csv", "learner_id,question_id,attempt,obs\nL1,Q1,1\n")
@@ -99,6 +109,11 @@ class TestDatasetInvariants:
         assert ds.meta.n_questions == len({r.question_id for r in ds.records})
         assert ds.meta.max_attempt == max(r.attempt for r in ds.records)
 
+    def test_first_repeated_key_is_named(self):
+        rows = [("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0), ("L2", "Q1", 1, 1), ("L1", "Q1", 1, 0)]
+        with pytest.raises(DataError, match=r"duplicate .* \('L2', 'Q1', 1\)"):
+            Dataset.from_records(make_records(rows))
+
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             Dataset.from_records([])
@@ -108,6 +123,53 @@ class TestDatasetInvariants:
         sub = ds.subset(range(10))
         assert sub.n_records == 10
         assert sub.meta.n_learners == len({r.learner_id for r in sub.records})
+
+
+class TestColumns:
+    def test_columns_follow_records(self, rng):
+        full = random_dataset(rng, n_rows=40)
+        for ds in (full, full.subset(range(full.n_records - 1, 0, -2))):
+            for i, rec in enumerate(ds.records):
+                assert ds.learner[i] == ds.learner_index[rec.learner_id]
+                assert ds.question[i] == ds.question_index[rec.question_id]
+                assert ds.attempt[i] == rec.attempt
+                assert ds.obs[i] == (-1 if rec.obs is None else rec.obs)
+
+    def test_encode_keys_maps_unseen_ids_to_minus_one(self):
+        ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1), ("L2", "Q2", 3, None)]))
+        learner, question, attempt = encode_keys(
+            [("L2", "Q1", 4), ("LX", "Q2", 1), ("L1", "QX", 2), ("LX", "QX", 7)],
+            ds.learner_index,
+            ds.question_index,
+        )
+        assert learner.tolist() == [1, -1, 0, -1]
+        assert question.tolist() == [0, 1, -1, -1]
+        assert attempt.tolist() == [4, 1, 2, 7]
+
+    def test_encode_keys_of_no_rows(self):
+        assert [a.size for a in encode_keys([], {}, {})] == [0, 0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_subset_equals_rebuild_from_records(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n_rows = data.draw(st.integers(1, 40))
+        labeled = data.draw(st.booleans())
+        ds = random_dataset(np.random.default_rng(seed), n_rows=n_rows, labeled=labeled)
+        ds = Dataset.from_records(ds.records, lesson_name="lesson", questions={})
+        positions = data.draw(
+            st.lists(st.integers(0, ds.n_records - 1), min_size=1, max_size=ds.n_records, unique=True)
+        )
+        sub = ds.subset(positions)
+        rebuilt = Dataset.from_records(
+            [ds.records[i] for i in positions], lesson_name="lesson", questions={}
+        )
+        assert sub.records == rebuilt.records
+        assert sub.meta == rebuilt.meta
+        assert list(sub.learner_index.items()) == list(rebuilt.learner_index.items())
+        assert list(sub.question_index.items()) == list(rebuilt.question_index.items())
+        for name in ("learner", "question", "attempt", "obs"):
+            assert np.array_equal(getattr(sub, name), getattr(rebuilt, name)), name
 
 
 class TestFolds:

@@ -199,6 +199,16 @@ class TestPredict:
         preds = gbt_predict(model, [key, key, ds.records[1].key()])
         assert preds[0] == preds[1]
 
+    def test_feature_matrix_codes_unseen_ids_as_minus_one(self, rng):
+        ds = random_dataset(rng, n_rows=30)
+        model = gbt_fit(ds, GbtConfig(n_trees=2), seed=0)
+        keys = [r.key() for r in ds.records] + [("GHOST", "Q1", 2), ("L1", "PHANTOM", 9)]
+        expected = [
+            [model.learner_index.get(lid, -1.0), model.question_index.get(qid, -1.0), attempt]
+            for lid, qid, attempt in keys
+        ]
+        assert np.array_equal(model.feature_matrix(keys), np.array(expected, dtype=float))
+
     def test_unseen_ids_routed_numerically(self, rng):
         ds = random_dataset(rng, n_rows=40)
         model = gbt_fit(ds, GbtConfig(n_trees=10), seed=0)

@@ -1,0 +1,94 @@
+"""Golden outputs: fixed CLI runs on a tiny simulation must keep their exact bytes.
+
+Every command below is deterministic given its flags and seed, so the sha256
+of each file it writes is a fingerprint of the models' numbers down to the
+last bit printed. The digests were recorded with the per-record model code
+that the columnar encoding replaced; a refactor that changes any
+prediction, fold RMSE or report layout fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lppred.cli import EXIT_OK, main
+
+LOCAL_MODELS = ("bkt", "pfa", "sparfa", "tensor", "gbt")
+
+GOLDEN = {
+    "cv-bkt/report.json": "d993438936a644b223c50d2c95ea6518f3273c0264224cd3ca8498d74fd52c8d",
+    "cv-bkt-individualized/report.json":
+        "7f9fbf1782011dc0f7191e0fc373b6c5f504a12ca0ab463666b3099edd352d3f",
+    "cv-gbt/report.json": "c449c6b9359e8974a84b26cd712a2d7eb9a88e27450ba8cb69613ab52930e56d",
+    "cv-pfa/report.json": "9feff7bc9f250a54608dc24c3fcbec927fa42d06f00992a6bbfa76e80db54bd1",
+    "cv-sparfa/report.json": "63d146dc56b562c4dc9a177ff6a54ca1bad03af2612685ab519999e9a1ddd8f2",
+    "cv-tensor/report.json": "407202629fa29d9996eb2a022eaf923830a92d37c4389dcdbe3e06ad3f608aeb",
+    "llm-run/predictions.csv": "e76f97e255679acf45e77a89b8cca264a1dea7bf5f84f7b333f34f0f452367fa",
+    "llm-run/report.json": "878f42e42ca2d3fd5250bda3c2481932d845c4d4149a6086e73b39a3861c7346",
+    "predict-bkt/predictions.csv": "1ceec63bcd2479a06ff2359bb2f92c02d00eabac050c9fad71ff777efb387f92",
+    "predict-gbt/predictions.csv": "0529626f1b0828a465bf23159a8d082aae090b69af22ac2580d9047599f2d3b4",
+    "predict-pfa/predictions.csv": "088c95e2fb4a90708e5c813cda88ec3b616c5e9a0782d3c871493998d17ed398",
+    "predict-sparfa/predictions.csv":
+        "3d214b860ccbe476b3619acfeab6bc7c4ee086ac22dbaf60b8ebfbc8805f9c67",
+    "predict-tensor/predictions.csv":
+        "5f3349ad82a757a14fb8627d555dbd33c7de9742c0c5f1f87044f3564e410ebe",
+    "tune/tune.json": "f39a93cc5902fdcbac8c5be003e3db17318f6da3b9dd855e1503287bc46cdca2",
+}
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_commands(root) -> dict[str, str]:
+    """Run the fixed command set under ``root``; sha256 of each output file by name."""
+    sim = root / "sim"
+    assert main(["simulate", "--generator", "bkt-process", "--shape", "20x5x4", "--seed", "11",
+                 "--stop-on-correct", "--out", str(sim)]) == EXIT_OK
+    data = sim / "data.csv"
+    header, *rows = data.read_text(encoding="utf-8").splitlines()
+    train, test, targets = root / "train.csv", root / "test.csv", root / "targets.csv"
+    train.write_text("\n".join([header] + [r for i, r in enumerate(rows) if i % 5]) + "\n",
+                     encoding="utf-8")
+    test.write_text("\n".join([header] + rows[::5]) + "\n", encoding="utf-8")
+    # known ids, an unseen learner, an unseen question, an attempt past the trained range
+    targets.write_text(
+        f"{header}\nL1,Q1,1,\nL3,Q2,2,\nL4,Q5,3,\nLX,Q1,1,\nL2,QX,1,\nL5,Q3,9,\n", encoding="utf-8"
+    )
+    grid = root / "grid.json"
+    grid.write_text(json.dumps({"n_trees": [5, 10], "learning_rate": [0.3], "max_depth": [3],
+                                "subsample": [0.8], "colsample_bytree": [0.8], "gamma": [0.0],
+                                "min_child_weight": [1.0]}), encoding="utf-8")
+
+    runs = {}
+    for model in LOCAL_MODELS:
+        runs[f"cv-{model}/report.json"] = ["cv", "--model", model, "--data", str(data),
+                                           "--k", "5", "--seed", "7"]
+        runs[f"predict-{model}/predictions.csv"] = ["predict", "--model", model, "--data",
+                                                    str(data), "--targets", str(targets)]
+    runs["cv-bkt-individualized/report.json"] = ["cv", "--model", "bkt", "--individualized",
+                                                 "--data", str(data), "--k", "5", "--seed", "7"]
+    runs["tune/tune.json"] = ["tune", "--model", "gbt", "--data", str(data), "--grid", str(grid),
+                              "--k", "5", "--workers", "1"]
+    runs["llm-run/report.json"] = ["llm-run", "--train", str(train), "--test", str(test),
+                                   "--mock", "--repeats", "2", "--workers", "1"]
+    runs["llm-run/predictions.csv"] = None  # written by the llm-run above
+
+    digests = {}
+    for name, argv in runs.items():
+        out = root / name.split("/")[0]
+        if argv is not None:
+            assert main(argv + ["--out", str(out)]) == EXIT_OK, name
+        digests[name] = _sha(root / name)
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return run_commands(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_unchanged(digests, name):
+    assert digests[name] == GOLDEN[name]

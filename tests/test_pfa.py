@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lppred.data import Dataset
-from lppred.pfa import PfaFeatures, PfaModel, PfaParams, pfa_features, pfa_fit, pfa_predict
+from lppred.pfa import PfaModel, PfaParams, pfa_features, pfa_fit
 
 from conftest import make_records, random_dataset
 
@@ -16,20 +16,19 @@ def sigmoid(z):
 class TestFeatures:
     def test_first_attempt_zero_counts(self):
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1)]))
-        feats = pfa_features(ds)
-        assert (feats[0].s, feats[0].f) == (0, 0)
+        s, f = pfa_features(ds)
+        assert (s[0], f[0]) == (0, 0)
 
     def test_success_failure_counts(self):
         ds = Dataset.from_records(
             make_records([("L1", "Q1", 1, 1), ("L1", "Q1", 2, 0), ("L1", "Q1", 3, 1)])
         )
-        feats = pfa_features(ds)
-        assert (feats[2].s, feats[2].f) == (1, 1)
+        s, f = pfa_features(ds)
+        assert (s[2], f[2]) == (1, 1)
 
     def test_counts_match_brute_force_recount(self, rng):
         ds = random_dataset(rng, n_learners=8, n_questions=5, max_attempt=4, n_rows=100)
-        feats = pfa_features(ds)
-        for rec, feat in zip(ds.records, feats):
+        for rec, s_got, f_got in zip(ds.records, *pfa_features(ds)):
             s = sum(
                 1
                 for other in ds.records
@@ -46,35 +45,68 @@ class TestFeatures:
                 and other.attempt < rec.attempt
                 and other.obs == 0
             )
-            assert (feat.s, feat.f) == (s, f)
-            assert feat.s + feat.f == rec.attempt - 1
+            assert (s_got, f_got) == (s, f)
+            assert s_got + f_got == rec.attempt - 1
 
     def test_future_rows_do_not_leak(self):
         base = make_records([("L1", "Q1", 1, 1), ("L1", "Q1", 2, 0)])
         extended = base + make_records([("L1", "Q1", 3, 1), ("L1", "Q1", 4, 0)])
-        f_base = pfa_features(Dataset.from_records(base))
-        f_ext = pfa_features(Dataset.from_records(extended))
-        for a, b in zip(f_base, f_ext):
-            assert (a.s, a.f) == (b.s, b.f)
+        s_base, f_base = pfa_features(Dataset.from_records(base))
+        s_ext, f_ext = pfa_features(Dataset.from_records(extended))
+        assert np.array_equal(s_base, s_ext[:2]) and np.array_equal(f_base, f_ext[:2])
+
+
+def per_row_reference(model, train, rows):
+    """Each query's logit from a scan of the training rows for its earlier attempts."""
+    p = model.params
+    out = []
+    for lid, qid, attempt in rows:
+        earlier = [
+            r.obs
+            for r in train.records
+            if (r.learner_id, r.question_id) == (lid, qid) and r.obs is not None and r.attempt < attempt
+        ]
+        z = p.beta.get(qid, 0.0) + p.gamma.get(lid, 0.0) + p.alpha * earlier.count(1) + p.rho * earlier.count(0)
+        out.append(sigmoid(z))
+    return np.array(out)
+
+
+def test_batch_predict_matches_per_row_reference(rng):
+    full = random_dataset(rng, n_learners=6, n_questions=4, max_attempt=4, n_rows=60)
+    train = full.subset([i for i in range(full.n_records) if i % 4])  # held-out gaps
+    rows = [r.key() for r in full.records] + [("LX", "Q1", 3), ("L1", "QX", 2), ("L2", "Q2", 9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = PfaModel(seed=0).fit(train)
+    assert np.array_equal(model.predict(rows), per_row_reference(model, train, rows))
+
+
+def model_with(params, rows=(("L1", "Q1", 1, 1),)):
+    """A PfaModel whose history is ``rows`` and whose weights are ``params``."""
+    model = PfaModel(seed=0)
+    model._train = Dataset.from_records(make_records(rows))
+    model.params = params
+    return model
 
 
 class TestPredict:
     def test_all_zero_parameters(self):
         params = PfaParams(beta={}, gamma={}, alpha=0.0, rho=0.0, l2=0.1)
-        feat = PfaFeatures("L1", "Q1", 1, 0, 0)
-        assert pfa_predict(feat, params) == pytest.approx(0.5)
+        assert model_with(params).predict([("L1", "Q1", 1)])[0] == pytest.approx(0.5)
 
     def test_saturation(self):
         params = PfaParams(beta={"Q1": 10.0}, gamma={}, alpha=0.0, rho=0.0, l2=0.1)
-        feat = PfaFeatures("L1", "Q1", 1, 0, 0)
-        assert pfa_predict(feat, params) == pytest.approx(0.99995, abs=1e-4)
+        pred = model_with(params).predict([("L1", "Q1", 1)])[0]
+        assert pred == pytest.approx(0.99995, abs=1e-4)
 
     def test_hand_logit(self):
         params = PfaParams(beta={"Q1": 0.5}, gamma={"L1": -0.2}, alpha=0.3, rho=-0.4, l2=0.1)
-        feat = PfaFeatures("L1", "Q1", 4, 2, 1)
+        # two successes and one failure before attempt 4
+        model = model_with(params, [("L1", "Q1", 1, 1), ("L1", "Q1", 2, 1), ("L1", "Q1", 3, 0)])
+        pred = model.predict([("L1", "Q1", 4)])[0]
         # logit = 0.5 - 0.2 + 0.6 - 0.4 = 0.5
-        assert pfa_predict(feat, params) == pytest.approx(sigmoid(0.5))
-        assert pfa_predict(feat, params) == pytest.approx(0.6225, abs=1e-4)
+        assert pred == pytest.approx(sigmoid(0.5))
+        assert pred == pytest.approx(0.6225, abs=1e-4)
 
     def test_cold_start_gamma_zero(self, rng):
         ds = random_dataset(rng, n_rows=30)
@@ -85,16 +117,14 @@ class TestPredict:
 
 
 def build_design(ds):
-    feats = pfa_features(ds)
+    s, f = pfa_features(ds)
     labeled = ds.labeled_positions()
     n_q = len(ds.question_index)
     n_l = len(ds.learner_index)
-    q_idx = np.array([ds.question_index[feats[i].question_id] for i in labeled])
-    l_idx = np.array([ds.learner_index[feats[i].learner_id] for i in labeled])
-    s = np.array([feats[i].s for i in labeled], float)
-    f = np.array([feats[i].f for i in labeled], float)
+    q_idx = np.array([ds.question_index[ds.records[i].question_id] for i in labeled])
+    l_idx = np.array([ds.learner_index[ds.records[i].learner_id] for i in labeled])
     y = ds.obs_array(labeled)
-    return q_idx, l_idx, s, f, y, n_q, n_l
+    return q_idx, l_idx, s[labeled].astype(float), f[labeled].astype(float), y, n_q, n_l
 
 
 def reference_objective(theta, ds, l2):

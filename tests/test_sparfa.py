@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from lppred.data import Dataset
+from lppred.data import Dataset, _sigmoid
 from lppred.simulate import SimSpec, simulate_lowrank
 from lppred.sparfa import (
     LowRankModel,
     SparfaModel,
     _first_attempt_cells,
     _fit_intercept_only,
-    _sigmoid,
     sparfa_fit,
     sparfa_predict,
 )
@@ -32,7 +31,29 @@ def intercept_baseline(train, test_records):
     return np.array(out)
 
 
+def per_row_reference(model, rows):
+    out = []
+    for lid, qid, _ in rows:
+        qi, li = model.question_index.get(qid), model.learner_index.get(lid)
+        if qi is None:
+            out.append(model.global_mean)
+        elif li is None:
+            out.append(float(_sigmoid(model.intercepts[qi])))
+        else:
+            z = model.learner_factors[li] @ model.question_factors[:, qi] + model.intercepts[qi]
+            out.append(float(_sigmoid(z)))
+    return np.array(out)
+
+
 class TestPredict:
+    def test_batch_matches_per_row_reference(self):
+        res = simulate_lowrank(
+            SimSpec(20, 6, 1, generator="low-rank-matrix", rank=2, seed=3, factor_scale=2.0)
+        )
+        model = sparfa_fit(res.dataset, rank_candidates=(2, 3), seed=0)
+        rows = [r.key() for r in res.dataset.records] + [("LX", "Q1", 1), ("L1", "QX", 1)]
+        assert np.array_equal(sparfa_predict(model, rows), per_row_reference(model, rows))
+
     def make_model(self, w, c, mu, learners, questions):
         return LowRankModel(
             learner_factors=np.asarray(w, float),
@@ -46,20 +67,20 @@ class TestPredict:
 
     def test_zero_factors_give_half(self):
         m = self.make_model([[0.0]], [[0.0]], [0.0], ["L1"], ["Q1"])
-        assert sparfa_predict(m, "L1", "Q1") == pytest.approx(0.5)
+        assert sparfa_predict(m, [("L1", "Q1", 1)])[0] == pytest.approx(0.5)
 
     def test_hand_sigmoid(self):
         # w.c = 1.2, intercept -0.2 -> sigmoid(1.0)
         m = self.make_model([[1.2]], [[1.0]], [-0.2], ["L1"], ["Q1"])
-        assert sparfa_predict(m, "L1", "Q1") == pytest.approx(0.7311, abs=1e-4)
+        assert sparfa_predict(m, [("L1", "Q1", 1)])[0] == pytest.approx(0.7311, abs=1e-4)
 
     def test_unseen_learner_uses_intercept(self):
         m = self.make_model([[1.2]], [[1.0]], [0.8], ["L1"], ["Q1"])
-        assert sparfa_predict(m, "LX", "Q1") == pytest.approx(0.6900, abs=1e-4)
+        assert sparfa_predict(m, [("LX", "Q1", 1)])[0] == pytest.approx(0.6900, abs=1e-4)
 
     def test_unseen_question_uses_global_mean(self):
         m = self.make_model([[1.2]], [[1.0]], [0.8], ["L1"], ["Q1"])
-        assert sparfa_predict(m, "L1", "QX") == pytest.approx(0.7)
+        assert sparfa_predict(m, [("L1", "QX", 1)])[0] == pytest.approx(0.7)
 
 
 class TestFit:
@@ -67,7 +88,7 @@ class TestFit:
         model = sparfa_fit(all_ones_dataset(), rank_candidates=(1, 2))
         assert model.rank == 0
         for q in model.question_index:
-            assert sparfa_predict(model, "L0", q) > 0.5
+            assert sparfa_predict(model, [("L0", q, 1)])[0] > 0.5
 
     def test_rotation_invariance(self):
         res = simulate_lowrank(
@@ -155,7 +176,7 @@ class TestRecovery:
                 [truth_obs[f"{r.learner_id}|{r.question_id}|{r.attempt}"] for r in test], float
             )
             model = sparfa_fit(train, rank_candidates=(1, 2, 4), seed=trial)
-            pred = np.array([sparfa_predict(model, r.learner_id, r.question_id) for r in test])
+            pred = sparfa_predict(model, [r.key() for r in test])
             base = intercept_baseline(train, test)
             if np.sqrt(np.mean((pred - actual) ** 2)) < np.sqrt(np.mean((base - actual) ** 2)):
                 wins += 1

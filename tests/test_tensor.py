@@ -84,9 +84,7 @@ class TestDatasetFit:
             [truth_obs[f"{r.learner_id}|{r.question_id}|{r.attempt}"] for r in test], float
         )
         model = tensor_fit_als(train, rank=2, ridge=0.1, seed=0)
-        pred = np.array(
-            [tensor_predict(model, r.learner_id, r.question_id, r.attempt) for r in test]
-        )
+        pred = tensor_predict(model, [r.key() for r in test])
         base = np.full(len(test), model.global_mean)
         assert np.sqrt(np.mean((pred - actual) ** 2)) < np.sqrt(np.mean((base - actual) ** 2))
 
@@ -104,7 +102,27 @@ class TestDatasetFit:
         assert np.allclose(model.learner_factors[2], warm)
 
 
+def per_row_reference(model, rows):
+    out = []
+    for lid, qid, attempt in rows:
+        qi, li = model.question_index.get(qid), model.learner_index.get(lid)
+        if qi is None:
+            out.append(model.global_mean)
+            continue
+        row = model.learner_factors[li] if li is not None else model.learner_factors.mean(axis=0)
+        a = min(max(attempt, 1), model.qa_factors.shape[2]) - 1
+        out.append(float(np.clip(row @ model.qa_factors[:, qi, a], 0.0, 1.0)))
+    return np.array(out)
+
+
 class TestPredict:
+    def test_batch_matches_per_row_reference(self):
+        res = simulate_lowrank(SimSpec(12, 5, 3, generator="low-rank-tensor", rank=2, seed=9))
+        model = tensor_fit_als(res.dataset, rank=3, ridge=0.1, seed=0)
+        rows = [r.key() for r in res.dataset.records]
+        rows += [("LX", "Q1", 2), ("L1", "QX", 1), ("L2", "Q3", 7)]
+        assert np.array_equal(tensor_predict(model, rows), per_row_reference(model, rows))
+
     def make_model(self):
         qa = np.zeros((2, 1, 2))
         qa[:, 0, 0] = (0.7, 0.3)
@@ -121,31 +139,31 @@ class TestPredict:
 
     def test_basis_vector_selection(self):
         m = self.make_model()
-        assert tensor_predict(m, "L1", "Q1", 1) == pytest.approx(0.7)
+        assert tensor_predict(m, [("L1", "Q1", 1)])[0] == pytest.approx(0.7)
 
     def test_clamp_above(self):
         m = self.make_model()
         m.learner_factors[0] = (2.0, 0.0)  # raw estimate 1.4
-        assert tensor_predict(m, "L1", "Q1", 1) == pytest.approx(1.0)
+        assert tensor_predict(m, [("L1", "Q1", 1)])[0] == pytest.approx(1.0)
 
     def test_clamp_below(self):
         m = self.make_model()
         m.learner_factors[0] = (-1.0, 0.5)  # raw estimate -0.55
-        assert tensor_predict(m, "L1", "Q1", 1) == pytest.approx(0.0)
+        assert tensor_predict(m, [("L1", "Q1", 1)])[0] == pytest.approx(0.0)
 
     def test_attempt_beyond_training_uses_last_slice(self):
         m = self.make_model()
-        assert tensor_predict(m, "L2", "Q1", 9) == tensor_predict(m, "L2", "Q1", 2)
+        assert tensor_predict(m, [("L2", "Q1", 9)])[0] == tensor_predict(m, [("L2", "Q1", 2)])[0]
 
     def test_unseen_learner_mean_row(self):
         m = self.make_model()
         mean_row = m.learner_factors.mean(axis=0)
         expected = float(np.clip(mean_row @ m.qa_factors[:, 0, 0], 0, 1))
-        assert tensor_predict(m, "LX", "Q1", 1) == pytest.approx(expected)
+        assert tensor_predict(m, [("LX", "Q1", 1)])[0] == pytest.approx(expected)
 
     def test_unseen_question_global_mean(self):
         m = self.make_model()
-        assert tensor_predict(m, "L1", "QX", 1) == pytest.approx(0.55)
+        assert tensor_predict(m, [("L1", "QX", 1)])[0] == pytest.approx(0.55)
 
     def test_predictor_wrapper(self):
         res = simulate_lowrank(SimSpec(10, 4, 3, generator="low-rank-tensor", rank=2, seed=2))

@@ -15,7 +15,6 @@ from lppred.tuner import (
     grid_search,
     llm_tuning_loop,
     parse_config_proposal,
-    summarize_tuning,
 )
 
 
@@ -175,26 +174,17 @@ class TestLlmLoop:
 
 
 class TestSummaries:
-    def test_session_summary_min_max(self):
-        rows = summarize_tuning([0.398, 0.422, 0.552, 0.435])
-        assert rows["min"] == pytest.approx(0.398)
-        assert rows["max"] == pytest.approx(0.552)
-
-    def test_single_session_zero_std(self):
-        assert summarize_tuning([0.4])["std"] == 0.0
-
-    def test_constant_sessions(self):
-        s = summarize_tuning([0.4, 0.4, 0.4])
-        for key in ("mean", "median", "min", "max"):
-            assert s[key] == pytest.approx(0.4)
-
     def test_format_rows_renders_all_five_columns(self):
         text = format_summary_rows(
-            [("grid", summarize_tuning([0.41, 0.42])), ("llm", summarize_tuning([0.40, 0.45]))]
+            [
+                ("grid", {"mean": 0.415, "median": 0.415, "std": 0.005, "min": 0.41, "max": 0.42}),
+                ("llm", {"mean": 0.425, "median": 0.425, "std": 0.025, "min": 0.40, "max": 0.45}),
+            ]
         )
         lines = text.splitlines()
         assert len(lines) == 4
-        assert lines[2].split()[0] == "grid"
+        assert lines[2].split() == ["grid", "0.415", "0.415", "0.005", "0.410", "0.420"]
+        assert lines[3].split()[0] == "llm"
 
     def test_report_json_shape(self, small_ds):
         report = grid_search(small_ds, tiny_grid(), k=3, seed=0)
