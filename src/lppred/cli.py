@@ -194,6 +194,24 @@ def _write(path: Path, content: str, echo: bool = True):
         print(f"wrote {path}")
 
 
+class _ClientSelectedModel:
+    """llm-gbt predictor: the client names a method from the training split only."""
+
+    def __init__(self, client, meta, args, seed: int):
+        self.client, self.meta, self.args, self.seed = client, meta, args, seed
+        self.model = None
+
+    def fit(self, train: Dataset) -> "_ClientSelectedModel":
+        chosen = select_method(self.client, train, self.meta)
+        print(f"client selected method: {chosen}")
+        overrides = _model_overrides(chosen, self.args) if chosen in LOCAL_MODELS else {}
+        self.model = make_model(chosen, seed=self.seed, **overrides).fit(train)
+        return self
+
+    def predict(self, rows):
+        return self.model.predict(rows)
+
+
 def _make_factory(name: str, args, ds: Dataset):
     """Factory of per-fold predictors; llm variants wrap a configured client."""
     if name in LOCAL_MODELS:
@@ -204,11 +222,14 @@ def _make_factory(name: str, args, ds: Dataset):
     if name == "llm":
         return lambda fold_seed: LlmPredictor(client, meta=meta)
     if name == "llm-gbt":
-        chosen = select_method(client, ds, meta)
-        print(f"client selected method: {chosen}")
-        overrides = _model_overrides(chosen, args) if chosen in LOCAL_MODELS else {}
-        return lambda fold_seed: make_model(chosen, seed=fold_seed, **overrides)
+        return lambda fold_seed: _ClientSelectedModel(client, meta, args, fold_seed)
     raise UsageError(f"unknown model {name!r}; choose from {', '.join(ALL_MODELS)}")
+
+
+def _require_labeled(ds: Dataset, path) -> None:
+    unlabeled = len(ds.unlabeled_positions())
+    if unlabeled:
+        raise DataError(f"{path}: cross-validation needs every row labeled; {unlabeled} rows have no obs")
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +259,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_cv(args) -> int:
     ds = _load_dataset(args)
+    _require_labeled(ds, args.data)
     factory = _make_factory(args.model, args, ds)
     report = cross_validate(
         factory,
@@ -291,11 +313,16 @@ def cmd_tune(args) -> int:
     if args.model != "gbt":
         raise UsageError("tuning targets the gbt model")
     ds = _load_dataset(args)
+    _require_labeled(ds, args.data)
     if args.grid == "default":
         grid = default_grid()
     else:
         with open_input(args.grid) as fh:
-            grid = Grid.from_json(fh.read())
+            payload = fh.read()
+        try:
+            grid = Grid.from_json(payload)
+        except DataError as exc:
+            raise DataError(f"grid file {args.grid}: {exc}") from None
     if args.method == "grid":
         report = grid_search(ds, grid, k=args.k, seed=args.seed, workers=args.workers)
     else:
@@ -376,11 +403,15 @@ def cmd_llm_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    reports = []
-    for path in args.inputs:
-        with open_input(path) as fh:
+def _read_cv_reports(path) -> list[CvReport]:
+    """The CvReports in one cv report.json, flat or nested by dataset."""
+    with open_input(path) as fh:
+        try:
             payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON ({exc})") from None
+    reports = []
+    try:
         for model_name, value in payload.items():
             if isinstance(value, dict) and "fold_rmse" in value:
                 reports.append(
@@ -395,6 +426,13 @@ def cmd_report(args) -> int:
                     reports.append(
                         CvReport(model_name=model_name, fold_rmse=tuple(record["fold_rmse"]), dataset=dataset)
                     )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: not a cv report ({type(exc).__name__}: {exc})") from None
+    return reports
+
+
+def cmd_report(args) -> int:
+    reports = [report for path in args.inputs for report in _read_cv_reports(path)]
     if not reports:
         raise DataError("no cross-validation reports found in the given files")
     out = _outdir(args)
@@ -481,6 +519,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Failure classes by exit code; the first match wins, anything else is a model error.
+_EXITS = (
+    (UsageError, EXIT_USAGE, "usage error"),
+    (DataError, EXIT_DATA, "data error"),
+    (ClientError, EXIT_CLIENT, "client error"),
+)
+
+
+def _exit_for(exc: Exception) -> tuple[int, str]:
+    """Exit code and label of a failure; a fold failure is classed by its cause."""
+    cause = exc.cause if isinstance(exc, FoldFitError) else exc
+    for kind, code, label in _EXITS:
+        if isinstance(cause, kind):
+            return code, label
+    return EXIT_MODEL, "model error"
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -488,18 +543,10 @@ def main(argv=None) -> int:
         argv = _inject_config_args(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ClientError as exc:
-        print(f"client error: {exc}", file=sys.stderr)
-        return EXIT_CLIENT
-    except (FoldFitError, ValueError, RuntimeError, KeyError) as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
+    except (UsageError, ValueError, RuntimeError, KeyError) as exc:
+        code, label = _exit_for(exc)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

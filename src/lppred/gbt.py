@@ -156,11 +156,26 @@ class GbtEnsemble:
     question_index: dict[str, int] = field(default_factory=dict)
     train_logloss: tuple[float, ...] = ()
 
-    def margins(self, x: np.ndarray) -> np.ndarray:
+    def staged_margins(self, x: np.ndarray, stages: Sequence[int]) -> list[np.ndarray]:
+        """Margins after the first ``n`` trees, for each ``n`` in ``stages``.
+
+        Because tree ``t`` never depends on how many trees follow it, the
+        margins after ``n`` trees equal those of an ``n``-tree fit bit for bit.
+        """
+        wanted = set(stages)
+        last = max(wanted, default=0)
+        if min(wanted, default=0) < 0 or last > len(self.trees):
+            raise ValueError(f"stages must lie in 0..{len(self.trees)}, got {sorted(wanted)}")
         total = np.full(len(x), self.base_score)
-        for tree in self.trees:
+        staged = {0: total.copy()} if 0 in wanted else {}
+        for t, tree in enumerate(self.trees[:last], start=1):
             total += self.config.learning_rate * tree.apply(x)
-        return total
+            if t in wanted:
+                staged[t] = total.copy()
+        return [staged[n] for n in stages]
+
+    def margins(self, x: np.ndarray) -> np.ndarray:
+        return self.staged_margins(x, [len(self.trees)])[0]
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
         return _sigmoid(self.margins(x))
@@ -433,6 +448,16 @@ class GbtModel:
         if self.model is None:
             raise RuntimeError("predict called before fit")
         return gbt_predict(self.model, rows)
+
+    def predict_staged(self, rows: Sequence[tuple[str, str, int]], stages: Sequence[int]) -> list[np.ndarray]:
+        """Probabilities from the first ``n`` trees for each ``n`` in ``stages``.
+
+        Each array equals ``predict`` of a model fitted with ``n_trees=n``.
+        """
+        if self.model is None:
+            raise RuntimeError("predict called before fit")
+        x = self.model.feature_matrix(rows)
+        return [_sigmoid(m) for m in self.model.staged_margins(x, stages)]
 
     def export_json(self) -> dict:
         if self.model is None:

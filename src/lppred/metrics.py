@@ -94,6 +94,37 @@ class FoldFitError(RuntimeError):
         self.cause = cause
 
 
+FoldPredict = Callable[[int, Dataset, list], Sequence[np.ndarray]]
+
+
+def fold_rmse_table(
+    fit_predict: FoldPredict, ds: Dataset, k: int = 5, seed: int = 0
+) -> list[tuple[float, ...]]:
+    """The k-fold loop: fold RMSEs of each prediction ``fit_predict`` returns.
+
+    For each fold, ``fit_predict(fold_seed, train, test_keys)`` fits on the
+    other k-1 folds and returns one or more prediction arrays for the held-out
+    keys, with ``fold_seed = derive_seed(seed, "fold", index)``. Returns one
+    tuple of k fold RMSEs per array. Test outcomes are withheld: the callback
+    only ever sees the key triples.
+    """
+    if ds.unlabeled_positions():
+        raise ValueError("cross-validation requires a fully labeled dataset")
+    split = make_folds(ds, k, seed)
+    per_fold = []
+    for fold in range(k):
+        test_pos = split.fold_positions(fold)
+        train_ds = ds.subset(split.train_positions(fold))
+        test_keys = [ds.records[i].key() for i in test_pos]
+        actual = ds.obs_array(test_pos)
+        try:
+            predictions = fit_predict(derive_seed(seed, "fold", fold), train_ds, test_keys)
+        except Exception as exc:  # noqa: BLE001 - annotate fold and re-raise
+            raise FoldFitError(fold, exc) from exc
+        per_fold.append([rmse(predicted, actual) for predicted in predictions])
+    return list(zip(*per_fold))
+
+
 def cross_validate(
     factory: PredictorFactory,
     ds: Dataset,
@@ -104,30 +135,20 @@ def cross_validate(
 ) -> CvReport:
     """k-fold cross-validation of a predictor family over a fully labeled dataset.
 
-    Each fold gets a fresh predictor built by ``factory(fold_seed)`` with
-    ``fold_seed = derive_seed(seed, "fold", index)``, is fitted on the other
-    k-1 folds, and is scored by RMSE on the held-out rows. Test outcomes are
-    withheld from the predictor: it only ever sees the key triples.
+    Each fold gets a fresh predictor built by ``factory(fold_seed)``, is
+    fitted on the other k-1 folds, and is scored by RMSE on the held-out rows
+    (see ``fold_rmse_table``).
     """
-    if ds.unlabeled_positions():
-        raise ValueError("cross_validate requires a fully labeled dataset")
-    split = make_folds(ds, k, seed)
-    fold_scores = []
-    for fold in range(k):
-        test_pos = split.fold_positions(fold)
-        train_ds = ds.subset(split.train_positions(fold))
-        test_keys = [ds.records[i].key() for i in test_pos]
-        actual = ds.obs_array(test_pos)
-        try:
-            model = factory(derive_seed(seed, "fold", fold))
-            model.fit(train_ds)
-            predicted = model.predict(test_keys)
-        except Exception as exc:  # noqa: BLE001 - annotate fold and re-raise
-            raise FoldFitError(fold, exc) from exc
-        fold_scores.append(rmse(predicted, actual))
+
+    def fit_predict(fold_seed, train_ds, test_keys):
+        model = factory(fold_seed)
+        model.fit(train_ds)
+        return [model.predict(test_keys)]
+
+    (fold_scores,) = fold_rmse_table(fit_predict, ds, k, seed)
     return CvReport(
         model_name=model_name or getattr(factory, "__name__", "model"),
-        fold_rmse=tuple(fold_scores),
+        fold_rmse=fold_scores,
         dataset=dataset_name,
     )
 

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import DataError, Dataset
 from .gbt import GbtConfig, GbtModel
 from .llm import braced_records
-from .metrics import cross_validate
+from .metrics import CvReport, fold_rmse_table
 from .seeds import derive_seed
 
 GRID_FIELDS = (
@@ -34,6 +35,7 @@ GRID_FIELDS = (
     "gamma",
     "min_child_weight",
 )
+_INTEGER_FIELDS = ("n_trees", "max_depth")
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,31 @@ class Grid:
 
     @classmethod
     def from_json(cls, payload: str) -> "Grid":
-        data = json.loads(payload)
-        kwargs = {name: tuple(data[name]) for name in GRID_FIELDS if name in data}
-        return cls(**kwargs)
+        """A grid from a JSON object mapping fields to non-empty candidate lists.
+
+        Keys must be among the seven fields; an omitted field keeps its default
+        candidates. Anything else is a DataError naming the key or value.
+        """
+        try:
+            data = json.loads(payload)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise DataError(f"expected a JSON object of candidate lists, got {json.dumps(data)}")
+        for name, values in data.items():
+            if name not in GRID_FIELDS:
+                raise DataError(f"unknown grid key {name!r}; keys are {', '.join(GRID_FIELDS)}")
+            if not isinstance(values, list) or not values:
+                raise DataError(f"grid key {name!r} must be a non-empty list, got {json.dumps(values)}")
+            kind, noun = (int, "an integer") if name in _INTEGER_FIELDS else ((int, float), "a finite number")
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+                    raise DataError(f"grid key {name!r}: {json.dumps(value)} is not {noun}")
+                try:
+                    GbtConfig(**{name: value})
+                except ValueError as exc:
+                    raise DataError(f"grid key {name!r}: {value} is invalid ({exc})") from None
+        return cls(**{name: tuple(values) for name, values in data.items()})
 
 
 def default_grid() -> Grid:
@@ -140,19 +164,63 @@ def format_summary_rows(rows: Sequence[tuple[str, dict[str, float]]]) -> str:
     return "\n".join(lines)
 
 
-def _evaluate_config(args) -> tuple[int, float | None, str]:
-    index, ds, config, k, seed = args
+# The dataset, fold count and root seed of the running sweep. Pool workers get
+# it once from the pool initializer; the serial path sets it in this process.
+_SWEEP: tuple[Dataset, int, int] | None = None
+
+
+def _start_sweep(ds: Dataset, k: int, seed: int) -> None:
+    global _SWEEP
+    _SWEEP = (ds, k, seed)
+
+
+def _prefix_groups(configs: Sequence[GbtConfig]) -> list[tuple[tuple[int, ...], tuple[GbtConfig, ...]]]:
+    """Jobs of (indices, configs) that differ only in n_trees, in first-appearance order."""
+    groups: dict[GbtConfig, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(replace(config, n_trees=0), []).append(i)
+    return [(tuple(idx), tuple(configs[i] for i in idx)) for idx in groups.values()]
+
+
+def _evaluate_config(job) -> tuple[tuple[int, ...], list[float] | None, str]:
+    """Mean CV RMSE of each configuration in one n_trees group of the running sweep.
+
+    Each fold fits the group's largest n_trees once and scores every
+    configuration from the margins of its first n_trees trees, which are
+    exactly that configuration's standalone fit. So every mean RMSE equals a
+    standalone ``cross_validate`` of its configuration. A failure in any fold
+    fails the whole group: the RMSE list is None and the message is returned.
+    """
+    indices, configs = job
+    ds, k, seed = _SWEEP
+    largest = max(configs, key=lambda c: c.n_trees)
+    stages = [c.n_trees for c in configs]
+
+    def fit_predict(fold_seed, train, test_keys):
+        return GbtModel(largest, seed=fold_seed).fit(train).predict_staged(test_keys, stages)
+
     try:
-        report = cross_validate(
-            lambda fold_seed: GbtModel(config, seed=fold_seed),
-            ds,
-            k=k,
-            seed=seed,
-            model_name="gbt",
-        )
-        return index, report.mean_rmse, ""
+        table = fold_rmse_table(fit_predict, ds, k=k, seed=seed)
     except Exception as exc:  # noqa: BLE001 - recorded per configuration
-        return index, None, str(exc)
+        return indices, None, str(exc)
+    return indices, [CvReport("gbt", fold_rmse).mean_rmse for fold_rmse in table], ""
+
+
+def _run_jobs(jobs: list, ds: Dataset, k: int, seed: int, workers: int) -> list:
+    """``_evaluate_config`` over the jobs, in job order; the data is shipped once per worker."""
+    global _SWEEP
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_start_sweep, initargs=(ds, k, seed)
+        ) as pool:
+            return list(pool.map(_evaluate_config, jobs))
+    saved = _SWEEP
+    _start_sweep(ds, k, seed)
+    try:
+        return [_evaluate_config(job) for job in jobs]
+    finally:
+        _SWEEP = saved
 
 
 def grid_search(
@@ -166,27 +234,23 @@ def grid_search(
 
     All configurations share the same folds and fold seeds, so their mean
     RMSEs are directly comparable and the best entry reproduces exactly when
-    refit standalone. Failures are recorded and excluded from the summary.
+    refit standalone. Configurations that differ only in n_trees are
+    evaluated together from one fit per fold (see ``_evaluate_config``).
+    Failures are recorded and excluded from the summary.
     """
     grid = grid or default_grid()
     configs = grid.combinations()
     if not configs:
         raise ValueError("empty grid")
-    jobs = [(i, ds, config, k, seed) for i, config in enumerate(configs)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_config, jobs, chunksize=8))
-    else:
-        results = [_evaluate_config(job) for job in jobs]
-
-    entries = []
-    failures = []
-    for index, mean_rmse, error in results:  # already in enumeration order
-        if mean_rmse is None:
-            failures.append((index, error))
+    scores: dict[int, float] = {}
+    errors: dict[int, str] = {}
+    for indices, mean_rmses, error in _run_jobs(_prefix_groups(configs), ds, k, seed, workers):
+        if mean_rmses is None:
+            errors.update(dict.fromkeys(indices, error))
         else:
-            entries.append(TuneEntry(configs[index], mean_rmse))
-    return TuneReport(method="grid", entries=entries, failures=failures)
+            scores.update(zip(indices, mean_rmses))
+    entries = [TuneEntry(configs[i], scores[i]) for i in sorted(scores)]
+    return TuneReport(method="grid", entries=entries, failures=sorted(errors.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +368,12 @@ def llm_tuning_loop(
             rng = np.random.default_rng(derive_seed(seed, "llm-tune-fallback", i))
             config = fallback_configs[int(rng.integers(len(fallback_configs)))]
             failures.append((i, "unparsable proposal, random grid point used"))
-        _, mean_rmse, error = _evaluate_config((i, ds, config, k, seed))
-        if mean_rmse is None:
+        # a one-configuration group
+        ((_, mean_rmses, error),) = _run_jobs([((i,), (config,))], ds, k, seed, workers=1)
+        if mean_rmses is None:
             failures.append((i, error))
             continue
+        (mean_rmse,) = mean_rmses
         history.append((config, mean_rmse))
         entries.append(TuneEntry(config, mean_rmse))
     return TuneReport(method="llm", entries=entries, failures=failures)

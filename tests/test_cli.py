@@ -3,7 +3,12 @@ import json
 import pytest
 
 from lppred.cli import EXIT_CLIENT, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
-from lppred.data import parse_dataset
+from lppred.data import make_folds, parse_dataset
+from lppred.llm import _RECORD_SENTENCE, MockHeuristicClient
+
+# One candidate per axis, so a grid read leniently stays a single cheap configuration.
+SMALL_GRID = {"n_trees": [5], "learning_rate": [0.1], "max_depth": [2], "subsample": [1.0],
+              "colsample_bytree": [1.0], "gamma": [0.0], "min_child_weight": [1.0]}
 
 
 @pytest.fixture
@@ -88,6 +93,45 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_DATA
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        (json.dumps({**SMALL_GRID, "n_trees": 5}), "'n_trees' must be a non-empty list, got 5"),
+        (json.dumps({**SMALL_GRID, "ntrees": [5]}), "unknown grid key 'ntrees'"),
+        (json.dumps(SMALL_GRID)[:-1], "invalid JSON"),
+        (json.dumps({**SMALL_GRID, "n_trees": []}), "'n_trees' must be a non-empty list, got []"),
+        (json.dumps({**SMALL_GRID, "n_trees": [-1]}), "'n_trees': -1 is invalid"),
+        (json.dumps({**SMALL_GRID, "max_depth": [2.5]}), "'max_depth': 2.5 is not an integer"),
+    ], ids=["scalar", "unknown-key", "malformed-json", "empty-list", "negative", "fractional"])
+    def test_bad_grid_file_is_data_error(self, sim_data, tmp_path, capsys, text, named):
+        grid = tmp_path / "grid.json"
+        grid.write_text(text, encoding="utf-8")
+        code = main(["tune", "--data", str(sim_data), "--grid", str(grid), "--workers", "1",
+                     "--k", "3", "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(grid) in err and named in err
+
+    @pytest.mark.parametrize("command", ["cv", "tune"])
+    def test_unlabeled_rows_in_cv_data_is_data_error(self, sim_data, tmp_path, capsys, command):
+        data = tmp_path / "partly.csv"
+        data.write_text(sim_data.read_text(encoding="utf-8") + "LX,Q1,1,\n", encoding="utf-8")
+        argv = {"cv": ["cv", "--model", "bkt"], "tune": ["tune", "--workers", "1"]}[command]
+        assert main(argv + ["--data", str(data), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert "1 rows have no obs" in capsys.readouterr().err
+
+    def test_malformed_report_json_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text('{"bkt": {"fold_rmse": [0.4,', encoding="utf-8")
+        assert main(["report", "--inputs", str(bad), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_unreachable_endpoint_in_cv_fold_is_client_error(self, sim_data, tmp_path, capsys):
+        code = main(
+            ["cv", "--model", "llm", "--endpoint", "http://127.0.0.1:1", "--retries", "0",
+             "--data", str(sim_data), "--k", "3", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_CLIENT
+        assert capsys.readouterr().err.startswith("client error: fold 0:")
+
     def test_unreachable_endpoint_is_client_error(self, train_test_files, tmp_path):
         train, test = train_test_files
         code = main(
@@ -159,6 +203,29 @@ class TestCommands:
         )
         assert code == EXIT_OK
         assert "selected method: gbt" in capsys.readouterr().out
+
+    def test_llm_gbt_selects_from_training_split_only(self, sim_data, tmp_path, monkeypatch):
+        import lppred.cli as cli_mod
+
+        calls = []
+
+        class RecordingClient(MockHeuristicClient):
+            def send(self, messages):
+                calls.append("\n".join(m["content"] for m in messages))
+                return super().send(messages)
+
+        monkeypatch.setattr(cli_mod, "MockHeuristicClient", RecordingClient)
+        code = main(["cv", "--model", "llm-gbt", "--mock", "--data", str(sim_data), "--k", "3",
+                     "--seed", "4", "--out", str(tmp_path / "o"), "--n-trees", "5"])
+        assert code == EXIT_OK
+        ds = parse_dataset(sim_data)
+        split = make_folds(ds, 3, 4)
+        assert len(calls) == 3  # one method selection per fold
+        for fold, text in enumerate(calls):
+            shown = {(m[1], m[2], int(m[3])) for m in _RECORD_SENTENCE.finditer(text) if m[4] is not None}
+            held_out = {ds.records[i].key() for i in split.fold_positions(fold)}
+            train = {ds.records[i].key() for i in split.train_positions(fold)}
+            assert shown == train and not shown & held_out
 
     def test_fit_then_predict(self, sim_data, tmp_path):
         out = tmp_path / "fit"

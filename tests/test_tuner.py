@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lppred.gbt import GbtConfig, GbtModel
 from lppred.metrics import cross_validate
@@ -84,22 +87,45 @@ class TestGridSearch:
         parallel = grid_search(small_ds, tiny_grid(), k=3, seed=3, workers=2)
         assert [e.mean_rmse for e in serial.entries] == [e.mean_rmse for e in parallel.entries]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n_trees=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+        subsample=st.lists(st.sampled_from([0.5, 0.8, 1.0]), min_size=1, max_size=2, unique=True),
+        colsample=st.sampled_from([(2 / 3,), (1.0,), (1.0, 0.4)]),
+    )
+    @example(n_trees=[7, 0, 3, 7], subsample=[0.8], colsample=(2 / 3,))
+    def test_every_entry_equals_standalone_cv(self, small_ds, workers, n_trees, subsample, colsample):
+        grid = dataclasses.replace(
+            tiny_grid(), n_trees=tuple(n_trees), subsample=tuple(subsample), colsample_bytree=colsample
+        )
+        report = grid_search(small_ds, grid, k=3, seed=11, workers=workers)
+        assert not report.failures
+        assert [e.config for e in report.entries] == grid.combinations()
+        for entry in report.entries:
+            standalone = cross_validate(lambda s: GbtModel(entry.config, seed=s), small_ds, k=3, seed=11)
+            assert entry.mean_rmse == standalone.mean_rmse
+
     def test_failures_recorded_and_excluded(self, small_ds, monkeypatch):
         import lppred.tuner as tuner_mod
 
-        original = tuner_mod.cross_validate
+        class FlakyGbt(GbtModel):
+            def fit(self, train):
+                if self.config.max_depth == 2:
+                    raise RuntimeError("synthetic failure")
+                return super().fit(train)
 
-        def flaky(factory, ds, k=5, seed=0, model_name="", dataset_name=""):
-            model = factory(0)
-            if model.config.n_trees == 5:
-                raise RuntimeError("synthetic failure")
-            return original(factory, ds, k=k, seed=seed, model_name=model_name)
-
-        monkeypatch.setattr(tuner_mod, "cross_validate", flaky)
-        report = grid_search(small_ds, tiny_grid(), k=3, seed=0)
-        assert len(report.failures) == 1
-        assert len(report.entries) == 1
-        assert report.failures[0][1] == "synthetic failure"
+        monkeypatch.setattr(tuner_mod, "GbtModel", FlakyGbt)
+        grid = dataclasses.replace(tiny_grid(), max_depth=(2, 3))  # two n_trees groups
+        report = grid_search(small_ds, grid, k=3, seed=0)
+        configs = grid.combinations()
+        failed = [i for i, c in enumerate(configs) if c.max_depth == 2]
+        assert [i for i, _ in report.failures] == failed
+        assert all("synthetic failure" in msg for _, msg in report.failures)
+        assert [e.config for e in report.entries] == [c for c in configs if c.max_depth == 3]
+        for entry in report.entries:
+            standalone = cross_validate(lambda s: GbtModel(entry.config, seed=s), small_ds, k=3, seed=0)
+            assert entry.mean_rmse == standalone.mean_rmse
 
     def test_five_column_text_format(self, small_ds):
         report = grid_search(small_ds, tiny_grid(), k=3, seed=0)
