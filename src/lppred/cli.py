@@ -89,6 +89,13 @@ def _inject_config_args(argv: list[str]) -> list[str]:
     return [rest[0]] + injected + rest[1:]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_common(p: _Parser, data: bool = True):
     if data:
         p.add_argument("--data", required=True, help="interaction-record CSV file")
@@ -98,8 +105,8 @@ def _add_common(p: _Parser, data: bool = True):
     p.add_argument(
         "--workers",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes for parallel sections",
+        default=_usable_cpus(),
+        help="worker processes for parallel sections (default: usable CPUs)",
     )
 
 

@@ -206,42 +206,38 @@ class GbtEnsemble:
         )
 
 
-class _SplitContext:
-    """Per-fit precomputation shared by every node of every tree.
+def _split_codes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin every feature value on one (feature x bin) grid shared by all nodes.
 
-    ``codes_stack`` holds the three features' value codes offset into one
-    shared bin space so each node needs a single histogram pass, and
-    ``uniques`` the per-feature sorted distinct values.
+    ``width`` is the largest feature's count of distinct values. ``values`` is
+    features x width: each feature's sorted distinct values, padded with +inf.
+    ``codes`` is features x rows: the value of rank ``c`` of feature ``f`` falls
+    in bin ``f * width + c`` of the flattened grid, so one bincount per level
+    covers every feature and the bin order is feature first, then value.
     """
-
-    __slots__ = ("codes_stack", "uniques", "offsets", "n_bins")
-
-    def __init__(self, x: np.ndarray):
-        self.uniques = []
-        code_rows = []
-        self.offsets = []
-        offset = 0
-        for f in range(x.shape[1]):
-            u, c = np.unique(x[:, f], return_inverse=True)
-            self.uniques.append(u)
-            code_rows.append(c + offset)
-            self.offsets.append(offset)
-            offset += len(u)
-        self.n_bins = offset
-        self.codes_stack = np.vstack(code_rows)
+    uniques, ranks = zip(*(np.unique(column, return_inverse=True) for column in x.T))
+    width = max(len(u) for u in uniques)
+    values = np.full((len(uniques), width), np.inf)
+    for f, u in enumerate(uniques):
+        values[f, : len(u)] = u
+    codes = np.vstack(ranks) + width * np.arange(len(uniques))[:, None]
+    return codes, values
 
 
-def _grow_tree(rows, gx, hx, ctx: _SplitContext, features, config) -> TreeNode:
+def _grow_tree(rows, gx, hx, codes, values, feature_mask, config) -> TreeNode:
     """Grow one tree level by level; all nodes of a level share one histogram pass.
 
-    Candidate thresholds are midpoints between consecutive distinct values
-    present at the node; a boundary is materialized only when its score
-    strictly exceeds gamma and both child hessian sums reach
+    Each level's histograms have shape (nodes, features, width) and every
+    feature is scored at once along the last axis. Candidate thresholds are
+    midpoints between consecutive distinct values present at the node; a
+    boundary is materialized only when its feature is in ``feature_mask``,
+    its score strictly exceeds gamma and both child hessian sums reach
     min_child_weight. Gains within GAIN_TIE_RTOL of a node's best count as
-    tied and resolve to the lowest feature index, then lowest threshold
-    (the concatenated candidate order below is exactly that order).
+    tied and resolve to the first in bin order: the lowest feature index,
+    then the lowest threshold.
     """
-    n_bins = ctx.n_bins
+    n_feat, width = values.shape
+    n_bins = n_feat * width
     root = TreeNode()
     nodes = [root]
     nid = np.zeros(len(rows), dtype=np.int64)
@@ -253,106 +249,80 @@ def _grow_tree(rows, gx, hx, ctx: _SplitContext, features, config) -> TreeNode:
             break
         g_tot = np.bincount(nid, weights=cur_g, minlength=n_active)
         h_tot = np.bincount(nid, weights=cur_h, minlength=n_active)
+        leaf = -g_tot / (h_tot + LEAF_L2)
         if depth == config.max_depth:
             for j, node in enumerate(nodes):
-                node.weight = -g_tot[j] / (h_tot[j] + LEAF_L2)
+                node.weight = leaf[j]
             break
 
-        flat = (nid * n_bins + ctx.codes_stack[:, cur_rows]).ravel()
+        flat = (nid * n_bins + codes[:, cur_rows]).ravel()
         length = n_active * n_bins
-        hist_g = np.bincount(flat, weights=np.tile(cur_g, 3), minlength=length).reshape(
-            n_active, n_bins
+        grid = (n_active, n_feat, width)
+        hist_g = np.bincount(flat, weights=np.tile(cur_g, n_feat), minlength=length).reshape(grid)
+        hist_h = np.bincount(flat, weights=np.tile(cur_h, n_feat), minlength=length).reshape(grid)
+        hist_n = np.bincount(flat, minlength=length).reshape(grid)
+
+        # padded bins hold zero counts after each feature's last value, so the
+        # last cumulative entry is every feature's node total
+        gl = np.cumsum(hist_g, axis=2)
+        hl = np.cumsum(hist_h, axis=2)
+        cum_n = np.cumsum(hist_n, axis=2)
+        tot_g, tot_h = gl[:, :, -1:], hl[:, :, -1:]
+        gr, hr = tot_g - gl, tot_h - hl
+        present = hist_n > 0
+        # value of the next distinct feature value present at the node
+        rev = np.where(present, values, np.inf)[:, :, ::-1]
+        suffix_min = np.minimum.accumulate(rev, axis=2)[:, :, ::-1]
+        nxt = np.full(grid, np.inf)
+        nxt[:, :, :-1] = suffix_min[:, :, 1:]
+        gain = 0.5 * (
+            gl * gl / (hl + LEAF_L2)
+            + gr * gr / (hr + LEAF_L2)
+            - tot_g * tot_g / (tot_h + LEAF_L2)
         )
-        hist_h = np.bincount(flat, weights=np.tile(cur_h, 3), minlength=length).reshape(
-            n_active, n_bins
+        ok = (
+            present
+            & feature_mask[:, None]
+            & np.isfinite(nxt)
+            & (cum_n < cum_n[:, :, -1:])
+            & (gain > config.gamma)
+            & (hl >= config.min_child_weight)
+            & (hr >= config.min_child_weight)
         )
-        hist_n = np.bincount(flat, minlength=length).reshape(n_active, n_bins)
-
-        gain_blocks = []
-        thr_blocks = []
-        hl_blocks = []
-        hr_blocks = []
-        feat_of_col = []
-        code_of_col = []
-        for f in features:
-            lo = ctx.offsets[f]
-            u = ctx.uniques[f]
-            block = slice(lo, lo + len(u))
-            cum_g = np.cumsum(hist_g[:, block], axis=1)
-            cum_h = np.cumsum(hist_h[:, block], axis=1)
-            cum_n = np.cumsum(hist_n[:, block], axis=1)
-            tot_g = cum_g[:, -1:]
-            tot_h = cum_h[:, -1:]
-            tot_n = cum_n[:, -1:]
-            present = hist_n[:, block] > 0
-            # value of the next distinct feature value present at the node
-            rev = np.where(present, u[None, :], np.inf)[:, ::-1]
-            suffix_min = np.minimum.accumulate(rev, axis=1)[:, ::-1]
-            nxt = np.full_like(suffix_min, np.inf)
-            nxt[:, :-1] = suffix_min[:, 1:]
-
-            gl, hl = cum_g, cum_h
-            gr, hr = tot_g - gl, tot_h - hl
-            gain = 0.5 * (
-                gl * gl / (hl + LEAF_L2)
-                + gr * gr / (hr + LEAF_L2)
-                - tot_g * tot_g / (tot_h + LEAF_L2)
-            )
-            ok = (
-                present
-                & np.isfinite(nxt)
-                & (cum_n < tot_n)
-                & (gain > config.gamma)
-                & (hl >= config.min_child_weight)
-                & (hr >= config.min_child_weight)
-            )
-            gain_blocks.append(np.where(ok, gain, -np.inf))
-            thr_blocks.append((u[None, :] + nxt) / 2.0)
-            hl_blocks.append(hl)
-            hr_blocks.append(hr)
-            feat_of_col.extend([f] * len(u))
-            code_of_col.extend(range(len(u)))
-
-        gains = np.concatenate(gain_blocks, axis=1)
-        thresholds = np.concatenate(thr_blocks, axis=1)
-        hls = np.concatenate(hl_blocks, axis=1)
-        hrs = np.concatenate(hr_blocks, axis=1)
-        feat_of_col = np.array(feat_of_col)
-        code_of_col = np.array(code_of_col)
+        gains = np.where(ok, gain, -np.inf).reshape(n_active, n_bins)
 
         best = gains.max(axis=1)
         splittable = np.isfinite(best)
         cutoff = best - GAIN_TIE_RTOL * np.maximum(1.0, np.abs(best))
         pick = np.argmax(gains >= cutoff[:, None], axis=1)
+        at = (np.arange(n_active), pick)
+        thresholds = (values.ravel()[pick] + nxt.reshape(n_active, n_bins)[at]) / 2.0
+        best_gain = gains[at]
+        hl_pick = hl.reshape(n_active, n_bins)[at]
+        hr_pick = hr.reshape(n_active, n_bins)[at]
 
-        sel_feature = np.full(n_active, -1, dtype=np.int64)
-        sel_bin = np.zeros(n_active, dtype=np.int64)
         next_nodes: list[TreeNode] = []
-        child_base = np.full(n_active, -1, dtype=np.int64)
         for j, node in enumerate(nodes):
             if not splittable[j]:
-                node.weight = -g_tot[j] / (h_tot[j] + LEAF_L2)
+                node.weight = leaf[j]
                 continue
-            k = pick[j]
-            f = int(feat_of_col[k])
-            node.feature = f
-            node.threshold = float(thresholds[j, k])
-            node.gain = float(gains[j, k])
-            node.hess_left = float(hls[j, k])
-            node.hess_right = float(hrs[j, k])
+            node.feature = int(pick[j] // width)
+            node.threshold = float(thresholds[j])
+            node.gain = float(best_gain[j])
+            node.hess_left = float(hl_pick[j])
+            node.hess_right = float(hr_pick[j])
             node.left = TreeNode()
             node.right = TreeNode()
-            sel_feature[j] = f
-            sel_bin[j] = ctx.offsets[f] + code_of_col[k]
-            child_base[j] = len(next_nodes)
             next_nodes.extend((node.left, node.right))
 
         if not next_nodes:
             break
-        keep = sel_feature[nid] >= 0
+        keep = splittable[nid]
         cur_rows, cur_g, cur_h, nid = cur_rows[keep], cur_g[keep], cur_h[keep], nid[keep]
-        go_right = (ctx.codes_stack[sel_feature[nid], cur_rows] > sel_bin[nid]).astype(np.int64)
-        nid = child_base[nid] + go_right
+        sel_bin = pick[nid]
+        go_right = codes[sel_bin // width, cur_rows] > sel_bin
+        # node j's children follow those of the split nodes before it
+        nid = 2 * (np.cumsum(splittable) - 1)[nid] + go_right
         nodes = next_nodes
     return root
 
@@ -369,7 +339,7 @@ def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> G
         raise ValueError("gbt_fit requires at least 2 labeled rows")
     y = train.obs[labeled].astype(float)
     x = _features(train.learner[labeled], train.question[labeled], train.attempt[labeled])
-    ctx = _SplitContext(x)
+    codes, values = _split_codes(x)
 
     mean = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
     base_score = float(np.log(mean / (1.0 - mean)))
@@ -384,7 +354,7 @@ def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> G
         h = p * (1.0 - p)
 
         rows = np.arange(n)
-        features = list(range(3))
+        feature_mask = np.ones(3, dtype=bool)
         if config.subsample < 1.0 or config.colsample_bytree < 1.0:
             rng = np.random.default_rng(derive_seed(seed, "tree", t))
             if config.subsample < 1.0:
@@ -392,9 +362,10 @@ def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> G
                 rows = np.sort(rng.choice(n, size=size, replace=False))
             if config.colsample_bytree < 1.0:
                 n_feats = max(1, int(round(config.colsample_bytree * 3)))
-                features = sorted(rng.choice(3, size=n_feats, replace=False).tolist())
+                feature_mask[:] = False
+                feature_mask[rng.choice(3, size=n_feats, replace=False)] = True
 
-        tree = _grow_tree(rows, g[rows], h[rows], ctx, features, config)
+        tree = _grow_tree(rows, g[rows], h[rows], codes, values, feature_mask, config)
         trees.append(tree)
         margins += config.learning_rate * tree.apply(x)
         loss_trace.append(_logloss(margins, y))

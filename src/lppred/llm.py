@@ -129,6 +129,31 @@ PREDICTION_FORMAT = (
     "'Prediction': ..., 'Assessment': ...}"
 )
 
+# stages c-j are fixed text; a and b are built from the materials and the batch
+STAGE_TEXT = {
+    "c": (
+        "Analyze these records for patterns in question difficulty and how "
+        "performance changes over repeated attempts. Then produce, for every "
+        "row awaiting prediction, a likelihood between 0 and 1 that the "
+        "learner answers correctly, one record per row in exactly this "
+        f"format: {PREDICTION_FORMAT}"
+    ),
+    "d": (
+        "Which prediction method do you recommend for this data: logistic "
+        "regression, random forest, gradient boosting machine, or XGBoost? "
+        "Name one."
+    ),
+    "e": "Develop the chosen model, training and validating across the dataset folds.",
+    "f": "Report the validation outcome as RMSE for each fold.",
+    "g": "Share the full configuration settings of the model you used.",
+    "h": (
+        "Assess each learner's reading comprehension skills based on their "
+        "performance records and the lesson questions."
+    ),
+    "i": "Suggest how to tune the model's hyperparameters to improve predictive performance.",
+    "j": "I may ask follow-up questions to refine the analysis; keep the context available.",
+}
+
 
 def build_cot_script(
     batch: EncodedBatch,
@@ -170,87 +195,18 @@ def build_cot_script(
         elif stage == "b":
             train = batch.train_sentences()
             test = batch.test_sentences()
-            chunks: list[list[str]] = []
-            if rows_per_chunk and rows_per_chunk > 0:
-                for start in range(0, len(train), rows_per_chunk):
-                    chunks.append(train[start : start + rows_per_chunk])
-            else:
-                chunks = [train]
-            head = "Historical learning performance records:"
+            chunks = [train]
+            if rows_per_chunk > 0:
+                chunks = [train[i : i + rows_per_chunk] for i in range(0, len(train), rows_per_chunk)]
             for ci, chunk in enumerate(chunks):
+                label = "Historical learning performance records:" if ci == 0 else "More historical records:"
                 body = "\n".join(chunk) if chunk else "(none)"
-                label = head if ci == 0 else "More historical records:"
                 steps.append(PromptStep("b", f"{label}\n{body}"))
             if test:
-                steps.append(
-                    PromptStep(
-                        "b",
-                        "Rows awaiting prediction (outcome withheld):\n" + "\n".join(test),
-                    )
-                )
-        elif stage == "c":
-            steps.append(
-                PromptStep(
-                    "c",
-                    "Analyze these records for patterns in question difficulty and how "
-                    "performance changes over repeated attempts. Then produce, for every "
-                    "row awaiting prediction, a likelihood between 0 and 1 that the "
-                    "learner answers correctly, one record per row in exactly this "
-                    f"format: {PREDICTION_FORMAT}",
-                )
-            )
-        elif stage == "d":
-            steps.append(
-                PromptStep(
-                    "d",
-                    "Which prediction method do you recommend for this data: logistic "
-                    "regression, random forest, gradient boosting machine, or XGBoost? "
-                    "Name one.",
-                )
-            )
-        elif stage == "e":
-            steps.append(
-                PromptStep(
-                    "e",
-                    "Develop the chosen model, training and validating across the "
-                    "dataset folds.",
-                )
-            )
-        elif stage == "f":
-            steps.append(
-                PromptStep(
-                    "f",
-                    "Report the validation outcome as RMSE for each fold.",
-                )
-            )
-        elif stage == "g":
-            steps.append(
-                PromptStep("g", "Share the full configuration settings of the model you used.")
-            )
-        elif stage == "h":
-            steps.append(
-                PromptStep(
-                    "h",
-                    "Assess each learner's reading comprehension skills based on their "
-                    "performance records and the lesson questions.",
-                )
-            )
-        elif stage == "i":
-            steps.append(
-                PromptStep(
-                    "i",
-                    "Suggest how to tune the model's hyperparameters to improve "
-                    "predictive performance.",
-                )
-            )
-        elif stage == "j":
-            steps.append(
-                PromptStep(
-                    "j",
-                    "I may ask follow-up questions to refine the analysis; keep the "
-                    "context available.",
-                )
-            )
+                body = "\n".join(test)
+                steps.append(PromptStep("b", f"Rows awaiting prediction (outcome withheld):\n{body}"))
+        else:
+            steps.append(PromptStep(stage, STAGE_TEXT[stage]))
     return PromptScript(tuple(steps))
 
 
@@ -279,6 +235,10 @@ class DecodeResult:
 
 
 _BRACED = re.compile(r"\{[^{}]*\}")
+# a key-value pair: a non-empty run of unquoted non-comma characters and
+# quoted spans, where a quote left open runs to the end of the body
+_PAIR = re.compile(r"""(?:[^,'"]|'[^']*'?|"[^"]*"?)+""")
+_NON_LETTERS = re.compile(r"[^a-z]")
 _KEY_ALIASES = {
     "learnerid": "learner_id",
     "learner": "learner_id",
@@ -289,29 +249,6 @@ _KEY_ALIASES = {
     "prediction": "prediction",
     "assessment": "assessment",
 }
-
-
-def split_pairs(body: str) -> list[str]:
-    """Split on commas that sit outside single or double quotes."""
-    parts = []
-    depth_quote = ""
-    buf = []
-    for ch in body:
-        if depth_quote:
-            if ch == depth_quote:
-                depth_quote = ""
-            buf.append(ch)
-        elif ch in "'\"":
-            depth_quote = ch
-            buf.append(ch)
-        elif ch == ",":
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    if buf:
-        parts.append("".join(buf))
-    return parts
 
 
 def strip_quotes(text: str) -> str:
@@ -329,9 +266,9 @@ def braced_records(text: str, aliases: dict[str, str]):
     """
     for match in _BRACED.finditer(text):
         fields: dict[str, str] = {}
-        for pair in split_pairs(match.group(0)[1:-1]):
+        for pair in _PAIR.findall(text, match.start() + 1, match.end() - 1):
             raw_key, colon, raw_val = pair.partition(":")
-            name = aliases.get(re.sub(r"[^a-z]", "", strip_quotes(raw_key).lower()))
+            name = aliases.get(_NON_LETTERS.sub("", strip_quotes(raw_key).lower()))
             if colon and name:
                 fields[name] = strip_quotes(raw_val)
         yield match, fields

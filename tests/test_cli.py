@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lppred.cli import EXIT_CLIENT, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
+from lppred.cli import EXIT_CLIENT, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, build_parser, main
 from lppred.data import make_folds, parse_dataset
 from lppred.llm import _RECORD_SENTENCE, MockHeuristicClient
 
@@ -142,6 +142,24 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_CLIENT
+
+
+class TestWorkersDefault:
+    ARGV = (["cv", "--model", "gbt", "--data", "d.csv"],
+            ["tune", "--model", "gbt", "--data", "d.csv"],
+            ["llm-run", "--train", "a.csv", "--test", "b.csv", "--mock"])
+
+    def test_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        for argv in self.ARGV:
+            assert build_parser().parse_args(argv).workers == 3, argv[0]
+
+    def test_falls_back_to_the_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 5)
+        for argv in self.ARGV:
+            assert build_parser().parse_args(argv).workers == 5, argv[0]
 
 
 class TestCommands:

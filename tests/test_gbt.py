@@ -1,12 +1,16 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from lppred.data import Dataset
+from lppred.data import Dataset, _sigmoid
 from lppred.gbt import (
     GbtConfig,
     GbtEnsemble,
     GbtModel,
     TreeNode,
+    _grow_tree,
+    _split_codes,
     feature_importance,
     gbt_fit,
     gbt_predict,
@@ -16,17 +20,18 @@ from lppred.simulate import SimSpec, simulate_bkt
 from conftest import make_records, random_dataset
 
 
-def brute_force_stump(x, y, margins, gamma=0.0, mcw=1.0, lam=1.0, tie_rtol=1e-9):
+def brute_force_stump(x, y, margins, gamma=0.0, mcw=1.0, lam=1.0, tie_rtol=1e-9, features=None):
     """Oracle: exhaustive scan of every (feature, midpoint threshold) split.
 
     Scores with the second-order gain formula using plain subset sums; ties
     within tie_rtol of the best resolve to lowest feature then threshold.
+    Only ``features`` (default: all) are scanned.
     """
     p = 1.0 / (1.0 + np.exp(-margins))
     g = p - y
     h = p * (1.0 - p)
     candidates = []
-    for f in range(x.shape[1]):
+    for f in range(x.shape[1]) if features is None else features:
         values = np.unique(x[:, f])
         for lo, hi in zip(values[:-1], values[1:]):
             threshold = (lo + hi) / 2.0
@@ -97,23 +102,37 @@ class TestFit:
         assert (root.feature, root.threshold) == pytest.approx(expected)
 
     def test_stump_matches_oracle_on_random_datasets(self):
+        """Every non-empty sampled feature subset, on features of unequal widths.
+
+        A split on an unsampled feature, or on a bin past a feature's last
+        value, disagrees with the oracle.
+        """
+        subsets = [s for r in (1, 2, 3) for s in combinations(range(3), r)]
+        config = GbtConfig(n_trees=1, max_depth=1, learning_rate=1.0, min_child_weight=0.0)
         agreements = 0
         for trial in range(20):
             rng = np.random.default_rng(7000 + trial)
             n = int(rng.integers(6, 13))
             ds = random_dataset(rng, n_learners=5, n_questions=4, max_attempt=4, n_rows=n)
-            config = GbtConfig(n_trees=1, max_depth=1, learning_rate=1.0, min_child_weight=0.0)
             model = gbt_fit(ds, config, seed=0)
             x = model.feature_matrix([r.key() for r in ds.records])
             y = np.array([r.obs for r in ds.records], float)
-            expected = brute_force_stump(x, y, np.full(n, model.base_score), mcw=0.0)
-            root = model.trees[0]
-            got = None if root.is_leaf else (root.feature, root.threshold)
-            if expected is None:
-                agreements += got is None
-            else:
-                agreements += got is not None and got[0] == expected[0] and got[1] == pytest.approx(expected[1])
-        assert agreements == 20
+            margins = np.full(n, model.base_score)
+            p = _sigmoid(margins)
+            codes, values = _split_codes(x)
+            for features in subsets:
+                expected = brute_force_stump(x, y, margins, mcw=0.0, features=features)
+                mask = np.isin(np.arange(3), features)
+                root = _grow_tree(np.arange(n), p - y, p * (1.0 - p), codes, values, mask, config)
+                if len(features) == 3:
+                    assert root.to_dict() == model.trees[0].to_dict()
+                got = None if root.is_leaf else (root.feature, root.threshold)
+                if expected is None:
+                    agreements += got is None
+                else:
+                    agreements += (got is not None and got[0] == expected[0]
+                                   and got[1] == pytest.approx(expected[1]))
+        assert agreements == 20 * len(subsets)
 
     def test_training_logloss_non_increasing(self, rng):
         res = simulate_bkt(SimSpec(30, 5, 5, seed=1))

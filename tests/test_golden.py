@@ -2,9 +2,17 @@
 
 Every command below is deterministic given its flags and seed, so the sha256
 of each file it writes is a fingerprint of the models' numbers down to the
-last bit printed. The digests were recorded with the per-record model code
-that the columnar encoding replaced; a refactor that changes any
-prediction, fold RMSE or report layout fails here.
+last bit printed. The first fourteen digests were recorded with the
+per-record model code that the columnar encoding replaced; a refactor that
+changes any prediction, fold RMSE or report layout fails here.
+
+Three later entries were recorded before the code they guard was rewritten:
+- ``llm-run/script.txt`` and ``llm-run-meta/script.txt`` pin the prompt
+  script's text, the second with lesson metadata (so stages a and h appear)
+  and the transcription split into chunks of seven rows;
+- ``fit-gbt/gbt-model.json`` pins a GBT export with row and column
+  subsampling: each split's feature, threshold, gain and child hessians,
+  which the prediction digests do not show.
 """
 
 import hashlib
@@ -24,8 +32,11 @@ GOLDEN = {
     "cv-pfa/report.json": "9feff7bc9f250a54608dc24c3fcbec927fa42d06f00992a6bbfa76e80db54bd1",
     "cv-sparfa/report.json": "63d146dc56b562c4dc9a177ff6a54ca1bad03af2612685ab519999e9a1ddd8f2",
     "cv-tensor/report.json": "407202629fa29d9996eb2a022eaf923830a92d37c4389dcdbe3e06ad3f608aeb",
+    "fit-gbt/gbt-model.json": "91bf1dcbe442ed061bcdd9025fe48d0c975023eba79abe6ad808dcdca84bcd86",
     "llm-run/predictions.csv": "e76f97e255679acf45e77a89b8cca264a1dea7bf5f84f7b333f34f0f452367fa",
     "llm-run/report.json": "878f42e42ca2d3fd5250bda3c2481932d845c4d4149a6086e73b39a3861c7346",
+    "llm-run/script.txt": "b2b86a8211d3f35ea5c2c4fd93d61c5612adbbd653fdab8f3478603994dd21dc",
+    "llm-run-meta/script.txt": "b29ca9436fa7fb62087290cbec1612445c241bfd7a30a39d5ed560b47467ff1d",
     "predict-bkt/predictions.csv": "1ceec63bcd2479a06ff2359bb2f92c02d00eabac050c9fad71ff777efb387f92",
     "predict-gbt/predictions.csv": "0529626f1b0828a465bf23159a8d082aae090b69af22ac2580d9047599f2d3b4",
     "predict-pfa/predictions.csv": "088c95e2fb4a90708e5c813cda88ec3b616c5e9a0782d3c871493998d17ed398",
@@ -56,6 +67,13 @@ def run_commands(root) -> dict[str, str]:
     targets.write_text(
         f"{header}\nL1,Q1,1,\nL3,Q2,2,\nL4,Q5,3,\nLX,Q1,1,\nL2,QX,1,\nL5,Q3,9,\n", encoding="utf-8"
     )
+    # titles for some questions only; one with neither options nor answer
+    meta = root / "meta.json"
+    meta.write_text(json.dumps({"lesson_name": "Minor Burns", "questions": {
+        "Q1": {"text": "Cool the burn", "options": ["water", "ice"], "answer": "water"},
+        "Q2": {"text": "Cover the burn", "options": ["cling film", "cotton"]},
+        "Q4": {"text": "When to seek help"},
+    }}), encoding="utf-8")
     grid = root / "grid.json"
     grid.write_text(json.dumps({"n_trees": [5, 10], "learning_rate": [0.3], "max_depth": [3],
                                 "subsample": [0.8], "colsample_bytree": [0.8], "gamma": [0.0],
@@ -74,6 +92,13 @@ def run_commands(root) -> dict[str, str]:
     runs["llm-run/report.json"] = ["llm-run", "--train", str(train), "--test", str(test),
                                    "--mock", "--repeats", "2", "--workers", "1"]
     runs["llm-run/predictions.csv"] = None  # written by the llm-run above
+    runs["llm-run/script.txt"] = None
+    runs["llm-run-meta/script.txt"] = ["llm-run", "--train", str(train), "--test", str(test),
+                                       "--meta", str(meta), "--rows-per-chunk", "7", "--mock",
+                                       "--workers", "1"]
+    runs["fit-gbt/gbt-model.json"] = ["fit", "--model", "gbt", "--data", str(data),
+                                      "--subsample", "0.8", "--colsample-bytree", "0.67",
+                                      "--max-depth", "5"]
 
     digests = {}
     for name, argv in runs.items():

@@ -1,23 +1,29 @@
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lppred.data import Dataset, LessonMeta, QuestionInfo
 from lppred.llm import (
+    _KEY_ALIASES,
     ClientError,
     DecodeError,
     HttpChatClient,
     LlmPredictor,
     MockHeuristicClient,
+    braced_records,
     build_cot_script,
     decode_response,
     encode_records,
     heuristic_prediction,
     llm_predict_pipeline,
     select_method,
+    strip_quotes,
 )
 from lppred.metrics import cross_validate
 from lppred.simulate import SimSpec, simulate_bkt
@@ -163,6 +169,65 @@ class TestDecode:
             "'Assessment': 'weak, hesitant, slow'}"
         )
         assert result.predictions[0].assessment == "weak, hesitant, slow"
+
+
+def split_pairs_reference(body: str) -> list[str]:
+    """Character loop: split on commas that sit outside single or double quotes."""
+    parts = []
+    depth_quote = ""
+    buf = []
+    for ch in body:
+        if depth_quote:
+            if ch == depth_quote:
+                depth_quote = ""
+            buf.append(ch)
+        elif ch in "'\"":
+            depth_quote = ch
+            buf.append(ch)
+        elif ch == ",":
+            parts.append("".join(buf))
+            buf = []
+        else:
+            buf.append(ch)
+    if buf:
+        parts.append("".join(buf))
+    return parts
+
+
+def braced_records_reference(text: str, aliases: dict[str, str]):
+    """(span, fields) of every braced block, each pair found by the character loop."""
+    for match in re.finditer(r"\{[^{}]*\}", text):
+        fields = {}
+        for pair in split_pairs_reference(match.group(0)[1:-1]):
+            raw_key, colon, raw_val = pair.partition(":")
+            name = aliases.get(re.sub(r"[^a-z]", "", strip_quotes(raw_key).lower()))
+            if colon and name:
+                fields[name] = strip_quotes(raw_val)
+        yield match.span(), fields
+
+
+# fuzzed response text: braces, colons, commas, both quotes, key names and
+# digits, loose or assembled into roughly record-shaped blocks
+FUZZ_PIECES = st.sampled_from(["{", "}", ":", ",", "'", '"', " ", "L1", "Q2", "0", "1", "0.25"])
+FUZZ_KEYS = st.sampled_from(
+    ["learner ID", "'Question ID'", '"Attempt"', "prediction", "Assessment", "note", ""]
+)
+FUZZ_PAIRS = st.builds(
+    lambda key, colon, value: key + colon + value,
+    FUZZ_KEYS,
+    st.sampled_from([":", " : ", ""]),
+    st.lists(FUZZ_PIECES, max_size=6).map("".join),
+)
+FUZZ_RECORDS = st.lists(FUZZ_PAIRS, max_size=5).map(lambda pairs: "{" + ",".join(pairs) + "}")
+FUZZ_TEXT = st.lists(st.one_of(FUZZ_RECORDS, FUZZ_PIECES, FUZZ_KEYS), max_size=10).map("".join)
+
+
+class TestDecodeProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(FUZZ_TEXT)
+    def test_braced_records_match_the_character_loop(self, text):
+        got = [(m.span(), fields) for m, fields in braced_records(text, _KEY_ALIASES)]
+        assert got == list(braced_records_reference(text, _KEY_ALIASES))
 
 
 class TestMockHeuristic:
