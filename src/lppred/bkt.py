@@ -367,28 +367,14 @@ class BktModel:
 
     name = "bkt"
 
-    def __init__(
-        self,
-        seed: int = 0,
-        max_iter: int = 100,
-        tol: float = 1e-6,
-        individualized: bool = False,
-    ):
+    def __init__(self, seed: int = 0, individualized: bool = False):
         self.seed = seed
-        self.max_iter = max_iter
-        self.tol = tol
         self.individualized = individualized
         self.fit_result: BktFit | None = None
         self._train: Dataset | None = None
 
     def fit(self, train: Dataset) -> "BktModel":
-        self.fit_result = bkt_fit_em(
-            train,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            seed=self.seed,
-            individualized=self.individualized,
-        )
+        self.fit_result = bkt_fit_em(train, seed=self.seed, individualized=self.individualized)
         self._train = train
         return self
 

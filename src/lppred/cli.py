@@ -13,11 +13,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .bkt import BktParams
+from .bkt import BktModel, BktParams
 from .data import DataError, Dataset, open_input, parse_dataset, summarize, write_dataset
-from .gbt import GbtConfig
+from .gbt import GbtConfig, GbtModel
 from .llm import (
     ClientError,
     HttpChatClient,
@@ -27,9 +28,11 @@ from .llm import (
     select_method,
 )
 from .metrics import CvReport, FoldFitError, cross_validate, report_table, reports_to_json
-from .registry import ALL_MODELS, LOCAL_MODELS, make_model
+from .pfa import PfaModel
 from .seeds import derive_seed
 from .simulate import GENERATORS, SimSpec, simulate
+from .sparfa import SparfaModel
+from .tensor import TensorFactorizationModel
 from .tuner import (
     CyclingProposalClient,
     Grid,
@@ -44,6 +47,17 @@ EXIT_DATA = 2
 EXIT_MODEL = 3
 EXIT_CLIENT = 4
 
+# Local model name -> (wrapper class, the constructor arguments its flags set).
+# The gbt flags are the fields of the one GbtConfig its constructor takes.
+LOCAL_MODELS = {
+    "bkt": (BktModel, ("individualized",)),
+    "pfa": (PfaModel, ("l2",)),
+    "sparfa": (SparfaModel, ("rank_candidates",)),
+    "tensor": (TensorFactorizationModel, ("rank", "ridge")),
+    "gbt": (GbtModel, tuple(f.name for f in fields(GbtConfig))),
+}
+ALL_MODELS = (*LOCAL_MODELS, "llm", "llm-gbt")
+
 
 class UsageError(Exception):
     pass
@@ -57,8 +71,10 @@ class _Parser(argparse.ArgumentParser):
 def _inject_config_args(argv: list[str]) -> list[str]:
     """Expand `--config FILE` into flags placed before the user's own flags.
 
-    The file holds `key = value` lines mirroring long option names; because
-    injected flags precede explicit ones, explicit flags win on conflict.
+    The file holds `key = value` lines mirroring long option names; a
+    true/yes/on value sets a switch and a false/no/off value leaves the flag
+    out. Because injected flags precede explicit ones, explicit flags win on
+    conflict.
     """
     if "--config" not in argv:
         return argv
@@ -84,7 +100,7 @@ def _inject_config_args(argv: list[str]) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if value.lower() in ("true", "yes", "on"):
             injected.append(flag)
-        else:
+        elif value.lower() not in ("false", "no", "off"):
             injected.extend([flag, value])
     return [rest[0]] + injected + rest[1:]
 
@@ -126,35 +142,45 @@ def _rank_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _bkt_params(text: str) -> BktParams:
+    try:
+        return BktParams(**json.loads(text))
+    except (TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise argparse.ArgumentTypeError(
+            f"expected a JSON object of p_init, p_learn, p_slip and p_guess ({exc})"
+        ) from None
+
+
 def _model_flags() -> argparse.ArgumentParser:
-    """Parent parser for the local models' flags shared by cv, fit and predict."""
-    p = argparse.ArgumentParser(add_help=False)
+    """Parent parser for the local models' flags shared by cv, fit and predict.
+
+    Each dest is a constructor argument named in LOCAL_MODELS. A flag left off
+    is absent from the parsed args, so the model's own default applies.
+    """
+    p = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     p.add_argument("--individualized", action="store_true", help="bkt: per-learner start offsets")
-    p.add_argument("--l2", type=float, default=0.1, help="pfa: regularization strength")
-    p.add_argument("--rank", type=int, default=3, help="tensor: factor rank")
-    p.add_argument("--ridge", type=float, default=0.1, help="tensor: ridge strength")
-    p.add_argument("--ranks", type=_rank_list, default="1,2,3,4",
+    p.add_argument("--l2", type=float, help="pfa: regularization strength")
+    p.add_argument("--rank", type=int, help="tensor: factor rank")
+    p.add_argument("--ridge", type=float, help="tensor: ridge strength")
+    p.add_argument("--ranks", dest="rank_candidates", metavar="RANKS", type=_rank_list,
                    help="sparfa: comma-separated rank candidates")
-    p.add_argument("--n-trees", type=int, default=GbtConfig.n_trees)
-    p.add_argument("--learning-rate", type=float, default=GbtConfig.learning_rate)
-    p.add_argument("--max-depth", type=int, default=GbtConfig.max_depth)
-    p.add_argument("--subsample", type=float, default=GbtConfig.subsample)
-    p.add_argument("--colsample-bytree", type=float, default=GbtConfig.colsample_bytree)
-    p.add_argument("--gbt-gamma", type=float, default=GbtConfig.gamma)
-    p.add_argument("--min-child-weight", type=float, default=GbtConfig.min_child_weight)
+    p.add_argument("--n-trees", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--subsample", type=float)
+    p.add_argument("--colsample-bytree", type=float)
+    p.add_argument("--gbt-gamma", dest="gamma", metavar="GBT_GAMMA", type=float)
+    p.add_argument("--min-child-weight", type=float)
     return p
 
 
-def _gbt_config(args) -> GbtConfig:
-    return GbtConfig(
-        n_trees=args.n_trees,
-        learning_rate=args.learning_rate,
-        max_depth=args.max_depth,
-        subsample=args.subsample,
-        colsample_bytree=args.colsample_bytree,
-        gamma=args.gbt_gamma,
-        min_child_weight=args.min_child_weight,
-    )
+def _local_factory(name: str, args):
+    """Seed -> unfitted local model, built from the model flags given in ``args``."""
+    cls, names = LOCAL_MODELS[name]
+    given = {n: getattr(args, n) for n in names if hasattr(args, n)}
+    if cls is GbtModel:
+        given = {"config": GbtConfig(**given)}
+    return lambda seed: cls(seed=seed, **given)
 
 
 def _build_client(args):
@@ -169,20 +195,6 @@ def _build_client(args):
             max_retries=args.retries,
         )
     raise UsageError("llm mode needs --endpoint or --mock")
-
-
-def _model_overrides(name: str, args) -> dict:
-    if name == "gbt":
-        return {"config": _gbt_config(args)}
-    if name == "bkt":
-        return {"individualized": args.individualized}
-    if name == "pfa":
-        return {"l2": args.l2}
-    if name == "tensor":
-        return {"rank": args.rank, "ridge": args.ridge}
-    if name == "sparfa":
-        return {"rank_candidates": args.ranks}
-    return {}
 
 
 def _load_dataset(args) -> Dataset:
@@ -211,8 +223,7 @@ class _ClientSelectedModel:
     def fit(self, train: Dataset) -> "_ClientSelectedModel":
         chosen = select_method(self.client, train, self.meta)
         print(f"client selected method: {chosen}")
-        overrides = _model_overrides(chosen, self.args) if chosen in LOCAL_MODELS else {}
-        self.model = make_model(chosen, seed=self.seed, **overrides).fit(train)
+        self.model = _local_factory(chosen, self.args)(self.seed).fit(train)
         return self
 
     def predict(self, rows):
@@ -222,15 +233,12 @@ class _ClientSelectedModel:
 def _make_factory(name: str, args, ds: Dataset):
     """Factory of per-fold predictors; llm variants wrap a configured client."""
     if name in LOCAL_MODELS:
-        overrides = _model_overrides(name, args)
-        return lambda fold_seed: make_model(name, seed=fold_seed, **overrides)
+        return _local_factory(name, args)
     client = _build_client(args)
     meta = ds.meta if ds.meta.questions else None
     if name == "llm":
         return lambda fold_seed: LlmPredictor(client, meta=meta)
-    if name == "llm-gbt":
-        return lambda fold_seed: _ClientSelectedModel(client, meta, args, fold_seed)
-    raise UsageError(f"unknown model {name!r}; choose from {', '.join(ALL_MODELS)}")
+    return lambda fold_seed: _ClientSelectedModel(client, meta, args, fold_seed)
 
 
 def _require_labeled(ds: Dataset, path) -> None:
@@ -285,9 +293,7 @@ def cmd_cv(args) -> int:
 
 def _fit_local(args, ds: Dataset):
     """The chosen local model, fitted on the labeled rows of ``ds``."""
-    model = make_model(
-        args.model, seed=derive_seed(args.seed, "fit", args.model), **_model_overrides(args.model, args)
-    )
+    model = _local_factory(args.model, args)(derive_seed(args.seed, "fit", args.model))
     return model.fit(ds.subset(ds.labeled_positions()))
 
 
@@ -348,17 +354,13 @@ def cmd_simulate(args) -> int:
         n_l, n_q, n_a = (int(part) for part in args.shape.lower().split("x"))
     except ValueError:
         raise UsageError(f"--shape must look like 66x8x9, got {args.shape!r}") from None
-    bkt = None
-    if args.bkt_params:
-        values = json.loads(args.bkt_params)
-        bkt = BktParams(**values)
     spec = SimSpec(
         n_learners=n_l,
         n_questions=n_q,
         max_attempt=n_a,
         generator=args.generator,
         seed=args.seed,
-        bkt=bkt,
+        bkt=args.bkt_params,
         rank=args.rank,
         mask_fraction=args.mask,
         stop_on_correct=args.stop_on_correct,
@@ -502,7 +504,8 @@ def build_parser() -> _Parser:
     _add_common(p, data=False)
     p.add_argument("--generator", choices=GENERATORS, default="bkt-process")
     p.add_argument("--shape", required=True, help="learners x questions x attempts, e.g. 66x8x9")
-    p.add_argument("--bkt-params", help='JSON like {"p_init":0.3,...} for bkt-process')
+    p.add_argument("--bkt-params", type=_bkt_params,
+                   help='JSON like {"p_init":0.3,...} for bkt-process')
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--mask", type=float, default=0.0, help="fraction of cells left unlabeled")
     p.add_argument("--stop-on-correct", action="store_true")

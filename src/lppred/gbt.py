@@ -183,16 +183,17 @@ class GbtEnsemble:
     def feature_matrix(self, keys: Sequence[tuple[str, str, int]]) -> np.ndarray:
         return _features(*encode_keys(keys, self.learner_index, self.question_index))
 
+    def to_dict(self) -> dict:
+        return {
+            "base_score": self.base_score,
+            "config": self.config.to_dict(),
+            "trees": [t.to_dict() for t in self.trees],
+            "learner_index": self.learner_index,
+            "question_index": self.question_index,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "base_score": self.base_score,
-                "config": self.config.to_dict(),
-                "trees": [t.to_dict() for t in self.trees],
-                "learner_index": self.learner_index,
-                "question_index": self.question_index,
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, payload: str) -> "GbtEnsemble":
@@ -433,4 +434,4 @@ class GbtModel:
     def export_json(self) -> dict:
         if self.model is None:
             raise RuntimeError("export before fit")
-        return json.loads(self.model.to_json())
+        return self.model.to_dict()

@@ -443,10 +443,11 @@ METHOD_REGISTRY = {
 
 
 def select_method(client, ds_train: Dataset, meta: LessonMeta | None = None) -> str:
-    """Ask the client to name a method (stage d) and map it onto the registry.
+    """Ask the client to name a method (stage d); return the local model it maps to.
 
-    Unrecognized answers fall back to "gbt". The chosen model is always fit
-    locally; no code from the client is executed.
+    The result is "gbt" or "pfa", via ``METHOD_REGISTRY``; unrecognized
+    answers fall back to "gbt". The chosen model is always fit locally; no
+    code from the client is executed.
     """
     batch = encode_records(ds_train, meta)
     script = build_cot_script(batch, meta, stages="bd")
@@ -588,10 +589,9 @@ class LlmPredictor:
 
     name = "llm"
 
-    def __init__(self, client, meta: LessonMeta | None = None, stages: str = "bc"):
+    def __init__(self, client, meta: LessonMeta | None = None):
         self.client = client
         self.meta = meta
-        self.stages = stages
         self._train: Dataset | None = None
 
     def fit(self, train: Dataset) -> "LlmPredictor":
@@ -607,6 +607,6 @@ class LlmPredictor:
             questions=self._train.meta.questions,
         )
         result = llm_predict_pipeline(
-            self._train, test, self.client, repeats=1, meta=self.meta, stages=self.stages
+            self._train, test, self.client, repeats=1, meta=self.meta, stages="bc"
         )
         return result.run_predictions[0]

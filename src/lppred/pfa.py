@@ -23,6 +23,9 @@ import numpy as np
 from .data import Dataset, _sigmoid, encode_keys
 from .seeds import derive_seed
 
+DEFAULT_L2 = 0.1    # regularization strength
+GRAD_TOL = 1e-6     # fitting stops once |grad|_inf falls below this
+
 
 @dataclass
 class PfaParams:
@@ -96,18 +99,12 @@ def _objective_and_grad(theta, q_idx, l_idx, s, f, y, n_q, n_l, l2):
     return obj, grad
 
 
-def pfa_fit(
-    train: Dataset,
-    l2: float = 0.1,
-    max_iter: int = 5000,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> PfaParams:
+def pfa_fit(train: Dataset, l2: float = DEFAULT_L2, max_iter: int = 5000, seed: int = 0) -> PfaParams:
     """Minimize the L2-regularized NLL by gradient descent with backtracking.
 
-    Stops when the gradient infinity-norm falls below ``tol``. The problem is
-    convex, so different seeds (which only jitter the starting point) land on
-    the same objective value. If the iteration budget runs out first, the
+    Stops when the gradient infinity-norm falls below ``GRAD_TOL``. The
+    problem is convex, so different seeds (which only jitter the starting
+    point) land on the same objective value. If the iteration budget runs out first, the
     best iterate is returned with ``converged=False`` and a warning.
     """
     if l2 < 0:
@@ -133,7 +130,7 @@ def pfa_fit(
     step = 1.0
     converged = False
     for _ in range(max_iter):
-        if np.max(np.abs(grad)) < tol:
+        if np.max(np.abs(grad)) < GRAD_TOL:
             converged = True
             break
         # Armijo backtracking on the steepest-descent direction
@@ -153,7 +150,7 @@ def pfa_fit(
         theta, obj, grad = candidate, cand_obj, cand_grad
         trace.append(obj)
         step = min(step * 2.0, 1e4)
-    if not converged and np.max(np.abs(grad)) < tol:
+    if not converged and np.max(np.abs(grad)) < GRAD_TOL:
         converged = True
     if not converged:
         warnings.warn(
@@ -184,18 +181,14 @@ class PfaModel:
 
     name = "pfa"
 
-    def __init__(self, l2: float = 0.1, seed: int = 0, max_iter: int = 5000, tol: float = 1e-6):
+    def __init__(self, l2: float = DEFAULT_L2, seed: int = 0):
         self.l2 = l2
         self.seed = seed
-        self.max_iter = max_iter
-        self.tol = tol
         self.params: PfaParams | None = None
         self._train: Dataset | None = None
 
     def fit(self, train: Dataset) -> "PfaModel":
-        self.params = pfa_fit(
-            train, l2=self.l2, max_iter=self.max_iter, tol=self.tol, seed=self.seed
-        )
+        self.params = pfa_fit(train, l2=self.l2, seed=self.seed)
         self._train = train
         return self
 

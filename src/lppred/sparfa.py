@@ -30,6 +30,12 @@ import numpy as np
 from .data import Dataset, _sigmoid, encode_keys
 from .seeds import derive_seed
 
+DEFAULT_RANK_CANDIDATES = (1, 2, 3, 4)
+FACTOR_L2 = 0.01   # factor ridge on the per-cell mean NLL, not exposed as a tunable
+MAX_ITER = 600     # alternating block steps per rank fit
+TOL = 1e-9         # stop once two block steps gain less than this
+INNER_FOLDS = 4    # internal validation split of the observed cells
+
 
 @dataclass
 class LowRankModel:
@@ -87,7 +93,7 @@ def _fit_intercept_only(rows, cols, vals, n_q):
     return np.log(rate / (1.0 - rate))
 
 
-def _fit_rank(rows, cols, vals, n_l, n_q, rank, l2, seed, max_iter, tol):
+def _fit_rank(rows, cols, vals, n_l, n_q, rank, seed):
     """Alternating halved-step gradient descent on the regularized mean logistic NLL."""
     rng = np.random.default_rng(seed)
     n_cells = len(vals)
@@ -103,19 +109,19 @@ def _fit_rank(rows, cols, vals, n_l, n_q, rank, l2, seed, max_iter, tol):
     def objective(wm, cm, mm):
         z = np.sum(wm[rows] * cm[:, cols].T, axis=1) + mm[cols]
         nll = float(np.sum(np.logaddexp(0.0, z) - vals * z)) / n_cells
-        return nll + 0.5 * l2 * (float(np.sum(wm * wm)) + float(np.sum(cm * cm)))
+        return nll + 0.5 * FACTOR_L2 * (float(np.sum(wm * wm)) + float(np.sum(cm * cm)))
 
     obj = objective(w, c, mu)
     trace = [obj]
     step_w = step_c = 0.5
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         z = np.sum(w[rows] * c[:, cols].T, axis=1) + mu[cols]
         resid = (_sigmoid(z) - vals) / n_cells
 
         # learner-factor block
         grad_w = np.zeros_like(w)
         np.add.at(grad_w, rows, resid[:, None] * c[:, cols].T)
-        grad_w += l2 * w
+        grad_w += FACTOR_L2 * w
         while step_w > 1e-12:
             cand = w - step_w * grad_w
             cand_obj = objective(cand, c, mu)
@@ -131,7 +137,7 @@ def _fit_rank(rows, cols, vals, n_l, n_q, rank, l2, seed, max_iter, tol):
         resid = (_sigmoid(z) - vals) / n_cells
         grad_c = np.zeros_like(c)
         np.add.at(grad_c.T, cols, resid[:, None] * w[rows])
-        grad_c += l2 * c
+        grad_c += FACTOR_L2 * c
         grad_mu = np.bincount(cols, weights=resid, minlength=n_q)
         while step_c > 1e-12:
             cand_c = c - step_c * grad_c
@@ -144,23 +150,17 @@ def _fit_rank(rows, cols, vals, n_l, n_q, rank, l2, seed, max_iter, tol):
                 break
             step_c *= 0.5
 
-        if len(trace) >= 3 and trace[-3] - trace[-1] < tol:
+        if len(trace) >= 3 and trace[-3] - trace[-1] < TOL:
             break
     return w, c, mu, trace
 
 
 def sparfa_fit(
-    train: Dataset,
-    rank_candidates: Sequence[int] = (1, 2, 3, 4),
-    l2: float = 0.01,
-    seed: int = 0,
-    max_iter: int = 600,
-    tol: float = 1e-9,
-    inner_folds: int = 4,
+    train: Dataset, rank_candidates: Sequence[int] = DEFAULT_RANK_CANDIDATES, seed: int = 0
 ) -> LowRankModel:
     """Fit the low-rank model, selecting the rank by internal validation.
 
-    The observed cells are split (seeded) into ``inner_folds`` parts; every
+    The observed cells are split (seeded) into ``INNER_FOLDS`` parts; every
     candidate rank plus the intercept-only rank 0 is scored by summed
     held-out log-loss over the parts, and the winner is refitted on all
     cells. An all-constant observation matrix short-circuits to rank 0.
@@ -196,7 +196,7 @@ def sparfa_fit(
 
     rng = np.random.default_rng(derive_seed(seed, "sparfa-val"))
     n_cells = len(vals)
-    folds = rng.permutation(n_cells) % max(2, min(inner_folds, n_cells))
+    folds = rng.permutation(n_cells) % max(2, min(INNER_FOLDS, n_cells))
 
     val_scores: dict[int, float] = {r: 0.0 for r in [0] + candidates}
     for fold in range(folds.max() + 1):
@@ -207,8 +207,7 @@ def sparfa_fit(
         val_scores[0] += _cell_logloss(mu0[val_cols], val_vals) * len(val_vals)
         for r in candidates:
             w, c, mu, _ = _fit_rank(
-                fit_rows, fit_cols, fit_vals, n_l, n_q, r,
-                l2, derive_seed(seed, "sparfa-fit", fold, r), max_iter, tol,
+                fit_rows, fit_cols, fit_vals, n_l, n_q, r, derive_seed(seed, "sparfa-fit", fold, r)
             )
             z = np.sum(w[val_rows] * c[:, val_cols].T, axis=1) + mu[val_cols]
             val_scores[r] += _cell_logloss(z, val_vals) * len(val_vals)
@@ -218,8 +217,7 @@ def sparfa_fit(
         mu = _fit_intercept_only(rows, cols, vals, n_q)
         return build(0, np.zeros((n_l, 0)), np.zeros((0, n_q)), mu, (), val_scores)
     w, c, mu, trace = _fit_rank(
-        rows, cols, vals, n_l, n_q, best_rank,
-        l2, derive_seed(seed, "sparfa-refit", best_rank), max_iter, tol,
+        rows, cols, vals, n_l, n_q, best_rank, derive_seed(seed, "sparfa-refit", best_rank)
     )
     return build(best_rank, w, c, mu, trace, val_scores)
 
@@ -243,27 +241,13 @@ class SparfaModel:
 
     name = "sparfa"
 
-    def __init__(
-        self,
-        rank_candidates: Sequence[int] = (1, 2, 3, 4),
-        l2: float = 0.01,
-        seed: int = 0,
-        max_iter: int = 600,
-    ):
+    def __init__(self, rank_candidates: Sequence[int] = DEFAULT_RANK_CANDIDATES, seed: int = 0):
         self.rank_candidates = tuple(rank_candidates)
-        self.l2 = l2
         self.seed = seed
-        self.max_iter = max_iter
         self.model: LowRankModel | None = None
 
     def fit(self, train: Dataset) -> "SparfaModel":
-        self.model = sparfa_fit(
-            train,
-            rank_candidates=self.rank_candidates,
-            l2=self.l2,
-            seed=self.seed,
-            max_iter=self.max_iter,
-        )
+        self.model = sparfa_fit(train, rank_candidates=self.rank_candidates, seed=self.seed)
         return self
 
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:

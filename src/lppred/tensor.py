@@ -22,6 +22,10 @@ import numpy as np
 from .data import Dataset, encode_keys
 from .seeds import derive_seed
 
+DEFAULT_RANK = 3
+DEFAULT_RIDGE = 0.1
+TOL = 1e-10  # sweeps stop once the objective improves by less than this
+
 
 @dataclass
 class TensorModel:
@@ -110,16 +114,15 @@ def als_fit_cells(
 
 def tensor_fit_als(
     train: Dataset,
-    rank: int = 3,
-    ridge: float = 0.1,
+    rank: int = DEFAULT_RANK,
+    ridge: float = DEFAULT_RIDGE,
     max_sweeps: int = 200,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> TensorModel:
     """Alternating ridge least squares on the observed (learner, question, attempt) cells.
 
     Iterates full sweeps (all learner rows, then all observed fibers) until
-    the objective improvement falls below ``tol``. Factors start uniform in
+    the objective improvement falls below ``TOL``. Factors start uniform in
     [0, 1/sqrt(rank)], seeded. Learners without a single observed cell get
     the mean of the fitted rows and are listed in ``cold_learners``.
     """
@@ -140,7 +143,7 @@ def tensor_fit_als(
     if y.size == 0:
         raise ValueError("tensor_fit_als requires labeled records")
 
-    u, v, trace = als_fit_cells(li, qa, y, n_l, n_q * n_a, rank, ridge, max_sweeps, tol, seed)
+    u, v, trace = als_fit_cells(li, qa, y, n_l, n_q * n_a, rank, ridge, max_sweeps, TOL, seed)
 
     cells_per_learner = np.bincount(li, minlength=n_l)
     observed_learners = np.flatnonzero(cells_per_learner > 0)
@@ -198,21 +201,14 @@ class TensorFactorizationModel:
 
     name = "tensor"
 
-    def __init__(self, rank: int = 3, ridge: float = 0.1, max_sweeps: int = 200, seed: int = 0):
+    def __init__(self, rank: int = DEFAULT_RANK, ridge: float = DEFAULT_RIDGE, seed: int = 0):
         self.rank = rank
         self.ridge = ridge
-        self.max_sweeps = max_sweeps
         self.seed = seed
         self.model: TensorModel | None = None
 
     def fit(self, train: Dataset) -> "TensorFactorizationModel":
-        self.model = tensor_fit_als(
-            train,
-            rank=self.rank,
-            ridge=self.ridge,
-            max_sweeps=self.max_sweeps,
-            seed=self.seed,
-        )
+        self.model = tensor_fit_als(train, rank=self.rank, ridge=self.ridge, seed=self.seed)
         return self
 
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:

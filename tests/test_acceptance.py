@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from lppred.bkt import BktModel, BktParams, bkt_fit_em, sequence_predictions
+from lppred.cli import _usable_cpus
 from lppred.data import _sigmoid, parse_dataset
 from lppred.gbt import GbtConfig, GbtModel, gbt_fit
 from lppred.llm import MockHeuristicClient, heuristic_prediction, llm_predict_pipeline
@@ -273,7 +274,7 @@ def test_criterion_8_grid_sweep_fidelity():
     assert len(grid.combinations()) == 1296
 
     res = simulate_bkt(SimSpec(66, 8, 9, seed=3, stop_on_correct=True))
-    workers = os.cpu_count() or 1
+    workers = _usable_cpus()
     start = time.time()
     tune = grid_search(res.dataset, grid, k=5, seed=0, workers=workers)
     elapsed = time.time() - start

@@ -2,9 +2,15 @@ import json
 
 import pytest
 
+from lppred.bkt import BktModel
 from lppred.cli import EXIT_CLIENT, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, build_parser, main
 from lppred.data import make_folds, parse_dataset
+from lppred.gbt import GbtConfig, GbtModel
 from lppred.llm import _RECORD_SENTENCE, MockHeuristicClient
+from lppred.pfa import PfaModel
+from lppred.seeds import derive_seed
+from lppred.sparfa import SparfaModel
+from lppred.tensor import TensorFactorizationModel
 
 # One candidate per axis, so a grid read leniently stays a single cheap configuration.
 SMALL_GRID = {"n_trees": [5], "learning_rate": [0.1], "max_depth": [2], "subsample": [1.0],
@@ -142,6 +148,55 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_CLIENT
+
+
+    @pytest.mark.parametrize("value", [
+        '{"p_init": 0.3, "p_learn": 0.2, "p_slip": 0.1, "p_guess": 0.2, "p_forget": 0.1}',
+        '{"p_init": 0.3, "p_learn": 0.2, "p_slip": 0.1}',
+        '{"p_init": 0.3,',
+        '{"p_init": 2, "p_learn": 0.2, "p_slip": 0.1, "p_guess": 0.2}',
+    ], ids=["unknown-key", "missing-key", "malformed-json", "p_init-out-of-range"])
+    def test_bad_bkt_params_is_usage_error(self, tmp_path, capsys, value):
+        code = main(["simulate", "--shape", "4x2x2", "--bkt-params", value, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "argument --bkt-params: expected a JSON object" in capsys.readouterr().err
+
+
+# Per local model: its wrapper class, flags that set every hyperparameter the
+# CLI exposes to a non-default value, and the same values as constructor arguments.
+MODEL_FLAGS = {
+    "bkt": (BktModel, ["--individualized"], {"individualized": True}),
+    "pfa": (PfaModel, ["--l2", "0.7"], {"l2": 0.7}),
+    "sparfa": (SparfaModel, ["--ranks", "1"], {"rank_candidates": (1,)}),
+    "tensor": (TensorFactorizationModel, ["--rank", "2", "--ridge", "0.4"], {"rank": 2, "ridge": 0.4}),
+    "gbt": (
+        GbtModel,
+        ["--n-trees", "7", "--learning-rate", "0.3", "--max-depth", "2", "--subsample", "0.8",
+         "--colsample-bytree", "0.67", "--gbt-gamma", "0.05", "--min-child-weight", "2"],
+        {"config": GbtConfig(n_trees=7, learning_rate=0.3, max_depth=2, subsample=0.8,
+                             colsample_bytree=0.67, gamma=0.05, min_child_weight=2.0)},
+    ),
+}
+
+
+@pytest.mark.parametrize("model", MODEL_FLAGS)
+def test_fit_export_matches_library_model(tmp_path, model):
+    """No model flag: the wrapper's defaults; every flag: its constructor argument."""
+    # low-rank data, so that sparfa picks a positive rank and its export shows the candidates
+    assert main(["simulate", "--generator", "low-rank-matrix", "--shape", "40x8x1", "--rank", "2",
+                 "--seed", "5", "--out", str(tmp_path / "sim")]) == EXIT_OK
+    data = tmp_path / "sim" / "data.csv"
+    cls, flags, kwargs = MODEL_FLAGS[model]
+    ds = parse_dataset(data)
+    train = ds.subset(ds.labeled_positions())
+    seed = derive_seed(0, "fit", model)
+    written = {}
+    for name, argv, given in (("default", [], {}), ("flagged", flags, kwargs)):
+        out = tmp_path / name
+        assert main(["fit", "--model", model, "--data", str(data), "--out", str(out), *argv]) == EXIT_OK
+        written[name] = (out / f"{model}-model.json").read_text(encoding="utf-8")
+        assert written[name] == json.dumps(cls(seed=seed, **given).fit(train).export_json(), indent=2)
+    assert written["flagged"] != written["default"]
 
 
 class TestWorkersDefault:
@@ -341,3 +396,12 @@ class TestCommands:
         assert code == EXIT_OK
         payload = json.loads((out / "report.json").read_text())
         assert len(payload["bkt"]["fold_rmse"]) == 2  # explicit --k 2 beat config k=3
+
+    @pytest.mark.parametrize("line", ["individualized = false", "mock = no", "individualized = OFF"])
+    def test_config_file_false_switch_is_left_out(self, sim_data, tmp_path, line):
+        config = tmp_path / "run.conf"
+        config.write_text(f"model = bkt\nk = 3\n{line}\n", encoding="utf-8")
+        argv = ["cv", "--data", str(sim_data)]
+        assert main(argv + ["--config", str(config), "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(argv + ["--model", "bkt", "--k", "3", "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert (tmp_path / "a" / "report.json").read_text() == (tmp_path / "b" / "report.json").read_text()
