@@ -69,20 +69,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _inject_config_args(argv: list[str]) -> list[str]:
-    """Expand `--config FILE` into flags placed before the user's own flags.
+    """Expand `--config FILE` or `--config=FILE` into flags placed before the user's own flags.
 
     The file holds `key = value` lines mirroring long option names; a
     true/yes/on value sets a switch and a false/no/off value leaves the flag
     out. Because injected flags precede explicit ones, explicit flags win on
     conflict.
     """
-    if "--config" not in argv:
+    at = next((i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
+    _, joined, path = argv[at].partition("=")
+    if not joined:
+        path = argv[at + 1] if at + 1 < len(argv) else ""
+    if not path:
         raise UsageError("--config requires a file path")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2 :]
+    rest = argv[:at] + argv[at + (1 if joined else 2) :]
     if not rest:
         raise UsageError("--config given without a subcommand")
     try:

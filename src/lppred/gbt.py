@@ -386,22 +386,6 @@ def gbt_predict(model: GbtEnsemble, rows: Sequence[tuple[str, str, int]]) -> np.
     return model.predict_matrix(model.feature_matrix(rows))
 
 
-def feature_importance(model: GbtEnsemble) -> np.ndarray:
-    """Total split gain accumulated per feature (learner, question, attempt)."""
-    totals = np.zeros(3)
-
-    def walk(node: TreeNode):
-        if node.is_leaf:
-            return
-        totals[node.feature] += node.gain
-        walk(node.left)
-        walk(node.right)
-
-    for tree in model.trees:
-        walk(tree)
-    return totals
-
-
 class GbtModel:
     """Predictor wrapper around gbt_fit/gbt_predict."""
 

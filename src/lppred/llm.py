@@ -116,9 +116,6 @@ class PromptScript:
     def messages(self) -> list[dict[str, str]]:
         return [{"role": "user", "content": s.content} for s in self.steps]
 
-    def stage_tags(self) -> str:
-        return "".join(s.stage for s in self.steps)
-
     def to_text(self) -> str:
         blocks = [f"[{s.stage}] {s.content}" for s in self.steps]
         return "\n\n".join(blocks)
@@ -231,7 +228,6 @@ class DecodedPrediction:
 class DecodeResult:
     predictions: list[DecodedPrediction]
     rejected: list[tuple[str, str]] = field(default_factory=list)  # (snippet, reason)
-    unparsed: str = ""
 
 
 _BRACED = re.compile(r"\{[^{}]*\}")
@@ -280,8 +276,8 @@ def decode_response(text: str) -> DecodeResult:
     Tolerates single or double quotes, arbitrary key order, and unquoted id
     values. Records missing required keys, with a non-numeric attempt or
     prediction, or with a prediction outside [0, 1] are collected under
-    ``rejected`` with a reason; ``unparsed`` is the text outside all braced
-    blocks. Raises DecodeError if nothing decodes.
+    ``rejected`` with a reason; text outside all braced blocks is ignored.
+    Raises DecodeError if nothing decodes.
     """
     predictions: list[DecodedPrediction] = []
     rejected: list[tuple[str, str]] = []
@@ -315,8 +311,7 @@ def decode_response(text: str) -> DecodeResult:
         )
     if not predictions:
         raise DecodeError("no predictions found in response")
-    unparsed = _BRACED.sub("", text).strip()
-    return DecodeResult(predictions=predictions, rejected=rejected, unparsed=unparsed)
+    return DecodeResult(predictions=predictions, rejected=rejected)
 
 
 # ---------------------------------------------------------------------------

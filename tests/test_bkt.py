@@ -6,13 +6,14 @@ import pytest
 from lppred.bkt import (
     BktModel,
     BktParams,
+    _fit_learner_offsets,
+    _question_sequences,
     bkt_fit_em,
     bkt_posterior_update,
     bkt_predict_next,
-    mastery_trace,
     sequence_predictions,
 )
-from lppred.data import Dataset
+from lppred.data import Dataset, InteractionRecord
 from lppred.simulate import SimSpec, simulate_bkt
 
 from conftest import make_records
@@ -107,12 +108,6 @@ class TestEmissionAndUpdate:
         with pytest.raises(ValueError):
             BktParams(0.4, 0.2, 0.6, 0.5)
 
-    def test_mastery_trace_length(self):
-        p = BktParams(0.4, 0.2, 0.1, 0.2)
-        trace = mastery_trace([1, 0, 1, 1], p)
-        assert len(trace) == 4
-        assert all(0.0 <= v <= 1.0 for v in trace)
-
 
 class TestForwardExactness:
     def test_matches_path_enumeration_all_length6(self):
@@ -163,6 +158,89 @@ class TestEmFit:
         for p in fit.question_params.values():
             assert 0 < p.p_init < 1 and 0 < p.p_learn < 1
             assert p.p_slip + p.p_guess < 1
+
+
+def offset_p_init(p_init, delta):
+    p0 = 1.0 / (1.0 + np.exp(-(np.log(p_init / (1.0 - p_init)) + delta)))
+    return min(max(float(p0), NEAR_ZERO), 1.0 - NEAR_ZERO)
+
+
+def reference_learner_offsets(ds, fit):
+    """One scalar golden-section search per learner over its labeled attempts.
+
+    Each (learner, question) sequence is the learner's labeled outcomes in
+    attempt order, held-out gaps skipped; learners are listed by their first
+    labeled question, then by code.
+    """
+    labeled = {}
+    for rec in ds.records:
+        if rec.obs is not None:
+            labeled.setdefault((rec.learner_id, rec.question_id), []).append((rec.attempt, rec.obs))
+    by_learner = {}
+    for qid in ds.question_index:
+        for lid in ds.learner_index:
+            if (lid, qid) in labeled:
+                by_learner.setdefault(lid, []).append((qid, [o for _, o in sorted(labeled[lid, qid])]))
+
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    offsets = {}
+    for lid, seqs in by_learner.items():
+        def neg_loglik(delta):
+            total = 0.0
+            for qid, observations in seqs:
+                p = fit.question_params[qid]
+                p = BktParams(offset_p_init(p.p_init, delta), p.p_learn, p.p_slip, p.p_guess)
+                loglik = 0.0
+                for pred, obs in zip(sequence_predictions(observations, p), observations):
+                    pred = min(max(pred, NEAR_ZERO), 1.0 - NEAR_ZERO)
+                    loglik += np.log(pred) if obs == 1 else np.log(1.0 - pred)
+                total += float(loglik)
+            return -total
+
+        lo, hi = -4.0, 4.0
+        x1 = hi - phi * (hi - lo)
+        x2 = lo + phi * (hi - lo)
+        f1, f2 = neg_loglik(x1), neg_loglik(x2)
+        for _ in range(40):
+            if f1 < f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - phi * (hi - lo)
+                f1 = neg_loglik(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + phi * (hi - lo)
+                f2 = neg_loglik(x2)
+        offsets[lid] = (lo + hi) / 2.0
+    return offsets
+
+
+class TestLearnerOffsets:
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_vectorized_search_equals_per_learner_loop(self, seed):
+        full = simulate_bkt(SimSpec(12, 3, 5, seed=seed)).dataset
+        kept = [r for i, r in enumerate(full.records) if i % 3]  # held-out gaps
+        kept[::7] = [InteractionRecord(*r.key(), None) for r in kept[::7]]  # unlabeled rows
+        extras = make_records([
+            ("LU", "QN", 1, None),  # a question with no labeled sequence, a learner with none
+            ("LU", "Q1", 1, None),
+            ("LS", "Q3", 2, 1),  # a single attempt after a gap; LS is coded before L1
+        ])                       # but listed after every learner labeled on Q1
+        ds = Dataset.from_records(extras + kept)
+        with pytest.warns(UserWarning, match="QN"):
+            fit = bkt_fit_em(ds, seed=0)
+        expected = reference_learner_offsets(ds, fit)
+        got = _fit_learner_offsets(ds, fit, _question_sequences(ds))
+        assert list(got.items()) == list(expected.items())
+        assert "LS" in got and "LU" not in got
+        with pytest.warns(UserWarning, match="QN"):
+            model = BktModel(seed=0, individualized=True).fit(ds)
+        assert list(model.fit_result.learner_offsets.items()) == list(expected.items())
+
+    def test_no_labeled_attempt_gives_no_offsets(self):
+        ds = Dataset.from_records(make_records([("L1", "Q1", 1, None), ("L2", "Q2", 1, None)]))
+        with pytest.warns(UserWarning):
+            fit = bkt_fit_em(ds, seed=0, individualized=True)
+        assert fit.learner_offsets == {}
 
 
 def per_row_reference(model, train, rows):

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lppred.bkt import BktModel
 from lppred.cli import EXIT_CLIENT, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -357,6 +361,25 @@ class TestCommands:
         assert code == EXIT_OK
         assert json.loads((out / "tune.json").read_text())["n_evaluated"] == 3
 
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**16), repeats=st.integers(2, 4), rows_per_chunk=st.sampled_from([0, 3, 7]))
+    def test_llm_run_mock_files_do_not_depend_on_workers(self, seed, repeats, rows_per_chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            assert main(["simulate", "--shape", "8x3x3", "--seed", str(seed), "--out", str(tmp / "sim")]) == EXIT_OK
+            rows = (tmp / "sim" / "data.csv").read_text().splitlines()
+            (tmp / "train.csv").write_text("\n".join(rows[:1] + rows[1::2]) + "\n", encoding="utf-8")
+            (tmp / "test.csv").write_text("\n".join(rows[:1] + rows[2::2]) + "\n", encoding="utf-8")
+            written = []
+            for workers in ("1", "2"):
+                out = tmp / f"w{workers}"
+                assert main(["llm-run", "--mock", "--train", str(tmp / "train.csv"), "--test", str(tmp / "test.csv"),
+                             "--repeats", str(repeats), "--rows-per-chunk", str(rows_per_chunk),
+                             "--workers", workers, "--out", str(out)]) == EXIT_OK
+                written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert written[0] == written[1]
+            assert set(written[0]) >= {"report.json", "script.txt", "predictions.csv"}
+
     def test_llm_run_mock(self, train_test_files, tmp_path):
         train, test = train_test_files
         out = tmp_path / "run"
@@ -396,6 +419,14 @@ class TestCommands:
         assert code == EXIT_OK
         payload = json.loads((out / "report.json").read_text())
         assert len(payload["bkt"]["fold_rmse"]) == 2  # explicit --k 2 beat config k=3
+
+    def test_config_file_joined_form_is_read(self, sim_data, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("model = bkt\nk = 3\n", encoding="utf-8")
+        argv = ["cv", "--data", str(sim_data)]
+        assert main(argv + [f"--config={config}", "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(argv + ["--config", str(config), "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert (tmp_path / "a" / "report.json").read_text() == (tmp_path / "b" / "report.json").read_text()
 
     @pytest.mark.parametrize("line", ["individualized = false", "mock = no", "individualized = OFF"])
     def test_config_file_false_switch_is_left_out(self, sim_data, tmp_path, line):

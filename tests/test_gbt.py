@@ -11,7 +11,6 @@ from lppred.gbt import (
     TreeNode,
     _grow_tree,
     _split_codes,
-    feature_importance,
     gbt_fit,
     gbt_predict,
 )
@@ -240,32 +239,6 @@ class TestPredict:
         clone = GbtEnsemble.from_json(model.to_json())
         keys = [r.key() for r in ds.records]
         assert np.array_equal(gbt_predict(model, keys), gbt_predict(clone, keys))
-
-
-class TestImportance:
-    def test_stump_importance(self):
-        stump = TreeNode(
-            feature=2, threshold=2.5, gain=3.1,
-            left=TreeNode(weight=-0.1), right=TreeNode(weight=0.1),
-        )
-        model = GbtEnsemble(base_score=0.0, trees=[stump], config=GbtConfig())
-        assert feature_importance(model) == pytest.approx([0.0, 0.0, 3.1])
-
-    def test_no_splits_all_zero(self):
-        model = GbtEnsemble(base_score=0.2, trees=[TreeNode(weight=0.3)], config=GbtConfig())
-        assert feature_importance(model) == pytest.approx([0.0, 0.0, 0.0])
-
-    def test_sum_matches_traversal_oracle(self, rng):
-        ds = random_dataset(rng, n_rows=60)
-        model = gbt_fit(ds, GbtConfig(n_trees=20, max_depth=4), seed=1)
-        total_gain = 0.0
-        stack = list(model.trees)
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                total_gain += node.gain
-                stack.extend((node.left, node.right))
-        assert feature_importance(model).sum() == pytest.approx(total_gain)
 
 
 class TestCv:

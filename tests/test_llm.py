@@ -81,20 +81,20 @@ class TestScript:
 
     def test_full_stage_sequence_with_metadata(self):
         script = build_cot_script(self.batch(), lesson_meta())
-        tags = script.stage_tags()
+        tags = [s.stage for s in script.steps]
         assert set(tags) == set("abcdefghij")
         # stage letters never decrease
         assert list(tags) == sorted(tags)
 
     def test_stages_a_and_h_dropped_without_metadata(self):
         script = build_cot_script(self.batch(), None)
-        tags = script.stage_tags()
+        tags = [s.stage for s in script.steps]
         assert "a" not in tags and "h" not in tags
         assert set(tags) == set("bcdefgij")
 
     def test_stage_subset_preserves_order(self):
         script = build_cot_script(self.batch(), lesson_meta(), stages="dbfa")
-        tags = script.stage_tags()
+        tags = [s.stage for s in script.steps]
         assert set(tags) == set("abdf")
         assert list(tags) == sorted(tags)  # b may repeat (train + test blocks)
 
