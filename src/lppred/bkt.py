@@ -223,6 +223,9 @@ class BktFit:
     fallback: BktParams
     loglik_trace: dict[str, list[float]] = field(default_factory=dict)
     learner_offsets: dict[str, float] = field(default_factory=dict)
+    # per question: EM stopped on ``tol`` (True) or ran out of ``max_iter`` (False);
+    # a question fitted by the fallback has nothing to iterate and reads True
+    converged: dict[str, bool] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {qid: p.to_dict() for qid, p in self.question_params.items()}
@@ -250,17 +253,19 @@ def bkt_fit_em(
 
     Known defect: the default budget is too small. On lesson-shaped folds
     nearly every question stops at ``max_iter`` while still gaining far more
-    than ``tol`` per step, and nothing reports it.
+    than ``tol`` per step; ``BktFit.converged`` reads False for each of them.
     """
     fallback = BktParams(**DEFAULT_INIT)
     question_params: dict[str, BktParams] = {}
     traces: dict[str, list[float]] = {}
+    converged: dict[str, bool] = {}
     sequences = _question_sequences(train)
     for qid, seq in zip(train.question_index, sequences):
         if seq is None:
             warnings.warn(f"question {qid}: no labeled sequences, using prior parameters")
             question_params[qid] = fallback
             traces[qid] = []
+            converged[qid] = True
             continue
         rng = np.random.default_rng(derive_seed(seed, "bkt", qid))
         jitter = rng.uniform(-0.02, 0.02, size=4)
@@ -273,8 +278,12 @@ def bkt_fit_em(
         params, trace = _em_single_question(*seq[1:], init, max_iter, tol)
         question_params[qid] = params
         traces[qid] = trace
+        # EM breaks as soon as this holds, so it holds at the end only if EM stopped on tol
+        converged[qid] = len(trace) >= 2 and trace[-1] - trace[-2] < tol
 
-    fit = BktFit(question_params=question_params, fallback=fallback, loglik_trace=traces)
+    fit = BktFit(
+        question_params=question_params, fallback=fallback, loglik_trace=traces, converged=converged
+    )
     if individualized:
         fit.learner_offsets = _fit_learner_offsets(train, fit, sequences)
     return fit

@@ -6,7 +6,9 @@ outcome is unknown (empty ``obs`` field) are permitted and flagged as
 prediction targets.
 
 The on-disk format is comma-separated UTF-8 text with the header
-``learner_id,question_id,attempt,obs``, one record per line. An optional
+``learner_id,question_id,attempt,obs``, one record per line. Spaces and
+tabs around a cell are dropped; a learner or question id may not begin or
+end with whitespace, so every Dataset survives a write and re-read. An optional
 lesson metadata file is a JSON object with ``lesson_name`` and a
 ``questions`` map from question id to ``{text, options, answer}``.
 
@@ -110,6 +112,11 @@ class Dataset:
             question_codes.append(question_index.setdefault(rec.question_id, len(question_index)))
             attempts.append(rec.attempt)
             outcomes.append(-1 if rec.obs is None else rec.obs)
+        for ids, role in ((learner_index, "learner_id"), (question_index, "question_id")):
+            padded = next((i for i in ids if i != i.strip()), None)
+            if padded is not None:
+                key = next(r.key() for r in records if getattr(r, role) == padded)
+                raise DataError(f"{role} {padded!r} has surrounding whitespace, in record {key}")
         learner, question, attempt, obs = (np.frombuffer(c, dtype=np.int64) for c in columns)
         # the sort is stable, so each repeated key comes right after an earlier record's
         order = np.lexsort((attempt, question, learner))
@@ -283,7 +290,9 @@ def parse_dataset(path, meta_path=None) -> Dataset:
                 continue
             if len(row) != 4:
                 raise DataError(f"{path}: line {lineno}: expected 4 columns, got {len(row)}")
-            learner_id, question_id, attempt_s, obs_s = (c.strip() for c in row)
+            # a space or tab beside a comma is layout; other whitespace stays in
+            # the id, where Dataset.from_records rejects it
+            learner_id, question_id, attempt_s, obs_s = (c.strip(" \t") for c in row)
             try:
                 attempt = int(attempt_s)
             except ValueError:

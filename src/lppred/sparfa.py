@@ -7,12 +7,18 @@ per pair) and modeled as
 
 The learner factors capture understanding of latent concepts, the question
 factors the concept loading of each question, and the intercept the
-question's inherent difficulty. Fitting alternates gradient steps on the two
-factor blocks, with step halving whenever the regularized objective would
-increase. The objective is the per-cell mean NLL plus an L2 penalty on the
-factor blocks, so the regularization strength has the same meaning
-regardless of how many cells are observed; factors start at a truncated SVD
-of the centered response matrix.
+question's inherent difficulty. The objective is the per-cell mean NLL plus
+an L2 penalty on the factor blocks, so the regularization strength has the
+same meaning regardless of how many cells are observed; factors start at a
+truncated SVD of the centered response matrix.
+
+Fitting alternates between the two blocks. Given the question factors, each
+learner's factors are a small ridge logistic regression, and given the
+learner factors, so are each question's factors and intercept; one batched
+Newton step solves every regression of a block at once, halved until the
+objective does not increase. A rank fit converges when one alternation gains
+less than ``TOL`` within ``MAX_ITER`` alternations. ``LowRankModel.converged``
+is True when every rank fit of ``sparfa_fit`` converged; otherwise it warns.
 
 The number of latent concepts is chosen automatically: each candidate rank
 (always including the intercept-only rank 0) is scored by held-out log-loss
@@ -22,6 +28,7 @@ refitted on all observed cells.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -32,8 +39,8 @@ from .seeds import derive_seed
 
 DEFAULT_RANK_CANDIDATES = (1, 2, 3, 4)
 FACTOR_L2 = 0.01   # factor ridge on the per-cell mean NLL, not exposed as a tunable
-MAX_ITER = 600     # alternating block steps per rank fit
-TOL = 1e-9         # stop once two block steps gain less than this
+MAX_ITER = 600     # alternations (learner block, then question block) per rank fit
+TOL = 1e-9         # converged once one alternation gains less than this
 INNER_FOLDS = 4    # internal validation split of the observed cells
 
 
@@ -50,6 +57,7 @@ class LowRankModel:
     global_mean: float = 0.5
     objective_trace: tuple[float, ...] = ()
     rank_val_logloss: dict[int, float] = field(default_factory=dict)
+    converged: bool = True  # every rank fit stopped on TOL before MAX_ITER
 
     def logits(self) -> np.ndarray:
         return self.learner_factors @ self.question_factors + self.intercepts
@@ -93,8 +101,40 @@ def _fit_intercept_only(rows, cols, vals, n_q):
     return np.log(rate / (1.0 - rate))
 
 
+def _newton_directions(groups, n_groups, x, resid, weight, ridge, coef):
+    """Newton directions of independent ridge logistic regressions, one per group.
+
+    Group g owns the cells where ``groups == g``; ``x`` (cells, k) holds their
+    features and ``resid``/``weight`` the first and second derivatives of each
+    cell's loss in its logit. Group g's penalty is 0.5 * sum(ridge * coef[g]**2).
+    Gradients and the stacked (n_groups, k, k) Hessians are summed by
+    ``np.bincount`` and solved in one ``np.linalg.solve``.
+    """
+    k = x.shape[1]
+    grad = np.bincount(
+        (groups[:, None] * k + np.arange(k)).ravel(),
+        weights=(resid[:, None] * x).ravel(),
+        minlength=n_groups * k,
+    ).reshape(n_groups, k)
+    grad += ridge * coef
+    hess = np.bincount(
+        (groups[:, None] * (k * k) + np.arange(k * k)).ravel(),
+        weights=(weight[:, None, None] * x[:, :, None] * x[:, None, :]).ravel(),
+        minlength=n_groups * k * k,
+    ).reshape(n_groups, k, k)
+    # an unpenalized coefficient of a group without cells has zero gradient; unit
+    # curvature keeps its system solvable and its step zero
+    empty = np.bincount(groups, minlength=n_groups) == 0
+    hess[:, np.arange(k), np.arange(k)] += np.where(ridge > 0, ridge, empty[:, None])
+    return np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+
+
 def _fit_rank(rows, cols, vals, n_l, n_q, rank, seed):
-    """Alternating halved-step gradient descent on the regularized mean logistic NLL."""
+    """Alternating batched Newton steps on the regularized mean logistic NLL.
+
+    Returns the factors, intercepts, objective trace and whether the fit
+    stopped on ``TOL`` before ``MAX_ITER`` alternations.
+    """
     rng = np.random.default_rng(seed)
     n_cells = len(vals)
     mu = _fit_intercept_only(rows, cols, vals, n_q)
@@ -106,53 +146,60 @@ def _fit_rank(rows, cols, vals, n_l, n_q, rank, seed):
     w = left[:, :rank] * np.sqrt(sing[:rank]) * 2.0 + rng.normal(0.0, 0.01, (n_l, rank))
     c = (right[:rank, :].T * np.sqrt(sing[:rank])).T * 2.0 + rng.normal(0.0, 0.01, (rank, n_q))
 
+    def logits(wm, cm, mm):
+        return np.sum(wm[rows] * cm[:, cols].T, axis=1) + mm[cols]
+
     def objective(wm, cm, mm):
-        z = np.sum(wm[rows] * cm[:, cols].T, axis=1) + mm[cols]
+        z = logits(wm, cm, mm)
         nll = float(np.sum(np.logaddexp(0.0, z) - vals * z)) / n_cells
         return nll + 0.5 * FACTOR_L2 * (float(np.sum(wm * wm)) + float(np.sum(cm * cm)))
 
+    def derivatives(wm, cm, mm):
+        z = logits(wm, cm, mm)
+        p = _sigmoid(z)
+        # sigmoid(z) * sigmoid(-z) stays positive where 1 - p rounds to 0
+        return (p - vals) / n_cells, p * _sigmoid(-z) / n_cells
+
+    def descend(point, direction, evaluate, current):
+        """Halve the Newton step until the objective does not increase."""
+        step = 1.0
+        while step > 1e-12:
+            cand = point - step * direction
+            cand_obj = evaluate(cand)
+            if cand_obj <= current:
+                trace.append(cand_obj)
+                return cand, cand_obj
+            step *= 0.5
+        return point, current
+
+    ridge_w = np.full(rank, FACTOR_L2)
+    ridge_c = np.append(np.full(rank, FACTOR_L2), 0.0)  # the intercept is not penalized
     obj = objective(w, c, mu)
     trace = [obj]
-    step_w = step_c = 0.5
+    converged = False
     for _ in range(MAX_ITER):
-        z = np.sum(w[rows] * c[:, cols].T, axis=1) + mu[cols]
-        resid = (_sigmoid(z) - vals) / n_cells
+        before = obj
+        # learner-factor block: one ridge logistic regression per learner
+        direction = _newton_directions(
+            rows, n_l, c[:, cols].T, *derivatives(w, c, mu), ridge_w, w
+        )
+        w, obj = descend(w, direction, lambda cand: objective(cand, c, mu), obj)
 
-        # learner-factor block
-        grad_w = np.zeros_like(w)
-        np.add.at(grad_w, rows, resid[:, None] * c[:, cols].T)
-        grad_w += FACTOR_L2 * w
-        while step_w > 1e-12:
-            cand = w - step_w * grad_w
-            cand_obj = objective(cand, c, mu)
-            if cand_obj <= obj:
-                w, obj = cand, cand_obj
-                trace.append(obj)
-                step_w = min(step_w * 1.5, 10.0)
-                break
-            step_w *= 0.5
+        # question-factor and intercept block: one regression per question
+        coef = np.column_stack([c.T, mu])
+        features = np.column_stack([w[rows], np.ones(n_cells)])
+        direction = _newton_directions(
+            cols, n_q, features, *derivatives(w, c, mu), ridge_c, coef
+        )
+        coef, obj = descend(
+            coef, direction, lambda cand: objective(w, cand[:, :rank].T, cand[:, rank]), obj
+        )
+        c, mu = coef[:, :rank].T, coef[:, rank]
 
-        # question-factor and intercept block
-        z = np.sum(w[rows] * c[:, cols].T, axis=1) + mu[cols]
-        resid = (_sigmoid(z) - vals) / n_cells
-        grad_c = np.zeros_like(c)
-        np.add.at(grad_c.T, cols, resid[:, None] * w[rows])
-        grad_c += FACTOR_L2 * c
-        grad_mu = np.bincount(cols, weights=resid, minlength=n_q)
-        while step_c > 1e-12:
-            cand_c = c - step_c * grad_c
-            cand_mu = mu - step_c * grad_mu
-            cand_obj = objective(w, cand_c, cand_mu)
-            if cand_obj <= obj:
-                c, mu, obj = cand_c, cand_mu, cand_obj
-                trace.append(obj)
-                step_c = min(step_c * 1.5, 10.0)
-                break
-            step_c *= 0.5
-
-        if len(trace) >= 3 and trace[-3] - trace[-1] < TOL:
+        if before - obj < TOL:
+            converged = True
             break
-    return w, c, mu, trace
+    return w, c, mu, trace, converged
 
 
 def sparfa_fit(
@@ -177,7 +224,7 @@ def sparfa_fit(
         if r > min(n_l, n_q):
             raise ValueError(f"rank {r} exceeds min(n_learners, n_questions)")
 
-    def build(rank, w, c, mu, trace, val_scores):
+    def build(rank, w, c, mu, trace, val_scores, converged=True):
         return LowRankModel(
             learner_factors=w,
             question_factors=c,
@@ -188,6 +235,7 @@ def sparfa_fit(
             global_mean=global_mean,
             objective_trace=tuple(trace),
             rank_val_logloss=val_scores,
+            converged=converged,
         )
 
     if np.all(vals == vals[0]):
@@ -199,6 +247,7 @@ def sparfa_fit(
     folds = rng.permutation(n_cells) % max(2, min(INNER_FOLDS, n_cells))
 
     val_scores: dict[int, float] = {r: 0.0 for r in [0] + candidates}
+    stalled = 0  # rank fits that ran out of MAX_ITER
     for fold in range(folds.max() + 1):
         hold = folds == fold
         fit_rows, fit_cols, fit_vals = rows[~hold], cols[~hold], vals[~hold]
@@ -206,20 +255,25 @@ def sparfa_fit(
         mu0 = _fit_intercept_only(fit_rows, fit_cols, fit_vals, n_q)
         val_scores[0] += _cell_logloss(mu0[val_cols], val_vals) * len(val_vals)
         for r in candidates:
-            w, c, mu, _ = _fit_rank(
+            w, c, mu, _, converged = _fit_rank(
                 fit_rows, fit_cols, fit_vals, n_l, n_q, r, derive_seed(seed, "sparfa-fit", fold, r)
             )
+            stalled += not converged
             z = np.sum(w[val_rows] * c[:, val_cols].T, axis=1) + mu[val_cols]
             val_scores[r] += _cell_logloss(z, val_vals) * len(val_vals)
 
     best_rank = min(val_scores, key=lambda r: (val_scores[r], r))
     if best_rank == 0:
         mu = _fit_intercept_only(rows, cols, vals, n_q)
-        return build(0, np.zeros((n_l, 0)), np.zeros((0, n_q)), mu, (), val_scores)
-    w, c, mu, trace = _fit_rank(
-        rows, cols, vals, n_l, n_q, best_rank, derive_seed(seed, "sparfa-refit", best_rank)
-    )
-    return build(best_rank, w, c, mu, trace, val_scores)
+        w, c, trace = np.zeros((n_l, 0)), np.zeros((0, n_q)), ()
+    else:
+        w, c, mu, trace, converged = _fit_rank(
+            rows, cols, vals, n_l, n_q, best_rank, derive_seed(seed, "sparfa-refit", best_rank)
+        )
+        stalled += not converged
+    if stalled:
+        warnings.warn(f"sparfa_fit: {stalled} rank fits stopped at MAX_ITER={MAX_ITER} before TOL")
+    return build(best_rank, w, c, mu, trace, val_scores, converged=not stalled)
 
 
 def sparfa_predict(model: LowRankModel, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:

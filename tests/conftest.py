@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lppred.data import Dataset, InteractionRecord
+from lppred.metrics import cross_validate
+from lppred.simulate import SimSpec, simulate
 
 
 def make_records(rows):
@@ -26,6 +28,25 @@ def random_dataset(rng, n_learners=6, n_questions=4, max_attempt=3, n_rows=40, l
         obs = int(rng.integers(2)) if labeled else None
         records.append(InteractionRecord(lid, qid, attempt, obs))
     return Dataset.from_records(records)
+
+
+def cv_fitted_models(factory, shape, seed):
+    """The models ``cv --k 5 --seed 0`` fits on a stop-on-correct BKT simulation of ``shape``."""
+    ds = simulate(SimSpec(*shape, generator="bkt-process", seed=seed, stop_on_correct=True)).dataset
+    models = []
+
+    def keep(fold_seed):
+        models.append(factory(fold_seed))
+        return models[-1]
+
+    cross_validate(keep, ds, k=5, seed=0)
+    return models
+
+
+# the lesson shape (learners x questions x attempts) and a bulk-log-sized log
+CV_SHAPES = pytest.mark.parametrize(
+    "shape, seed", [((66, 8, 9), 3), ((600, 30, 9), 1)], ids=["lesson", "bulk-log"]
+)
 
 
 @pytest.fixture

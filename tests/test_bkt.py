@@ -13,8 +13,9 @@ from lppred.bkt import (
     bkt_predict_next,
     sequence_predictions,
 )
-from lppred.data import Dataset, InteractionRecord
-from lppred.simulate import SimSpec, simulate_bkt
+from lppred.data import Dataset, InteractionRecord, make_folds
+from lppred.seeds import derive_seed
+from lppred.simulate import SimSpec, simulate, simulate_bkt
 
 from conftest import make_records
 
@@ -151,6 +152,22 @@ class TestEmFit:
         with pytest.warns(UserWarning, match="Q2"):
             fit = bkt_fit_em(ds, seed=0)
         assert fit.question_params["Q2"] == fit.fallback
+        assert fit.converged["Q2"]
+
+    def test_converged_reports_where_em_ran_out_of_iterations(self):
+        # the first training split of ``cv --k 5 --seed 0`` on the lesson-shaped simulation
+        spec = SimSpec(66, 8, 9, generator="bkt-process", seed=3, stop_on_correct=True)
+        ds = simulate(spec).dataset
+        train = ds.subset(make_folds(ds, 5, 0).train_positions(0))
+        fit = bkt_fit_em(train, seed=derive_seed(0, "fold", 0))
+        assert list(fit.converged) == list(fit.question_params)
+        stalled = [qid for qid, done in fit.converged.items() if not done]
+        assert stalled
+        assert all(len(fit.loglik_trace[qid]) == 100 for qid in stalled)
+        # a loose tolerance stops EM on every question well inside the budget
+        loose = bkt_fit_em(train, seed=derive_seed(0, "fold", 0), tol=1.0)
+        assert all(loose.converged.values())
+        assert all(len(trace) < 100 for trace in loose.loglik_trace.values())
 
     def test_fitted_params_satisfy_invariants(self):
         res = simulate_bkt(SimSpec(50, 4, 6, seed=9))

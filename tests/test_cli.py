@@ -62,6 +62,14 @@ class TestExitCodes:
         code = main(["ingest", "--data", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    def test_whitespace_padded_id_is_data_error(self, sim_data, tmp_path, capsys):
+        data = tmp_path / "padded.csv"
+        data.write_text(sim_data.read_text(encoding="utf-8") + "LX\u3000,Q1,1,1\n", encoding="utf-8")
+        code = main(["cv", "--model", "pfa", "--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(data) in err and "surrounding whitespace" in err
+
     def test_model_error_exit(self, sim_data, tmp_path):
         # tensor rank larger than the learner count cannot be fit
         code = main(

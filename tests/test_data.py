@@ -106,14 +106,29 @@ class TestParse:
         ds = Dataset.from_records(records)
         assert _write_and_parse(ds).records == ds.records
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="parse_dataset strips every cell, so ids lose leading and trailing whitespace")
     @settings(max_examples=60, deadline=None)
     @given(records=records_with_ids(st.text(max_size=6)))
     @example(records=[InteractionRecord(" L1", "Q1", 1, 1)])
-    def test_write_parse_round_trip_keeps_surrounding_whitespace(self, records):
-        ds = Dataset.from_records(records)
-        assert _write_and_parse(ds).records == ds.records
+    @example(records=[InteractionRecord("L1", "Q1\r", 1, 1)])
+    @example(records=[InteractionRecord("L1", "Q1", 1, 0), InteractionRecord("\x1c", "Q1", 1, 1)])
+    def test_ids_with_surrounding_whitespace_are_rejected(self, records):
+        padded = [r for r in records if any(i != i.strip() for i in (r.learner_id, r.question_id))]
+        if not padded:
+            ds = Dataset.from_records(records)
+            assert _write_and_parse(ds).records == ds.records
+            return
+        with pytest.raises(DataError, match="surrounding whitespace") as info:
+            Dataset.from_records(records)
+        assert any(repr(r.key()) in str(info.value) for r in padded)
+
+    def test_space_or_tab_beside_a_comma_still_parses(self, tmp_path):
+        f = write_csv(tmp_path / "d.csv", "learner_id, question_id,attempt,obs\nL1, Q1,\t2 , 1\n")
+        assert parse_dataset(f).records == (InteractionRecord("L1", "Q1", 2, 1),)
+
+    def test_other_whitespace_around_an_id_is_a_data_error(self, tmp_path):
+        f = write_csv(tmp_path / "d.csv", "learner_id,question_id,attempt,obs\nL1,Q1,1,1\nL2\xa0,Q1,1,0\n")
+        with pytest.raises(DataError, match=r"d\.csv.*'L2\\xa0'.*surrounding whitespace"):
+            parse_dataset(f)
 
     def test_meta_file(self, tmp_path):
         meta = tmp_path / "meta.json"

@@ -13,6 +13,11 @@ Three later entries were recorded before the code they guard was rewritten:
 - ``fit-gbt/gbt-model.json`` pins a GBT export with row and column
   subsampling: each split's feature, threshold, gain and child hessians,
   which the prediction digests do not show.
+
+Three were re-recorded when PFA and SPARFA moved from first-order steps to
+Newton solves, which reach the optimum the old fits stopped short of:
+``cv-pfa/report.json``, ``predict-pfa/predictions.csv`` and
+``cv-sparfa/report.json`` (``predict-sparfa`` selects rank 0 and is unchanged).
 """
 
 import hashlib
@@ -29,8 +34,8 @@ GOLDEN = {
     "cv-bkt-individualized/report.json":
         "7f9fbf1782011dc0f7191e0fc373b6c5f504a12ca0ab463666b3099edd352d3f",
     "cv-gbt/report.json": "c449c6b9359e8974a84b26cd712a2d7eb9a88e27450ba8cb69613ab52930e56d",
-    "cv-pfa/report.json": "9feff7bc9f250a54608dc24c3fcbec927fa42d06f00992a6bbfa76e80db54bd1",
-    "cv-sparfa/report.json": "63d146dc56b562c4dc9a177ff6a54ca1bad03af2612685ab519999e9a1ddd8f2",
+    "cv-pfa/report.json": "d27c2c7c5162355bb3a340e767b37183d5b87046cf45e7571a026c2755d39d65",
+    "cv-sparfa/report.json": "f74fdfb8774a55cdd671b5bec68242e4d6c751f748cd281a46a9e9fe00ccb8c0",
     "cv-tensor/report.json": "407202629fa29d9996eb2a022eaf923830a92d37c4389dcdbe3e06ad3f608aeb",
     "fit-gbt/gbt-model.json": "91bf1dcbe442ed061bcdd9025fe48d0c975023eba79abe6ad808dcdca84bcd86",
     "llm-run/predictions.csv": "e76f97e255679acf45e77a89b8cca264a1dea7bf5f84f7b333f34f0f452367fa",
@@ -39,7 +44,7 @@ GOLDEN = {
     "llm-run-meta/script.txt": "b29ca9436fa7fb62087290cbec1612445c241bfd7a30a39d5ed560b47467ff1d",
     "predict-bkt/predictions.csv": "1ceec63bcd2479a06ff2359bb2f92c02d00eabac050c9fad71ff777efb387f92",
     "predict-gbt/predictions.csv": "0529626f1b0828a465bf23159a8d082aae090b69af22ac2580d9047599f2d3b4",
-    "predict-pfa/predictions.csv": "088c95e2fb4a90708e5c813cda88ec3b616c5e9a0782d3c871493998d17ed398",
+    "predict-pfa/predictions.csv": "14bbadd85a9fdc51118d5e8259f93e3333aee1487dc9d43cc0e433fa32eb6b13",
     "predict-sparfa/predictions.csv":
         "3d214b860ccbe476b3619acfeab6bc7c4ee086ac22dbaf60b8ebfbc8805f9c67",
     "predict-tensor/predictions.csv":

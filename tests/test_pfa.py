@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lppred.data import Dataset
-from lppred.pfa import PfaModel, PfaParams, pfa_features, pfa_fit
+from lppred.pfa import PfaModel, PfaParams, _hessian, _objective_and_grad, pfa_features, pfa_fit
 
-from conftest import make_records, random_dataset
+from conftest import CV_SHAPES, cv_fitted_models, make_records, random_dataset
 
 
 def sigmoid(z):
@@ -142,8 +142,6 @@ def reference_objective(theta, ds, l2):
 
 class TestFit:
     def test_gradient_matches_central_differences(self, rng):
-        from lppred.pfa import _objective_and_grad
-
         for trial in range(10):
             trial_rng = np.random.default_rng(1000 + trial)
             ds = random_dataset(trial_rng, n_learners=6, n_questions=4, n_rows=30)
@@ -195,8 +193,46 @@ class TestFit:
     def test_nonconvergence_flagged(self, rng):
         ds = random_dataset(rng, n_learners=10, n_questions=7, n_rows=200)
         with pytest.warns(UserWarning, match="tolerance"):
-            params = pfa_fit(ds, seed=0, max_iter=3)
+            params = pfa_fit(ds, seed=0, max_iter=1)
         assert not params.converged
+
+    def test_hessian_matches_central_differences_of_gradient(self):
+        for trial in range(5):
+            trial_rng = np.random.default_rng(2000 + trial)
+            ds = random_dataset(trial_rng, n_learners=6, n_questions=4, n_rows=30)
+            q_idx, l_idx, s, f, y, n_q, n_l = build_design(ds)
+            theta = trial_rng.normal(0, 0.5, n_q + n_l + 2)
+            hess = _hessian(theta, q_idx, l_idx, s, f, n_q, n_l, 0.1)
+            step = 1e-6
+            numeric = np.empty_like(hess)
+            for j in range(len(theta)):
+                hi = theta.copy()
+                hi[j] += step
+                lo = theta.copy()
+                lo[j] -= step
+                grad_hi = _objective_and_grad(hi, q_idx, l_idx, s, f, y, n_q, n_l, 0.1)[1]
+                grad_lo = _objective_and_grad(lo, q_idx, l_idx, s, f, y, n_q, n_l, 0.1)[1]
+                numeric[:, j] = (grad_hi - grad_lo) / (2 * step)
+            assert np.abs(hess - numeric).max() < 1e-7 * np.abs(hess).max()
+
+    def test_zero_l2_on_separable_data(self):
+        # all correct: the optimum is at infinity and the Hessian is singular
+        rows = [(f"L{i}", f"Q{j}", 1, 1) for i in range(4) for j in range(3)]
+        ds = Dataset.from_records(make_records(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            params = pfa_fit(ds, l2=0.0, seed=0)
+        assert np.all(np.diff(params.objective_trace) <= 0)
+        assert np.isfinite(params.objective) and params.objective < 1e-3
+        model = model_with(params, rows)
+        assert np.all(model.predict([r[:3] for r in rows]) > 0.99)
+
+    @CV_SHAPES
+    def test_every_cv_fold_converges(self, shape, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            models = cv_fitted_models(lambda fold_seed: PfaModel(seed=fold_seed), shape, seed)
+        assert [m.params.converged for m in models] == [True] * 5
 
     def test_requires_labeled_rows(self):
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, None)]))

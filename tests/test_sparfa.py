@@ -1,18 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from lppred import sparfa
 from lppred.data import Dataset, _sigmoid
 from lppred.simulate import SimSpec, simulate_lowrank
 from lppred.sparfa import (
+    FACTOR_L2,
     LowRankModel,
     SparfaModel,
     _first_attempt_cells,
     _fit_intercept_only,
+    _newton_directions,
     sparfa_fit,
     sparfa_predict,
 )
 
-from conftest import make_records
+from conftest import CV_SHAPES, cv_fitted_models, make_records
 
 
 def all_ones_dataset():
@@ -155,6 +160,57 @@ class TestFit:
         model = sparfa_fit(all_ones_dataset(), rank_candidates=(1,))
         payload = model.to_dict()
         assert set(payload) >= {"W", "C", "mu", "r"}
+
+
+class TestNewton:
+    def test_batched_block_step_equals_per_group_solves(self):
+        rng = np.random.default_rng(0)
+        n_l, n_q, rank = 7, 5, 2
+        # the last learner and the last question have no cells
+        pairs = [(l, q) for l in range(n_l - 1) for q in range(n_q - 1) if rng.random() < 0.7]
+        rows, cols = np.array(pairs).T
+        vals = rng.integers(0, 2, len(rows)).astype(float)
+        w, c = rng.normal(size=(n_l, rank)), rng.normal(size=(rank, n_q))
+        mu = rng.normal(size=n_q)
+        p = _sigmoid(np.sum(w[rows] * c[:, cols].T, axis=1) + mu[cols])
+        resid, weight = (p - vals) / len(vals), p * (1 - p) / len(vals)
+
+        def reference(groups, group, x, ridge, coef):
+            mine = groups == group
+            grad = x[mine].T @ resid[mine] + ridge * coef
+            hess = (x[mine].T * weight[mine]) @ x[mine] + np.diag(ridge)
+            return np.linalg.solve(hess, grad)
+
+        got = _newton_directions(rows, n_l, c[:, cols].T, resid, weight, np.full(rank, FACTOR_L2), w)
+        for l in range(n_l):
+            expected = reference(rows, l, c[:, cols].T, np.full(rank, FACTOR_L2), w[l])
+            assert np.allclose(got[l], expected, rtol=1e-12, atol=1e-14)
+
+        # per question: factors and an unpenalized intercept
+        ridge = np.append(np.full(rank, FACTOR_L2), 0.0)
+        coef = np.column_stack([c.T, mu])
+        x = np.column_stack([w[rows], np.ones(len(rows))])
+        got = _newton_directions(cols, n_q, x, resid, weight, ridge, coef)
+        for q in range(n_q - 1):
+            assert np.allclose(got[q], reference(cols, q, x, ridge, coef[q]), rtol=1e-12, atol=1e-14)
+        # without cells the factors shrink straight to zero and the intercept stays
+        assert np.allclose(got[-1], np.append(c[:, -1], 0.0), rtol=1e-12, atol=0)
+
+    @CV_SHAPES
+    def test_every_cv_fold_converges(self, shape, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            models = cv_fitted_models(lambda fold_seed: SparfaModel(seed=fold_seed), shape, seed)
+        assert [m.model.converged for m in models] == [True] * 5
+
+    def test_exhausted_budget_warns_and_is_reported(self, monkeypatch):
+        monkeypatch.setattr(sparfa, "MAX_ITER", 1)
+        res = simulate_lowrank(
+            SimSpec(20, 6, 1, generator="low-rank-matrix", rank=2, seed=3, factor_scale=2.0)
+        )
+        with pytest.warns(UserWarning, match="MAX_ITER"):
+            model = sparfa_fit(res.dataset, rank_candidates=(2,), seed=0)
+        assert not model.converged
 
 
 class TestRecovery:
