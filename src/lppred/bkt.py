@@ -7,10 +7,15 @@ unmastered to mastered (p_learn), answering wrong while mastered (p_slip),
 and answering right while unmastered (p_guess). There is no forgetting:
 the mastered state is absorbing.
 
-Fitting is Baum-Welch over the per-(learner, question) attempt sequences of
-one question, in log space. Attempt slots whose outcome is unknown (for
-example held out by the cross-validation harness) are marginalized: the
-chain still transitions there but no emission is scored.
+Fitting is Baum-Welch over each question's per-learner attempt sequences,
+in log space. Attempt slots whose outcome is unknown (for example held out
+by the cross-validation harness) are marginalized: the chain still
+transitions there but no emission is scored. The questions are independent
+fits run side by side: their sequences are stacked into (slot, question,
+learner) arrays, so one forward-backward per EM iteration covers every
+question, with the parameters as per-question vectors. The M-step sums
+each question's own block, and a question whose log-likelihood gain falls
+below ``tol`` is frozen where a fit of that question alone would stop.
 """
 
 from __future__ import annotations
@@ -105,114 +110,157 @@ def sequence_predictions(observations: Sequence[int], params: BktParams) -> list
 # ---------------------------------------------------------------------------
 
 
-def _question_sequences(ds: Dataset) -> list[tuple | None]:
-    """Per question code: its learners' labeled attempts, padded, or None if it has none.
+def _stacked_sequences(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every question's labeled attempt sequences, stacked slot by slot.
 
-    Each entry is (learner codes, obs, observed, lengths), sequences in
-    learner-code order. Slot t of a sequence is attempt t+1. A slot inside
-    the sequence without an observation (held-out attempt) has
-    observed=False; slots past the last observed attempt are outside the
-    sequence and excluded via ``lengths``.
+    Returns (learners, obs, observed, lengths). Row i of question q is the
+    sequence of learner code ``learners[q, i]``: the learners with a labeled
+    attempt on q come first, in code order, and the remaining rows are empty
+    sequences. ``obs[t, q, i]`` is 1.0 where that learner's attempt t+1 on q
+    was correct. A slot inside a sequence without an observation (held-out
+    attempt) has observed=False; ``lengths[q, i]`` is one past the
+    sequence's last observed slot (0 for an empty one), and slots past it
+    are outside the sequence. Rows stop at the question with the most
+    sequences, slots at the longest sequence.
     """
-    table = ds.outcome_table()[:-1, :-1, :-1]  # without the padding
-    out: list[tuple | None] = []
-    for q in range(table.shape[1]):
-        learners = np.flatnonzero((table[:, q, :] >= 0).any(axis=1))
-        observed = table[learners, q, :] >= 0
-        lengths = observed.shape[1] - np.argmax(observed[:, ::-1], axis=1)
-        t_max = int(lengths.max(initial=0))
-        obs = (table[learners, q, :t_max] == 1).astype(float)
-        out.append((learners, obs, observed[:, :t_max], lengths) if learners.size else None)
-    return out
+    table = ds.outcome_table()[:-1, :-1, :-1].transpose(1, 0, 2)  # without the padding
+    learners = np.argsort(~(table >= 0).any(axis=2), axis=1, kind="stable")
+    table = np.take_along_axis(table, learners[:, :, None], axis=1).transpose(2, 0, 1)
+    slot_numbers = np.arange(1, table.shape[0] + 1)[:, None, None]
+    lengths = ((table >= 0) * slot_numbers).max(axis=0, initial=0)
+    n_rows = int((lengths > 0).sum(axis=1).max(initial=0))
+    table = np.ascontiguousarray(table[: int(lengths.max(initial=0)), :, :n_rows])
+    return learners[:, :n_rows], (table == 1).astype(float), table >= 0, lengths[:, :n_rows]
 
 
-def _forward_backward(obs, observed, params: BktParams):
-    """Log-space forward-backward over padded sequences.
+def _forward_backward(obs, observed, lengths, params):
+    """Log-space forward-backward over every question's sequences at once.
 
-    Returns (loglik_total, gamma, learn) where gamma[i, t, k] is the
-    posterior of state k at slot t and learn[i, t] the posterior of the
-    unmastered -> mastered transition between slots t and t+1. State 0 is
-    unmastered, state 1 mastered.
+    ``obs``/``observed``/``lengths`` are stacked as by ``_stacked_sequences``,
+    each question with at least one sequence, and ``params`` is
+    (4, questions): p_init, p_learn, p_slip, p_guess. Returns
+    (loglik_seq, gamma, learn) where loglik_seq[q, i] is the log-likelihood
+    of sequence i of question q, gamma[k, t, q, i] the posterior of state k
+    at slot t and learn[t, q, i] the posterior of the unmastered -> mastered
+    transition between slots t and t+1. State 0 is unmastered, state 1
+    mastered. Each question's chains end at its own last slot, so its
+    numbers do not depend on the slots other questions add.
     """
-    n, t_max = obs.shape
-    pi = _clamp(params.p_init)
-    pl = _clamp(params.p_learn)
-    s = _clamp(params.p_slip)
-    g = _clamp(params.p_guess)
+    t_max = obs.shape[0]
+    pi, pl, s, g = _clamp(params)[:, :, None]  # each (questions, 1)
+    log_stay, log_learn = np.log1p(-pl), np.log(pl)
+    # emission log-probs per state and slot, zero where nothing was observed
+    correct = obs == 1.0
+    log_e = np.stack(
+        [
+            np.where(observed, np.where(correct, np.log(g), np.log1p(-g)), 0.0),
+            np.where(observed, np.where(correct, np.log1p(-s), np.log(s)), 0.0),
+        ]
+    )
 
-    log_a = np.array([[np.log1p(-pl), np.log(pl)], [-np.inf, 0.0]])
-    # emission log-probs per slot and state, zero where nothing was observed
-    log_e = np.zeros((n, t_max, 2))
-    log_e[:, :, 0] = np.where(obs == 1.0, np.log(g), np.log1p(-g))
-    log_e[:, :, 1] = np.where(obs == 1.0, np.log1p(-s), np.log(s))
-    log_e[~observed] = 0.0
-
-    la = np.full((n, t_max, 2), -np.inf)
-    la[:, 0, 0] = np.log1p(-pi) + log_e[:, 0, 0]
-    la[:, 0, 1] = np.log(pi) + log_e[:, 0, 1]
+    la = np.full(log_e.shape, -np.inf)
+    la[0, 0] = np.log1p(-pi) + log_e[0, 0]
+    la[1, 0] = np.log(pi) + log_e[1, 0]
     for t in range(1, t_max):
-        prev = la[:, t - 1, :]
-        la[:, t, 0] = prev[:, 0] + log_a[0, 0] + log_e[:, t, 0]
-        la[:, t, 1] = (
-            np.logaddexp(prev[:, 0] + log_a[0, 1], prev[:, 1] + log_a[1, 1])
-            + log_e[:, t, 1]
-        )
+        np.add(la[0, t - 1], log_stay, out=la[0, t])
+        la[0, t] += log_e[0, t]
+        np.logaddexp(la[0, t - 1] + log_learn, la[1, t - 1], out=la[1, t])
+        la[1, t] += log_e[1, t]
 
-    lb = np.zeros((n, t_max, 2))
+    last_slot = lengths.max(axis=1) - 1
+    lb = np.zeros(log_e.shape)
     for t in range(t_max - 2, -1, -1):
-        nxt = lb[:, t + 1, :] + log_e[:, t + 1, :]
-        lb[:, t, 0] = np.logaddexp(log_a[0, 0] + nxt[:, 0], log_a[0, 1] + nxt[:, 1])
-        lb[:, t, 1] = log_a[1, 1] + nxt[:, 1]
+        np.add(lb[:, t + 1], log_e[:, t + 1], out=lb[:, t])
+        np.logaddexp(log_stay + lb[0, t], log_learn + lb[1, t], out=lb[0, t])
+        lb[:, t, t >= last_slot] = 0.0  # a question's backward pass starts at its last slot
 
-    # total mass is preserved past each sequence's end, so the final slot
-    # gives every sequence's likelihood regardless of padding
-    loglik_seq = np.logaddexp(la[:, -1, 0], la[:, -1, 1])
-    loglik_total = float(loglik_seq.sum())
+    # total mass is preserved past each sequence's end, so the question's
+    # last slot gives every sequence's likelihood regardless of padding
+    end = la[:, last_slot, np.arange(len(last_slot))]
+    loglik_seq = np.logaddexp(end[0], end[1])
 
-    gamma = np.exp(la + lb - loglik_seq[:, None, None])
-    learn = np.exp(la[:, :-1, 0] + log_a[0, 1] + (log_e[:, 1:, 1] + lb[:, 1:, 1]) - loglik_seq[:, None])
-    return loglik_total, gamma, learn
+    gamma = np.exp(la + lb - loglik_seq)
+    learn = np.exp(la[0, :-1] + log_learn + (log_e[1, 1:] + lb[1, 1:]) - loglik_seq)
+    return loglik_seq, gamma, learn
 
 
-def _em_single_question(
-    obs: np.ndarray,
-    observed: np.ndarray,
-    lengths: np.ndarray,
-    init: BktParams,
-    max_iter: int,
-    tol: float,
-) -> tuple[BktParams, list[float]]:
-    t_max = obs.shape[1]
-    # observed is already False past each sequence's end
-    trans_valid = np.arange(max(t_max - 1, 0))[None, :] < (lengths - 1)[:, None]
+def _em(obs, observed, lengths, params, max_iter, tol):
+    """Baum-Welch for every stacked question at once, from (4, questions) ``params``.
 
-    params = init
-    trace: list[float] = []
+    One forward-backward per iteration covers all questions. The M-step
+    sums run per question, each over that question's own (rows, slots)
+    block in row order, so a question's numbers do not depend on the
+    others. A question freezes at the first iteration whose log-likelihood
+    gains less than ``tol`` on the one before: its parameters and trace stop
+    there, while the others run on until they freeze too or ``max_iter``
+    runs out. Returns (params, per-question log-likelihood traces,
+    per-question flags that EM stopped on ``tol``).
+    """
+    n_slots, n_q, n_rows = obs.shape
+    rows, slots = (lengths > 0).sum(axis=1), lengths.max(axis=1, initial=0)
+    # Each question's sequences, their (sequence, slot) cells and their
+    # (sequence, slot with a next slot) steps, flattened sequence by sequence
+    # and laid end to end, question after question; ``bounds`` delimit the
+    # questions in each.
+    in_rows = np.arange(n_rows) < rows[:, None]
+    seqs = np.flatnonzero(in_rows)
+    q, i, t = np.nonzero(in_rows[:, :, None] & (np.arange(n_slots) < slots[:, None, None]))
+    cells, cell_obs, cell_seen = (t * n_q + q) * n_rows + i, obs[t, q, i], observed[t, q, i]
+    q, i, t = np.nonzero(in_rows[:, :, None] & (np.arange(max(n_slots - 1, 0)) < slots[:, None, None] - 1))
+    steps, step_valid = (t * n_q + q) * n_rows + i, t < lengths[q, i] - 1
+    bounds = [np.cumsum(np.concatenate([[0], rows * s])) for s in (1, slots, np.maximum(slots - 1, 0))]
+
+    params = params.copy()
+    traces: list[list[float]] = [[] for _ in range(n_q)]
+    active = np.ones(n_q, dtype=bool)
     for _ in range(max_iter):
-        loglik, gamma, learn = _forward_backward(obs, observed, params)
-        trace.append(loglik)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+        if not active.any():
             break
+        loglik_seq, gamma, learn = _forward_backward(obs, observed, lengths, params)
+        unmastered = gamma[0].ravel()[cells] * cell_seen
+        mastered = gamma[1].ravel()[cells] * cell_seen
+        per_block = [
+            np.stack([loglik_seq.ravel()[seqs], gamma[1, 0].ravel()[seqs]]),
+            np.stack([unmastered, unmastered * cell_obs, mastered, mastered * (1.0 - cell_obs)]),
+            np.stack([learn.ravel()[steps] * step_valid, gamma[0].ravel()[steps] * step_valid]),
+        ]
+        sums = np.zeros((8, n_q))
+        for k in np.flatnonzero(active):
+            sums[:, k] = np.concatenate(
+                [block[:, b[k] : b[k + 1]].sum(axis=1) for block, b in zip(per_block, bounds)]
+            )
+            trace = traces[k]
+            trace.append(float(sums[0, k]))
+            if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+                active[k] = False
+        params = np.where(active, _m_step(sums[1:], rows, params), params)
+    # EM freezes a question as soon as this holds, so it holds only if EM stopped on tol
+    converged = [len(trace) >= 2 and trace[-1] - trace[-2] < tol for trace in traces]
+    return params, traces, converged
 
-        p_init = float(np.mean(gamma[:, 0, 1]))
-        num_learn = float((learn * trans_valid).sum())
-        den_learn = float((gamma[:, :-1, 0] * trans_valid).sum()) if t_max > 1 else 0.0
-        p_learn = num_learn / den_learn if den_learn > 0 else params.p_learn
 
-        den_g = float((gamma[:, :, 0] * observed).sum())
-        num_g = float((gamma[:, :, 0] * observed * obs).sum())
-        p_guess = num_g / den_g if den_g > 0 else params.p_guess
-        den_s = float((gamma[:, :, 1] * observed).sum())
-        num_s = float((gamma[:, :, 1] * observed * (1.0 - obs)).sum())
-        p_slip = num_s / den_s if den_s > 0 else params.p_slip
+def _m_step(sums, rows, params):
+    """Baum-Welch re-estimates of (4, questions) ``params`` from each question's expected counts.
 
-        params = BktParams(
-            p_init=_clamp(p_init),
-            p_learn=_clamp(p_learn),
-            p_slip=min(max(p_slip, PROB_FLOOR), NOISE_CAP),
-            p_guess=min(max(p_guess, PROB_FLOOR), NOISE_CAP),
-        )
-    return params, trace
+    ``sums`` rows, per question: the initial mastery summed over its
+    ``rows`` sequences; unmastered-and-observed, unmastered-and-correct,
+    mastered-and-observed and mastered-and-wrong slots; unmastered ->
+    mastered transitions and unmastered slots that have a next slot. A
+    probability whose count has no mass keeps its current value.
+    """
+    init, den_g, num_g, den_s, num_s, num_learn, den_learn = sums
+
+    def ratio(num, den, current):
+        return np.divide(num, den, out=current.copy(), where=den > 0)
+
+    return np.stack(
+        [
+            _clamp(init / rows),
+            _clamp(ratio(num_learn, den_learn, params[1])),
+            np.clip(ratio(num_s, den_s, params[2]), PROB_FLOOR, NOISE_CAP),
+            np.clip(ratio(num_g, den_g, params[3]), PROB_FLOOR, NOISE_CAP),
+        ]
+    )
 
 
 @dataclass
@@ -243,8 +291,8 @@ def bkt_fit_em(
 ) -> BktFit:
     """Fit per-question chain parameters by EM (Baum-Welch).
 
-    Iterates until the log-likelihood improvement drops below ``tol`` or
-    ``max_iter`` is reached. Initial values are the documented defaults with
+    Each question iterates until its log-likelihood improvement drops below
+    ``tol`` or ``max_iter`` is reached. Initial values are the documented defaults with
     a small seeded jitter to break symmetry. Questions without a single
     labeled sequence fall back to the un-jittered defaults, with a warning.
 
@@ -256,36 +304,28 @@ def bkt_fit_em(
     than ``tol`` per step; ``BktFit.converged`` reads False for each of them.
     """
     fallback = BktParams(**DEFAULT_INIT)
-    question_params: dict[str, BktParams] = {}
-    traces: dict[str, list[float]] = {}
-    converged: dict[str, bool] = {}
-    sequences = _question_sequences(train)
-    for qid, seq in zip(train.question_index, sequences):
-        if seq is None:
-            warnings.warn(f"question {qid}: no labeled sequences, using prior parameters")
-            question_params[qid] = fallback
-            traces[qid] = []
-            converged[qid] = True
-            continue
-        rng = np.random.default_rng(derive_seed(seed, "bkt", qid))
-        jitter = rng.uniform(-0.02, 0.02, size=4)
-        init = BktParams(
-            p_init=_clamp(DEFAULT_INIT["p_init"] + jitter[0]),
-            p_learn=_clamp(DEFAULT_INIT["p_learn"] + jitter[1]),
-            p_slip=min(max(DEFAULT_INIT["p_slip"] + jitter[2], PROB_FLOOR), NOISE_CAP),
-            p_guess=min(max(DEFAULT_INIT["p_guess"] + jitter[3], PROB_FLOOR), NOISE_CAP),
-        )
-        params, trace = _em_single_question(*seq[1:], init, max_iter, tol)
-        question_params[qid] = params
-        traces[qid] = trace
-        # EM breaks as soon as this holds, so it holds at the end only if EM stopped on tol
-        converged[qid] = len(trace) >= 2 and trace[-1] - trace[-2] < tol
-
-    fit = BktFit(
-        question_params=question_params, fallback=fallback, loglik_trace=traces, converged=converged
+    learners, obs, observed, lengths = _stacked_sequences(train)
+    with_seq = lengths.any(axis=1)
+    fitted = [qid for qid, has in zip(train.question_index, with_seq) if has]
+    jitter = [np.random.default_rng(derive_seed(seed, "bkt", q)).uniform(-0.02, 0.02, size=4) for q in fitted]
+    init = np.array(list(DEFAULT_INIT.values()))[:, None] + np.reshape(jitter, (-1, 4)).T
+    init[:2] = _clamp(init[:2])
+    init[2:] = np.clip(init[2:], PROB_FLOOR, NOISE_CAP)
+    params, traces, converged = _em(
+        obs[:, with_seq], observed[:, with_seq], lengths[with_seq], init, max_iter, tol
     )
+
+    fit = BktFit(question_params={}, fallback=fallback)
+    em_results = zip(params.T, traces, converged)
+    for qid, has in zip(train.question_index, with_seq):
+        if has:
+            p, fit.loglik_trace[qid], fit.converged[qid] = next(em_results)
+            fit.question_params[qid] = BktParams(*map(float, p))
+        else:
+            warnings.warn(f"question {qid}: no labeled sequences, using prior parameters")
+            fit.question_params[qid], fit.loglik_trace[qid], fit.converged[qid] = fallback, [], True
     if individualized:
-        fit.learner_offsets = _fit_learner_offsets(train, fit, sequences)
+        fit.learner_offsets = _fit_learner_offsets(train, fit, learners, obs, observed)
     return fit
 
 
@@ -294,37 +334,38 @@ def _offset_p_init(p_init, delta):
     return _clamp(_sigmoid(np.log(p_init / (1.0 - p_init)) + delta))
 
 
-def _fit_learner_offsets(ds: Dataset, fit: BktFit, sequences: list[tuple | None]) -> dict[str, float]:
+def _fit_learner_offsets(
+    ds: Dataset, fit: BktFit, learners: np.ndarray, obs: np.ndarray, observed: np.ndarray
+) -> dict[str, float]:
     """Golden-section search for every learner's p_init logit offset at once.
 
     A learner's objective is the log-likelihood of their labeled attempts,
-    filtered in order per question and summed over questions in code order.
-    Only learners with a labeled attempt get an offset, listed by their first
-    labeled question, then by code.
+    filtered in order per question and summed over questions in code order;
+    ``learners``, ``obs`` and ``observed`` are every question's stacked
+    sequences, as ``_stacked_sequences`` gives them. Only learners with a
+    labeled attempt get an offset, listed by their first labeled question,
+    then by code.
 
     Known defect, kept so the fitted numbers stay put: the objective skips a
     held-out gap without the learn-only transition that EM and
     ``BktModel.predict`` apply there, so the chain it scores is one the
     other two never see.
     """
-    scored = [
-        (fit.question_params[qid], seq) for qid, seq in zip(ds.question_index, sequences) if seq is not None
-    ]
-    if not scored:
+    labeled = observed.any(axis=0)
+    if not labeled.any():
         return {}
+    per_question = [fit.question_params[qid] for qid in ds.question_index]
+    params = SimpleNamespace(**{f: np.array([[getattr(p, f)] for p in per_question]) for f in DEFAULT_INIT})
 
     def neg_loglik(delta: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(delta))
-        for params, (learners, obs, observed, _) in scored:
-            belief = _offset_p_init(params.p_init, delta[learners])
-            loglik = np.zeros(len(learners))
-            for o, seen in zip(obs.T == 1.0, observed.T):
-                p = _clamp(bkt_predict_next(belief, params))
-                loglik = np.where(seen, loglik + np.where(o, np.log(p), np.log(1.0 - p)), loglik)
-                updated = np.where(o, bkt_posterior_update(belief, 1, params), bkt_posterior_update(belief, 0, params))
-                belief = np.where(seen, updated, belief)
-            total[learners] += loglik
-        return -total
+        belief = _offset_p_init(params.p_init, delta[learners])
+        loglik = np.zeros(belief.shape)
+        for o, seen in zip(obs == 1.0, observed):
+            p = _clamp(bkt_predict_next(belief, params))
+            loglik = np.where(seen, loglik + np.where(o, np.log(p), np.log(1.0 - p)), loglik)
+            updated = np.where(o, bkt_posterior_update(belief, 1, params), bkt_posterior_update(belief, 0, params))
+            belief = np.where(seen, updated, belief)
+        return -np.bincount(learners.ravel(), weights=loglik.ravel(), minlength=len(delta))
 
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     lo, hi = np.full((2, len(ds.learner_index)), [[-4.0], [4.0]])
@@ -336,7 +377,7 @@ def _fit_learner_offsets(ds: Dataset, fit: BktFit, sequences: list[tuple | None]
         x = np.where(left, hi - phi * (hi - lo), lo + phi * (hi - lo))
         f = neg_loglik(x)
         x1, x2, f1, f2 = np.where(left, [x, x1, f, f1], [x2, x, f2, f])
-    order = np.concatenate([seq[0] for _, seq in scored])
+    order = learners[labeled]
     fitted = order[np.sort(np.unique(order, return_index=True)[1])]
     learner_ids = np.array(list(ds.learner_index), dtype=object)
     return dict(zip(learner_ids[fitted].tolist(), ((lo + hi) / 2.0)[fitted].tolist()))

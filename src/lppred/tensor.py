@@ -7,13 +7,19 @@ row and a per-(question, attempt) factor fiber:
 
 fitted by alternating ridge least squares over the observed cells only:
 learner rows are solved in closed form given the fiber factors, then fibers
-given the rows. Each subproblem is solved exactly, so the regularized
-squared-error objective never increases between sweeps. Predictions are
-clamped to [0, 1].
+given the rows. The rows of one half-sweep are independent ridge
+regressions, so their (rank x rank) normal equations are summed by
+``np.bincount`` and solved in one stacked ``np.linalg.solve`` (a stacked
+pseudo-inverse, the minimum-norm solution, when the ridge is 0). Each
+subproblem is solved exactly, so the regularized squared-error objective
+never increases between sweeps. Sweeps stop once one gains less than
+``TOL``; a fit that runs out of sweeps first warns and reports
+``converged=False``. Predictions are clamped to [0, 1].
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -40,6 +46,7 @@ class TensorModel:
     global_mean: float = 0.5
     objective_trace: tuple[float, ...] = ()
     cold_learners: tuple[str, ...] = ()
+    converged: bool = True  # ALS stopped on TOL before ``max_sweeps``
 
     def to_dict(self) -> dict:
         return {
@@ -59,6 +66,37 @@ def als_objective(u, v_flat, li, qa, y, ridge) -> float:
     return sse + ridge * (float(np.sum(u * u)) + float(np.sum(v_flat * v_flat)))
 
 
+def _ridge_solves(groups, n_groups, x, y, ridge, current):
+    """Independent ridge least-squares fits, one per group, in one stacked solve.
+
+    Group g owns the cells where ``groups == g``; ``x`` (cells, r) holds their
+    regressors and ``y`` their targets. Returns the (n_groups, r) solutions of
+    (X_g^T X_g + ridge I) b = X_g^T y_g, built by ``np.bincount`` and solved in
+    one ``np.linalg.solve``. With ``ridge == 0`` each group gets the
+    minimum-norm least-squares solution, as ``np.linalg.lstsq`` would give,
+    through the pseudo-inverse of its Gram matrix. A group without cells keeps
+    its row of ``current``.
+    """
+    r = x.shape[1]
+    rhs = np.bincount(
+        (groups[:, None] * r + np.arange(r)).ravel(),
+        weights=(y[:, None] * x).ravel(),
+        minlength=n_groups * r,
+    ).reshape(n_groups, r, 1)
+    gram = np.bincount(
+        (groups[:, None] * (r * r) + np.arange(r * r)).ravel(),
+        weights=(x[:, :, None] * x[:, None, :]).ravel(),
+        minlength=n_groups * r * r,
+    ).reshape(n_groups, r, r)
+    if ridge > 0:
+        gram[:, np.arange(r), np.arange(r)] += ridge
+        solved = np.linalg.solve(gram, rhs)[:, :, 0]
+    else:
+        solved = (np.linalg.pinv(gram, hermitian=True) @ rhs)[:, :, 0]
+    empty = np.bincount(groups, minlength=n_groups) == 0
+    return np.where(empty[:, None], current, solved)
+
+
 def als_fit_cells(
     li: np.ndarray,
     qa: np.ndarray,
@@ -76,36 +114,18 @@ def als_fit_cells(
     ``y`` may be any real values; the Dataset-facing fit passes binary
     outcomes while reconstruction checks pass exact products. Returns
     (learner factors, flattened fiber factors, objective trace). Each
-    subproblem is solved exactly (ridge solve, or minimum-norm lstsq when
-    ridge is 0), so the trace is non-increasing.
+    half-sweep is one ``_ridge_solves`` call and solves its subproblems
+    exactly, so the trace is non-increasing.
     """
     rng = np.random.default_rng(derive_seed(seed, "tensor"))
     scale = 1.0 / np.sqrt(rank)
     u = rng.uniform(0.0, scale, size=(n_learners, rank))
     v = rng.uniform(0.0, scale, size=(rank, n_fibers))
 
-    cells_by_learner = [np.flatnonzero(li == l) for l in range(n_learners)]
-    cells_by_fiber = [np.flatnonzero(qa == f) for f in range(n_fibers)]
-    eye = np.eye(rank)
-
     trace = [als_objective(u, v, li, qa, y, ridge)]
     for _ in range(max_sweeps):
-        for l, cells in enumerate(cells_by_learner):
-            if cells.size == 0:
-                continue
-            vt = v[:, qa[cells]].T  # (m, rank)
-            if ridge > 0:
-                u[l] = np.linalg.solve(vt.T @ vt + ridge * eye, vt.T @ y[cells])
-            else:
-                u[l] = np.linalg.lstsq(vt, y[cells], rcond=None)[0]
-        for f, cells in enumerate(cells_by_fiber):
-            if cells.size == 0:
-                continue
-            um = u[li[cells]]
-            if ridge > 0:
-                v[:, f] = np.linalg.solve(um.T @ um + ridge * eye, um.T @ y[cells])
-            else:
-                v[:, f] = np.linalg.lstsq(um, y[cells], rcond=None)[0]
+        u = _ridge_solves(li, n_learners, v[:, qa].T, y, ridge, u)
+        v = _ridge_solves(qa, n_fibers, u[li], y, ridge, v.T).T
         trace.append(als_objective(u, v, li, qa, y, ridge))
         if trace[-2] - trace[-1] < tol:
             break
@@ -122,7 +142,8 @@ def tensor_fit_als(
     """Alternating ridge least squares on the observed (learner, question, attempt) cells.
 
     Iterates full sweeps (all learner rows, then all observed fibers) until
-    the objective improvement falls below ``TOL``. Factors start uniform in
+    the objective improvement falls below ``TOL``; if ``max_sweeps`` runs out
+    first, ``converged`` is False and a warning is issued. Factors start uniform in
     [0, 1/sqrt(rank)], seeded. Learners without a single observed cell get
     the mean of the fitted rows and are listed in ``cold_learners``.
     """
@@ -144,6 +165,10 @@ def tensor_fit_als(
         raise ValueError("tensor_fit_als requires labeled records")
 
     u, v, trace = als_fit_cells(li, qa, y, n_l, n_q * n_a, rank, ridge, max_sweeps, TOL, seed)
+    # ALS breaks as soon as this holds, so it holds at the end only if ALS stopped on TOL
+    converged = len(trace) >= 2 and trace[-2] - trace[-1] < TOL
+    if not converged:
+        warnings.warn(f"tensor_fit_als: ALS stopped at max_sweeps={max_sweeps} before TOL")
 
     cells_per_learner = np.bincount(li, minlength=n_l)
     observed_learners = np.flatnonzero(cells_per_learner > 0)
@@ -175,6 +200,7 @@ def tensor_fit_als(
         global_mean=float(y.mean()),
         objective_trace=tuple(trace),
         cold_learners=tuple(cold),
+        converged=converged,
     )
 
 

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from lppred.bkt import (
+    DEFAULT_INIT,
+    NOISE_CAP,
+    PROB_FLOOR,
     BktModel,
     BktParams,
     _fit_learner_offsets,
-    _question_sequences,
+    _stacked_sequences,
     bkt_fit_em,
     bkt_posterior_update,
     bkt_predict_next,
@@ -177,6 +180,142 @@ class TestEmFit:
             assert p.p_slip + p.p_guess < 1
 
 
+def reference_forward_backward(obs, observed, p):
+    """One question's log-space forward-backward over its padded (sequences, slots) arrays."""
+    n, t_max = obs.shape
+    log_a = np.array([[np.log1p(-p.p_learn), np.log(p.p_learn)], [-np.inf, 0.0]])
+    log_e = np.zeros((n, t_max, 2))
+    log_e[:, :, 0] = np.where(obs == 1.0, np.log(p.p_guess), np.log1p(-p.p_guess))
+    log_e[:, :, 1] = np.where(obs == 1.0, np.log1p(-p.p_slip), np.log(p.p_slip))
+    log_e[~observed] = 0.0
+    la = np.full((n, t_max, 2), -np.inf)
+    la[:, 0, 0] = np.log1p(-p.p_init) + log_e[:, 0, 0]
+    la[:, 0, 1] = np.log(p.p_init) + log_e[:, 0, 1]
+    for t in range(1, t_max):
+        prev = la[:, t - 1, :]
+        la[:, t, 0] = prev[:, 0] + log_a[0, 0] + log_e[:, t, 0]
+        la[:, t, 1] = np.logaddexp(prev[:, 0] + log_a[0, 1], prev[:, 1] + log_a[1, 1]) + log_e[:, t, 1]
+    lb = np.zeros((n, t_max, 2))
+    for t in range(t_max - 2, -1, -1):
+        nxt = lb[:, t + 1, :] + log_e[:, t + 1, :]
+        lb[:, t, 0] = np.logaddexp(log_a[0, 0] + nxt[:, 0], log_a[0, 1] + nxt[:, 1])
+        lb[:, t, 1] = log_a[1, 1] + nxt[:, 1]
+    loglik_seq = np.logaddexp(la[:, -1, 0], la[:, -1, 1])
+    gamma = np.exp(la + lb - loglik_seq[:, None, None])
+    learn = np.exp(la[:, :-1, 0] + log_a[0, 1] + (log_e[:, 1:, 1] + lb[:, 1:, 1]) - loglik_seq[:, None])
+    return float(loglik_seq.sum()), gamma, learn
+
+
+def reference_em(ds, max_iter, tol, seed):
+    """Baum-Welch one question at a time: {qid: (params, trace, converged)} for questions with sequences."""
+    table = ds.outcome_table()[:-1, :-1, :-1]
+    out = {}
+    for q, qid in enumerate(ds.question_index):
+        learners = np.flatnonzero((table[:, q, :] >= 0).any(axis=1))
+        if not learners.size:
+            continue
+        observed = table[learners, q, :] >= 0
+        lengths = observed.shape[1] - np.argmax(observed[:, ::-1], axis=1)
+        t_max = int(lengths.max())
+        obs, observed = (table[learners, q, :t_max] == 1).astype(float), observed[:, :t_max]
+        trans_valid = np.arange(t_max - 1)[None, :] < (lengths - 1)[:, None]
+        jitter = np.random.default_rng(derive_seed(seed, "bkt", qid)).uniform(-0.02, 0.02, size=4)
+        p = BktParams(
+            p_init=min(max(DEFAULT_INIT["p_init"] + jitter[0], PROB_FLOOR), 1.0 - PROB_FLOOR),
+            p_learn=min(max(DEFAULT_INIT["p_learn"] + jitter[1], PROB_FLOOR), 1.0 - PROB_FLOOR),
+            p_slip=min(max(DEFAULT_INIT["p_slip"] + jitter[2], PROB_FLOOR), NOISE_CAP),
+            p_guess=min(max(DEFAULT_INIT["p_guess"] + jitter[3], PROB_FLOOR), NOISE_CAP),
+        )
+        trace = []
+        for _ in range(max_iter):
+            loglik, gamma, learn = reference_forward_backward(obs, observed, p)
+            trace.append(loglik)
+            if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+                break
+            den_learn = float((gamma[:, :-1, 0] * trans_valid).sum()) if t_max > 1 else 0.0
+            den_g = float((gamma[:, :, 0] * observed).sum())
+            den_s = float((gamma[:, :, 1] * observed).sum())
+            p_learn = float((learn * trans_valid).sum()) / den_learn if den_learn > 0 else p.p_learn
+            p_guess = float((gamma[:, :, 0] * observed * obs).sum()) / den_g if den_g > 0 else p.p_guess
+            p_slip = float((gamma[:, :, 1] * observed * (1.0 - obs)).sum()) / den_s if den_s > 0 else p.p_slip
+            p = BktParams(
+                p_init=min(max(float(np.mean(gamma[:, 0, 1])), PROB_FLOOR), 1.0 - PROB_FLOOR),
+                p_learn=min(max(p_learn, PROB_FLOOR), 1.0 - PROB_FLOOR),
+                p_slip=min(max(p_slip, PROB_FLOOR), NOISE_CAP),
+                p_guess=min(max(p_guess, PROB_FLOOR), NOISE_CAP),
+            )
+        out[qid] = (p, trace, len(trace) >= 2 and trace[-1] - trace[-2] < tol)
+    return out
+
+
+def assert_em_matches_reference(fit, ds, max_iter=100, tol=1e-6, seed=0):
+    """Equal trace lengths and flags, traces and parameters within 1e-12; returns the reference."""
+    expected = reference_em(ds, max_iter, tol, seed)
+    assert list(fit.question_params) == list(ds.question_index)
+    for qid in ds.question_index:
+        if qid not in expected:
+            assert fit.question_params[qid] == fit.fallback
+            assert fit.loglik_trace[qid] == [] and fit.converged[qid]
+            continue
+        params, trace, converged = expected[qid]
+        assert len(fit.loglik_trace[qid]) == len(trace), qid
+        assert fit.converged[qid] == converged, qid
+        np.testing.assert_allclose(fit.loglik_trace[qid], trace, rtol=1e-12)
+        for name in DEFAULT_INIT:
+            assert getattr(fit.question_params[qid], name) == pytest.approx(getattr(params, name), abs=1e-12)
+    return expected
+
+
+class TestStackedEm:
+    """The stacked EM against a per-question loop of the same Baum-Welch steps."""
+
+    def test_questions_freeze_at_their_own_iteration(self):
+        # every Q1x answer is correct and QS has one attempt per learner, so
+        # both settle early; Q2 and Q3 run to the budget
+        ds = simulate_bkt(SimSpec(40, 3, 6, seed=5)).dataset
+        extra = [(f"L{i}", "Q1x", 1, 1) for i in range(1, 30)]
+        extra += [(f"L{i}", "QS", 1, int(i % 3 == 0)) for i in range(1, 25)]
+        ds = Dataset.from_records(list(ds.records) + make_records(extra))
+        fit = bkt_fit_em(ds, max_iter=30, tol=1e-6, seed=3)
+        lengths = {qid: len(trace) for qid, trace in fit.loglik_trace.items()}
+        assert fit.converged["QS"] and fit.converged["Q1x"] and lengths["QS"] < lengths["Q1x"] < 30
+        assert not fit.converged["Q2"] and lengths["Q2"] == 30
+        assert_em_matches_reference(fit, ds, max_iter=30, tol=1e-6, seed=3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lesson_fold_with_held_out_gaps(self, seed):
+        spec = SimSpec(66, 8, 9, generator="bkt-process", seed=3, stop_on_correct=True)
+        ds = simulate(spec).dataset
+        train = ds.subset(make_folds(ds, 5, seed).train_positions(seed))
+        fit = bkt_fit_em(train, seed=seed)
+        expected = assert_em_matches_reference(fit, train, seed=seed)
+        # questions end at different slots here; each one's sums are formed in
+        # the per-question order, so the numbers agree to the bit
+        assert {q: p for q, (p, _, _) in expected.items()} == fit.question_params
+        assert {q: t for q, (_, t, _) in expected.items()} == fit.loglik_trace
+        loose = bkt_fit_em(train, seed=seed, tol=1e-2)
+        assert_em_matches_reference(loose, train, tol=1e-2, seed=seed)
+
+    def test_question_without_sequences_keeps_fallback(self):
+        records = make_records(
+            [("L1", "Q1", 1, 1), ("L1", "Q1", 2, 0), ("L2", "Q1", 1, 0), ("L2", "Q2", 1, None),
+             ("L1", "Q3", 1, 1), ("L2", "Q3", 1, 1), ("L2", "Q3", 3, 0)]
+        )
+        ds = Dataset.from_records(records)
+        with pytest.warns(UserWarning, match="Q2"):
+            fit = bkt_fit_em(ds, seed=4)
+        assert_em_matches_reference(fit, ds, seed=4)
+
+    def test_no_labeled_rows(self):
+        ds = Dataset.from_records(make_records([("L1", "Q1", 1, None), ("L2", "Q2", 2, None)]))
+        with pytest.warns(UserWarning) as caught:
+            fit = bkt_fit_em(ds, seed=0)
+        assert [str(w.message) for w in caught] == [
+            f"question {q}: no labeled sequences, using prior parameters" for q in ("Q1", "Q2")
+        ]
+        assert_em_matches_reference(fit, ds)
+
+
 def offset_p_init(p_init, delta):
     p0 = 1.0 / (1.0 + np.exp(-(np.log(p_init / (1.0 - p_init)) + delta)))
     return min(max(float(p0), NEAR_ZERO), 1.0 - NEAR_ZERO)
@@ -246,7 +385,7 @@ class TestLearnerOffsets:
         with pytest.warns(UserWarning, match="QN"):
             fit = bkt_fit_em(ds, seed=0)
         expected = reference_learner_offsets(ds, fit)
-        got = _fit_learner_offsets(ds, fit, _question_sequences(ds))
+        got = _fit_learner_offsets(ds, fit, *_stacked_sequences(ds)[:3])
         assert list(got.items()) == list(expected.items())
         assert "LS" in got and "LU" not in got
         with pytest.warns(UserWarning, match="QN"):

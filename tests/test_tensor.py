@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lppred.data import Dataset
 from lppred.simulate import SimSpec, simulate_lowrank
+from lppred.seeds import derive_seed
 from lppred.tensor import (
     TensorFactorizationModel,
     TensorModel,
+    _ridge_solves,
     als_fit_cells,
+    als_objective,
     tensor_fit_als,
     tensor_predict,
 )
@@ -45,6 +50,82 @@ class TestAlsCore:
         y = np.full(n_l * n_f, 0.6)
         u, v, _ = als_fit_cells(li, qa, y, n_l, n_f, 1, 0.0, 200, 1e-15, seed=0)
         assert np.abs(u @ v - 0.6).max() < 1e-6
+
+
+def reference_half_sweep(groups, n_groups, x, y, ridge, current):
+    """One ridge solve (or minimum-norm lstsq when ridge is 0) per group with cells."""
+    out = current.copy()
+    eye = np.eye(x.shape[1])
+    for g in range(n_groups):
+        cells = np.flatnonzero(groups == g)
+        if cells.size == 0:
+            continue
+        xg = x[cells]
+        if ridge > 0:
+            out[g] = np.linalg.solve(xg.T @ xg + ridge * eye, xg.T @ y[cells])
+        else:
+            out[g] = np.linalg.lstsq(xg, y[cells], rcond=None)[0]
+    return out
+
+
+def reference_als(li, qa, y, n_l, n_f, rank, ridge, max_sweeps, tol, seed):
+    """Alternating least squares with one solve per learner, then one per fiber."""
+    rng = np.random.default_rng(derive_seed(seed, "tensor"))
+    u = rng.uniform(0.0, 1.0 / np.sqrt(rank), size=(n_l, rank))
+    v = rng.uniform(0.0, 1.0 / np.sqrt(rank), size=(rank, n_f))
+    trace = [als_objective(u, v, li, qa, y, ridge)]
+    for _ in range(max_sweeps):
+        u = reference_half_sweep(li, n_l, v[:, qa].T, y, ridge, u)
+        v = reference_half_sweep(qa, n_f, u[li], y, ridge, v.T).T
+        trace.append(als_objective(u, v, li, qa, y, ridge))
+        if trace[-2] - trace[-1] < tol:
+            break
+    return u, v, trace
+
+
+class TestStackedSolves:
+    def sparse_cells(self, seed):
+        """Random cells over 9 learners and 7 fibers; learner 4 and fiber 5 have none."""
+        rng = np.random.default_rng(seed)
+        li, qa = np.nonzero(rng.random((9, 7)) < 0.6)
+        keep = (li != 4) & (qa != 5)
+        li, qa = li[keep], qa[keep]
+        return li, qa, rng.random(li.size)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_half_sweeps_match_per_group_loop(self, ridge):
+        rng = np.random.default_rng(1)
+        for seed in range(5):
+            li, qa, y = self.sparse_cells(seed)
+            u, v = rng.normal(size=(9, 2)), rng.normal(size=(2, 7))
+            got_u = _ridge_solves(li, 9, v[:, qa].T, y, ridge, u)
+            np.testing.assert_allclose(got_u, reference_half_sweep(li, 9, v[:, qa].T, y, ridge, u), rtol=1e-12)
+            got_v = _ridge_solves(qa, 7, got_u[li], y, ridge, v.T)
+            np.testing.assert_allclose(got_v, reference_half_sweep(qa, 7, got_u[li], y, ridge, v.T), rtol=1e-12)
+            # the learner and the fiber without cells keep their values exactly
+            assert np.array_equal(got_u[4], u[4]) and np.array_equal(got_v[5], v[:, 5])
+
+    def test_rank_deficient_group_gets_minimum_norm_solution(self):
+        # learner 0 has one cell at rank 2, learner 1 two cells along one direction
+        li, qa = np.array([0, 1, 1, 2, 2]), np.array([0, 1, 2, 0, 1])
+        y = np.array([0.7, 0.2, 0.4, 0.3, 0.9])
+        v = np.array([[0.6, 0.5, 1.0, 0.0], [0.8, 0.25, 0.5, 1.0]])
+        got = _ridge_solves(li, 3, v[:, qa].T, y, 0.0, np.zeros((3, 2)))
+        for learner in range(3):
+            cells = li == learner
+            expected = np.linalg.lstsq(v[:, qa[cells]].T, y[cells], rcond=None)[0]
+            np.testing.assert_allclose(got[learner], expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_full_trace_matches_per_group_loop(self, ridge):
+        for seed in (0, 1, 2):
+            li, qa, y, _, (n_l, n_f) = exact_rank2_cells(seed)
+            args = (li, qa, y, n_l, n_f, 2, ridge, 60, 1e-14, seed)
+            u, v, trace = als_fit_cells(*args)
+            ref_u, ref_v, ref_trace = reference_als(*args)
+            assert len(trace) == len(ref_trace)
+            np.testing.assert_allclose(trace, ref_trace, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(u @ v, ref_u @ ref_v, rtol=1e-12, atol=1e-12)
 
 
 class TestDatasetFit:
@@ -87,6 +168,17 @@ class TestDatasetFit:
         pred = tensor_predict(model, [r.key() for r in test])
         base = np.full(len(test), model.global_mean)
         assert np.sqrt(np.mean((pred - actual) ** 2)) < np.sqrt(np.mean((base - actual) ** 2))
+
+    def test_budget_exhausted_warns_and_reports(self):
+        res = simulate_lowrank(SimSpec(12, 5, 3, generator="low-rank-tensor", rank=2, seed=3))
+        with pytest.warns(UserWarning, match="max_sweeps=1"):
+            model = tensor_fit_als(res.dataset, rank=2, ridge=0.1, max_sweeps=1, seed=0)
+        assert not model.converged
+        assert len(model.objective_trace) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = tensor_fit_als(res.dataset, rank=2, ridge=0.1, max_sweeps=2000, seed=0)
+        assert model.converged
 
     def test_rank_exceeds_learners_rejected(self):
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)]))
