@@ -342,14 +342,10 @@ def _fit_learner_offsets(
     A learner's objective is the log-likelihood of their labeled attempts,
     filtered in order per question and summed over questions in code order;
     ``learners``, ``obs`` and ``observed`` are every question's stacked
-    sequences, as ``_stacked_sequences`` gives them. Only learners with a
-    labeled attempt get an offset, listed by their first labeled question,
-    then by code.
-
-    Known defect, kept so the fitted numbers stay put: the objective skips a
-    held-out gap without the learn-only transition that EM and
-    ``BktModel.predict`` apply there, so the chain it scores is one the
-    other two never see.
+    sequences, as ``_stacked_sequences`` gives them. A held-out attempt
+    inside a sequence applies the learn-only transition, as EM and
+    ``BktModel.predict`` do. Only learners with a labeled attempt get an
+    offset, listed by their first labeled question, then by code.
     """
     labeled = observed.any(axis=0)
     if not labeled.any():
@@ -364,7 +360,7 @@ def _fit_learner_offsets(
             p = _clamp(bkt_predict_next(belief, params))
             loglik = np.where(seen, loglik + np.where(o, np.log(p), np.log(1.0 - p)), loglik)
             updated = np.where(o, bkt_posterior_update(belief, 1, params), bkt_posterior_update(belief, 0, params))
-            belief = np.where(seen, updated, belief)
+            belief = np.where(seen, updated, belief + (1.0 - belief) * params.p_learn)
         return -np.bincount(learners.ravel(), weights=loglik.ravel(), minlength=len(delta))
 
     phi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -324,32 +324,38 @@ def offset_p_init(p_init, delta):
 def reference_learner_offsets(ds, fit):
     """One scalar golden-section search per learner over its labeled attempts.
 
-    Each (learner, question) sequence is the learner's labeled outcomes in
-    attempt order, held-out gaps skipped; learners are listed by their first
-    labeled question, then by code.
+    Each (learner, question) chain starts at attempt 1 and runs to the
+    learner's last labeled attempt; a held-out attempt in between applies
+    the learn-only transition. Learners are listed by their first labeled
+    question, then by code.
     """
     labeled = {}
     for rec in ds.records:
         if rec.obs is not None:
-            labeled.setdefault((rec.learner_id, rec.question_id), []).append((rec.attempt, rec.obs))
+            labeled.setdefault((rec.learner_id, rec.question_id), {})[rec.attempt] = rec.obs
     by_learner = {}
     for qid in ds.question_index:
         for lid in ds.learner_index:
             if (lid, qid) in labeled:
-                by_learner.setdefault(lid, []).append((qid, [o for _, o in sorted(labeled[lid, qid])]))
+                by_learner.setdefault(lid, []).append((qid, labeled[lid, qid]))
 
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     offsets = {}
     for lid, seqs in by_learner.items():
         def neg_loglik(delta):
             total = 0.0
-            for qid, observations in seqs:
+            for qid, attempts in seqs:
                 p = fit.question_params[qid]
                 p = BktParams(offset_p_init(p.p_init, delta), p.p_learn, p.p_slip, p.p_guess)
-                loglik = 0.0
-                for pred, obs in zip(sequence_predictions(observations, p), observations):
-                    pred = min(max(pred, NEAR_ZERO), 1.0 - NEAR_ZERO)
+                belief, loglik = p.p_init, 0.0
+                for attempt in range(1, max(attempts) + 1):
+                    obs = attempts.get(attempt)
+                    if obs is None:
+                        belief = belief + (1.0 - belief) * p.p_learn
+                        continue
+                    pred = min(max(bkt_predict_next(belief, p), NEAR_ZERO), 1.0 - NEAR_ZERO)
                     loglik += np.log(pred) if obs == 1 else np.log(1.0 - pred)
+                    belief = bkt_posterior_update(belief, obs, p)
                 total += float(loglik)
             return -total
 
@@ -391,6 +397,19 @@ class TestLearnerOffsets:
         with pytest.warns(UserWarning, match="QN"):
             model = BktModel(seed=0, individualized=True).fit(ds)
         assert list(model.fit_result.learner_offsets.items()) == list(expected.items())
+
+    def test_held_out_gap_applies_the_learning_transition(self):
+        # both answer right, wrong, right; L1's attempts 3 and 4 are held out
+        rows = [("L1", "Q1", 1, 1), ("L1", "Q1", 2, 0), ("L1", "Q1", 5, 1)]
+        rows += [("L2", "Q1", 1, 1), ("L2", "Q1", 2, 0), ("L2", "Q1", 3, 1)]
+        ds = Dataset.from_records(make_records(rows))
+        fit = bkt_fit_em(ds, seed=0)
+        fit.question_params["Q1"] = BktParams(0.5, 0.1, 0.1, 0.3)
+        got = _fit_learner_offsets(ds, fit, *_stacked_sequences(ds)[:3])
+        assert got == reference_learner_offsets(ds, fit)
+        # skipping the gap would score both chains alike; with two learning
+        # steps L1's last right answer needs no initial mastery
+        assert got["L1"] < -3.9 and got["L2"] > 3.9
 
     def test_no_labeled_attempt_gives_no_offsets(self):
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, None), ("L2", "Q2", 1, None)]))

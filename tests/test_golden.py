@@ -22,6 +22,10 @@ Newton solves, which reach the optimum the old fits stopped short of:
 ``cv-tensor/report.json`` was re-recorded when each ALS half-sweep became one
 stacked solve: the Gram matrices are summed in another order, which moves
 three fold RMSEs in their last printed digit (by at most 1.2e-16).
+
+``cv-bkt-individualized/report.json`` was re-recorded when the learner offset
+search began to apply the learn-only transition at held-out attempts, as EM
+and prediction do; its mean fold RMSE went from 0.5451 to 0.5442.
 """
 
 import hashlib
@@ -36,7 +40,7 @@ LOCAL_MODELS = ("bkt", "pfa", "sparfa", "tensor", "gbt")
 GOLDEN = {
     "cv-bkt/report.json": "d993438936a644b223c50d2c95ea6518f3273c0264224cd3ca8498d74fd52c8d",
     "cv-bkt-individualized/report.json":
-        "7f9fbf1782011dc0f7191e0fc373b6c5f504a12ca0ab463666b3099edd352d3f",
+        "219de59a97b6edbf55d02490386d97840e7781cca8f01e4510227c31e91da8e2",
     "cv-gbt/report.json": "c449c6b9359e8974a84b26cd712a2d7eb9a88e27450ba8cb69613ab52930e56d",
     "cv-pfa/report.json": "d27c2c7c5162355bb3a340e767b37183d5b87046cf45e7571a026c2755d39d65",
     "cv-sparfa/report.json": "f74fdfb8774a55cdd671b5bec68242e4d6c751f748cd281a46a9e9fe00ccb8c0",
