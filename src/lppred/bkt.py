@@ -234,9 +234,7 @@ def _em(obs, observed, lengths, params, max_iter, tol):
             if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
                 active[k] = False
         params = np.where(active, _m_step(sums[1:], rows, params), params)
-    # EM freezes a question as soon as this holds, so it holds only if EM stopped on tol
-    converged = [len(trace) >= 2 and trace[-1] - trace[-2] < tol for trace in traces]
-    return params, traces, converged
+    return params, traces, (~active).tolist()
 
 
 def _m_step(sums, rows, params):
@@ -292,8 +290,8 @@ def bkt_fit_em(
     """Fit per-question chain parameters by EM (Baum-Welch).
 
     Each question iterates until its log-likelihood improvement drops below
-    ``tol`` or ``max_iter`` is reached. Initial values are the documented defaults with
-    a small seeded jitter to break symmetry. Questions without a single
+    ``tol`` or ``max_iter`` is reached. Initial values are the documented
+    defaults with a small seeded jitter to break symmetry. Questions without a single
     labeled sequence fall back to the un-jittered defaults, with a warning.
 
     With ``individualized=True``, a per-learner offset on the logit of

@@ -142,9 +142,9 @@ def tensor_fit_als(
     """Alternating ridge least squares on the observed (learner, question, attempt) cells.
 
     Iterates full sweeps (all learner rows, then all observed fibers) until
-    the objective improvement falls below ``TOL``; if ``max_sweeps`` runs out
-    first, ``converged`` is False and a warning is issued. Factors start uniform in
-    [0, 1/sqrt(rank)], seeded. Learners without a single observed cell get
+    the objective improvement falls below ``TOL``; if ``max_sweeps`` runs
+    out first, ``converged`` is False and a warning is issued. Factors start
+    uniform in [0, 1/sqrt(rank)], seeded. Learners without a single observed cell get
     the mean of the fitted rows and are listed in ``cold_learners``.
     """
     if rank < 1:
