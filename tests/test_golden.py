@@ -26,6 +26,12 @@ three fold RMSEs in their last printed digit (by at most 1.2e-16).
 ``cv-bkt-individualized/report.json`` was re-recorded when the learner offset
 search began to apply the learn-only transition at held-out attempts, as EM
 and prediction do; its mean fold RMSE went from 0.5451 to 0.5442.
+
+The last ten entries were recorded before a sweep that deleted unread names
+and rewrote hand-copied field lists, to pin the outputs it touches: the BKT,
+PFA, SPARFA and tensor exports, the simulation's ``truth.json``, the llm-tuned
+``tune.json`` and ``tune.txt``, a report merged from two datasets (the nested
+layout) and ``summary.json``.
 """
 
 import hashlib
@@ -58,6 +64,18 @@ GOLDEN = {
     "predict-tensor/predictions.csv":
         "5f3349ad82a757a14fb8627d555dbd33c7de9742c0c5f1f87044f3564e410ebe",
     "tune/tune.json": "f39a93cc5902fdcbac8c5be003e3db17318f6da3b9dd855e1503287bc46cdca2",
+    "fit-bkt/bkt-model.json": "f55336b5e2574c3d0613f2e817d4242f769dfddb0f894ce39cdbfdce8533d06a",
+    "fit-pfa/pfa-model.json": "d99dd98f3acc5344f4fd88c7ed4a2d9e055417263adde595caab4fd3e6548dc9",
+    "fit-sparfa/sparfa-model.json":
+        "a4546513dab9a2a8b6eb02bf4c93a83944f55910a1c0719b1e3c7d5d4a78251c",
+    "fit-tensor/tensor-model.json":
+        "f4ed83786b240e4665ca7e21dc7d1fec6bf3e3be5ff5a7dc987dca89001f438d",
+    "sim/truth.json": "1992991c910e5854eb083fdd3495481934f445e1fa119b53116e8812dfce92f6",
+    "tune-llm/tune.json": "ea0675243514d48ff9cc34ccad37f39d5521e1c906bef026bc69514ab5656fce",
+    "tune-llm/tune.txt": "71966da68c98acdfee345995963d9998dfb8af408f71f280fc0ce96d1d14d377",
+    "report/report.json": "5f9029abc3a0682039087cf01a44d0c067d1e5496e049a3eaff0bdb11d8ab6d7",
+    "report/report.txt": "cc1a6354bafd81d98e04fad654c0657f90d335b362ee648f1d46f99599468ecf",
+    "summarize/summary.json": "ac81b657318956715cc574d2768200ba960d2a36cc30b6658a6f7e1a5aa25893",
 }
 
 
@@ -112,6 +130,19 @@ def run_commands(root) -> dict[str, str]:
     runs["fit-gbt/gbt-model.json"] = ["fit", "--model", "gbt", "--data", str(data),
                                       "--subsample", "0.8", "--colsample-bytree", "0.67",
                                       "--max-depth", "5"]
+    for model in ("bkt", "pfa", "sparfa", "tensor"):
+        runs[f"fit-{model}/{model}-model.json"] = ["fit", "--model", model, "--data", str(data)]
+    runs["sim/truth.json"] = None  # written by the simulate above
+    runs["tune-llm/tune.json"] = ["tune", "--method", "llm", "--mock", "--budget", "3",
+                                  "--data", str(data)]
+    runs["tune-llm/tune.txt"] = None
+    # a second dataset name, so the merged report nests model -> dataset
+    runs["cv-pfa-train/report.json"] = ["cv", "--model", "pfa", "--data", str(train),
+                                        "--k", "5", "--seed", "7"]
+    runs["report/report.json"] = ["report", "--inputs", str(root / "cv-bkt/report.json"),
+                                  str(root / "cv-pfa-train/report.json")]
+    runs["report/report.txt"] = None
+    runs["summarize/summary.json"] = ["summarize", "--data", str(data)]
 
     digests = {}
     for name, argv in runs.items():
