@@ -21,7 +21,7 @@ below ``tol`` is frozen where a fit of that question alone would stop.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -48,10 +48,10 @@ class BktParams:
     p_guess: float
 
     def __post_init__(self):
-        for name in ("p_init", "p_learn", "p_slip", "p_guess"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie strictly in (0, 1), got {v}")
+                raise ValueError(f"{f.name} must lie strictly in (0, 1), got {v}")
         if self.p_slip + self.p_guess >= 1.0:
             raise ValueError(
                 f"p_slip + p_guess must be < 1 "
@@ -59,18 +59,11 @@ class BktParams:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "p_init": self.p_init,
-            "p_learn": self.p_learn,
-            "p_slip": self.p_slip,
-            "p_guess": self.p_guess,
-        }
+        return asdict(self)
 
 
 def _clamp(p):
-    if isinstance(p, np.ndarray):
-        return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
+    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
 def bkt_predict_next(belief: float, params: BktParams) -> float:
@@ -394,8 +387,6 @@ class BktModel:
     each lookup table: the fallback parameters, a zero learner offset, and
     the padding of the outcome table.
     """
-
-    name = "bkt"
 
     def __init__(self, seed: int = 0, individualized: bool = False):
         self.seed = seed

@@ -209,10 +209,9 @@ def _outdir(args) -> Path:
     return path
 
 
-def _write(path: Path, content: str, echo: bool = True):
+def _write(path: Path, content: str):
     path.write_text(content, encoding="utf-8")
-    if echo:
-        print(f"wrote {path}")
+    print(f"wrote {path}")
 
 
 class _ClientSelectedModel:

@@ -222,8 +222,6 @@ class FoldSplit:
     rows without an observation (which never enter any fold).
     """
 
-    k: int
-    seed: int
     assignments: tuple[int, ...]
 
     def fold_positions(self, fold: int) -> list[int]:
@@ -340,7 +338,7 @@ def make_folds(ds: Dataset, k: int, seed: int) -> FoldSplit:
     assignments = np.full(ds.n_records, -1)
     # folds take consecutive runs of the permutation, the first ``extra`` one longer
     assignments[labeled[order]] = np.repeat(np.arange(k), base + (np.arange(k) < extra))
-    return FoldSplit(k=k, seed=seed, assignments=tuple(assignments.tolist()))
+    return FoldSplit(assignments=tuple(assignments.tolist()))
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,14 @@ tie-breaking stable under float summation order) resolve to the lowest
 feature index, then the lowest threshold.
 
 Prediction is sigmoid(base_score + learning_rate * sum of leaf weights),
-with base_score the log-odds of the training mean.
+with base_score the log-odds of the training mean, read from
+``GbtEnsemble.staged_margins`` at the full tree count. The JSON export
+(``GbtEnsemble.to_dict``) is write-only: no command reads a model back.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -63,15 +64,7 @@ class GbtConfig:
             raise ValueError("min_child_weight must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "learning_rate": self.learning_rate,
-            "max_depth": self.max_depth,
-            "subsample": self.subsample,
-            "colsample_bytree": self.colsample_bytree,
-            "gamma": self.gamma,
-            "min_child_weight": self.min_child_weight,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -118,20 +111,6 @@ class TreeNode:
             "right": self.right.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TreeNode":
-        if "leaf" in payload:
-            return cls(weight=float(payload["leaf"]))
-        return cls(
-            feature=int(payload["feature"]),
-            threshold=float(payload["threshold"]),
-            gain=float(payload["gain"]),
-            hess_left=float(payload.get("hess_left", 0.0)),
-            hess_right=float(payload.get("hess_right", 0.0)),
-            left=cls.from_dict(payload["left"]),
-            right=cls.from_dict(payload["right"]),
-        )
-
 
 def _features(learner, question, attempt) -> np.ndarray:
     """Float feature matrix with columns learner code, question code, attempt.
@@ -174,12 +153,6 @@ class GbtEnsemble:
                 staged[t] = total.copy()
         return [staged[n] for n in stages]
 
-    def margins(self, x: np.ndarray) -> np.ndarray:
-        return self.staged_margins(x, [len(self.trees)])[0]
-
-    def predict_matrix(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.margins(x))
-
     def feature_matrix(self, keys: Sequence[tuple[str, str, int]]) -> np.ndarray:
         return _features(*encode_keys(keys, self.learner_index, self.question_index))
 
@@ -191,20 +164,6 @@ class GbtEnsemble:
             "learner_index": self.learner_index,
             "question_index": self.question_index,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, payload: str) -> "GbtEnsemble":
-        data = json.loads(payload)
-        return cls(
-            base_score=float(data["base_score"]),
-            trees=[TreeNode.from_dict(t) for t in data["trees"]],
-            config=GbtConfig(**data["config"]),
-            learner_index={k: int(v) for k, v in data["learner_index"].items()},
-            question_index={k: int(v) for k, v in data["question_index"].items()},
-        )
 
 
 def _split_codes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +243,6 @@ def _grow_tree(rows, gx, hx, codes, values, feature_mask, config) -> TreeNode:
         ok = (
             present
             & feature_mask[:, None]
-            & np.isfinite(nxt)
             & (cum_n < cum_n[:, :, -1:])
             & (gain > config.gamma)
             & (hl >= config.min_child_weight)
@@ -383,13 +341,11 @@ def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> G
 
 def gbt_predict(model: GbtEnsemble, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
     """Probabilities for (learner, question, attempt) keys; unseen ids become -1."""
-    return model.predict_matrix(model.feature_matrix(rows))
+    return _sigmoid(model.staged_margins(model.feature_matrix(rows), [len(model.trees)])[0])
 
 
 class GbtModel:
     """Predictor wrapper around gbt_fit/gbt_predict."""
-
-    name = "gbt"
 
     def __init__(self, config: GbtConfig = GbtConfig(), seed: int = 0):
         self.config = config

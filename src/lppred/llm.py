@@ -340,8 +340,6 @@ class MockHeuristicClient:
     method-selection prompts also get an answer). Pure and reentrant.
     """
 
-    name = "mock"
-
     def send(self, messages: Sequence[dict[str, str]]) -> str:
         text = "\n".join(m.get("content", "") for m in messages)
         train: dict[str, list[int]] = {}
@@ -378,11 +376,9 @@ class HttpChatClient:
 
     POSTs ``{"model", "messages", "temperature"}`` as JSON to the endpoint
     and reads ``choices[0].message.content`` from the reply. The bearer
-    token comes from the environment (default variable LPPRED_API_TOKEN)
-    and is never logged. Failed calls are retried with a linear backoff.
+    token comes from the environment variable LPPRED_API_TOKEN and is never
+    logged. Failed calls are retried with a linear backoff.
     """
-
-    name = "http"
 
     def __init__(
         self,
@@ -391,7 +387,6 @@ class HttpChatClient:
         temperature: float = 0.0,
         timeout: float = 120.0,
         max_retries: int = 2,
-        token_env: str = "LPPRED_API_TOKEN",
         backoff: float = 1.0,
     ):
         self.endpoint = endpoint
@@ -399,7 +394,6 @@ class HttpChatClient:
         self.temperature = temperature
         self.timeout = timeout
         self.max_retries = max_retries
-        self.token_env = token_env
         self.backoff = backoff
 
     def send(self, messages: Sequence[dict[str, str]]) -> str:
@@ -407,7 +401,7 @@ class HttpChatClient:
             {"model": self.model, "messages": list(messages), "temperature": self.temperature}
         ).encode("utf-8")
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.token_env, "")
+        token = os.environ.get("LPPRED_API_TOKEN", "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
         last_error: Exception | None = None
@@ -461,7 +455,6 @@ class PipelineResult:
     run_predictions: list[np.ndarray]
     imputed_per_run: list[int]
     run_rmse: list[float] | None
-    decode_diagnostics: list[DecodeResult]
     script_text: str = ""  # audit dump of the prompt script that was sent
 
     @property
@@ -534,7 +527,7 @@ def llm_predict_pipeline(
     # test_keys follow the test records, so labels align with them
     labels = ds_test.obs_array() if np.all(ds_test.obs >= 0) else None
 
-    def one_run(run: int) -> tuple[DecodeResult, np.ndarray, int]:
+    def one_run(run: int) -> tuple[np.ndarray, int]:
         try:
             response = client.send(script.messages())
         except ClientError as exc:
@@ -548,7 +541,7 @@ def llm_predict_pipeline(
                 continue
             seen.add(record.key())
             preds[pos] = record.prediction
-        return decoded, preds, len(test_keys) - len(seen)
+        return preds, len(test_keys) - len(seen)
 
     if concurrency > 1 and repeats > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -561,9 +554,7 @@ def llm_predict_pipeline(
     run_predictions: list[np.ndarray] = []
     imputed_per_run: list[int] = []
     run_rmse: list[float] = [] if labels is not None else None
-    diagnostics: list[DecodeResult] = []
-    for decoded, preds, imputed in outcomes:
-        diagnostics.append(decoded)
+    for preds, imputed in outcomes:
         run_predictions.append(preds)
         imputed_per_run.append(imputed)
         if labels is not None:
@@ -574,15 +565,12 @@ def llm_predict_pipeline(
         run_predictions=run_predictions,
         imputed_per_run=imputed_per_run,
         run_rmse=run_rmse,
-        decode_diagnostics=diagnostics,
         script_text=script.to_text(),
     )
 
 
 class LlmPredictor:
     """Predictor adapter so the CV harness can benchmark a client end to end."""
-
-    name = "llm"
 
     def __init__(self, client, meta: LessonMeta | None = None):
         self.client = client

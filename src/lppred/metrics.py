@@ -217,8 +217,3 @@ def reports_to_json(reports: Sequence[CvReport]) -> str:
         for rep in reports:
             payload.setdefault(rep.model_name, {})[rep.dataset or "RMSE"] = rep.to_dict()
     return json.dumps(payload, indent=2)
-
-
-# Cross-run standard errors (the repeated-runs counterpart of CvReport's
-# cross-fold SE) are reported by the llm pipeline's PipelineResult, which
-# owns the per-run predictions.

@@ -221,8 +221,6 @@ class PfaModel:
     queried rows at once from the training rows.
     """
 
-    name = "pfa"
-
     def __init__(self, l2: float = DEFAULT_L2, seed: int = 0):
         self.l2 = l2
         self.seed = seed

@@ -59,9 +59,6 @@ class LowRankModel:
     rank_val_logloss: dict[int, float] = field(default_factory=dict)
     converged: bool = True  # every rank fit stopped on TOL before MAX_ITER
 
-    def logits(self) -> np.ndarray:
-        return self.learner_factors @ self.question_factors + self.intercepts
-
     def to_dict(self) -> dict:
         return {
             "W": self.learner_factors.tolist(),
@@ -292,8 +289,6 @@ def sparfa_predict(model: LowRankModel, rows: Sequence[tuple[str, str, int]]) ->
 
 class SparfaModel:
     """Predictor wrapper. Attempts share the pair's matrix probability."""
-
-    name = "sparfa"
 
     def __init__(self, rank_candidates: Sequence[int] = DEFAULT_RANK_CANDIDATES, seed: int = 0):
         self.rank_candidates = tuple(rank_candidates)

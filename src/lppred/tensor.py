@@ -225,8 +225,6 @@ def tensor_predict(model: TensorModel, rows: Sequence[tuple[str, str, int]]) -> 
 class TensorFactorizationModel:
     """Predictor wrapper around tensor_fit_als/tensor_predict."""
 
-    name = "tensor"
-
     def __init__(self, rank: int = DEFAULT_RANK, ridge: float = DEFAULT_RIDGE, seed: int = 0):
         self.rank = rank
         self.ridge = ridge

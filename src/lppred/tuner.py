@@ -273,13 +273,7 @@ def parse_config_proposal(text: str) -> GbtConfig | None:
         if set(fields) == set(GRID_FIELDS):
             try:
                 return GbtConfig(
-                    n_trees=int(fields["n_trees"]),
-                    learning_rate=fields["learning_rate"],
-                    max_depth=int(fields["max_depth"]),
-                    subsample=fields["subsample"],
-                    colsample_bytree=fields["colsample_bytree"],
-                    gamma=fields["gamma"],
-                    min_child_weight=fields["min_child_weight"],
+                    **{name: int(v) if name in _INTEGER_FIELDS else v for name, v in fields.items()}
                 )
             except ValueError:
                 continue
@@ -306,8 +300,6 @@ class CyclingProposalClient:
     Keeps the message lists it received so tests can assert the history
     protocol grows one pair per iteration.
     """
-
-    name = "cycling-mock"
 
     def __init__(self, configs: Sequence[GbtConfig] | None = None):
         if configs is None:

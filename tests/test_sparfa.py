@@ -103,7 +103,8 @@ class TestFit:
         assert model.rank == 2
         theta = 0.73
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        before = model.logits().copy()
+        keys = [(lid, qid, 1) for lid in model.learner_index for qid in model.question_index]
+        before = sparfa_predict(model, keys)
         rotated = LowRankModel(
             learner_factors=model.learner_factors @ rot,
             question_factors=rot.T @ model.question_factors,
@@ -112,7 +113,7 @@ class TestFit:
             learner_index=model.learner_index,
             question_index=model.question_index,
         )
-        assert np.abs(rotated.logits() - before).max() < 1e-10
+        assert np.abs(sparfa_predict(rotated, keys) - before).max() < 1e-10
 
     def test_objective_trace_non_increasing(self):
         res = simulate_lowrank(
