@@ -114,6 +114,35 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return count
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a fraction in [0, 1), got {text!r}")
+    return value
+
+
+def _shape(text: str) -> tuple[int, ...]:
+    try:
+        counts = tuple(int(part) for part in text.lower().split("x"))
+    except ValueError:
+        counts = ()
+    if len(counts) != 3 or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"expected three counts >= 1 like 66x8x9, got {text!r}")
+    return counts
+
+
 def _add_common(p: _Parser, data: bool = True):
     if data:
         p.add_argument("--data", required=True, help="interaction-record CSV file")
@@ -122,7 +151,7 @@ def _add_common(p: _Parser, data: bool = True):
     p.add_argument("--out", default="out", help="output directory (default ./out)")
     p.add_argument(
         "--workers",
-        type=int,
+        type=_at_least(1),
         default=_usable_cpus(),
         help="worker processes for parallel sections (default: usable CPUs)",
     )
@@ -181,7 +210,10 @@ def _local_factory(name: str, args):
     cls, names = LOCAL_MODELS[name]
     given = {n: getattr(args, n) for n in names if hasattr(args, n)}
     if cls is GbtModel:
-        given = {"config": GbtConfig(**given)}
+        try:
+            given = {"config": GbtConfig(**given)}
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     return lambda seed: cls(seed=seed, **given)
 
 
@@ -351,10 +383,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        n_l, n_q, n_a = (int(part) for part in args.shape.lower().split("x"))
-    except ValueError:
-        raise UsageError(f"--shape must look like 66x8x9, got {args.shape!r}") from None
+    n_l, n_q, n_a = args.shape
     spec = SimSpec(
         n_learners=n_l,
         n_questions=n_q,
@@ -472,7 +501,7 @@ def build_parser() -> _Parser:
     )
     _add_common(p)
     p.add_argument("--model", required=True, choices=ALL_MODELS)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_at_least(2), default=5)
     _add_client_flags(p)
     p.set_defaults(func=cmd_cv)
 
@@ -496,19 +525,20 @@ def build_parser() -> _Parser:
     p.add_argument("--model", default="gbt")
     p.add_argument("--method", choices=("grid", "llm"), default="grid")
     p.add_argument("--grid", default="default", help="'default' or a JSON grid file")
-    p.add_argument("--budget", type=int, default=10, help="llm method: evaluations")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--budget", type=_at_least(1), default=10, help="llm method: evaluations")
+    p.add_argument("--k", type=_at_least(2), default=5)
     _add_client_flags(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset with ground truth")
     _add_common(p, data=False)
     p.add_argument("--generator", choices=GENERATORS, default="bkt-process")
-    p.add_argument("--shape", required=True, help="learners x questions x attempts, e.g. 66x8x9")
+    p.add_argument("--shape", required=True, type=_shape,
+                   help="learners x questions x attempts, e.g. 66x8x9")
     p.add_argument("--bkt-params", type=_bkt_params,
                    help='JSON like {"p_init":0.3,...} for bkt-process')
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--mask", type=float, default=0.0, help="fraction of cells left unlabeled")
+    p.add_argument("--mask", type=_fraction, default=0.0, help="fraction of cells left unlabeled")
     p.add_argument("--stop-on-correct", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
@@ -517,7 +547,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--meta")
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--repeats", type=_at_least(1), default=1)
     p.add_argument("--rows-per-chunk", type=int, default=0)
     _add_client_flags(p)
     p.set_defaults(func=cmd_llm_run)

@@ -22,7 +22,6 @@ import json
 import os
 import re
 import time
-import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -342,14 +341,16 @@ class MockHeuristicClient:
 
     def send(self, messages: Sequence[dict[str, str]]) -> str:
         text = "\n".join(m.get("content", "") for m in messages)
-        train: dict[str, list[int]] = {}
+        train: dict[str, list[int]] = {}  # question -> [train rows, correct rows]
         test_rows: list[tuple[str, str, int]] = []
         for m in _RECORD_SENTENCE.finditer(text):
             lid, qid, attempt, obs = m.group(1), m.group(2), int(m.group(3)), m.group(4)
             if obs is None:
                 test_rows.append((lid, qid, attempt))
             else:
-                train.setdefault(qid, []).append(int(obs))
+                counts = train.setdefault(qid, [0, 0])
+                counts[0] += 1
+                counts[1] += int(obs)
         recommendation = (
             "Based on per-question difficulty and attempt counts, I recommend XGBoost "
             "for this data."
@@ -361,8 +362,7 @@ class MockHeuristicClient:
 
         lines = [recommendation + " Heuristic likelihoods for the requested rows:"]
         for lid, qid, attempt in test_rows:
-            outcomes = train.get(qid, [])
-            pred = heuristic_prediction(len(outcomes), sum(outcomes), attempt)
+            pred = heuristic_prediction(*train.get(qid, (0, 0)), attempt)
             note = "likely correct" if pred >= 0.5 else "likely incorrect"
             lines.append(
                 f"{{'learner ID': '{lid}', 'Question ID': '{qid}', 'Attempt': {attempt}, "
@@ -377,7 +377,8 @@ class HttpChatClient:
     POSTs ``{"model", "messages", "temperature"}`` as JSON to the endpoint
     and reads ``choices[0].message.content`` from the reply. The bearer
     token comes from the environment variable LPPRED_API_TOKEN and is never
-    logged. Failed calls are retried with a linear backoff.
+    logged. A failed call, or a reply without text at that path, is retried
+    with a linear backoff.
     """
 
     def __init__(
@@ -412,8 +413,12 @@ class HttpChatClient:
                 )
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     body = json.loads(response.read().decode("utf-8"))
-                return body["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, OSError, KeyError, json.JSONDecodeError) as exc:
+                content = body["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"reply content is {type(content).__name__}, not text")
+                return content
+            # transport (URLError is an OSError), a body that is not JSON, or no text at the path
+            except (OSError, ValueError, LookupError, TypeError) as exc:
                 last_error = exc
                 if retry < self.max_retries:
                     time.sleep(self.backoff * (retry + 1))

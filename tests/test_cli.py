@@ -173,6 +173,20 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "argument --bkt-params: expected a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--shape", "0x8x9"],
+        ["simulate", "--shape", "4x2x2", "--mask", "1.5"],
+        ["llm-run", "--train", "{train}", "--test", "{test}", "--mock", "--repeats", "0"],
+        ["llm-run", "--train", "{train}", "--test", "{test}", "--mock", "--workers", "0"],
+        ["tune", "--method", "llm", "--mock", "--budget", "0", "--data", "{data}"],
+        ["cv", "--model", "bkt", "--k", "1", "--data", "{data}"],
+        ["cv", "--model", "gbt", "--n-trees", "-1", "--data", "{data}"],
+    ], ids=["shape", "mask", "repeats", "workers", "budget", "k", "n-trees"])
+    def test_out_of_range_count_flag_is_usage_error(self, train_test_files, sim_data, tmp_path, argv):
+        train, test = train_test_files
+        argv = [arg.format(train=train, test=test, data=sim_data) for arg in argv]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+
 
 # Per local model: its wrapper class, flags that set every hyperparameter the
 # CLI exposes to a non-default value, and the same values as constructor arguments.

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lppred.data import Dataset, LessonMeta, QuestionInfo
+from lppred.cli import EXIT_CLIENT, main
+from lppred.data import Dataset, LessonMeta, QuestionInfo, write_dataset
 from lppred.llm import (
     _KEY_ALIASES,
     ClientError,
@@ -387,9 +388,20 @@ class TestPipeline:
             llm_predict_pipeline(train, test, MockHeuristicClient(), repeats=0)
 
 
+GOOD_REPLY = {
+    "choices": [
+        {"message": {"content": "{'learner ID': L1, 'Question ID': Q1, "
+                                "'Attempt': 1, 'Prediction': 0.6}"}}
+    ]
+}
+# JSON bodies with no text at choices[0].message.content
+MALFORMED_REPLIES = [{"choices": []}, {"choices": [{"message": {"content": None}}]}, ["choices"]]
+
+
 class _ChatHandler(BaseHTTPRequestHandler):
     fail_times = 0
     requests_seen = []
+    reply = GOOD_REPLY
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -401,17 +413,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        reply = {
-            "choices": [
-                {
-                    "message": {
-                        "content": "{'learner ID': L1, 'Question ID': Q1, "
-                        "'Attempt': 1, 'Prediction': 0.6}"
-                    }
-                }
-            ]
-        }
-        payload = json.dumps(reply).encode()
+        payload = json.dumps(type(self).reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -429,6 +431,7 @@ def chat_server():
     thread.start()
     _ChatHandler.fail_times = 0
     _ChatHandler.requests_seen = []
+    _ChatHandler.reply = GOOD_REPLY
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
@@ -457,6 +460,23 @@ class TestHttpClient:
         client = HttpChatClient(endpoint=chat_server, max_retries=1, backoff=0.01)
         with pytest.raises(ClientError, match="after 2 attempts"):
             client.send([{"role": "user", "content": "x"}])
+
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
+    def test_malformed_reply_retried_then_client_error(self, chat_server, reply):
+        _ChatHandler.reply = reply
+        client = HttpChatClient(endpoint=chat_server, max_retries=1, backoff=0.01)
+        with pytest.raises(ClientError, match="after 2 attempts"):
+            client.send([{"role": "user", "content": "x"}])
+        assert len(_ChatHandler.requests_seen) == 2
+
+    def test_malformed_reply_in_llm_run_exits_client_error(self, chat_server, rng, tmp_path):
+        _ChatHandler.reply = MALFORMED_REPLIES[0]
+        train, test = split_dataset(simulate_bkt(SimSpec(6, 2, 2, seed=7)).dataset, rng)
+        write_dataset(train, tmp_path / "train.csv")
+        write_dataset(test, tmp_path / "test.csv")
+        argv = ["llm-run", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
+                "--endpoint", chat_server, "--retries", "0", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CLIENT
 
     def test_run_index_attached_on_pipeline_failure(self, rng):
         res = simulate_bkt(SimSpec(6, 2, 2, seed=7))
