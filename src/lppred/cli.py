@@ -163,7 +163,7 @@ def _add_client_flags(p: _Parser):
     p.add_argument("--chat-model", default="gpt-4", help="model name sent to the endpoint")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--timeout", type=float, default=120.0)
-    p.add_argument("--retries", type=int, default=2)
+    p.add_argument("--retries", type=_at_least(0), default=2)
 
 
 def _rank_list(text: str) -> tuple[int, ...]:
@@ -548,7 +548,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test", required=True)
     p.add_argument("--meta")
     p.add_argument("--repeats", type=_at_least(1), default=1)
-    p.add_argument("--rows-per-chunk", type=int, default=0)
+    p.add_argument("--rows-per-chunk", type=_at_least(0), default=0)
     _add_client_flags(p)
     p.set_defaults(func=cmd_llm_run)
 

@@ -18,6 +18,7 @@ omitted without it.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -417,8 +418,9 @@ class HttpChatClient:
                 if not isinstance(content, str):
                     raise TypeError(f"reply content is {type(content).__name__}, not text")
                 return content
-            # transport (URLError is an OSError), a body that is not JSON, or no text at the path
-            except (OSError, ValueError, LookupError, TypeError) as exc:
+            # transport (URLError is an OSError), a cut-short body, a body that is
+            # not JSON, or no text at the path
+            except (OSError, http.client.HTTPException, ValueError, LookupError, TypeError) as exc:
                 last_error = exc
                 if retry < self.max_retries:
                     time.sleep(self.backoff * (retry + 1))

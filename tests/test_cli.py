@@ -178,10 +178,14 @@ class TestExitCodes:
         ["simulate", "--shape", "4x2x2", "--mask", "1.5"],
         ["llm-run", "--train", "{train}", "--test", "{test}", "--mock", "--repeats", "0"],
         ["llm-run", "--train", "{train}", "--test", "{test}", "--mock", "--workers", "0"],
+        ["llm-run", "--train", "{train}", "--test", "{test}", "--mock", "--rows-per-chunk", "-1"],
+        ["llm-run", "--train", "{train}", "--test", "{test}", "--endpoint", "http://127.0.0.1:1",
+         "--retries", "-1"],
         ["tune", "--method", "llm", "--mock", "--budget", "0", "--data", "{data}"],
         ["cv", "--model", "bkt", "--k", "1", "--data", "{data}"],
         ["cv", "--model", "gbt", "--n-trees", "-1", "--data", "{data}"],
-    ], ids=["shape", "mask", "repeats", "workers", "budget", "k", "n-trees"])
+    ], ids=["shape", "mask", "repeats", "workers", "rows-per-chunk", "retries", "budget", "k",
+            "n-trees"])
     def test_out_of_range_count_flag_is_usage_error(self, train_test_files, sim_data, tmp_path, argv):
         train, test = train_test_files
         argv = [arg.format(train=train, test=test, data=sim_data) for arg in argv]

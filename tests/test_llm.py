@@ -394,14 +394,21 @@ GOOD_REPLY = {
                                 "'Attempt': 1, 'Prediction': 0.6}"}}
     ]
 }
-# JSON bodies with no text at choices[0].message.content
-MALFORMED_REPLIES = [{"choices": []}, {"choices": [{"message": {"content": None}}]}, ["choices"]]
+# (JSON body, bytes it falls short of its Content-Length): no text at
+# choices[0].message.content, or a body cut short
+MALFORMED_REPLIES = [
+    ({"choices": []}, 0),
+    ({"choices": [{"message": {"content": None}}]}, 0),
+    (["choices"], 0),
+    (GOOD_REPLY, 10),
+]
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
     fail_times = 0
     requests_seen = []
     reply = GOOD_REPLY
+    short_by = 0
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -416,7 +423,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
         payload = json.dumps(type(self).reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Content-Length", str(len(payload) + type(self).short_by))
         self.end_headers()
         self.wfile.write(payload)
 
@@ -431,7 +438,7 @@ def chat_server():
     thread.start()
     _ChatHandler.fail_times = 0
     _ChatHandler.requests_seen = []
-    _ChatHandler.reply = GOOD_REPLY
+    _ChatHandler.reply, _ChatHandler.short_by = GOOD_REPLY, 0
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
@@ -461,16 +468,16 @@ class TestHttpClient:
         with pytest.raises(ClientError, match="after 2 attempts"):
             client.send([{"role": "user", "content": "x"}])
 
-    @pytest.mark.parametrize("reply", MALFORMED_REPLIES)
-    def test_malformed_reply_retried_then_client_error(self, chat_server, reply):
-        _ChatHandler.reply = reply
+    @pytest.mark.parametrize("reply,short_by", MALFORMED_REPLIES)
+    def test_malformed_reply_retried_then_client_error(self, chat_server, reply, short_by):
+        _ChatHandler.reply, _ChatHandler.short_by = reply, short_by
         client = HttpChatClient(endpoint=chat_server, max_retries=1, backoff=0.01)
         with pytest.raises(ClientError, match="after 2 attempts"):
             client.send([{"role": "user", "content": "x"}])
         assert len(_ChatHandler.requests_seen) == 2
 
     def test_malformed_reply_in_llm_run_exits_client_error(self, chat_server, rng, tmp_path):
-        _ChatHandler.reply = MALFORMED_REPLIES[0]
+        _ChatHandler.reply = {"choices": []}
         train, test = split_dataset(simulate_bkt(SimSpec(6, 2, 2, seed=7)).dataset, rng)
         write_dataset(train, tmp_path / "train.csv")
         write_dataset(test, tmp_path / "test.csv")
