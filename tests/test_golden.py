@@ -32,6 +32,12 @@ and rewrote hand-copied field lists, to pin the outputs it touches: the BKT,
 PFA, SPARFA and tensor exports, the simulation's ``truth.json``, the llm-tuned
 ``tune.json`` and ``tune.txt``, a report merged from two datasets (the nested
 layout) and ``summary.json``.
+
+The three ``cv-llm*`` entries were recorded before the LLM path stopped
+taking lesson metadata as a separate argument and stopped rebuilding one
+Dataset from the train and test rows. They pin the mock client's fold RMSEs
+under cross-validation, with and without ``--meta``, and the llm-gbt
+predictor, whose client picks the local model from each training split.
 """
 
 import hashlib
@@ -76,6 +82,9 @@ GOLDEN = {
     "report/report.json": "5f9029abc3a0682039087cf01a44d0c067d1e5496e049a3eaff0bdb11d8ab6d7",
     "report/report.txt": "cc1a6354bafd81d98e04fad654c0657f90d335b362ee648f1d46f99599468ecf",
     "summarize/summary.json": "ac81b657318956715cc574d2768200ba960d2a36cc30b6658a6f7e1a5aa25893",
+    "cv-llm/report.json": "e8a0ce2d8a64de7c75bb4b52df2495458e74aff36a4aef43e890aaa248b9bb5c",
+    "cv-llm-meta/report.json": "7b4ba4ee2b42d0c7ece8365881e59821d40e7e0de63b456d88185bc99593bfba",
+    "cv-llm-gbt/report.json": "f85f25dfbff3a2639f8eddc126c25ea3971aa23f27d2e5040ea91acbb9ec002f",
 }
 
 
@@ -143,6 +152,11 @@ def run_commands(root) -> dict[str, str]:
                                   str(root / "cv-pfa-train/report.json")]
     runs["report/report.txt"] = None
     runs["summarize/summary.json"] = ["summarize", "--data", str(data)]
+    runs["cv-llm/report.json"] = ["cv", "--model", "llm", "--mock", "--data", str(data),
+                                  "--k", "5", "--seed", "7"]
+    runs["cv-llm-meta/report.json"] = runs["cv-llm/report.json"] + ["--meta", str(meta)]
+    runs["cv-llm-gbt/report.json"] = ["cv", "--model", "llm-gbt", "--mock", "--meta", str(meta),
+                                      "--data", str(data), "--k", "5", "--seed", "7"]
 
     digests = {}
     for name, argv in runs.items():
