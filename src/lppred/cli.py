@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -133,6 +134,20 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
 def _shape(text: str) -> tuple[int, ...]:
     try:
         counts = tuple(int(part) for part in text.lower().split("x"))
@@ -161,8 +176,8 @@ def _add_client_flags(p: _Parser):
     p.add_argument("--mock", action="store_true", help="use the offline heuristic client")
     p.add_argument("--endpoint", help="chat-completion HTTP endpoint URL")
     p.add_argument("--chat-model", default="gpt-4", help="model name sent to the endpoint")
-    p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--timeout", type=float, default=120.0)
+    p.add_argument("--temperature", type=_finite, default=0.0)
+    p.add_argument("--timeout", type=_positive, default=120.0)
     p.add_argument("--retries", type=_at_least(0), default=2)
 
 
@@ -195,13 +210,10 @@ def _model_flags() -> argparse.ArgumentParser:
     p.add_argument("--ridge", type=float, help="tensor: ridge strength")
     p.add_argument("--ranks", dest="rank_candidates", metavar="RANKS", type=_rank_list,
                    help="sparfa: comma-separated rank candidates")
-    p.add_argument("--n-trees", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--subsample", type=float)
-    p.add_argument("--colsample-bytree", type=float)
-    p.add_argument("--gbt-gamma", dest="gamma", metavar="GBT_GAMMA", type=float)
-    p.add_argument("--min-child-weight", type=float)
+    for f in fields(GbtConfig):  # gamma alone is spelled --gbt-gamma
+        flag = "gbt_gamma" if f.name == "gamma" else f.name
+        p.add_argument("--" + flag.replace("_", "-"), dest=f.name, metavar=flag.upper(),
+                       type=type(f.default))
     return p
 
 
@@ -249,12 +261,12 @@ def _write(path: Path, content: str):
 class _ClientSelectedModel:
     """llm-gbt predictor: the client names a method from the training split only."""
 
-    def __init__(self, client, meta, args, seed: int):
-        self.client, self.meta, self.args, self.seed = client, meta, args, seed
+    def __init__(self, client, args, seed: int):
+        self.client, self.args, self.seed = client, args, seed
         self.model = None
 
     def fit(self, train: Dataset) -> "_ClientSelectedModel":
-        chosen = select_method(self.client, train, self.meta)
+        chosen = select_method(self.client, train)
         print(f"client selected method: {chosen}")
         self.model = _local_factory(chosen, self.args)(self.seed).fit(train)
         return self
@@ -263,15 +275,14 @@ class _ClientSelectedModel:
         return self.model.predict(rows)
 
 
-def _make_factory(name: str, args, ds: Dataset):
+def _make_factory(name: str, args):
     """Factory of per-fold predictors; llm variants wrap a configured client."""
     if name in LOCAL_MODELS:
         return _local_factory(name, args)
     client = _build_client(args)
-    meta = ds.meta if ds.meta.questions else None
     if name == "llm":
-        return lambda fold_seed: LlmPredictor(client, meta=meta)
-    return lambda fold_seed: _ClientSelectedModel(client, meta, args, fold_seed)
+        return lambda fold_seed: LlmPredictor(client)
+    return lambda fold_seed: _ClientSelectedModel(client, args, fold_seed)
 
 
 def _require_labeled(ds: Dataset, path) -> None:
@@ -308,7 +319,7 @@ def cmd_summarize(args) -> int:
 def cmd_cv(args) -> int:
     ds = _load_dataset(args)
     _require_labeled(ds, args.data)
-    factory = _make_factory(args.model, args, ds)
+    factory = _make_factory(args.model, args)
     report = cross_validate(
         factory,
         ds,
@@ -412,13 +423,11 @@ def cmd_llm_run(args) -> int:
     train = parse_dataset(args.train, meta_path=args.meta)
     test = parse_dataset(args.test)
     client = _build_client(args)
-    meta = train.meta if train.meta.questions else None
     result = llm_predict_pipeline(
         train,
         test,
         client,
         repeats=args.repeats,
-        meta=meta,
         rows_per_chunk=args.rows_per_chunk,
         concurrency=args.workers,
     )

@@ -3,10 +3,13 @@
 Interaction records are verbalized into contextual sentences, assembled into
 a staged chain-of-thought prompt script, sent to a chat-completion client,
 and the client's structured answer records are parsed back into numeric
-predictions. A deterministic offline mock client implements the same
-heuristic a capable assistant applies to such transcripts (per-question
-difficulty shrunk toward 0.5, discounted for repeated attempts), which makes
-the whole pipeline testable without any network access.
+predictions. The sentences are grouped by role: labeled history, then the
+rows awaiting prediction. Question titles and the learning materials come
+from the training Dataset's lesson metadata. A deterministic offline mock
+client implements the same heuristic a capable assistant applies to such
+transcripts (per-question difficulty shrunk toward 0.5, discounted for
+repeated attempts), which makes the whole pipeline testable without any
+network access.
 
 Prompt stages are tagged a-j in order: (a) learning materials,
 (b) transcription of the performance data, (c) analysis request,
@@ -19,6 +22,7 @@ omitted without it.
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import os
 import re
@@ -29,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, InteractionRecord, LessonMeta
+from .data import DataError, Dataset, InteractionRecord, LessonMeta, QuestionInfo
 from .metrics import rmse
 
 STAGE_ORDER = "abcdefghij"
@@ -59,46 +63,36 @@ def _ordinal(n: int) -> str:
 
 @dataclass(frozen=True)
 class EncodedBatch:
-    """One contextual sentence per record, keyed and flagged train/test."""
+    """Contextual sentences by role: labeled history, and targets with their keys."""
 
-    sentences: tuple[str, ...]
-    keys: tuple[tuple[str, str, int], ...]
-    is_test: tuple[bool, ...]
-
-    def train_sentences(self) -> list[str]:
-        return [s for s, t in zip(self.sentences, self.is_test) if not t]
-
-    def test_sentences(self) -> list[str]:
-        return [s for s, t in zip(self.sentences, self.is_test) if t]
-
-    def test_keys(self) -> list[tuple[str, str, int]]:
-        return [k for k, t in zip(self.keys, self.is_test) if t]
+    train: tuple[str, ...]
+    test: tuple[str, ...]
+    test_keys: tuple[tuple[str, str, int], ...]
 
 
-def encode_records(ds: Dataset, meta: LessonMeta | None = None) -> EncodedBatch:
-    """Verbalize every record; rows without an outcome become prediction targets.
+def encode_records(records, questions: dict[str, QuestionInfo]) -> EncodedBatch:
+    """Verbalize the records in order; rows without an outcome become prediction targets.
 
     The question id always appears verbatim in the sentence so the text
-    round-trips losslessly; the title comes from the metadata when present,
+    round-trips losslessly; the title comes from ``questions`` when present,
     else the placeholder "question <id>".
     """
-    questions = (meta.questions if meta else None) or (ds.meta.questions or {})
-    sentences = []
-    keys = []
-    flags = []
-    for rec in ds.records:
+    train: list[str] = []
+    test: list[str] = []
+    test_keys: list[tuple[str, str, int]] = []
+    for rec in records:
         info = questions.get(rec.question_id)
         title = info.text if info and info.text else f"question {rec.question_id}"
         sentence = (
             f"The current learner {rec.learner_id} attempted to answer the question "
             f"{rec.question_id} titled as '{title}' on their {_ordinal(rec.attempt)} attempt."
         )
-        if rec.obs is not None:
-            sentence += f" Their performance was observed as {rec.obs}."
-        sentences.append(sentence)
-        keys.append(rec.key())
-        flags.append(rec.obs is None)
-    return EncodedBatch(tuple(sentences), tuple(keys), tuple(flags))
+        if rec.obs is None:
+            test.append(sentence)
+            test_keys.append(rec.key())
+        else:
+            train.append(f"{sentence} Their performance was observed as {rec.obs}.")
+    return EncodedBatch(tuple(train), tuple(test), tuple(test_keys))
 
 
 @dataclass(frozen=True)
@@ -165,11 +159,8 @@ def build_cot_script(
     ``rows_per_chunk`` > 0 splits the transcription stage into several
     messages of at most that many sentences.
     """
-    if not batch.sentences:
+    if not batch.train and not batch.test:
         raise ValueError("cannot build a script from an empty batch")
-    bad = [s for s in stages if s not in STAGE_ORDER]
-    if bad:
-        raise ValueError(f"unknown stages {bad!r}")
     has_meta = meta is not None and bool(meta.questions)
     wanted = [s for s in STAGE_ORDER if s in stages]
     if not has_meta:
@@ -190,8 +181,7 @@ def build_cot_script(
                     lines.append(f"  Answer: {info.answer}")
             steps.append(PromptStep("a", "\n".join(lines)))
         elif stage == "b":
-            train = batch.train_sentences()
-            test = batch.test_sentences()
+            train = batch.train
             chunks = [train]
             if rows_per_chunk > 0:
                 chunks = [train[i : i + rows_per_chunk] for i in range(0, len(train), rows_per_chunk)]
@@ -199,8 +189,8 @@ def build_cot_script(
                 label = "Historical learning performance records:" if ci == 0 else "More historical records:"
                 body = "\n".join(chunk) if chunk else "(none)"
                 steps.append(PromptStep("b", f"{label}\n{body}"))
-            if test:
-                body = "\n".join(test)
+            if batch.test:
+                body = "\n".join(batch.test)
                 steps.append(PromptStep("b", f"Rows awaiting prediction (outcome withheld):\n{body}"))
         else:
             steps.append(PromptStep(stage, STAGE_TEXT[stage]))
@@ -438,15 +428,15 @@ METHOD_REGISTRY = {
 }
 
 
-def select_method(client, ds_train: Dataset, meta: LessonMeta | None = None) -> str:
+def select_method(client, ds_train: Dataset) -> str:
     """Ask the client to name a method (stage d); return the local model it maps to.
 
     The result is "gbt" or "pfa", via ``METHOD_REGISTRY``; unrecognized
     answers fall back to "gbt". The chosen model is always fit locally; no
     code from the client is executed.
     """
-    batch = encode_records(ds_train, meta)
-    script = build_cot_script(batch, meta, stages="bd")
+    batch = encode_records(ds_train.records, ds_train.meta.questions)
+    script = build_cot_script(batch, ds_train.meta, stages="bd")
     answer = client.send(script.messages()).lower()
     for phrase, model_name in METHOD_REGISTRY.items():
         if phrase in answer:
@@ -458,7 +448,7 @@ def select_method(client, ds_train: Dataset, meta: LessonMeta | None = None) -> 
 class PipelineResult:
     """Aligned predictions and diagnostics from repeated pipeline runs."""
 
-    test_keys: list[tuple[str, str, int]]
+    test_keys: tuple[tuple[str, str, int], ...]
     run_predictions: list[np.ndarray]
     imputed_per_run: list[int]
     run_rmse: list[float] | None
@@ -499,7 +489,6 @@ def llm_predict_pipeline(
     ds_test: Dataset,
     client,
     repeats: int = 1,
-    meta: LessonMeta | None = None,
     stages: str = STAGE_ORDER,
     rows_per_chunk: int = 0,
     concurrency: int = 1,
@@ -507,9 +496,11 @@ def llm_predict_pipeline(
     """Encode both datasets, run the script through the client ``repeats`` times,
     and align the decoded records back onto the test rows.
 
-    Test outcomes are never encoded; when ``ds_test`` carries labels they are
-    used only to score each run's RMSE afterwards. Test rows missing from a
-    run's decoded output are imputed at 0.5 and counted. ``concurrency`` > 1
+    Only labeled training rows are encoded as history. Test outcomes are never
+    encoded; when ``ds_test`` carries labels they are used only to score each
+    run's RMSE afterwards. A test row that repeats a labeled training row
+    would show the client its outcome, so it is a DataError. Test rows missing
+    from a run's decoded output are imputed at 0.5 and counted. ``concurrency`` > 1
     sends repeated runs to the client from that many threads; results stay
     ordered by run index.
     """
@@ -517,18 +508,15 @@ def llm_predict_pipeline(
         raise ValueError("repeats must be >= 1")
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
-    train_records = [r for r in ds_train.records if r.obs is not None]
-    masked = [
-        InteractionRecord(r.learner_id, r.question_id, r.attempt, None) for r in ds_test.records
-    ]
-    combined = Dataset.from_records(
-        train_records + masked,
-        lesson_name=ds_train.meta.lesson_name,
-        questions=(meta.questions if meta else None) or ds_train.meta.questions,
-    )
-    batch = encode_records(combined, meta)
-    script = build_cot_script(batch, meta, stages=stages, rows_per_chunk=rows_per_chunk)
-    test_keys = batch.test_keys()
+    labeled = [r for r in ds_train.records if r.obs is not None]
+    test_rows = {r.key() for r in ds_test.records}
+    shown = next((r.key() for r in labeled if r.key() in test_rows), None)
+    if shown is not None:
+        raise DataError(f"test row {shown} repeats a labeled training row; the client would see its outcome")
+    masked = (InteractionRecord(r.learner_id, r.question_id, r.attempt, None) for r in ds_test.records)
+    batch = encode_records(itertools.chain(labeled, masked), ds_train.meta.questions)
+    script = build_cot_script(batch, ds_train.meta, stages=stages, rows_per_chunk=rows_per_chunk)
+    test_keys = batch.test_keys
     key_pos = {key: i for i, key in enumerate(test_keys)}
 
     # test_keys follow the test records, so labels align with them
@@ -579,9 +567,8 @@ def llm_predict_pipeline(
 class LlmPredictor:
     """Predictor adapter so the CV harness can benchmark a client end to end."""
 
-    def __init__(self, client, meta: LessonMeta | None = None):
+    def __init__(self, client):
         self.client = client
-        self.meta = meta
         self._train: Dataset | None = None
 
     def fit(self, train: Dataset) -> "LlmPredictor":
@@ -591,12 +578,6 @@ class LlmPredictor:
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
         if self._train is None:
             raise RuntimeError("predict called before fit")
-        test = Dataset.from_records(
-            [InteractionRecord(lid, qid, attempt, None) for lid, qid, attempt in rows],
-            lesson_name=self._train.meta.lesson_name,
-            questions=self._train.meta.questions,
-        )
-        result = llm_predict_pipeline(
-            self._train, test, self.client, repeats=1, meta=self.meta, stages="bc"
-        )
+        test = Dataset.from_records(InteractionRecord(*row, None) for row in rows)
+        result = llm_predict_pipeline(self._train, test, self.client, repeats=1, stages="bc")
         return result.run_predictions[0]

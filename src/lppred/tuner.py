@@ -15,7 +15,7 @@ import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,16 +26,8 @@ from .llm import braced_records
 from .metrics import CvReport, fold_rmse_table
 from .seeds import derive_seed
 
-GRID_FIELDS = (
-    "n_trees",
-    "learning_rate",
-    "max_depth",
-    "subsample",
-    "colsample_bytree",
-    "gamma",
-    "min_child_weight",
-)
-_INTEGER_FIELDS = ("n_trees", "max_depth")
+GRID_FIELDS = tuple(f.name for f in fields(GbtConfig))
+_INTEGER_FIELDS = tuple(f.name for f in fields(GbtConfig) if type(f.default) is int)
 
 
 @dataclass(frozen=True)
@@ -267,13 +259,13 @@ def parse_config_proposal(text: str) -> GbtConfig | None:
     """
     for _, raw in braced_records(text, _CONFIG_KEYS):
         try:
-            fields = {name: float(value) for name, value in raw.items()}
+            values = {name: float(value) for name, value in raw.items()}
         except ValueError:
             continue
-        if set(fields) == set(GRID_FIELDS):
+        if set(values) == set(GRID_FIELDS):
             try:
                 return GbtConfig(
-                    **{name: int(v) if name in _INTEGER_FIELDS else v for name, v in fields.items()}
+                    **{name: int(v) if name in _INTEGER_FIELDS else v for name, v in values.items()}
                 )
             except ValueError:
                 continue
@@ -284,8 +276,7 @@ def _proposal_prompt(history: list[tuple[GbtConfig, float]]) -> list[dict[str, s
     lines = [
         "We are tuning a gradient-boosted tree model for learner performance "
         "prediction. Propose the next hyperparameter configuration to try, as one "
-        "braced dict with keys n_trees, learning_rate, max_depth, subsample, "
-        "colsample_bytree, gamma, min_child_weight.",
+        f"braced dict with keys {', '.join(GRID_FIELDS)}.",
     ]
     if history:
         lines.append("Configurations evaluated so far (config -> CV RMSE):")

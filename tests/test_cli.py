@@ -162,6 +162,18 @@ class TestExitCodes:
         assert code == EXIT_CLIENT
 
 
+    @pytest.mark.parametrize("obs, expected", [("1", EXIT_DATA), ("", EXIT_OK)],
+                             ids=["labeled", "unlabeled"])
+    def test_test_row_repeating_a_training_row(self, train_test_files, tmp_path, obs, expected):
+        """A labeled training copy would show the client the outcome; an unlabeled one is dropped."""
+        train, test = train_test_files
+        learner, question, attempt, _ = test.read_text(encoding="utf-8").splitlines()[1].split(",")
+        with train.open("a", encoding="utf-8") as fh:
+            fh.write(f"{learner},{question},{attempt},{obs}\n")
+        code = main(["llm-run", "--mock", "--train", str(train), "--test", str(test),
+                     "--out", str(tmp_path / "o")])
+        assert code == expected
+
     @pytest.mark.parametrize("value", [
         '{"p_init": 0.3, "p_learn": 0.2, "p_slip": 0.1, "p_guess": 0.2, "p_forget": 0.1}',
         '{"p_init": 0.3, "p_learn": 0.2, "p_slip": 0.1}',
@@ -184,8 +196,17 @@ class TestExitCodes:
         ["tune", "--method", "llm", "--mock", "--budget", "0", "--data", "{data}"],
         ["cv", "--model", "bkt", "--k", "1", "--data", "{data}"],
         ["cv", "--model", "gbt", "--n-trees", "-1", "--data", "{data}"],
+        ["llm-run", "--train", "{train}", "--test", "{test}", "--endpoint", "http://127.0.0.1:1",
+         "--timeout", "-1"],
+        ["llm-run", "--train", "{train}", "--test", "{test}", "--endpoint", "http://127.0.0.1:1",
+         "--timeout", "nan"],
+        ["llm-run", "--train", "{train}", "--test", "{test}", "--endpoint", "http://127.0.0.1:1",
+         "--timeout", "0"],
+        ["tune", "--method", "llm", "--mock", "--temperature", "nan", "--data", "{data}"],
+        ["tune", "--method", "llm", "--mock", "--temperature", "inf", "--data", "{data}"],
     ], ids=["shape", "mask", "repeats", "workers", "rows-per-chunk", "retries", "budget", "k",
-            "n-trees"])
+            "n-trees", "timeout-negative", "timeout-nan", "timeout-zero", "temperature-nan",
+            "temperature-inf"])
     def test_out_of_range_count_flag_is_usage_error(self, train_test_files, sim_data, tmp_path, argv):
         train, test = train_test_files
         argv = [arg.format(train=train, test=test, data=sim_data) for arg in argv]

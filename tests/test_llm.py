@@ -47,38 +47,40 @@ def lesson_meta():
 
 class TestEncode:
     def test_train_sentence_contains_ordinal_and_outcome(self):
-        ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1)]))
-        batch = encode_records(ds, lesson_meta())
-        sentence = batch.sentences[0]
+        batch = encode_records(make_records([("L1", "Q1", 1, 1)]), lesson_meta().questions)
+        sentence = batch.train[0]
         assert "1st attempt" in sentence
         assert "observed as 1" in sentence
         assert "Minor Burns Q1" in sentence
 
     def test_test_sentence_has_no_outcome_clause(self):
-        ds = Dataset.from_records(make_records([("L2", "Q3", 2, None)]))
-        batch = encode_records(ds)
-        assert "observed as" not in batch.sentences[0]
-        assert "2nd attempt" in batch.sentences[0]
+        batch = encode_records(make_records([("L2", "Q3", 2, None)]), {})
+        assert batch.train == ()
+        assert "observed as" not in batch.test[0]
+        assert "2nd attempt" in batch.test[0]
+        assert batch.test_keys == (("L2", "Q3", 2),)
 
     def test_placeholder_title_without_metadata(self):
-        ds = Dataset.from_records(make_records([("L1", "Q7", 1, 0)]))
-        batch = encode_records(ds)
-        assert "'question Q7'" in batch.sentences[0]
+        batch = encode_records(make_records([("L1", "Q7", 1, 0)]), {})
+        assert "'question Q7'" in batch.train[0]
 
-    def test_sentence_count_and_order(self, rng):
-        res = simulate_bkt(SimSpec(6, 3, 3, seed=0))
-        ds = res.dataset
-        batch = encode_records(ds)
-        assert len(batch.sentences) == ds.n_records
-        assert batch.keys == tuple(r.key() for r in ds.records)
+    def test_sentence_count_and_order(self):
+        records = make_records([("L1", "Q1", 1, 0), ("L2", "Q1", 1, None), ("L1", "Q1", 2, 1),
+                                ("L2", "Q2", 1, None), ("L3", "Q2", 1, 1)])
+        batch = encode_records(iter(records), {})
+        labeled = [r for r in records if r.obs is not None]
+        targets = [r for r in records if r.obs is None]
+        # each role keeps record order, and a sentence does not depend on its neighbours
+        assert batch.train == tuple(encode_records([r], {}).train[0] for r in labeled)
+        assert batch.test == tuple(encode_records([r], {}).test[0] for r in targets)
+        assert batch.test_keys == tuple(r.key() for r in targets)
 
 
 class TestScript:
     def batch(self):
-        ds = Dataset.from_records(
-            make_records([("L1", "Q1", 1, 1), ("L1", "Q2", 1, None)])
+        return encode_records(
+            make_records([("L1", "Q1", 1, 1), ("L1", "Q2", 1, None)]), lesson_meta().questions
         )
-        return encode_records(ds, lesson_meta())
 
     def test_full_stage_sequence_with_metadata(self):
         script = build_cot_script(self.batch(), lesson_meta())
@@ -101,7 +103,7 @@ class TestScript:
 
     def test_chunked_transcription(self):
         rows = [("L1", "Q1", a, 1) for a in range(1, 8)] + [("L2", "Q1", 1, None)]
-        batch = encode_records(Dataset.from_records(make_records(rows)))
+        batch = encode_records(make_records(rows), {})
         script = build_cot_script(batch, None, stages="b", rows_per_chunk=3)
         b_steps = [s for s in script.steps if s.stage == "b"]
         assert len(b_steps) == 4  # ceil(7/3) train chunks + one test block
@@ -247,8 +249,8 @@ class TestMockHeuristic:
         assert heuristic_prediction(0, 0, 1) == pytest.approx(0.5)
 
     def test_client_no_test_rows_with_prediction_request_errors(self):
-        ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)]))
-        script = build_cot_script(encode_records(ds), None)
+        records = make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)])
+        script = build_cot_script(encode_records(records, {}), None)
         with pytest.raises(ValueError, match="no prediction rows"):
             MockHeuristicClient().send(script.messages())
 
