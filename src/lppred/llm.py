@@ -184,7 +184,9 @@ def build_cot_script(
             train = batch.train
             chunks = [train]
             if rows_per_chunk > 0:
-                chunks = [train[i : i + rows_per_chunk] for i in range(0, len(train), rows_per_chunk)]
+                # one empty chunk keeps the header, with "(none)", when no row is labeled
+                chunks = [train[i : i + rows_per_chunk]
+                          for i in range(0, len(train), rows_per_chunk)] or [()]
             for ci, chunk in enumerate(chunks):
                 label = "Historical learning performance records:" if ci == 0 else "More historical records:"
                 body = "\n".join(chunk) if chunk else "(none)"

@@ -12,13 +12,16 @@ an L2 penalty on the factor blocks, so the regularization strength has the
 same meaning regardless of how many cells are observed; factors start at a
 truncated SVD of the centered response matrix.
 
-Fitting alternates between the two blocks. Given the question factors, each
-learner's factors are a small ridge logistic regression, and given the
-learner factors, so are each question's factors and intercept; one batched
-Newton step solves every regression of a block at once, halved until the
-objective does not increase. A rank fit converges when one alternation gains
-less than ``TOL`` within ``MAX_ITER`` alternations. ``LowRankModel.converged``
-is True when every rank fit of ``sparfa_fit`` converged; otherwise it warns.
+Each rank fit takes Levenberg-Marquardt-damped Newton steps on W, C and the
+intercepts together, on the full Hessian with its bilinear learner-question
+cross term. A Schur complement eliminates the Hessian's block-diagonal learner
+part and leaves one dense system in the (rank + 1) * n_questions question
+unknowns. A step is taken only if the damped Hessian is positive definite
+(the Cholesky factorizations of the learner blocks and of the complement
+succeed) and the objective does not rise; otherwise the damping grows
+tenfold, and after a step it shrinks tenfold. A fit converges when a step
+gains less than ``TOL`` and stalls when ``MAX_ITER`` Newton steps, rejected
+ones included, or the damping cap run out first; ``sparfa_fit`` then warns.
 
 The number of latent concepts is chosen automatically: each candidate rank
 (always including the intercept-only rank 0) is scored by held-out log-loss
@@ -39,8 +42,8 @@ from .seeds import derive_seed
 
 DEFAULT_RANK_CANDIDATES = (1, 2, 3, 4)
 FACTOR_L2 = 0.01   # factor ridge on the per-cell mean NLL, not exposed as a tunable
-MAX_ITER = 600     # alternations (learner block, then question block) per rank fit
-TOL = 1e-9         # converged once one alternation gains less than this
+MAX_ITER = 200     # damped Newton steps per rank fit, rejected ones included
+TOL = 1e-9         # converged once one step gains less than this
 INNER_FOLDS = 4    # internal validation split of the observed cells
 
 
@@ -57,7 +60,7 @@ class LowRankModel:
     global_mean: float = 0.5
     objective_trace: tuple[float, ...] = ()
     rank_val_logloss: dict[int, float] = field(default_factory=dict)
-    converged: bool = True  # every rank fit stopped on TOL before MAX_ITER
+    converged: bool = True  # every rank fit stopped on TOL
 
     def to_dict(self) -> dict:
         return {
@@ -98,42 +101,63 @@ def _fit_intercept_only(rows, cols, vals, n_q):
     return np.log(rate / (1.0 - rate))
 
 
-def _newton_directions(groups, n_groups, x, resid, weight, ridge, coef):
-    """Newton directions of independent ridge logistic regressions, one per group.
+def _newton_system(cells, vals, w, c, mu):
+    """Gradient and Hessian of the objective in W and in [C; mu], each raveled.
 
-    Group g owns the cells where ``groups == g``; ``x`` (cells, k) holds their
-    features and ``resid``/``weight`` the first and second derivatives of each
-    cell's loss in its logit. Group g's penalty is 0.5 * sum(ridge * coef[g]**2).
-    Gradients and the stacked (n_groups, k, k) Hessians are summed by
-    ``np.bincount`` and solved in one ``np.linalg.solve``.
+    ``cells`` holds each observed cell's flat position learner * n_q + question,
+    one cell per pair; other pairs get zero residual and curvature, so sums over
+    cells are matmuls. Returns the gradient, the learner blocks (n_l, rank, rank),
+    the cross block (n_l, rank, m), to which a cell adds ``weight * c [w; 1]^T +
+    resid [I 0]``, and the question system (m, m), m = (rank + 1) * n_q.
     """
-    k = x.shape[1]
-    grad = np.bincount(
-        (groups[:, None] * k + np.arange(k)).ravel(),
-        weights=(resid[:, None] * x).ravel(),
-        minlength=n_groups * k,
-    ).reshape(n_groups, k)
-    grad += ridge * coef
-    hess = np.bincount(
-        (groups[:, None] * (k * k) + np.arange(k * k)).ravel(),
-        weights=(weight[:, None, None] * x[:, :, None] * x[:, None, :]).ravel(),
-        minlength=n_groups * k * k,
-    ).reshape(n_groups, k, k)
-    # an unpenalized coefficient of a group without cells has zero gradient; unit
-    # curvature keeps its system solvable and its step zero
-    empty = np.bincount(groups, minlength=n_groups) == 0
-    hess[:, np.arange(k), np.arange(k)] += np.where(ridge > 0, ridge, empty[:, None])
-    return np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    (n_l, rank), n_q = w.shape, mu.size
+    z = (w @ c + mu).ravel()[cells]
+    p = _sigmoid(z)
+    # sigmoid(z) * sigmoid(-z) stays positive where 1 - p rounds to 0
+    resid, weight = np.zeros((2, n_l, n_q))
+    resid.flat[cells], weight.flat[cells] = (p - vals) / len(vals), p * _sigmoid(-z) / len(vals)
+    x = np.column_stack([w, np.ones(n_l)])
+    ridge = np.append(np.full(rank, FACTOR_L2), 0.0)  # the intercept is not penalized
+    grad = np.concatenate([(resid @ c.T + FACTOR_L2 * w).ravel(),
+                           (x.T @ resid + ridge[:, None] * np.vstack([c, mu])).ravel()])
+    blocks = weight @ (c[:, None, :] * c[None, :, :]).reshape(rank * rank, n_q).T
+    blocks = blocks.reshape(n_l, rank, rank) + FACTOR_L2 * np.eye(rank)
+    system = np.zeros((rank + 1, n_q, rank + 1, n_q))
+    system[:, np.arange(n_q), :, np.arange(n_q)] = (
+        weight.T @ (x[:, :, None] * x[:, None, :]).reshape(n_l, -1)
+    ).reshape(n_q, rank + 1, rank + 1) + np.diag(ridge)
+    cross = (weight[:, None, :] * c)[:, :, None, :] * x[:, None, :, None]
+    cross[:, np.arange(rank), np.arange(rank)] += resid[:, None]
+    m = (rank + 1) * n_q
+    return grad, blocks, cross.reshape(n_l, rank, m), system.reshape(m, m)
+
+
+def _damped_direction(grad, blocks, cross, system, damping):
+    """Solve (H + damping I) d = grad, the learners eliminated by a Schur complement.
+
+    With L a learner block's Cholesky factor and X = L^-1 B for its rows B of
+    the cross block, the complement is the question system minus X^T X.
+    Raises ``np.linalg.LinAlgError`` unless H + damping I is positive definite.
+    """
+    n_l, rank, m = cross.shape
+    inv_chol = np.linalg.inv(np.linalg.cholesky(blocks + damping * np.eye(rank)))
+    x = (inv_chol @ cross).reshape(n_l * rank, m)
+    y = (inv_chol @ grad[: n_l * rank].reshape(n_l, rank, 1)).ravel()
+    schur = system + damping * np.eye(m) - x.T @ x
+    np.linalg.cholesky(schur)
+    d_q = np.linalg.solve(schur, grad[n_l * rank :] - x.T @ y)
+    d_w = inv_chol.transpose(0, 2, 1) @ (y - x @ d_q).reshape(n_l, rank, 1)
+    return np.concatenate([d_w.ravel(), d_q])
 
 
 def _fit_rank(rows, cols, vals, n_l, n_q, rank, seed):
-    """Alternating batched Newton steps on the regularized mean logistic NLL.
+    """Levenberg-Marquardt-damped Newton steps on the regularized mean logistic NLL.
 
     Returns the factors, intercepts, objective trace and whether the fit
-    stopped on ``TOL`` before ``MAX_ITER`` alternations.
+    stopped on ``TOL`` before ``MAX_ITER`` steps or the damping cap.
     """
     rng = np.random.default_rng(seed)
-    n_cells = len(vals)
+    n_cells, cells = len(vals), rows * n_q + cols
     mu = _fit_intercept_only(rows, cols, vals, n_q)
 
     # spectral start: leading factors of the intercept-centered residuals
@@ -143,58 +167,32 @@ def _fit_rank(rows, cols, vals, n_l, n_q, rank, seed):
     w = left[:, :rank] * np.sqrt(sing[:rank]) * 2.0 + rng.normal(0.0, 0.01, (n_l, rank))
     c = (right[:rank, :].T * np.sqrt(sing[:rank])).T * 2.0 + rng.normal(0.0, 0.01, (rank, n_q))
 
-    def logits(wm, cm, mm):
-        return np.sum(wm[rows] * cm[:, cols].T, axis=1) + mm[cols]
-
     def objective(wm, cm, mm):
-        z = logits(wm, cm, mm)
+        z = (wm @ cm + mm).ravel()[cells]
         nll = float(np.sum(np.logaddexp(0.0, z) - vals * z)) / n_cells
         return nll + 0.5 * FACTOR_L2 * (float(np.sum(wm * wm)) + float(np.sum(cm * cm)))
 
-    def derivatives(wm, cm, mm):
-        z = logits(wm, cm, mm)
-        p = _sigmoid(z)
-        # sigmoid(z) * sigmoid(-z) stays positive where 1 - p rounds to 0
-        return (p - vals) / n_cells, p * _sigmoid(-z) / n_cells
-
-    def descend(point, direction, evaluate, current):
-        """Halve the Newton step until the objective does not increase."""
-        step = 1.0
-        while step > 1e-12:
-            cand = point - step * direction
-            cand_obj = evaluate(cand)
-            if cand_obj <= current:
-                trace.append(cand_obj)
-                return cand, cand_obj
-            step *= 0.5
-        return point, current
-
-    ridge_w = np.full(rank, FACTOR_L2)
-    ridge_c = np.append(np.full(rank, FACTOR_L2), 0.0)  # the intercept is not penalized
+    system = _newton_system(cells, vals, w, c, mu)
     obj = objective(w, c, mu)
     trace = [obj]
-    converged = False
+    damping, converged = 1e-3, False  # damping stays within [1e-12, 1e10]
     for _ in range(MAX_ITER):
-        before = obj
-        # learner-factor block: one ridge logistic regression per learner
-        direction = _newton_directions(
-            rows, n_l, c[:, cols].T, *derivatives(w, c, mu), ridge_w, w
-        )
-        w, obj = descend(w, direction, lambda cand: objective(cand, c, mu), obj)
-
-        # question-factor and intercept block: one regression per question
-        coef = np.column_stack([c.T, mu])
-        features = np.column_stack([w[rows], np.ones(n_cells)])
-        direction = _newton_directions(
-            cols, n_q, features, *derivatives(w, c, mu), ridge_c, coef
-        )
-        coef, obj = descend(
-            coef, direction, lambda cand: objective(w, cand[:, :rank].T, cand[:, rank]), obj
-        )
-        c, mu = coef[:, :rank].T, coef[:, rank]
-
-        if before - obj < TOL:
-            converged = True
+        try:
+            step = _damped_direction(*system, damping)
+        except np.linalg.LinAlgError:  # H + damping I is not positive definite
+            step = None
+        if step is not None:
+            coef = np.vstack([c, mu]) - step[n_l * rank :].reshape(rank + 1, n_q)
+            cand = w - step[: n_l * rank].reshape(n_l, rank), coef[:rank], coef[rank]
+        if step is not None and (cand_obj := objective(*cand)) <= obj:
+            converged = obj - cand_obj < TOL
+            (w, c, mu), obj = cand, cand_obj
+            trace.append(obj)
+            if converged:
+                break
+            damping = max(damping / 10.0, 1e-12)
+            system = _newton_system(cells, vals, w, c, mu)
+        elif (damping := damping * 10.0) > 1e10:  # no step, a rise or a NaN
             break
     return w, c, mu, trace, converged
 
@@ -244,7 +242,7 @@ def sparfa_fit(
     folds = rng.permutation(n_cells) % max(2, min(INNER_FOLDS, n_cells))
 
     val_scores: dict[int, float] = {r: 0.0 for r in [0] + candidates}
-    stalled = 0  # rank fits that ran out of MAX_ITER
+    stalled = 0  # rank fits that ran out of MAX_ITER or of damping
     for fold in range(folds.max() + 1):
         hold = folds == fold
         fit_rows, fit_cols, fit_vals = rows[~hold], cols[~hold], vals[~hold]
@@ -269,7 +267,8 @@ def sparfa_fit(
         )
         stalled += not converged
     if stalled:
-        warnings.warn(f"sparfa_fit: {stalled} rank fits stopped at MAX_ITER={MAX_ITER} before TOL")
+        warnings.warn(f"sparfa_fit: {stalled} rank fits stopped at MAX_ITER={MAX_ITER} steps "
+                      "or the damping cap before TOL")
     return build(best_rank, w, c, mu, trace, val_scores, converged=not stalled)
 
 

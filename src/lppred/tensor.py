@@ -66,34 +66,42 @@ def als_objective(u, v_flat, li, qa, y, ridge) -> float:
     return sse + ridge * (float(np.sum(u * u)) + float(np.sum(v_flat * v_flat)))
 
 
-def _ridge_solves(groups, n_groups, x, y, ridge, current):
+def _group_index(groups, n_groups, r):
+    """Bincount indices for ``_ridge_solves``, built once per grouping of a fit.
+
+    Returns the flat positions of each cell's r right-hand-side and r * r Gram
+    entries among its group's, and the mask of groups without cells.
+    """
+    return (
+        (groups[:, None] * r + np.arange(r)).ravel(),
+        (groups[:, None] * (r * r) + np.arange(r * r)).ravel(),
+        np.bincount(groups, minlength=n_groups) == 0,
+    )
+
+
+def _ridge_solves(index, x, y, ridge, current):
     """Independent ridge least-squares fits, one per group, in one stacked solve.
 
-    Group g owns the cells where ``groups == g``; ``x`` (cells, r) holds their
-    regressors and ``y`` their targets. Returns the (n_groups, r) solutions of
-    (X_g^T X_g + ridge I) b = X_g^T y_g, built by ``np.bincount`` and solved in
-    one ``np.linalg.solve``. With ``ridge == 0`` each group gets the
-    minimum-norm least-squares solution, as ``np.linalg.lstsq`` would give,
+    ``index`` is the ``_group_index`` of the cells' groups; ``x`` (cells, r)
+    holds their regressors and ``y`` their targets. Returns the (n_groups, r)
+    solutions of (X_g^T X_g + ridge I) b = X_g^T y_g, built by ``np.bincount``
+    and solved in one ``np.linalg.solve``. With ``ridge == 0`` each group gets
+    the minimum-norm least-squares solution, as ``np.linalg.lstsq`` would give,
     through the pseudo-inverse of its Gram matrix. A group without cells keeps
     its row of ``current``.
     """
-    r = x.shape[1]
-    rhs = np.bincount(
-        (groups[:, None] * r + np.arange(r)).ravel(),
-        weights=(y[:, None] * x).ravel(),
-        minlength=n_groups * r,
-    ).reshape(n_groups, r, 1)
+    rhs_at, gram_at, empty = index
+    n_groups, r = len(empty), x.shape[1]
+    rhs = np.bincount(rhs_at, weights=(y[:, None] * x).ravel(), minlength=n_groups * r)
     gram = np.bincount(
-        (groups[:, None] * (r * r) + np.arange(r * r)).ravel(),
-        weights=(x[:, :, None] * x[:, None, :]).ravel(),
-        minlength=n_groups * r * r,
-    ).reshape(n_groups, r, r)
+        gram_at, weights=(x[:, :, None] * x[:, None, :]).ravel(), minlength=n_groups * r * r
+    )
+    rhs, gram = rhs.reshape(n_groups, r, 1), gram.reshape(n_groups, r, r)
     if ridge > 0:
         gram[:, np.arange(r), np.arange(r)] += ridge
         solved = np.linalg.solve(gram, rhs)[:, :, 0]
     else:
         solved = (np.linalg.pinv(gram, hermitian=True) @ rhs)[:, :, 0]
-    empty = np.bincount(groups, minlength=n_groups) == 0
     return np.where(empty[:, None], current, solved)
 
 
@@ -122,10 +130,12 @@ def als_fit_cells(
     u = rng.uniform(0.0, scale, size=(n_learners, rank))
     v = rng.uniform(0.0, scale, size=(rank, n_fibers))
 
+    by_learner = _group_index(li, n_learners, rank)
+    by_fiber = _group_index(qa, n_fibers, rank)
     trace = [als_objective(u, v, li, qa, y, ridge)]
     for _ in range(max_sweeps):
-        u = _ridge_solves(li, n_learners, v[:, qa].T, y, ridge, u)
-        v = _ridge_solves(qa, n_fibers, u[li], y, ridge, v.T).T
+        u = _ridge_solves(by_learner, v[:, qa].T, y, ridge, u)
+        v = _ridge_solves(by_fiber, u[li], y, ridge, v.T).T
         trace.append(als_objective(u, v, li, qa, y, ridge))
         if trace[-2] - trace[-1] < tol:
             break

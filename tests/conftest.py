@@ -1,6 +1,9 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
+from lppred import sparfa
 from lppred.data import Dataset, InteractionRecord
 from lppred.metrics import cross_validate
 from lppred.simulate import SimSpec, simulate
@@ -52,3 +55,25 @@ CV_SHAPES = pytest.mark.parametrize(
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+class RankFit(NamedTuple):
+    seed: int
+    rank: int
+    objective: float  # the last entry of the fit's objective trace
+    converged: bool
+
+
+@pytest.fixture
+def rank_fits(monkeypatch):
+    """Every SPARFA rank fit made while the test runs, in order, as ``RankFit`` tuples."""
+    fits = []
+    fit_rank = sparfa._fit_rank
+
+    def recording(rows, cols, vals, n_l, n_q, rank, seed):
+        result = fit_rank(rows, cols, vals, n_l, n_q, rank, seed)
+        fits.append(RankFit(seed, rank, result[3][-1], result[4]))
+        return result
+
+    monkeypatch.setattr(sparfa, "_fit_rank", recording)
+    return fits

@@ -108,6 +108,15 @@ class TestScript:
         b_steps = [s for s in script.steps if s.stage == "b"]
         assert len(b_steps) == 4  # ceil(7/3) train chunks + one test block
 
+    @pytest.mark.parametrize("rows_per_chunk", [0, 3])
+    def test_history_header_without_labeled_rows(self, rows_per_chunk):
+        batch = encode_records(make_records([("L1", "Q1", 1, None)]), {})
+        script = build_cot_script(batch, None, stages="b", rows_per_chunk=rows_per_chunk)
+        first = script.steps[0]
+        assert first.stage == "b"
+        assert first.content == "Historical learning performance records:\n(none)"
+        assert len(script.steps) == 2  # the header, then the rows awaiting prediction
+
     def test_empty_batch_rejected(self):
         from lppred.llm import EncodedBatch
 

@@ -5,14 +5,16 @@ import pytest
 
 from lppred import sparfa
 from lppred.data import Dataset, _sigmoid
-from lppred.simulate import SimSpec, simulate_lowrank
+from lppred.metrics import cross_validate
+from lppred.simulate import SimSpec, simulate, simulate_lowrank
 from lppred.sparfa import (
     FACTOR_L2,
     LowRankModel,
     SparfaModel,
+    _damped_direction,
     _first_attempt_cells,
     _fit_intercept_only,
-    _newton_directions,
+    _newton_system,
     sparfa_fit,
     sparfa_predict,
 )
@@ -163,39 +165,74 @@ class TestFit:
         assert set(payload) >= {"W", "C", "mu", "r"}
 
 
+def newton_problem(seed=0, n_l=7, n_q=5, rank=2):
+    """A small random problem; the last learner and the last question have no cells."""
+    rng = np.random.default_rng(seed)
+    pairs = [(l, q) for l in range(n_l - 1) for q in range(n_q - 1) if rng.random() < 0.7]
+    rows, cols = np.array(pairs).T
+    vals = rng.integers(0, 2, len(rows)).astype(float)
+    w, c, mu = rng.normal(size=(n_l, rank)), rng.normal(size=(rank, n_q)), rng.normal(size=n_q)
+    return rows * n_q + cols, rows, cols, vals, w, c, mu
+
+
+def objective_at(theta, rows, cols, vals, n_l, rank):
+    w, coef = theta[: n_l * rank].reshape(n_l, rank), theta[n_l * rank :].reshape(rank + 1, -1)
+    z = np.sum(w[rows] * coef[:rank, cols].T, axis=1) + coef[rank, cols]
+    nll = np.mean(np.logaddexp(0.0, z) - vals * z)
+    return nll + 0.5 * FACTOR_L2 * (np.sum(w * w) + np.sum(coef[:rank] ** 2))
+
+
+def dense_hessian(blocks, cross, system):
+    """Assemble the full Hessian from the learner blocks, the cross block and the question system."""
+    n_l, rank, m = cross.shape
+    top = np.zeros((n_l * rank, n_l * rank))
+    for l in range(n_l):
+        top[l * rank : (l + 1) * rank, l * rank : (l + 1) * rank] = blocks[l]
+    flat = cross.reshape(n_l * rank, m)
+    return np.block([[top, flat], [flat.T, system]])
+
+
 class TestNewton:
-    def test_batched_block_step_equals_per_group_solves(self):
-        rng = np.random.default_rng(0)
-        n_l, n_q, rank = 7, 5, 2
-        # the last learner and the last question have no cells
-        pairs = [(l, q) for l in range(n_l - 1) for q in range(n_q - 1) if rng.random() < 0.7]
-        rows, cols = np.array(pairs).T
-        vals = rng.integers(0, 2, len(rows)).astype(float)
-        w, c = rng.normal(size=(n_l, rank)), rng.normal(size=(rank, n_q))
-        mu = rng.normal(size=n_q)
-        p = _sigmoid(np.sum(w[rows] * c[:, cols].T, axis=1) + mu[cols])
-        resid, weight = (p - vals) / len(vals), p * (1 - p) / len(vals)
+    def test_gradient_and_hessian_match_central_differences(self):
+        cells, rows, cols, vals, w, c, mu = newton_problem()
+        n_l, rank = w.shape
+        grad, *parts = _newton_system(cells, vals, w, c, mu)
+        hess = dense_hessian(*parts)
+        theta = np.concatenate([w.ravel(), np.vstack([c, mu]).ravel()])  # the system's order
+        f = lambda t: objective_at(t, rows, cols, vals, n_l, rank)  # noqa: E731
+        h, basis = 1e-4, np.eye(len(theta))
+        num_grad = np.array([(f(theta + h * e) - f(theta - h * e)) / (2 * h) for e in basis])
+        num_hess = np.array([
+            [(f(theta + h * (a + b)) - f(theta + h * (a - b)) - f(theta - h * (a - b))
+              + f(theta - h * (a + b))) / (4 * h * h) for b in basis]
+            for a in basis
+        ])
+        assert np.abs(num_grad - grad).max() < 1e-8
+        assert np.abs(num_hess - hess).max() < 1e-6
 
-        def reference(groups, group, x, ridge, coef):
-            mine = groups == group
-            grad = x[mine].T @ resid[mine] + ridge * coef
-            hess = (x[mine].T * weight[mine]) @ x[mine] + np.diag(ridge)
-            return np.linalg.solve(hess, grad)
+    def test_schur_step_equals_dense_damped_solve(self):
+        cells, rows, cols, vals, w, c, mu = newton_problem(seed=1)
+        grad, *parts = _newton_system(cells, vals, w, c, mu)
+        hess = dense_hessian(*parts)
+        for damping in (0.1, 1.0, 10.0):
+            expected = np.linalg.solve(hess + damping * np.eye(len(grad)), grad)
+            got = _damped_direction(grad, *parts, damping)
+            assert np.abs(got - expected).max() < 1e-10
 
-        got = _newton_directions(rows, n_l, c[:, cols].T, resid, weight, np.full(rank, FACTOR_L2), w)
-        for l in range(n_l):
-            expected = reference(rows, l, c[:, cols].T, np.full(rank, FACTOR_L2), w[l])
-            assert np.allclose(got[l], expected, rtol=1e-12, atol=1e-14)
-
-        # per question: factors and an unpenalized intercept
-        ridge = np.append(np.full(rank, FACTOR_L2), 0.0)
-        coef = np.column_stack([c.T, mu])
-        x = np.column_stack([w[rows], np.ones(len(rows))])
-        got = _newton_directions(cols, n_q, x, resid, weight, ridge, coef)
-        for q in range(n_q - 1):
-            assert np.allclose(got[q], reference(cols, q, x, ridge, coef[q]), rtol=1e-12, atol=1e-14)
-        # without cells the factors shrink straight to zero and the intercept stays
-        assert np.allclose(got[-1], np.append(c[:, -1], 0.0), rtol=1e-12, atol=0)
+    def test_safeguarded_direction_descends_where_hessian_is_indefinite(self):
+        cells, rows, cols, vals, w, c, mu = newton_problem()
+        grad, *parts = _newton_system(cells, vals, w, c, mu)
+        assert np.linalg.eigvalsh(dense_hessian(*parts)).min() < 0
+        with pytest.raises(np.linalg.LinAlgError):
+            _damped_direction(grad, *parts, 1e-3)
+        # the fit raises the damping tenfold until H + damping I is positive definite
+        for damping in 1e-3 * 10.0 ** np.arange(8):
+            try:
+                direction = _damped_direction(grad, *parts, damping)
+                break
+            except np.linalg.LinAlgError:
+                continue
+        assert grad @ direction > 0  # the fit steps to theta - direction
 
     @CV_SHAPES
     def test_every_cv_fold_converges(self, shape, seed):
@@ -203,6 +240,14 @@ class TestNewton:
             warnings.simplefilter("error")
             models = cv_fitted_models(lambda fold_seed: SparfaModel(seed=fold_seed), shape, seed)
         assert [m.model.converged for m in models] == [True] * 5
+
+    def test_golden_fixture_fit_reaches_the_lower_basin(self, rank_fits):
+        # block alternation ended this inner fit of fold 0 at 0.4609977
+        ds = simulate(SimSpec(20, 5, 4, generator="bkt-process", seed=11, stop_on_correct=True))
+        cross_validate(lambda fold_seed: SparfaModel(seed=fold_seed), ds.dataset, k=5, seed=7)
+        (fit,) = [f for f in rank_fits if f.seed == 635505452]
+        assert fit.rank == 2 and fit.converged
+        assert fit.objective < 0.4602
 
     def test_exhausted_budget_warns_and_is_reported(self, monkeypatch):
         monkeypatch.setattr(sparfa, "MAX_ITER", 1)

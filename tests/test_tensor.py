@@ -9,6 +9,7 @@ from lppred.seeds import derive_seed
 from lppred.tensor import (
     TensorFactorizationModel,
     TensorModel,
+    _group_index,
     _ridge_solves,
     als_fit_cells,
     als_objective,
@@ -98,9 +99,9 @@ class TestStackedSolves:
         for seed in range(5):
             li, qa, y = self.sparse_cells(seed)
             u, v = rng.normal(size=(9, 2)), rng.normal(size=(2, 7))
-            got_u = _ridge_solves(li, 9, v[:, qa].T, y, ridge, u)
+            got_u = _ridge_solves(_group_index(li, 9, 2), v[:, qa].T, y, ridge, u)
             np.testing.assert_allclose(got_u, reference_half_sweep(li, 9, v[:, qa].T, y, ridge, u), rtol=1e-12)
-            got_v = _ridge_solves(qa, 7, got_u[li], y, ridge, v.T)
+            got_v = _ridge_solves(_group_index(qa, 7, 2), got_u[li], y, ridge, v.T)
             np.testing.assert_allclose(got_v, reference_half_sweep(qa, 7, got_u[li], y, ridge, v.T), rtol=1e-12)
             # the learner and the fiber without cells keep their values exactly
             assert np.array_equal(got_u[4], u[4]) and np.array_equal(got_v[5], v[:, 5])
@@ -110,7 +111,7 @@ class TestStackedSolves:
         li, qa = np.array([0, 1, 1, 2, 2]), np.array([0, 1, 2, 0, 1])
         y = np.array([0.7, 0.2, 0.4, 0.3, 0.9])
         v = np.array([[0.6, 0.5, 1.0, 0.0], [0.8, 0.25, 0.5, 1.0]])
-        got = _ridge_solves(li, 3, v[:, qa].T, y, 0.0, np.zeros((3, 2)))
+        got = _ridge_solves(_group_index(li, 3, 2), v[:, qa].T, y, 0.0, np.zeros((3, 2)))
         for learner in range(3):
             cells = li == learner
             expected = np.linalg.lstsq(v[:, qa[cells]].T, y[cells], rcond=None)[0]
