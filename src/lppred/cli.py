@@ -135,7 +135,10 @@ def _fraction(text: str) -> float:
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
@@ -205,27 +208,31 @@ def _model_flags() -> argparse.ArgumentParser:
     """
     p = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     p.add_argument("--individualized", action="store_true", help="bkt: per-learner start offsets")
-    p.add_argument("--l2", type=float, help="pfa: regularization strength")
+    p.add_argument("--l2", type=_finite, help="pfa: regularization strength")
     p.add_argument("--rank", type=int, help="tensor: factor rank")
-    p.add_argument("--ridge", type=float, help="tensor: ridge strength")
+    p.add_argument("--ridge", type=_finite, help="tensor: ridge strength")
     p.add_argument("--ranks", dest="rank_candidates", metavar="RANKS", type=_rank_list,
                    help="sparfa: comma-separated rank candidates")
     for f in fields(GbtConfig):  # gamma alone is spelled --gbt-gamma
         flag = "gbt_gamma" if f.name == "gamma" else f.name
         p.add_argument("--" + flag.replace("_", "-"), dest=f.name, metavar=flag.upper(),
-                       type=type(f.default))
+                       type=_finite if isinstance(f.default, float) else int)
     return p
 
 
 def _local_factory(name: str, args):
-    """Seed -> unfitted local model, built from the model flags given in ``args``."""
+    """Seed -> unfitted local model, built from the model flags given in ``args``.
+
+    A flag out of its model's range is a UsageError here, before any fold runs.
+    """
     cls, names = LOCAL_MODELS[name]
     given = {n: getattr(args, n) for n in names if hasattr(args, n)}
-    if cls is GbtModel:
-        try:
+    try:
+        if cls is GbtModel:
             given = {"config": GbtConfig(**given)}
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        cls(**given)  # each constructor checks its arguments' ranges
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return lambda seed: cls(seed=seed, **given)
 
 
@@ -356,9 +363,9 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     ds = _load_dataset(args)
     if args.targets:
-        rows = [r.key() for r in parse_dataset(args.targets).records]
+        rows = parse_dataset(args.targets).keys()
     else:
-        rows = [ds.records[i].key() for i in ds.unlabeled_positions()]
+        rows = ds.keys(ds.unlabeled_positions())
         if not rows:
             raise DataError("no rows to predict: data has no unlabeled rows and no --targets given")
     preds = _fit_local(args, ds).predict(rows)

@@ -1,56 +1,45 @@
-"""Interaction-record data model, file ingestion, and fold splitting.
+"""Interaction data model, file ingestion, and fold splitting.
 
-An interaction record is one (learner, question, attempt) observation with a
+An interaction is one (learner, question, attempt) observation with a
 binary outcome: 1 for a correct answer, 0 for an incorrect one. Rows whose
 outcome is unknown (empty ``obs`` field) are permitted and flagged as
 prediction targets.
 
 The on-disk format is comma-separated UTF-8 text with the header
-``learner_id,question_id,attempt,obs``, one record per line. Spaces and
+``learner_id,question_id,attempt,obs``, one row per line. Spaces and
 tabs around a cell are dropped; a learner or question id may not begin or
 end with whitespace, so every Dataset survives a write and re-read. An optional
 lesson metadata file is a JSON object with ``lesson_name`` and a
 ``questions`` map from question id to ``{text, options, answer}``.
 
-This module is the one place where ids become integers. A ``Dataset`` keeps,
-beside its records, four int columns aligned with them: ``learner`` and
-``question`` (dense codes in order of first appearance, the values of
-``learner_index``/``question_index``), ``attempt``, and ``obs`` (-1 for rows
-without an outcome). Models fit on these columns. Queries arrive as raw
-``(learner, question, attempt)`` triples, and ``encode_keys`` turns them into
+This module is the one place where ids become integers. A ``Dataset`` is
+four int columns: ``learner`` and ``question`` (dense codes in order of first
+appearance, the values of ``learner_index``/``question_index``), ``attempt``,
+and ``obs`` (-1 for rows without an outcome). Models fit on these columns;
+``Dataset.keys`` looks rows up as raw ``(learner, question, attempt)``
+triples. Queries arrive as such triples, and ``encode_keys`` turns them into
 the same codes, with -1 for ids unseen in training. ``Dataset.subset`` takes
 distinct positions; it indexes the columns and re-densifies the codes
-without validating the records again.
+without validating the rows again.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 EXPECTED_HEADER = ("learner_id", "question_id", "attempt", "obs")
+_DECIMAL = re.compile(r"[+-]?[0-9]+")  # int() also takes "1_0" and non-ASCII digits
 MAX_ATTEMPT = 2**63 - 1  # attempts are stored as int64
 
 
 class DataError(ValueError):
     """Malformed or inconsistent interaction data."""
-
-
-@dataclass(frozen=True)
-class InteractionRecord:
-    """One learner attempt on one question. ``obs`` is None for rows awaiting prediction."""
-
-    learner_id: str
-    question_id: str
-    attempt: int
-    obs: int | None
-
-    def key(self) -> tuple[str, str, int]:
-        return (self.learner_id, self.question_id, self.attempt)
 
 
 @dataclass(frozen=True)
@@ -71,59 +60,47 @@ class LessonMeta:
     questions: dict[str, QuestionInfo] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Validated, immutable collection of interaction records.
+    """Validated, immutable interaction rows, stored as int columns.
 
-    ``learner_index`` and ``question_index`` map the opaque ids appearing in
-    ``records`` onto dense 0-based integers, in order of first appearance.
+    ``learner_index`` and ``question_index`` map the opaque learner and
+    question ids onto dense 0-based codes, in order of first appearance.
     The int columns ``learner`` to ``obs`` are described in the module docstring.
     """
 
-    records: tuple[InteractionRecord, ...]
     meta: LessonMeta
     learner_index: dict[str, int]
     question_index: dict[str, int]
-    learner: np.ndarray = field(compare=False)
-    question: np.ndarray = field(compare=False)
-    attempt: np.ndarray = field(compare=False)
-    obs: np.ndarray = field(compare=False)
+    learner: np.ndarray
+    question: np.ndarray
+    attempt: np.ndarray
+    obs: np.ndarray
 
     @classmethod
     def from_records(
         cls,
-        records,
+        rows,
         lesson_name: str = "",
         questions: dict[str, QuestionInfo] | None = None,
     ) -> "Dataset":
-        records = tuple(records)
-        if not records:
-            raise DataError("dataset has no records")
+        """Columns of ``(learner_id, question_id, attempt, obs-or-None)`` rows, read once and not kept."""
         learner_index: dict[str, int] = {}
         question_index: dict[str, int] = {}
         columns = [array("q") for _ in range(4)]
         learner_codes, question_codes, attempts, outcomes = columns
-        for rec in records:
-            if not 1 <= rec.attempt <= MAX_ATTEMPT:
-                raise DataError(f"attempt must be in 1..2^63-1, got {rec.attempt} for {rec.key()}")
-            if rec.obs is not None and rec.obs not in (0, 1):
-                raise DataError(f"obs must be 0 or 1, got {rec.obs} for {rec.key()}")
-            learner_codes.append(learner_index.setdefault(rec.learner_id, len(learner_index)))
-            question_codes.append(question_index.setdefault(rec.question_id, len(question_index)))
-            attempts.append(rec.attempt)
-            outcomes.append(-1 if rec.obs is None else rec.obs)
-        for ids, role in ((learner_index, "learner_id"), (question_index, "question_id")):
-            padded = next((i for i in ids if i != i.strip()), None)
-            if padded is not None:
-                key = next(r.key() for r in records if getattr(r, role) == padded)
-                raise DataError(f"{role} {padded!r} has surrounding whitespace, in record {key}")
+        for learner_id, question_id, attempt, obs in rows:
+            if not 1 <= attempt <= MAX_ATTEMPT:
+                raise DataError(f"attempt must be in 1..2^63-1, got {attempt} for {(learner_id, question_id, attempt)}")
+            if obs not in (0, 1, None):
+                raise DataError(f"obs must be 0 or 1, got {obs} for {(learner_id, question_id, attempt)}")
+            learner_codes.append(learner_index.setdefault(learner_id, len(learner_index)))
+            question_codes.append(question_index.setdefault(question_id, len(question_index)))
+            attempts.append(attempt)
+            outcomes.append(-1 if obs is None else obs)
+        if not attempts:
+            raise DataError("dataset has no records")
         learner, question, attempt, obs = (np.frombuffer(c, dtype=np.int64) for c in columns)
-        # the sort is stable, so each repeated key comes right after an earlier record's
-        order = np.lexsort((attempt, question, learner))
-        same = (np.diff(np.stack([learner, question, attempt])[:, order], axis=1) == 0).all(axis=0)
-        if same.any():
-            key = records[order[1:][same].min()].key()
-            raise DataError(f"duplicate record for (learner, question, attempt) = {key}")
         meta = LessonMeta(
             lesson_name=lesson_name,
             n_learners=len(learner_index),
@@ -131,11 +108,30 @@ class Dataset:
             max_attempt=int(attempt.max()),
             questions=dict(questions) if questions else {},
         )
-        return cls(records, meta, learner_index, question_index, learner, question, attempt, obs)
+        ds = cls(meta, learner_index, question_index, learner, question, attempt, obs)
+        for role, ids, codes in (("learner_id", learner_index, learner), ("question_id", question_index, question)):
+            padded = next((i for i in ids if i != i.strip()), None)
+            if padded is not None:
+                (key,) = ds.keys([np.argmax(codes == ids[padded])])
+                raise DataError(f"{role} {padded!r} has surrounding whitespace, in record {key}")
+        # the sort is stable, so each repeated key comes right after an earlier row's
+        order = np.lexsort((attempt, question, learner))
+        same = (np.diff(np.stack([learner, question, attempt])[:, order], axis=1) == 0).all(axis=0)
+        if same.any():
+            (key,) = ds.keys([order[1:][same].min()])
+            raise DataError(f"duplicate record for (learner, question, attempt) = {key}")
+        return ds
 
     @property
     def n_records(self) -> int:
-        return len(self.records)
+        return len(self.obs)
+
+    def keys(self, positions=None) -> list[tuple[str, str, int]]:
+        """``(learner_id, question_id, attempt)`` of the rows at ``positions``, default all."""
+        pos = slice(None) if positions is None else np.asarray(positions, dtype=np.intp)
+        lids, qids = list(self.learner_index), list(self.question_index)
+        columns = (self.learner[pos].tolist(), self.question[pos].tolist(), self.attempt[pos].tolist())
+        return [(lids[l], qids[q], a) for l, q, a in zip(*columns)]
 
     def labeled_positions(self) -> list[int]:
         return np.flatnonzero(self.obs >= 0).tolist()
@@ -144,9 +140,9 @@ class Dataset:
         return np.flatnonzero(self.obs < 0).tolist()
 
     def subset(self, positions) -> "Dataset":
-        """New Dataset over the given distinct record positions, codes re-densified.
+        """New Dataset over the given distinct row positions, codes re-densified.
 
-        The records were validated when this dataset was built, so they are
+        The rows were validated when this dataset was built, so they are
         not validated again; repeating a position would repeat its key.
         """
         pos = np.asarray(positions, dtype=np.intp)
@@ -161,8 +157,7 @@ class Dataset:
             n_questions=len(question_index),
             max_attempt=int(attempt.max()),
         )
-        records = tuple(self.records[i] for i in pos.tolist())
-        return Dataset(records, meta, learner_index, question_index, learner, question, attempt, self.obs[pos])
+        return Dataset(meta, learner_index, question_index, learner, question, attempt, self.obs[pos])
 
     def outcome_table(self) -> np.ndarray:
         """Outcomes by (learner code, question code, attempt - 1), -1 where unknown.
@@ -181,8 +176,8 @@ class Dataset:
         pos = np.arange(self.n_records) if positions is None else np.asarray(positions, dtype=np.intp)
         obs = self.obs[pos]
         if np.any(obs < 0):
-            rec = self.records[pos[np.argmax(obs < 0)]]
-            raise DataError(f"record {rec.key()} has no observation")
+            (key,) = self.keys([pos[np.argmax(obs < 0)]])
+            raise DataError(f"record {key} has no observation")
         return obs.astype(float)
 
 
@@ -250,11 +245,19 @@ def parse_meta(meta_path) -> tuple[str, dict[str, QuestionInfo]]:
     if not isinstance(payload, dict):
         raise DataError(f"metadata file {meta_path}: expected a JSON object")
     lesson_name = str(payload.get("lesson_name", ""))
+    entries = payload.get("questions") or {}
+    if not isinstance(entries, dict):
+        raise DataError(f"metadata file {meta_path}: questions must be a JSON object")
     questions: dict[str, QuestionInfo] = {}
-    for qid, info in (payload.get("questions") or {}).items():
+    for qid, info in entries.items():
+        if not isinstance(info, dict):
+            raise DataError(f"metadata file {meta_path}: question {qid!r} must be a JSON object")
+        options = info.get("options", [])
+        if not isinstance(options, list):
+            raise DataError(f"metadata file {meta_path}: options of question {qid!r} must be a JSON array")
         questions[str(qid)] = QuestionInfo(
             text=str(info.get("text", "")),
-            options=tuple(str(o) for o in info.get("options", ())),
+            options=tuple(str(o) for o in options),
             answer=str(info.get("answer", "")),
         )
     return lesson_name, questions
@@ -271,7 +274,7 @@ def parse_dataset(path, meta_path=None) -> Dataset:
     if meta_path is not None:
         lesson_name, questions = parse_meta(meta_path)
 
-    records = []
+    rows = []
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -292,8 +295,10 @@ def parse_dataset(path, meta_path=None) -> Dataset:
             # the id, where Dataset.from_records rejects it
             learner_id, question_id, attempt_s, obs_s = (c.strip(" \t") for c in row)
             try:
+                if not _DECIMAL.fullmatch(attempt_s):
+                    raise ValueError
                 attempt = int(attempt_s)
-            except ValueError:
+            except ValueError:  # not ASCII decimal digits, or more than int() converts
                 raise DataError(f"{path}: line {lineno}: attempt must be an integer, got {attempt_s!r}") from None
             if not 1 <= attempt <= MAX_ATTEMPT:
                 raise DataError(f"{path}: line {lineno}: attempt must be in 1..2^63-1, got {attempt}")
@@ -303,9 +308,9 @@ def parse_dataset(path, meta_path=None) -> Dataset:
                 obs = int(obs_s)
             else:
                 raise DataError(f"{path}: line {lineno}: obs must be 0 or 1, got {obs_s!r}")
-            records.append(InteractionRecord(learner_id, question_id, attempt, obs))
+            rows.append((learner_id, question_id, attempt, obs))
     try:
-        return Dataset.from_records(records, lesson_name=lesson_name, questions=questions)
+        return Dataset.from_records(rows, lesson_name=lesson_name, questions=questions)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -315,10 +320,8 @@ def write_dataset(ds: Dataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EXPECTED_HEADER)
-        for rec in ds.records:
-            writer.writerow(
-                [rec.learner_id, rec.question_id, rec.attempt, "" if rec.obs is None else rec.obs]
-            )
+        for (learner_id, question_id, attempt), obs in zip(ds.keys(), ds.obs.tolist()):
+            writer.writerow([learner_id, question_id, attempt, "" if obs < 0 else obs])
 
 
 def make_folds(ds: Dataset, k: int, seed: int) -> FoldSplit:

@@ -48,19 +48,20 @@ class GbtConfig:
     min_child_weight: float = 1.0
 
     def __post_init__(self):
-        if self.n_trees < 0:
+        # each check is written so that NaN fails it
+        if not self.n_trees >= 0:
             raise ValueError("n_trees must be >= 0")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.max_depth < 1:
+        if not self.max_depth >= 1:
             raise ValueError("max_depth must be >= 1")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must lie in (0, 1]")
         if not 0.0 < self.colsample_bytree <= 1.0:
             raise ValueError("colsample_bytree must lie in (0, 1]")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be non-negative")
-        if self.min_child_weight < 0:
+        if not self.min_child_weight >= 0:
             raise ValueError("min_child_weight must be non-negative")
 
     def to_dict(self) -> dict:

@@ -22,7 +22,6 @@ omitted without it.
 from __future__ import annotations
 
 import http.client
-import itertools
 import json
 import os
 import re
@@ -33,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset, InteractionRecord, LessonMeta, QuestionInfo
+from .data import DataError, Dataset, LessonMeta, QuestionInfo
 from .metrics import rmse
 
 STAGE_ORDER = "abcdefghij"
@@ -70,28 +69,29 @@ class EncodedBatch:
     test_keys: tuple[tuple[str, str, int], ...]
 
 
-def encode_records(records, questions: dict[str, QuestionInfo]) -> EncodedBatch:
-    """Verbalize the records in order; rows without an outcome become prediction targets.
+def encode_records(keys, outcomes, questions: dict[str, QuestionInfo]) -> EncodedBatch:
+    """Verbalize ``(learner_id, question_id, attempt)`` keys in order, with their outcomes.
 
-    The question id always appears verbatim in the sentence so the text
-    round-trips losslessly; the title comes from ``questions`` when present,
-    else the placeholder "question <id>".
+    An outcome of 0 or 1 makes a history sentence; -1 (no outcome) makes the
+    row a prediction target. The question id always appears verbatim in the
+    sentence so the text round-trips losslessly; the title comes from
+    ``questions`` when present, else the placeholder "question <id>".
     """
     train: list[str] = []
     test: list[str] = []
     test_keys: list[tuple[str, str, int]] = []
-    for rec in records:
-        info = questions.get(rec.question_id)
-        title = info.text if info and info.text else f"question {rec.question_id}"
+    for (learner_id, question_id, attempt), obs in zip(keys, outcomes):
+        info = questions.get(question_id)
+        title = info.text if info and info.text else f"question {question_id}"
         sentence = (
-            f"The current learner {rec.learner_id} attempted to answer the question "
-            f"{rec.question_id} titled as '{title}' on their {_ordinal(rec.attempt)} attempt."
+            f"The current learner {learner_id} attempted to answer the question "
+            f"{question_id} titled as '{title}' on their {_ordinal(attempt)} attempt."
         )
-        if rec.obs is None:
+        if obs < 0:
             test.append(sentence)
-            test_keys.append(rec.key())
+            test_keys.append((learner_id, question_id, attempt))
         else:
-            train.append(f"{sentence} Their performance was observed as {rec.obs}.")
+            train.append(f"{sentence} Their performance was observed as {obs}.")
     return EncodedBatch(tuple(train), tuple(test), tuple(test_keys))
 
 
@@ -437,7 +437,7 @@ def select_method(client, ds_train: Dataset) -> str:
     answers fall back to "gbt". The chosen model is always fit locally; no
     code from the client is executed.
     """
-    batch = encode_records(ds_train.records, ds_train.meta.questions)
+    batch = encode_records(ds_train.keys(), ds_train.obs.tolist(), ds_train.meta.questions)
     script = build_cot_script(batch, ds_train.meta, stages="bd")
     answer = client.send(script.messages()).lower()
     for phrase, model_name in METHOD_REGISTRY.items():
@@ -510,13 +510,14 @@ def llm_predict_pipeline(
         raise ValueError("repeats must be >= 1")
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
-    labeled = [r for r in ds_train.records if r.obs is not None]
-    test_rows = {r.key() for r in ds_test.records}
-    shown = next((r.key() for r in labeled if r.key() in test_rows), None)
+    labeled = ds_train.labeled_positions()
+    history, targets = ds_train.keys(labeled), ds_test.keys()
+    target_set = set(targets)
+    shown = next((key for key in history if key in target_set), None)
     if shown is not None:
         raise DataError(f"test row {shown} repeats a labeled training row; the client would see its outcome")
-    masked = (InteractionRecord(r.learner_id, r.question_id, r.attempt, None) for r in ds_test.records)
-    batch = encode_records(itertools.chain(labeled, masked), ds_train.meta.questions)
+    outcomes = ds_train.obs[labeled].tolist() + [-1] * len(targets)  # test outcomes stay masked
+    batch = encode_records(history + targets, outcomes, ds_train.meta.questions)
     script = build_cot_script(batch, ds_train.meta, stages=stages, rows_per_chunk=rows_per_chunk)
     test_keys = batch.test_keys
     key_pos = {key: i for i, key in enumerate(test_keys)}
@@ -580,6 +581,6 @@ class LlmPredictor:
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
         if self._train is None:
             raise RuntimeError("predict called before fit")
-        test = Dataset.from_records(InteractionRecord(*row, None) for row in rows)
+        test = Dataset.from_records((*row, None) for row in rows)
         result = llm_predict_pipeline(self._train, test, self.client, repeats=1, stages="bc")
         return result.run_predictions[0]

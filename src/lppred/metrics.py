@@ -43,7 +43,7 @@ def rmse(predicted, actual) -> float:
         raise ValueError(f"length mismatch: predicted {p.shape}, actual {a.shape}")
     if p.size == 0:
         raise ValueError("rmse of empty input")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both
         raise ValueError("predicted values must lie in [0, 1]")
     if not np.all((a == 0.0) | (a == 1.0)):
         raise ValueError("actual values must be 0 or 1")
@@ -115,7 +115,7 @@ def fold_rmse_table(
     for fold in range(k):
         test_pos = split.fold_positions(fold)
         train_ds = ds.subset(split.train_positions(fold))
-        test_keys = [ds.records[i].key() for i in test_pos]
+        test_keys = ds.keys(test_pos)
         actual = ds.obs_array(test_pos)
         try:
             predictions = fit_predict(derive_seed(seed, "fold", fold), train_ds, test_keys)

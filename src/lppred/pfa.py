@@ -73,7 +73,7 @@ def _prior_counts(outcomes: np.ndarray, learner, question, attempt) -> tuple[np.
 
 
 def pfa_features(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Prior-success and prior-failure counts per record, aligned with ds.records.
+    """Prior-success and prior-failure counts aligned with the rows of ``ds``.
 
     Counts are causal: only labeled attempts of the same (learner, question)
     with a lower ordinal contribute, so reordering or relabeling later rows
@@ -128,6 +128,11 @@ def _hessian(theta, q_idx, l_idx, s, f, n_q, n_l, l2):
     return hess
 
 
+def _check_l2(l2) -> None:
+    if not l2 >= 0:  # written so that NaN fails
+        raise ValueError("l2 must be non-negative")
+
+
 def pfa_fit(train: Dataset, l2: float = DEFAULT_L2, max_iter: int = 50, seed: int = 0) -> PfaParams:
     """Minimize the L2-regularized NLL by Newton's method with Armijo backtracking.
 
@@ -142,8 +147,7 @@ def pfa_fit(train: Dataset, l2: float = DEFAULT_L2, max_iter: int = 50, seed: in
     learner intercepts each sum to a constant column), so the step is the
     minimum-norm least-squares solution.
     """
-    if l2 < 0:
-        raise ValueError("l2 must be non-negative")
+    _check_l2(l2)
     labeled = train.obs >= 0
     if not labeled.any():
         raise ValueError("pfa_fit requires at least one labeled record")
@@ -222,6 +226,7 @@ class PfaModel:
     """
 
     def __init__(self, l2: float = DEFAULT_L2, seed: int = 0):
+        _check_l2(l2)
         self.l2 = l2
         self.seed = seed
         self.params: PfaParams | None = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bkt import BktParams, bkt_predict_next
-from .data import Dataset, InteractionRecord
+from .data import Dataset
 
 GENERATORS = ("bkt-process", "low-rank-matrix", "low-rank-tensor")
 
@@ -102,7 +102,7 @@ def simulate_bkt(spec: SimSpec) -> SimResult:
                 chain.append(int(mastered))
                 p_correct = bkt_predict_next(1.0 if mastered else 0.0, params)
                 obs = int(rng.random() < p_correct)
-                records.append(InteractionRecord(lid, qid, attempt, obs))
+                records.append((lid, qid, attempt, obs))
                 if spec.stop_on_correct and obs == 1:
                     break
                 if not mastered:
@@ -174,9 +174,7 @@ def simulate_lowrank(spec: SimSpec) -> SimResult:
         masked = {cells[i] for i in chosen}
 
     records = [
-        InteractionRecord(
-            lids[li], qids[qi], a, None if (li, qi, a) in masked else draws[(li, qi, a)]
-        )
+        (lids[li], qids[qi], a, None if (li, qi, a) in masked else draws[(li, qi, a)])
         for (li, qi, a) in cells
     ]
     dataset = Dataset.from_records(records, lesson_name=f"sim-{spec.generator}-{spec.seed}")

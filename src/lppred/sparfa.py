@@ -197,6 +197,12 @@ def _fit_rank(rows, cols, vals, n_l, n_q, rank, seed):
     return w, c, mu, trace, converged
 
 
+def _check_rank_candidates(rank_candidates) -> None:
+    bad = next((r for r in rank_candidates if not r >= 0), None)
+    if bad is not None:
+        raise ValueError(f"rank candidates must be >= 0, got {bad}")
+
+
 def sparfa_fit(
     train: Dataset, rank_candidates: Sequence[int] = DEFAULT_RANK_CANDIDATES, seed: int = 0
 ) -> LowRankModel:
@@ -214,6 +220,7 @@ def sparfa_fit(
     rows, cols, vals = _first_attempt_cells(train)
     global_mean = float(vals.mean())
 
+    _check_rank_candidates(rank_candidates)
     candidates = sorted({int(r) for r in rank_candidates if r > 0})
     for r in candidates:
         if r > min(n_l, n_q):
@@ -290,6 +297,7 @@ class SparfaModel:
     """Predictor wrapper. Attempts share the pair's matrix probability."""
 
     def __init__(self, rank_candidates: Sequence[int] = DEFAULT_RANK_CANDIDATES, seed: int = 0):
+        _check_rank_candidates(rank_candidates)
         self.rank_candidates = tuple(rank_candidates)
         self.seed = seed
         self.model: LowRankModel | None = None

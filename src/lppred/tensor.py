@@ -142,6 +142,13 @@ def als_fit_cells(
     return u, v, trace
 
 
+def _check_rank_ridge(rank, ridge) -> None:
+    if not rank >= 1:  # written so that NaN fails
+        raise ValueError("rank must be >= 1")
+    if not ridge >= 0:
+        raise ValueError("ridge must be non-negative")
+
+
 def tensor_fit_als(
     train: Dataset,
     rank: int = DEFAULT_RANK,
@@ -157,10 +164,7 @@ def tensor_fit_als(
     uniform in [0, 1/sqrt(rank)], seeded. Learners without a single observed cell get
     the mean of the fitted rows and are listed in ``cold_learners``.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
+    _check_rank_ridge(rank, ridge)
     n_l = len(train.learner_index)
     if rank > n_l:
         raise ValueError(f"rank {rank} exceeds number of learners {n_l}")
@@ -236,6 +240,7 @@ class TensorFactorizationModel:
     """Predictor wrapper around tensor_fit_als/tensor_predict."""
 
     def __init__(self, rank: int = DEFAULT_RANK, ridge: float = DEFAULT_RIDGE, seed: int = 0):
+        _check_rank_ridge(rank, ridge)
         self.rank = rank
         self.ridge = ridge
         self.seed = seed

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from lppred import sparfa
-from lppred.data import Dataset, InteractionRecord
+from lppred.data import Dataset
 from lppred.metrics import cross_validate
 from lppred.simulate import SimSpec, simulate
 
 
 def make_records(rows):
-    """rows: iterable of (learner, question, attempt, obs-or-None)."""
-    return [InteractionRecord(l, q, a, o) for l, q, a, o in rows]
+    """rows: iterable of (learner, question, attempt, obs-or-None); a list of 4-tuples."""
+    return [(l, q, a, o) for l, q, a, o in rows]
+
+
+def rows_of(ds):
+    """The rows of ``ds`` as (learner, question, attempt, obs-or-None), from ``keys()`` and ``obs``."""
+    return [(*key, None if obs < 0 else obs) for key, obs in zip(ds.keys(), ds.obs.tolist())]
 
 
 def random_dataset(rng, n_learners=6, n_questions=4, max_attempt=3, n_rows=40, labeled=True):
@@ -29,7 +34,7 @@ def random_dataset(rng, n_learners=6, n_questions=4, max_attempt=3, n_rows=40, l
             continue
         counts[(lid, qid)] = attempt
         obs = int(rng.integers(2)) if labeled else None
-        records.append(InteractionRecord(lid, qid, attempt, obs))
+        records.append((lid, qid, attempt, obs))
     return Dataset.from_records(records)
 
 

@@ -25,7 +25,7 @@ from lppred.sparfa import _first_attempt_cells, _fit_intercept_only, sparfa_fit,
 from lppred.tensor import als_fit_cells, tensor_fit_als
 from lppred.tuner import Grid, default_grid, grid_search
 
-from conftest import make_records, random_dataset
+from conftest import make_records, random_dataset, rows_of
 from test_bkt import enumerate_filtered
 from test_gbt import brute_force_stump
 from test_pfa import build_design, reference_objective
@@ -113,22 +113,19 @@ def test_criterion_4_sparfa_recovery_and_rank_selection():
         )
         ds = res.dataset
         train = ds.subset(ds.labeled_positions())
-        test = [ds.records[i] for i in ds.unlabeled_positions()]
-        actual = np.array(
-            [res.truth["obs"][f"{r.learner_id}|{r.question_id}|{r.attempt}"] for r in test],
-            float,
-        )
+        test = ds.keys(ds.unlabeled_positions())
+        actual = np.array([res.truth["obs"][f"{lid}|{qid}|{a}"] for lid, qid, a in test], float)
         model = sparfa_fit(train, rank_candidates=(1, 2, 4), seed=trial)
         picks_rank2 += model.rank == 2
-        pred = sparfa_predict(model, [r.key() for r in test])
+        pred = sparfa_predict(model, test)
         rows, cols, vals = _first_attempt_cells(train)
         mu = _fit_intercept_only(rows, cols, vals, len(train.question_index))
         base = np.array(
             [
-                float(_sigmoid(mu[train.question_index[r.question_id]]))
-                if r.question_id in train.question_index
+                float(_sigmoid(mu[train.question_index[qid]]))
+                if qid in train.question_index
                 else float(vals.mean())
-                for r in test
+                for _, qid, _ in test
             ]
         )
         if np.sqrt(np.mean((pred - actual) ** 2)) < np.sqrt(np.mean((base - actual) ** 2)):
@@ -186,8 +183,8 @@ def test_criterion_6_gbt_split_oracle_and_audit():
         ds = random_dataset(rng, n_learners=5, n_questions=4, max_attempt=4, n_rows=n)
         config = GbtConfig(n_trees=1, max_depth=1, learning_rate=1.0, min_child_weight=0.0)
         model = gbt_fit(ds, config, seed=0)
-        x = model.feature_matrix([r.key() for r in ds.records])
-        y = np.array([r.obs for r in ds.records], float)
+        x = model.feature_matrix(ds.keys())
+        y = ds.obs_array()
         expected = brute_force_stump(x, y, np.full(n, model.base_score), mcw=0.0)
         root = model.trees[0]
         got = None if root.is_leaf else (root.feature, root.threshold)
@@ -305,17 +302,16 @@ def test_criterion_9_llm_pipeline_offline():
     assert result.std_error == 0.0
 
     per_question = {}
-    for rec in train.records:
-        if rec.obs is not None:
-            per_question.setdefault(rec.question_id, []).append(rec.obs)
+    for _, qid, _, obs in rows_of(train):
+        if obs is not None:
+            per_question.setdefault(qid, []).append(obs)
     direct = np.array(
         [
             heuristic_prediction(len(per_question.get(q, [])), sum(per_question.get(q, [])), a)
             for (_, q, a) in result.test_keys
         ]
     )
-    labels = np.array([float(r.obs) for r in test.records])
-    by_key = {r.key(): float(r.obs) for r in test.records}
+    by_key = dict(zip(test.keys(), test.obs_array().tolist()))
     aligned_labels = np.array([by_key[k] for k in result.test_keys])
     direct_rmse = rmse(direct, aligned_labels)
     gap = abs(result.run_rmse[0] - direct_rmse)
@@ -332,7 +328,7 @@ def test_criterion_9_llm_pipeline_offline():
 def test_criterion_10_relative_ordering():
     class MeanConstant:
         def fit(self, train):
-            self.value = float(np.mean([r.obs for r in train.records if r.obs is not None]))
+            self.value = float(np.mean(train.obs[train.obs >= 0]))
             return self
 
         def predict(self, rows):

@@ -16,11 +16,11 @@ from lppred.bkt import (
     bkt_predict_next,
     sequence_predictions,
 )
-from lppred.data import Dataset, InteractionRecord, make_folds
+from lppred.data import Dataset, make_folds
 from lppred.seeds import derive_seed
 from lppred.simulate import SimSpec, simulate, simulate_bkt
 
-from conftest import make_records
+from conftest import make_records, rows_of
 
 NEAR_ZERO = 1e-6  # parameters live strictly inside (0, 1)
 
@@ -128,7 +128,7 @@ class TestEmFit:
     def test_all_correct_noiseless_recovers_high_p_init(self):
         params = BktParams(1.0 - NEAR_ZERO, NEAR_ZERO, NEAR_ZERO, NEAR_ZERO)
         res = simulate_bkt(SimSpec(40, 1, 5, seed=0, bkt=params))
-        assert all(r.obs == 1 for r in res.dataset.records)
+        assert (res.dataset.obs == 1).all()
         fit = bkt_fit_em(res.dataset, seed=0)
         assert fit.question_params["Q1"].p_init == pytest.approx(1.0, abs=0.05)
 
@@ -275,7 +275,7 @@ class TestStackedEm:
         ds = simulate_bkt(SimSpec(40, 3, 6, seed=5)).dataset
         extra = [(f"L{i}", "Q1x", 1, 1) for i in range(1, 30)]
         extra += [(f"L{i}", "QS", 1, int(i % 3 == 0)) for i in range(1, 25)]
-        ds = Dataset.from_records(list(ds.records) + make_records(extra))
+        ds = Dataset.from_records(rows_of(ds) + make_records(extra))
         fit = bkt_fit_em(ds, max_iter=30, tol=1e-6, seed=3)
         lengths = {qid: len(trace) for qid, trace in fit.loglik_trace.items()}
         assert fit.converged["QS"] and fit.converged["Q1x"] and lengths["QS"] < lengths["Q1x"] < 30
@@ -330,9 +330,9 @@ def reference_learner_offsets(ds, fit):
     question, then by code.
     """
     labeled = {}
-    for rec in ds.records:
-        if rec.obs is not None:
-            labeled.setdefault((rec.learner_id, rec.question_id), {})[rec.attempt] = rec.obs
+    for lid, qid, attempt, obs in rows_of(ds):
+        if obs is not None:
+            labeled.setdefault((lid, qid), {})[attempt] = obs
     by_learner = {}
     for qid in ds.question_index:
         for lid in ds.learner_index:
@@ -380,8 +380,8 @@ class TestLearnerOffsets:
     @pytest.mark.parametrize("seed", [4, 7])
     def test_vectorized_search_equals_per_learner_loop(self, seed):
         full = simulate_bkt(SimSpec(12, 3, 5, seed=seed)).dataset
-        kept = [r for i, r in enumerate(full.records) if i % 3]  # held-out gaps
-        kept[::7] = [InteractionRecord(*r.key(), None) for r in kept[::7]]  # unlabeled rows
+        kept = [r for i, r in enumerate(rows_of(full)) if i % 3]  # held-out gaps
+        kept[::7] = [(*r[:3], None) for r in kept[::7]]  # unlabeled rows
         extras = make_records([
             ("LU", "QN", 1, None),  # a question with no labeled sequence, a learner with none
             ("LU", "Q1", 1, None),
@@ -422,9 +422,9 @@ def per_row_reference(model, train, rows):
     """Each query's belief walked through a dict of the learner's training attempts."""
     fit = model.fit_result
     history = {}
-    for rec in train.records:
-        if rec.obs is not None:
-            history.setdefault((rec.learner_id, rec.question_id), {})[rec.attempt] = rec.obs
+    for lid, qid, attempt, obs in rows_of(train):
+        if obs is not None:
+            history.setdefault((lid, qid), {})[attempt] = obs
     out = []
     for lid, qid, attempt in rows:
         p = fit.question_params.get(qid, fit.fallback)
@@ -448,7 +448,7 @@ class TestPredictor:
     def test_batch_matches_per_row_reference(self, individualized):
         full = simulate_bkt(SimSpec(12, 3, 5, seed=4)).dataset
         train = full.subset([i for i in range(full.n_records) if i % 3])  # held-out gaps
-        rows = [r.key() for r in full.records] + [("LX", "Q1", 3), ("L1", "QX", 2), ("L2", "Q2", 9)]
+        rows = full.keys() + [("LX", "Q1", 3), ("L1", "QX", 2), ("L2", "Q2", 9)]
         model = BktModel(seed=0, individualized=individualized).fit(train)
         assert np.array_equal(model.predict(rows), per_row_reference(model, train, rows))
 
@@ -456,7 +456,7 @@ class TestPredictor:
         res = simulate_bkt(SimSpec(30, 4, 5, seed=3))
         ds = res.dataset
         model = BktModel(seed=0).fit(ds)
-        preds = model.predict([r.key() for r in ds.records])
+        preds = model.predict(ds.keys())
         assert np.all((preds >= 0) & (preds <= 1))
 
     def test_gap_attempts_marginalized(self):
@@ -486,7 +486,7 @@ class TestPredictor:
         res = simulate_bkt(SimSpec(12, 3, 5, seed=4))
         model = BktModel(seed=0, individualized=True).fit(res.dataset)
         assert set(model.fit_result.learner_offsets) == set(res.dataset.learner_index)
-        preds = model.predict([r.key() for r in res.dataset.records])
+        preds = model.predict(res.dataset.keys())
         assert np.all((preds >= 0) & (preds <= 1))
 
     def test_export_json(self):

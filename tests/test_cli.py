@@ -86,6 +86,36 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("payload, named", [
+        ('{"questions": {"Q1": "text"}}', "question 'Q1' must be a JSON object"),
+        ('{"questions": ["Q1"]}', "questions must be a JSON object"),
+        ('{"questions": {"Q1": {"options": 5}}}', "options of question 'Q1' must be a JSON array"),
+    ], ids=["question-not-object", "questions-not-object", "options-not-array"])
+    def test_malformed_lesson_metadata_is_data_error(self, sim_data, tmp_path, capsys, payload, named):
+        meta = tmp_path / "meta.json"
+        meta.write_text(payload, encoding="utf-8")
+        code = main(["ingest", "--data", str(sim_data), "--meta", str(meta), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: metadata file {meta}: {named}\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--model", "gbt", "--learning-rate", "nan"],
+        ["--model", "gbt", "--gbt-gamma", "nan"],
+        ["--model", "tensor", "--ridge", "nan"],
+        ["--model", "tensor", "--rank", "0"],
+        ["--model", "tensor", "--ridge", "-1"],
+        ["--model", "pfa", "--l2", "-1"],
+        ["--model", "pfa", "--l2", "nan"],
+        ["--model", "sparfa", "--ranks=-2"],
+    ], ids=lambda flags: " ".join(flags[1:]))
+    def test_model_flag_out_of_range_exits_before_fold_0(self, sim_data, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        code = main(["cv", *flags, "--data", str(sim_data), "--k", "3", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "fold" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["cv", "fit"])
     def test_non_integer_ranks_is_usage_error(self, sim_data, tmp_path, command):
         code = main(
@@ -347,8 +377,8 @@ class TestCommands:
         assert len(calls) == 3  # one method selection per fold
         for fold, text in enumerate(calls):
             shown = {(m[1], m[2], int(m[3])) for m in _RECORD_SENTENCE.finditer(text) if m[4] is not None}
-            held_out = {ds.records[i].key() for i in split.fold_positions(fold)}
-            train = {ds.records[i].key() for i in split.train_positions(fold)}
+            held_out = set(ds.keys(split.fold_positions(fold)))
+            train = set(ds.keys(split.train_positions(fold)))
             assert shown == train and not shown & held_out
 
     def test_fit_then_predict(self, sim_data, tmp_path):

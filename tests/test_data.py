@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from lppred.data import (
     DataError,
     Dataset,
-    InteractionRecord,
     encode_keys,
     make_folds,
     parse_dataset,
@@ -18,7 +18,7 @@ from lppred.data import (
     write_dataset,
 )
 
-from conftest import make_records, random_dataset
+from conftest import make_records, random_dataset, rows_of
 
 
 def write_csv(path, body):
@@ -27,10 +27,10 @@ def write_csv(path, body):
 
 
 def records_with_ids(ids):
-    """Records with unique keys; the csv writer must quote commas, quotes and line breaks in ids."""
+    """Rows with unique keys; the csv writer must quote commas, quotes and line breaks in ids."""
     return st.lists(
-        st.builds(InteractionRecord, ids, ids, st.integers(1, 2**63 - 1), st.sampled_from([0, 1, None])),
-        min_size=1, max_size=12, unique_by=lambda r: r.key(),
+        st.tuples(ids, ids, st.integers(1, 2**63 - 1), st.sampled_from([0, 1, None])),
+        min_size=1, max_size=12, unique_by=lambda r: r[:3],
     )
 
 
@@ -49,7 +49,7 @@ class TestParse:
         assert ds.meta.n_learners == 1
         assert ds.meta.n_questions == 1
         assert ds.meta.max_attempt == 2
-        assert [r.obs for r in ds.records] == [1, 0]
+        assert ds.obs.tolist() == [1, 0]
 
     def test_absent_obs_flagged(self, tmp_path):
         f = write_csv(tmp_path / "d.csv", "learner_id,question_id,attempt,obs\nL1,Q1,1,1\nL2,Q1,1,\n")
@@ -66,12 +66,28 @@ class TestParse:
         with pytest.raises(DataError, match=r"line 2.*attempt"):
             parse_dataset(f)
 
+    @pytest.mark.parametrize("cell", ["1_0", "\uff13", "\u0663", "+-1", "1.0", ""])
+    def test_attempt_cell_is_plain_decimal(self, tmp_path, cell):
+        f = write_csv(tmp_path / "d.csv", f"learner_id,question_id,attempt,obs\nL1,Q1,1,1\nL1,Q1,{cell},0\n")
+        with pytest.raises(DataError, match=re.escape(f"line 3: attempt must be an integer, got {cell!r}")):
+            parse_dataset(f)
+
+    @pytest.mark.parametrize("cell, attempt", [("7", 7), ("+2", 2), ("007", 7)])
+    def test_signed_decimal_attempt_parses(self, tmp_path, cell, attempt):
+        f = write_csv(tmp_path / "d.csv", f"learner_id,question_id,attempt,obs\nL1,Q1,{cell},1\n")
+        assert parse_dataset(f).keys() == [("L1", "Q1", attempt)]
+
+    def test_negative_attempt_gets_the_range_message(self, tmp_path):
+        f = write_csv(tmp_path / "d.csv", "learner_id,question_id,attempt,obs\nL1,Q1,-1,1\n")
+        with pytest.raises(DataError, match=r"line 2: attempt must be in 1\.\.2\^63-1, got -1"):
+            parse_dataset(f)
+
     def test_attempt_past_int64_is_data_error(self, tmp_path):
         f = write_csv(tmp_path / "d.csv", "learner_id,question_id,attempt,obs\nL1,Q1,9223372036854775808,1\n")
         with pytest.raises(DataError, match=r"line 2.*attempt"):
             parse_dataset(f)
         with pytest.raises(DataError, match="attempt"):
-            Dataset.from_records([InteractionRecord("L1", "Q1", 2**63, 1)])
+            Dataset.from_records([("L1", "Q1", 2**63, 1)])
 
     def test_wrong_column_count(self, tmp_path):
         f = write_csv(tmp_path / "d.csv", "learner_id,question_id,attempt,obs\nL1,Q1,1\n")
@@ -96,34 +112,36 @@ class TestParse:
         out = tmp_path / "rt.csv"
         write_dataset(ds, out)
         back = parse_dataset(out)
-        assert sorted((r.key(), r.obs) for r in back.records) == sorted(
-            (r.key(), r.obs) for r in ds.records
-        )
+        assert sorted(rows_of(back)) == sorted(rows_of(ds))
 
     @settings(max_examples=60, deadline=None)
     @given(records=records_with_ids(st.text(max_size=6).filter(lambda s: s == s.strip())))
     def test_write_parse_round_trip(self, records):
         ds = Dataset.from_records(records)
-        assert _write_and_parse(ds).records == ds.records
+        assert rows_of(ds) == records
+        assert ds.keys() == [r[:3] for r in records]
+        assert rows_of(_write_and_parse(ds)) == records
+        positions = list(range(len(records)))[::-2]
+        assert rows_of(ds.subset(positions)) == [records[i] for i in positions]
 
     @settings(max_examples=60, deadline=None)
     @given(records=records_with_ids(st.text(max_size=6)))
-    @example(records=[InteractionRecord(" L1", "Q1", 1, 1)])
-    @example(records=[InteractionRecord("L1", "Q1\r", 1, 1)])
-    @example(records=[InteractionRecord("L1", "Q1", 1, 0), InteractionRecord("\x1c", "Q1", 1, 1)])
+    @example(records=[(" L1", "Q1", 1, 1)])
+    @example(records=[("L1", "Q1\r", 1, 1)])
+    @example(records=[("L1", "Q1", 1, 0), ("\x1c", "Q1", 1, 1)])
     def test_ids_with_surrounding_whitespace_are_rejected(self, records):
-        padded = [r for r in records if any(i != i.strip() for i in (r.learner_id, r.question_id))]
+        padded = [r for r in records if any(i != i.strip() for i in r[:2])]
         if not padded:
             ds = Dataset.from_records(records)
-            assert _write_and_parse(ds).records == ds.records
+            assert rows_of(_write_and_parse(ds)) == rows_of(ds)
             return
         with pytest.raises(DataError, match="surrounding whitespace") as info:
             Dataset.from_records(records)
-        assert any(repr(r.key()) in str(info.value) for r in padded)
+        assert any(repr(r[:3]) in str(info.value) for r in padded)
 
     def test_space_or_tab_beside_a_comma_still_parses(self, tmp_path):
         f = write_csv(tmp_path / "d.csv", "learner_id, question_id,attempt,obs\nL1, Q1,\t2 , 1\n")
-        assert parse_dataset(f).records == (InteractionRecord("L1", "Q1", 2, 1),)
+        assert rows_of(parse_dataset(f)) == [("L1", "Q1", 2, 1)]
 
     def test_other_whitespace_around_an_id_is_a_data_error(self, tmp_path):
         f = write_csv(tmp_path / "d.csv", "learner_id,question_id,attempt,obs\nL1,Q1,1,1\nL2\xa0,Q1,1,0\n")
@@ -153,9 +171,10 @@ class TestDatasetInvariants:
 
     def test_meta_matches_records(self, rng):
         ds = random_dataset(rng, n_rows=50)
-        assert ds.meta.n_learners == len({r.learner_id for r in ds.records})
-        assert ds.meta.n_questions == len({r.question_id for r in ds.records})
-        assert ds.meta.max_attempt == max(r.attempt for r in ds.records)
+        keys = ds.keys()
+        assert ds.meta.n_learners == len({lid for lid, _, _ in keys})
+        assert ds.meta.n_questions == len({qid for _, qid, _ in keys})
+        assert ds.meta.max_attempt == max(attempt for _, _, attempt in keys)
 
     def test_first_repeated_key_is_named(self):
         rows = [("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0), ("L2", "Q1", 1, 1), ("L1", "Q1", 1, 0)]
@@ -170,18 +189,22 @@ class TestDatasetInvariants:
         ds = random_dataset(rng, n_rows=30)
         sub = ds.subset(range(10))
         assert sub.n_records == 10
-        assert sub.meta.n_learners == len({r.learner_id for r in sub.records})
+        assert sub.meta.n_learners == len({lid for lid, _, _ in sub.keys()})
 
 
 class TestColumns:
     def test_columns_follow_records(self, rng):
         full = random_dataset(rng, n_rows=40)
-        for ds in (full, full.subset(range(full.n_records - 1, 0, -2))):
-            for i, rec in enumerate(ds.records):
-                assert ds.learner[i] == ds.learner_index[rec.learner_id]
-                assert ds.question[i] == ds.question_index[rec.question_id]
-                assert ds.attempt[i] == rec.attempt
-                assert ds.obs[i] == (-1 if rec.obs is None else rec.obs)
+        full_rows = rows_of(full)
+        positions = range(full.n_records - 1, 0, -2)
+        for ds, rows in ((full, full_rows), (full.subset(positions), [full_rows[i] for i in positions])):
+            assert ds.keys() == [r[:3] for r in rows]
+            assert ds.keys(range(1, len(rows), 3)) == [r[:3] for r in rows[1::3]]
+            for i, (lid, qid, attempt, obs) in enumerate(rows):
+                assert ds.learner[i] == ds.learner_index[lid]
+                assert ds.question[i] == ds.question_index[qid]
+                assert ds.attempt[i] == attempt
+                assert ds.obs[i] == (-1 if obs is None else obs)
 
     def test_encode_keys_maps_unseen_ids_to_minus_one(self):
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1), ("L2", "Q2", 3, None)]))
@@ -204,15 +227,15 @@ class TestColumns:
         n_rows = data.draw(st.integers(1, 40))
         labeled = data.draw(st.booleans())
         ds = random_dataset(np.random.default_rng(seed), n_rows=n_rows, labeled=labeled)
-        ds = Dataset.from_records(ds.records, lesson_name="lesson", questions={})
+        ds = Dataset.from_records(rows_of(ds), lesson_name="lesson", questions={})
         positions = data.draw(
             st.lists(st.integers(0, ds.n_records - 1), min_size=1, max_size=ds.n_records, unique=True)
         )
         sub = ds.subset(positions)
         rebuilt = Dataset.from_records(
-            [ds.records[i] for i in positions], lesson_name="lesson", questions={}
+            [rows_of(ds)[i] for i in positions], lesson_name="lesson", questions={}
         )
-        assert sub.records == rebuilt.records
+        assert rows_of(sub) == rows_of(rebuilt)
         assert sub.meta == rebuilt.meta
         assert list(sub.learner_index.items()) == list(rebuilt.learner_index.items())
         assert list(sub.question_index.items()) == list(rebuilt.question_index.items())
@@ -266,7 +289,7 @@ class TestFolds:
         ds = random_dataset(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n_rows=n_rows)
         unlabeled = data.draw(st.sets(st.integers(0, n_rows - 1), max_size=n_rows - 2))
         ds = Dataset.from_records(
-            [InteractionRecord(*r.key(), None) if i in unlabeled else r for i, r in enumerate(ds.records)]
+            [(*r[:3], None) if i in unlabeled else r for i, r in enumerate(rows_of(ds))]
         )
         k = data.draw(st.integers(2, n_rows - len(unlabeled)))
         split = make_folds(ds, k, seed=data.draw(st.integers(0, 2**32 - 1)))

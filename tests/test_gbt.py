@@ -76,6 +76,9 @@ class TestConfig:
             GbtConfig(gamma=-0.1)
         with pytest.raises(ValueError):
             GbtConfig(max_depth=0)
+        for name in ("learning_rate", "gamma", "min_child_weight", "subsample", "colsample_bytree"):
+            with pytest.raises(ValueError, match=name):
+                GbtConfig(**{name: float("nan")})
 
     def test_seven_tunables(self):
         assert len(GbtConfig().to_dict()) == 7
@@ -85,16 +88,16 @@ class TestFit:
     def test_zero_trees_predicts_training_mean(self, rng):
         ds = random_dataset(rng, n_rows=30)
         model = gbt_fit(ds, GbtConfig(n_trees=0), seed=0)
-        preds = gbt_predict(model, [r.key() for r in ds.records])
-        mean = np.mean([r.obs for r in ds.records])
+        preds = gbt_predict(model, ds.keys())
+        mean = np.mean(ds.obs)
         assert np.allclose(preds, mean, atol=1e-12)
 
     def test_stump_matches_oracle_on_crafted_rows(self):
         ds = crafted_six_rows()
         config = GbtConfig(n_trees=1, max_depth=1, learning_rate=1.0, min_child_weight=0.0)
         model = gbt_fit(ds, config, seed=0)
-        x = model.feature_matrix([r.key() for r in ds.records])
-        y = np.array([r.obs for r in ds.records], float)
+        x = model.feature_matrix(ds.keys())
+        y = ds.obs_array()
         expected = brute_force_stump(x, y, np.full(len(y), model.base_score), mcw=0.0)
         root = model.trees[0]
         assert expected is not None and not root.is_leaf
@@ -114,8 +117,8 @@ class TestFit:
             n = int(rng.integers(6, 13))
             ds = random_dataset(rng, n_learners=5, n_questions=4, max_attempt=4, n_rows=n)
             model = gbt_fit(ds, config, seed=0)
-            x = model.feature_matrix([r.key() for r in ds.records])
-            y = np.array([r.obs for r in ds.records], float)
+            x = model.feature_matrix(ds.keys())
+            y = ds.obs_array()
             margins = np.full(n, model.base_score)
             p = _sigmoid(margins)
             codes, values = _split_codes(x)
@@ -164,7 +167,7 @@ class TestFit:
     def test_tiny_learning_rate_stays_at_base(self, rng):
         ds = random_dataset(rng, n_rows=40)
         model = gbt_fit(ds, GbtConfig(n_trees=20, learning_rate=1e-6), seed=0)
-        preds = gbt_predict(model, [r.key() for r in ds.records])
+        preds = gbt_predict(model, ds.keys())
         base = 1.0 / (1.0 + np.exp(-model.base_score))
         assert np.abs(preds - base).max() < 1e-4
 
@@ -213,14 +216,14 @@ class TestPredict:
     def test_duplicated_row_duplicated_prediction(self, rng):
         ds = random_dataset(rng, n_rows=40)
         model = gbt_fit(ds, GbtConfig(n_trees=10), seed=0)
-        key = ds.records[0].key()
-        preds = gbt_predict(model, [key, key, ds.records[1].key()])
+        key, other = ds.keys([0, 1])
+        preds = gbt_predict(model, [key, key, other])
         assert preds[0] == preds[1]
 
     def test_feature_matrix_codes_unseen_ids_as_minus_one(self, rng):
         ds = random_dataset(rng, n_rows=30)
         model = gbt_fit(ds, GbtConfig(n_trees=2), seed=0)
-        keys = [r.key() for r in ds.records] + [("GHOST", "Q1", 2), ("L1", "PHANTOM", 9)]
+        keys = ds.keys() + [("GHOST", "Q1", 2), ("L1", "PHANTOM", 9)]
         expected = [
             [model.learner_index.get(lid, -1.0), model.question_index.get(qid, -1.0), attempt]
             for lid, qid, attempt in keys

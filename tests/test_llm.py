@@ -29,7 +29,12 @@ from lppred.llm import (
 from lppred.metrics import cross_validate
 from lppred.simulate import SimSpec, simulate_bkt
 
-from conftest import make_records
+from conftest import make_records, rows_of
+
+
+def encode(rows, questions):
+    """``encode_records`` of (learner, question, attempt, obs-or-None) rows."""
+    return encode_records([r[:3] for r in rows], [-1 if r[3] is None else r[3] for r in rows], questions)
 
 
 def lesson_meta():
@@ -47,40 +52,38 @@ def lesson_meta():
 
 class TestEncode:
     def test_train_sentence_contains_ordinal_and_outcome(self):
-        batch = encode_records(make_records([("L1", "Q1", 1, 1)]), lesson_meta().questions)
+        batch = encode([("L1", "Q1", 1, 1)], lesson_meta().questions)
         sentence = batch.train[0]
         assert "1st attempt" in sentence
         assert "observed as 1" in sentence
         assert "Minor Burns Q1" in sentence
 
     def test_test_sentence_has_no_outcome_clause(self):
-        batch = encode_records(make_records([("L2", "Q3", 2, None)]), {})
+        batch = encode([("L2", "Q3", 2, None)], {})
         assert batch.train == ()
         assert "observed as" not in batch.test[0]
         assert "2nd attempt" in batch.test[0]
         assert batch.test_keys == (("L2", "Q3", 2),)
 
     def test_placeholder_title_without_metadata(self):
-        batch = encode_records(make_records([("L1", "Q7", 1, 0)]), {})
+        batch = encode([("L1", "Q7", 1, 0)], {})
         assert "'question Q7'" in batch.train[0]
 
     def test_sentence_count_and_order(self):
         records = make_records([("L1", "Q1", 1, 0), ("L2", "Q1", 1, None), ("L1", "Q1", 2, 1),
                                 ("L2", "Q2", 1, None), ("L3", "Q2", 1, 1)])
-        batch = encode_records(iter(records), {})
-        labeled = [r for r in records if r.obs is not None]
-        targets = [r for r in records if r.obs is None]
+        batch = encode_records(iter([r[:3] for r in records]), iter([0, -1, 1, -1, 1]), {})
+        labeled = [r for r in records if r[3] is not None]
+        targets = [r for r in records if r[3] is None]
         # each role keeps record order, and a sentence does not depend on its neighbours
-        assert batch.train == tuple(encode_records([r], {}).train[0] for r in labeled)
-        assert batch.test == tuple(encode_records([r], {}).test[0] for r in targets)
-        assert batch.test_keys == tuple(r.key() for r in targets)
+        assert batch.train == tuple(encode([r], {}).train[0] for r in labeled)
+        assert batch.test == tuple(encode([r], {}).test[0] for r in targets)
+        assert batch.test_keys == tuple(r[:3] for r in targets)
 
 
 class TestScript:
     def batch(self):
-        return encode_records(
-            make_records([("L1", "Q1", 1, 1), ("L1", "Q2", 1, None)]), lesson_meta().questions
-        )
+        return encode([("L1", "Q1", 1, 1), ("L1", "Q2", 1, None)], lesson_meta().questions)
 
     def test_full_stage_sequence_with_metadata(self):
         script = build_cot_script(self.batch(), lesson_meta())
@@ -103,14 +106,14 @@ class TestScript:
 
     def test_chunked_transcription(self):
         rows = [("L1", "Q1", a, 1) for a in range(1, 8)] + [("L2", "Q1", 1, None)]
-        batch = encode_records(make_records(rows), {})
+        batch = encode(rows, {})
         script = build_cot_script(batch, None, stages="b", rows_per_chunk=3)
         b_steps = [s for s in script.steps if s.stage == "b"]
         assert len(b_steps) == 4  # ceil(7/3) train chunks + one test block
 
     @pytest.mark.parametrize("rows_per_chunk", [0, 3])
     def test_history_header_without_labeled_rows(self, rows_per_chunk):
-        batch = encode_records(make_records([("L1", "Q1", 1, None)]), {})
+        batch = encode([("L1", "Q1", 1, None)], {})
         script = build_cot_script(batch, None, stages="b", rows_per_chunk=rows_per_chunk)
         first = script.steps[0]
         assert first.stage == "b"
@@ -259,7 +262,7 @@ class TestMockHeuristic:
 
     def test_client_no_test_rows_with_prediction_request_errors(self):
         records = make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)])
-        script = build_cot_script(encode_records(records, {}), None)
+        script = build_cot_script(encode(records, {}), None)
         with pytest.raises(ValueError, match="no prediction rows"):
             MockHeuristicClient().send(script.messages())
 
@@ -292,9 +295,9 @@ class TestPipeline:
         train, test = split_dataset(res.dataset, rng)
         result = llm_predict_pipeline(train, test, MockHeuristicClient(), repeats=1)
         per_question = {}
-        for rec in train.records:
-            if rec.obs is not None:
-                per_question.setdefault(rec.question_id, []).append(rec.obs)
+        for _, qid, _, obs in rows_of(train):
+            if obs is not None:
+                per_question.setdefault(qid, []).append(obs)
         direct = np.array(
             [
                 heuristic_prediction(
@@ -338,9 +341,9 @@ class TestPipeline:
 
         spy = SpyClient()
         llm_predict_pipeline(train, test, spy, repeats=1)
-        for rec in test.records:
+        for lid, qid, _ in test.keys():
             for line in spy.saw.splitlines():
-                if f"learner {rec.learner_id} " in line and f"question {rec.question_id} " in line:
+                if f"learner {lid} " in line and f"question {qid} " in line:
                     # any sentence about a test row must carry no outcome
                     if "awaiting prediction" in spy.saw.split(line)[0].splitlines()[-1]:
                         assert "observed as" not in line
@@ -365,7 +368,7 @@ class TestPipeline:
 
             def send(self, messages):
                 text = MockHeuristicClient().send(messages)
-                lid, qid, attempt = test.records[0].key()
+                ((lid, qid, attempt),) = test.keys([0])
                 return text + (
                     f"\n{{'learner ID': '{lid}', 'Question ID': '{qid}', "
                     f"'Attempt': {attempt}, 'Prediction': 0.987654}}"

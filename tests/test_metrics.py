@@ -44,6 +44,14 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse([0.5], [2])
 
+    def test_rejects_nan_prediction(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            rmse([0.5, math.nan], [0, 1])
+
+    def test_nan_prediction_fails_cross_validation(self, rng):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            cross_validate(lambda s: ConstantPredictor(math.nan), random_dataset(rng, n_rows=20), k=2, seed=0)
+
     def test_joint_permutation_invariance(self, rng):
         p = rng.random(30)
         a = rng.integers(0, 2, 30)
@@ -76,7 +84,7 @@ class ProbePredictor:
         self.predict_rows = None
 
     def fit(self, train):
-        self.train_keys = set(r.key() for r in train.records)
+        self.train_keys = set(train.keys())
         return self
 
     def predict(self, rows):
@@ -109,7 +117,7 @@ class TestCrossValidate:
             return probe
 
         cross_validate(factory, ds, k=4, seed=0)
-        all_keys = set(r.key() for r in ds.records)
+        all_keys = set(ds.keys())
         for probe in probes:
             test_keys = set(probe.predict_rows)
             assert test_keys.isdisjoint(probe.train_keys)

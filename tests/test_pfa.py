@@ -6,7 +6,7 @@ import pytest
 from lppred.data import Dataset
 from lppred.pfa import PfaModel, PfaParams, _hessian, _objective_and_grad, pfa_features, pfa_fit
 
-from conftest import CV_SHAPES, cv_fitted_models, make_records, random_dataset
+from conftest import CV_SHAPES, cv_fitted_models, make_records, random_dataset, rows_of
 
 
 def sigmoid(z):
@@ -28,25 +28,11 @@ class TestFeatures:
 
     def test_counts_match_brute_force_recount(self, rng):
         ds = random_dataset(rng, n_learners=8, n_questions=5, max_attempt=4, n_rows=100)
-        for rec, s_got, f_got in zip(ds.records, *pfa_features(ds)):
-            s = sum(
-                1
-                for other in ds.records
-                if other.learner_id == rec.learner_id
-                and other.question_id == rec.question_id
-                and other.attempt < rec.attempt
-                and other.obs == 1
-            )
-            f = sum(
-                1
-                for other in ds.records
-                if other.learner_id == rec.learner_id
-                and other.question_id == rec.question_id
-                and other.attempt < rec.attempt
-                and other.obs == 0
-            )
-            assert (s_got, f_got) == (s, f)
-            assert s_got + f_got == rec.attempt - 1
+        rows = rows_of(ds)
+        for (lid, qid, attempt, _), s_got, f_got in zip(rows, *pfa_features(ds)):
+            earlier = [o for l, q, a, o in rows if (l, q) == (lid, qid) and a < attempt]
+            assert (s_got, f_got) == (earlier.count(1), earlier.count(0))
+            assert s_got + f_got == attempt - 1
 
     def test_future_rows_do_not_leak(self):
         base = make_records([("L1", "Q1", 1, 1), ("L1", "Q1", 2, 0)])
@@ -62,9 +48,7 @@ def per_row_reference(model, train, rows):
     out = []
     for lid, qid, attempt in rows:
         earlier = [
-            r.obs
-            for r in train.records
-            if (r.learner_id, r.question_id) == (lid, qid) and r.obs is not None and r.attempt < attempt
+            o for l, q, a, o in rows_of(train) if (l, q) == (lid, qid) and o is not None and a < attempt
         ]
         z = p.beta.get(qid, 0.0) + p.gamma.get(lid, 0.0) + p.alpha * earlier.count(1) + p.rho * earlier.count(0)
         out.append(sigmoid(z))
@@ -74,7 +58,7 @@ def per_row_reference(model, train, rows):
 def test_batch_predict_matches_per_row_reference(rng):
     full = random_dataset(rng, n_learners=6, n_questions=4, max_attempt=4, n_rows=60)
     train = full.subset([i for i in range(full.n_records) if i % 4])  # held-out gaps
-    rows = [r.key() for r in full.records] + [("LX", "Q1", 3), ("L1", "QX", 2), ("L2", "Q2", 9)]
+    rows = full.keys() + [("LX", "Q1", 3), ("L1", "QX", 2), ("L2", "Q2", 9)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = PfaModel(seed=0).fit(train)
@@ -121,8 +105,9 @@ def build_design(ds):
     labeled = ds.labeled_positions()
     n_q = len(ds.question_index)
     n_l = len(ds.learner_index)
-    q_idx = np.array([ds.question_index[ds.records[i].question_id] for i in labeled])
-    l_idx = np.array([ds.learner_index[ds.records[i].learner_id] for i in labeled])
+    keys = ds.keys(labeled)
+    q_idx = np.array([ds.question_index[qid] for _, qid, _ in keys])
+    l_idx = np.array([ds.learner_index[lid] for lid, _, _ in keys])
     y = ds.obs_array(labeled)
     return q_idx, l_idx, s[labeled].astype(float), f[labeled].astype(float), y, n_q, n_l
 
@@ -179,7 +164,7 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model = PfaModel(l2=0.5, seed=0).fit(ds)
-        preds = model.predict([r.key() for r in ds.records])
+        preds = model.predict(ds.keys())
         assert np.all(preds > 0.5)
 
     def test_large_l2_shrinks_to_half(self, rng):
@@ -187,7 +172,7 @@ class TestFit:
         params = pfa_fit(ds, l2=1e6, seed=0)
         assert abs(params.alpha) < 1e-3 and abs(params.rho) < 1e-3
         model = PfaModel(l2=1e6, seed=0).fit(ds)
-        preds = model.predict([r.key() for r in ds.records])
+        preds = model.predict(ds.keys())
         assert np.allclose(preds, 0.5, atol=1e-3)
 
     def test_nonconvergence_flagged(self, rng):
@@ -243,6 +228,9 @@ class TestFit:
         ds = random_dataset(rng, n_rows=10)
         with pytest.raises(ValueError):
             pfa_fit(ds, l2=-1.0)
+        for l2 in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="l2 must be non-negative"):
+                PfaModel(l2=l2)
 
     def test_export_json(self, rng):
         ds = random_dataset(rng, n_rows=40)

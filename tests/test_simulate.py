@@ -6,6 +6,8 @@ from lppred.bkt import BktParams
 from lppred.data import Dataset
 from lppred.simulate import SimSpec, simulate, simulate_bkt, simulate_lowrank
 
+from conftest import rows_of
+
 NEAR_ZERO = 1e-9
 
 
@@ -27,48 +29,45 @@ class TestBktProcess:
     def test_noiseless_mastered_all_correct(self):
         params = BktParams(1 - NEAR_ZERO, NEAR_ZERO, NEAR_ZERO, NEAR_ZERO)
         res = simulate_bkt(SimSpec(20, 5, 5, seed=0, bkt=params))
-        assert all(r.obs == 1 for r in res.dataset.records)
+        assert (res.dataset.obs == 1).all()
 
     def test_law_of_large_numbers_guess_rate(self):
         # no learning, never mastered: correctness is pure guessing at 0.2
         params = BktParams(NEAR_ZERO, NEAR_ZERO, NEAR_ZERO, 0.2)
         res = simulate_bkt(SimSpec(2000, 1, 5, seed=1, bkt=params))
-        rate = np.mean([r.obs for r in res.dataset.records])
+        rate = np.mean(res.dataset.obs)
         assert rate == pytest.approx(0.2, abs=0.03)
 
     def test_seed_determinism(self):
         spec = SimSpec(10, 4, 5, seed=33)
         a = simulate_bkt(spec)
         b = simulate_bkt(spec)
-        assert a.dataset.records == b.dataset.records
+        assert rows_of(a.dataset) == rows_of(b.dataset)
         assert a.truth["mastery"] == b.truth["mastery"]
 
     def test_mastery_traces_align_with_records(self):
         res = simulate_bkt(SimSpec(5, 3, 4, seed=2))
         for key, chain in res.truth["mastery"].items():
             lid, qid = key.split("|")
-            n_attempts = sum(
-                1 for r in res.dataset.records if r.learner_id == lid and r.question_id == qid
-            )
+            n_attempts = sum(1 for key in res.dataset.keys() if key[:2] == (lid, qid))
             assert len(chain) == n_attempts
 
     def test_stop_on_correct_truncates(self):
         params = BktParams(1 - NEAR_ZERO, NEAR_ZERO, NEAR_ZERO, NEAR_ZERO)
         res = simulate_bkt(SimSpec(10, 3, 6, seed=3, bkt=params, stop_on_correct=True))
-        assert all(r.attempt == 1 for r in res.dataset.records)
+        assert (res.dataset.attempt == 1).all()
 
     def test_dataset_passes_validation(self):
         res = simulate_bkt(SimSpec(30, 6, 5, seed=4))
-        rebuilt = Dataset.from_records(
-            res.dataset.records, lesson_name=res.dataset.meta.lesson_name
-        )
+        rebuilt = Dataset.from_records(rows_of(res.dataset), lesson_name=res.dataset.meta.lesson_name)
         assert rebuilt.meta == res.dataset.meta
+        assert rows_of(rebuilt) == rows_of(res.dataset)
 
     def test_chi_square_emission_frequencies(self):
         # mastered forever: correctness ~ Bernoulli(1 - p_slip)
         params = BktParams(1 - NEAR_ZERO, NEAR_ZERO, 0.15, NEAR_ZERO)
         res = simulate_bkt(SimSpec(2000, 1, 5, seed=5, bkt=params))
-        obs = np.array([r.obs for r in res.dataset.records])
+        obs = res.dataset.obs
         counts = np.array([(obs == 0).sum(), (obs == 1).sum()])
         expected = np.array([0.15, 0.85]) * len(obs)
         assert stats.chisquare(counts, expected).pvalue > 0.01
@@ -98,7 +97,7 @@ class TestLowRank:
 
     def test_matrix_mode_single_attempt(self):
         res = simulate_lowrank(SimSpec(6, 4, 1, generator="low-rank-matrix", rank=2, seed=3))
-        assert all(r.attempt == 1 for r in res.dataset.records)
+        assert (res.dataset.attempt == 1).all()
 
     def test_truth_json_serializes(self):
         res = simulate_lowrank(SimSpec(5, 4, 2, generator="low-rank-tensor", rank=2, seed=4))

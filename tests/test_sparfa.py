@@ -27,13 +27,13 @@ def all_ones_dataset():
     return Dataset.from_records(make_records(rows))
 
 
-def intercept_baseline(train, test_records):
+def intercept_baseline(train, test_keys):
     """Independent intercept-only predictor used as the comparison oracle."""
     rows, cols, vals = _first_attempt_cells(train)
     mu = _fit_intercept_only(rows, cols, vals, len(train.question_index))
     out = []
-    for rec in test_records:
-        qi = train.question_index.get(rec.question_id)
+    for _, qid, _ in test_keys:
+        qi = train.question_index.get(qid)
         out.append(float(_sigmoid(mu[qi])) if qi is not None else float(vals.mean()))
     return np.array(out)
 
@@ -58,7 +58,7 @@ class TestPredict:
             SimSpec(20, 6, 1, generator="low-rank-matrix", rank=2, seed=3, factor_scale=2.0)
         )
         model = sparfa_fit(res.dataset, rank_candidates=(2, 3), seed=0)
-        rows = [r.key() for r in res.dataset.records] + [("LX", "Q1", 1), ("L1", "QX", 1)]
+        rows = res.dataset.keys() + [("LX", "Q1", 1), ("L1", "QX", 1)]
         assert np.array_equal(sparfa_predict(model, rows), per_row_reference(model, rows))
 
     def make_model(self, w, c, mu, learners, questions):
@@ -272,13 +272,11 @@ class TestRecovery:
             )
             ds = res.dataset
             train = ds.subset(ds.labeled_positions())
-            test = [ds.records[i] for i in ds.unlabeled_positions()]
+            test = ds.keys(ds.unlabeled_positions())
             truth_obs = res.truth["obs"]
-            actual = np.array(
-                [truth_obs[f"{r.learner_id}|{r.question_id}|{r.attempt}"] for r in test], float
-            )
+            actual = np.array([truth_obs[f"{lid}|{qid}|{a}"] for lid, qid, a in test], float)
             model = sparfa_fit(train, rank_candidates=(1, 2, 4), seed=trial)
-            pred = sparfa_predict(model, [r.key() for r in test])
+            pred = sparfa_predict(model, test)
             base = intercept_baseline(train, test)
             if np.sqrt(np.mean((pred - actual) ** 2)) < np.sqrt(np.mean((base - actual) ** 2)):
                 wins += 1

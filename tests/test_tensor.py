@@ -160,13 +160,11 @@ class TestDatasetFit:
         )
         ds = res.dataset
         train = ds.subset(ds.labeled_positions())
-        test = [ds.records[i] for i in ds.unlabeled_positions()]
+        test = ds.keys(ds.unlabeled_positions())
         truth_obs = res.truth["obs"]
-        actual = np.array(
-            [truth_obs[f"{r.learner_id}|{r.question_id}|{r.attempt}"] for r in test], float
-        )
+        actual = np.array([truth_obs[f"{lid}|{qid}|{a}"] for lid, qid, a in test], float)
         model = tensor_fit_als(train, rank=2, ridge=0.1, seed=0)
-        pred = tensor_predict(model, [r.key() for r in test])
+        pred = tensor_predict(model, test)
         base = np.full(len(test), model.global_mean)
         assert np.sqrt(np.mean((pred - actual) ** 2)) < np.sqrt(np.mean((base - actual) ** 2))
 
@@ -185,6 +183,11 @@ class TestDatasetFit:
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)]))
         with pytest.raises(ValueError):
             tensor_fit_als(ds, rank=5)
+
+    @pytest.mark.parametrize("rank, ridge", [(0, 0.1), (3, -1.0), (3, float("nan"))])
+    def test_out_of_range_arguments_rejected_at_construction(self, rank, ridge):
+        with pytest.raises(ValueError, match="must be"):
+            TensorFactorizationModel(rank=rank, ridge=ridge)
 
     def test_cold_learner_gets_mean_row(self):
         rows = [("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0), ("L3", "Q1", 1, None)]
@@ -212,7 +215,7 @@ class TestPredict:
     def test_batch_matches_per_row_reference(self):
         res = simulate_lowrank(SimSpec(12, 5, 3, generator="low-rank-tensor", rank=2, seed=9))
         model = tensor_fit_als(res.dataset, rank=3, ridge=0.1, seed=0)
-        rows = [r.key() for r in res.dataset.records]
+        rows = res.dataset.keys()
         rows += [("LX", "Q1", 2), ("L1", "QX", 1), ("L2", "Q3", 7)]
         assert np.array_equal(tensor_predict(model, rows), per_row_reference(model, rows))
 
@@ -261,7 +264,7 @@ class TestPredict:
     def test_predictor_wrapper(self):
         res = simulate_lowrank(SimSpec(10, 4, 3, generator="low-rank-tensor", rank=2, seed=2))
         model = TensorFactorizationModel(rank=2, seed=0).fit(res.dataset)
-        preds = model.predict([r.key() for r in res.dataset.records])
+        preds = model.predict(res.dataset.keys())
         assert np.all((preds >= 0) & (preds <= 1))
         payload = model.export_json()
         assert set(payload) >= {"U", "V", "r", "lambda"}
