@@ -1,5 +1,6 @@
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from lppred.data import (
     summarize,
     write_dataset,
 )
+from lppred.simulate import SimSpec, simulate
 
 from conftest import make_records, random_dataset, rows_of
 
@@ -161,6 +163,22 @@ class TestParse:
         assert ds.meta.questions["Q1"].text == "What is the topic?"
         name, questions = parse_meta(meta)
         assert name == "Minor Burns" and questions["Q1"].answer == "a"
+
+    def test_parse_keeps_no_copy_of_the_rows(self, tmp_path):
+        # a lesson-sized log (42,315 rows): the parse may hold little beyond
+        # the Dataset it returns, so no list of row tuples or parsed cells
+        path = tmp_path / "data.csv"
+        spec = SimSpec(600, 30, 9, generator="bkt-process", seed=1, stop_on_correct=True)
+        write_dataset(simulate(spec).dataset, path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = parse_dataset(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n_records == 42315
+        assert peak - before <= 3 * (held - before)
 
 
 class TestDatasetInvariants:

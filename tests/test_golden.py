@@ -44,6 +44,11 @@ moved from alternating block Newton steps to damped Newton steps on both
 blocks at once. No rank fit ends higher. Fold 2 selects rank 3 and refits
 it on all its cells; that fit now ends 3.1e-10 lower, and the fold's RMSE
 goes from 0.5823910 to 0.5823915.
+
+The four ``sim-matrix`` and ``sim-tensor`` entries were recorded before the
+low-rank generators moved from one draw per cell in a Python loop to one
+array draw. They pin each generator's ``data.csv`` and ``truth.json`` with a
+quarter of the cells masked.
 """
 
 import hashlib
@@ -91,6 +96,10 @@ GOLDEN = {
     "cv-llm/report.json": "e8a0ce2d8a64de7c75bb4b52df2495458e74aff36a4aef43e890aaa248b9bb5c",
     "cv-llm-meta/report.json": "7b4ba4ee2b42d0c7ece8365881e59821d40e7e0de63b456d88185bc99593bfba",
     "cv-llm-gbt/report.json": "f85f25dfbff3a2639f8eddc126c25ea3971aa23f27d2e5040ea91acbb9ec002f",
+    "sim-matrix/data.csv": "cedcf5425541b781ff0c33fa0885d149c2129f7f0405d3e9004596a2de617c92",
+    "sim-matrix/truth.json": "817638fa4894e4fdb4a26acdddb7722c1c0dff2bc69fea1ad04284ae31ecc4b8",
+    "sim-tensor/data.csv": "ebe065178c5255d07fa1b2129f054625fbf48003e6f2ef57fbeea3c0fc9f1ef6",
+    "sim-tensor/truth.json": "1395adfd0b4733cf2e92100fa20b08243466375c80e6ad0fdfaf0e0bc22c325f",
 }
 
 
@@ -163,6 +172,12 @@ def run_commands(root) -> dict[str, str]:
     runs["cv-llm-meta/report.json"] = runs["cv-llm/report.json"] + ["--meta", str(meta)]
     runs["cv-llm-gbt/report.json"] = ["cv", "--model", "llm-gbt", "--mock", "--meta", str(meta),
                                       "--data", str(data), "--k", "5", "--seed", "7"]
+    runs["sim-matrix/data.csv"] = ["simulate", "--generator", "low-rank-matrix", "--shape", "9x5x1",
+                                   "--mask", "0.25", "--seed", "4"]
+    runs["sim-matrix/truth.json"] = None
+    runs["sim-tensor/data.csv"] = ["simulate", "--generator", "low-rank-tensor", "--shape", "6x4x3",
+                                   "--mask", "0.25", "--seed", "4"]
+    runs["sim-tensor/truth.json"] = None
 
     digests = {}
     for name, argv in runs.items():
