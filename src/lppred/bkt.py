@@ -320,6 +320,13 @@ def bkt_fit_em(
     return fit
 
 
+def _question_params(fit: BktFit, question_index: dict[str, int], question) -> SimpleNamespace:
+    """Chain parameters at each question code in ``question``; code -1 selects the fallback."""
+    per_question = [fit.question_params[qid] for qid in question_index] + [fit.fallback]
+    table = np.array([[getattr(p, f) for f in DEFAULT_INIT] for p in per_question])
+    return SimpleNamespace(**{name: table[question, j] for j, name in enumerate(DEFAULT_INIT)})
+
+
 def _offset_p_init(p_init, delta):
     """p_init with ``delta`` added to its logit; elementwise on arrays."""
     return _clamp(_sigmoid(np.log(p_init / (1.0 - p_init)) + delta))
@@ -341,8 +348,7 @@ def _fit_learner_offsets(
     labeled = observed.any(axis=0)
     if not labeled.any():
         return {}
-    per_question = [fit.question_params[qid] for qid in ds.question_index]
-    params = SimpleNamespace(**{f: np.array([[getattr(p, f)] for p in per_question]) for f in DEFAULT_INIT})
+    params = _question_params(fit, ds.question_index, np.arange(len(ds.question_index))[:, None])
 
     def neg_loglik(delta: np.ndarray) -> np.ndarray:
         belief = _offset_p_init(params.p_init, delta[learners])
@@ -402,9 +408,7 @@ class BktModel:
     def _row_params(self, learner: np.ndarray, question: np.ndarray) -> SimpleNamespace:
         """Chain parameters for each queried row, learner offsets applied to p_init."""
         fit = self.fit_result
-        per_question = [fit.question_params[qid] for qid in self._train.question_index]
-        table = np.array([[getattr(p, f) for f in DEFAULT_INIT] for p in per_question + [fit.fallback]])
-        params = SimpleNamespace(**{name: table[question, j] for j, name in enumerate(DEFAULT_INIT)})
+        params = _question_params(fit, self._train.question_index, question)
         offsets = [fit.learner_offsets.get(lid, 0.0) for lid in self._train.learner_index]
         delta = np.array(offsets + [0.0])[learner]
         shifted = delta != 0.0

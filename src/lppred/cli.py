@@ -10,6 +10,8 @@ plain-text rendering. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -21,6 +23,7 @@ from .bkt import BktModel, BktParams
 from .data import DataError, Dataset, open_input, parse_dataset, summarize, write_dataset
 from .gbt import GbtConfig, GbtModel
 from .llm import (
+    METHOD_REGISTRY,
     ClientError,
     HttpChatClient,
     LlmPredictor,
@@ -266,16 +269,16 @@ def _write(path: Path, content: str):
 
 
 class _ClientSelectedModel:
-    """llm-gbt predictor: the client names a method from the training split only."""
+    """llm-gbt predictor: the client names a model from the training split only, one of ``factories``."""
 
-    def __init__(self, client, args, seed: int):
-        self.client, self.args, self.seed = client, args, seed
+    def __init__(self, client, factories, seed: int):
+        self.client, self.factories, self.seed = client, factories, seed
         self.model = None
 
     def fit(self, train: Dataset) -> "_ClientSelectedModel":
         chosen = select_method(self.client, train)
         print(f"client selected method: {chosen}")
-        self.model = _local_factory(chosen, self.args)(self.seed).fit(train)
+        self.model = self.factories[chosen](self.seed).fit(train)
         return self
 
     def predict(self, rows):
@@ -289,7 +292,9 @@ def _make_factory(name: str, args):
     client = _build_client(args)
     if name == "llm":
         return lambda fold_seed: LlmPredictor(client)
-    return lambda fold_seed: _ClientSelectedModel(client, args, fold_seed)
+    # llm-gbt: the flags of each model the client can name are checked before it is asked
+    factories = {m: _local_factory(m, args) for m in METHOD_REGISTRY.values()}
+    return lambda fold_seed: _ClientSelectedModel(client, factories, fold_seed)
 
 
 def _require_labeled(ds: Dataset, path) -> None:
@@ -349,9 +354,12 @@ def _fit_local(args, ds: Dataset):
 
 
 def _write_predictions(path: Path, rows, preds):
-    lines = ["learner_id,question_id,attempt,prediction"]
-    lines += [f"{lid},{qid},{attempt},{p:.6f}" for (lid, qid, attempt), p in zip(rows, preds)]
-    _write(path, "\n".join(lines) + "\n")
+    """Write ``predictions.csv``; an id holding a comma, quote or newline is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("learner_id", "question_id", "attempt", "prediction"))
+    writer.writerows((lid, qid, attempt, f"{p:.6f}") for (lid, qid, attempt), p in zip(rows, preds))
+    _write(path, buf.getvalue())
 
 
 def cmd_fit(args) -> int:

@@ -21,6 +21,9 @@ triples. Queries arrive as such triples, and ``encode_keys`` turns them into
 the same codes, with -1 for ids unseen in training. ``Dataset.subset`` takes
 distinct positions; it indexes the columns and re-densifies the codes
 without validating the rows again.
+
+``Dataset.from_records`` reads any iterable of rows once and keeps none;
+``parse_dataset`` streams a file into it line by line, never a list of rows.
 """
 
 from __future__ import annotations
@@ -209,6 +212,10 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
+def _logloss(logits, y) -> float:
+    return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
+
+
 @dataclass(frozen=True)
 class FoldSplit:
     """Assignment of labeled record positions to k folds.
@@ -263,56 +270,55 @@ def parse_meta(meta_path) -> tuple[str, dict[str, QuestionInfo]]:
     return lesson_name, questions
 
 
+def _csv_rows(fh):
+    """Validated rows of an open interaction file; a DataError names the line, not the file."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise DataError("empty file, header row required")
+    if tuple(h.strip() for h in header) != EXPECTED_HEADER:
+        raise DataError(f"line 1: expected header {','.join(EXPECTED_HEADER)}, got {','.join(header)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise DataError(f"line {lineno}: expected 4 columns, got {len(row)}")
+        # a space or tab beside a comma is layout; other whitespace stays in
+        # the id, where Dataset.from_records rejects it
+        learner_id, question_id, attempt_s, obs_s = (c.strip(" \t") for c in row)
+        try:
+            if not _DECIMAL.fullmatch(attempt_s):
+                raise ValueError
+            attempt = int(attempt_s)
+        except ValueError:  # not ASCII decimal digits, or more than int() converts
+            raise DataError(f"line {lineno}: attempt must be an integer, got {attempt_s!r}") from None
+        if not 1 <= attempt <= MAX_ATTEMPT:
+            raise DataError(f"line {lineno}: attempt must be in 1..2^63-1, got {attempt}")
+        if obs_s == "":
+            obs: int | None = None
+        elif obs_s in ("0", "1"):
+            obs = int(obs_s)
+        else:
+            raise DataError(f"line {lineno}: obs must be 0 or 1, got {obs_s!r}")
+        yield learner_id, question_id, attempt, obs
+
+
 def parse_dataset(path, meta_path=None) -> Dataset:
     """Read a comma-separated interaction file into a validated Dataset.
 
-    Raises DataError naming the offending line for malformed rows (wrong
-    column count, non-binary obs, attempt < 1) and for duplicate
-    (learner, question, attempt) triples.
+    The rows stream from the file into ``Dataset.from_records`` one at a
+    time; no list of them is kept. Every DataError names the file: a
+    malformed row (wrong column count, non-binary obs, attempt < 1) by its
+    line, a duplicate (learner, question, attempt) triple by its key.
     """
     lesson_name, questions = ("", {})
     if meta_path is not None:
         lesson_name, questions = parse_meta(meta_path)
-
-    rows = []
     with open_input(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        if tuple(h.strip() for h in header) != EXPECTED_HEADER:
-            raise DataError(
-                f"{path}: line 1: expected header {','.join(EXPECTED_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 columns, got {len(row)}")
-            # a space or tab beside a comma is layout; other whitespace stays in
-            # the id, where Dataset.from_records rejects it
-            learner_id, question_id, attempt_s, obs_s = (c.strip(" \t") for c in row)
-            try:
-                if not _DECIMAL.fullmatch(attempt_s):
-                    raise ValueError
-                attempt = int(attempt_s)
-            except ValueError:  # not ASCII decimal digits, or more than int() converts
-                raise DataError(f"{path}: line {lineno}: attempt must be an integer, got {attempt_s!r}") from None
-            if not 1 <= attempt <= MAX_ATTEMPT:
-                raise DataError(f"{path}: line {lineno}: attempt must be in 1..2^63-1, got {attempt}")
-            if obs_s == "":
-                obs: int | None = None
-            elif obs_s in ("0", "1"):
-                obs = int(obs_s)
-            else:
-                raise DataError(f"{path}: line {lineno}: obs must be 0 or 1, got {obs_s!r}")
-            rows.append((learner_id, question_id, attempt, obs))
-    try:
-        return Dataset.from_records(rows, lesson_name=lesson_name, questions=questions)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+            return Dataset.from_records(_csv_rows(fh), lesson_name=lesson_name, questions=questions)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def write_dataset(ds: Dataset, path) -> None:

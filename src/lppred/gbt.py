@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, _sigmoid, encode_keys
+from .data import Dataset, _logloss, _sigmoid, encode_keys
 from .seeds import derive_seed
 
 LEAF_L2 = 1.0        # leaf-weight ridge constant, not exposed as a tunable
@@ -119,10 +119,6 @@ def _features(learner, question, attempt) -> np.ndarray:
     An id absent from training has code -1, a value routed like any number.
     """
     return np.column_stack((learner, question, attempt)).astype(float)
-
-
-def _logloss(margins, y) -> float:
-    return float(np.mean(np.logaddexp(0.0, margins) - y * margins))
 
 
 @dataclass

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, Dataset, LessonMeta, QuestionInfo
-from .metrics import rmse
+from .metrics import CvReport, rmse
 
 STAGE_ORDER = "abcdefghij"
 
@@ -472,18 +472,13 @@ class PipelineResult:
 
     @property
     def mean_rmse(self) -> float | None:
-        if not self.run_rmse:
-            return None
-        return float(np.mean(self.run_rmse))
+        """Mean of the per-run RMSEs, as ``CvReport`` takes it; None without test labels."""
+        return CvReport("llm", tuple(self.run_rmse)).mean_rmse if self.run_rmse else None
 
     @property
     def std_error(self) -> float | None:
-        """Standard error across repeated runs (None with a single run)."""
-        if not self.run_rmse:
-            return None
-        if len(self.run_rmse) < 2:
-            return 0.0
-        return float(np.std(self.run_rmse, ddof=1) / np.sqrt(len(self.run_rmse)))
+        """Standard error across repeated runs (0.0 with one run); None without test labels."""
+        return CvReport("llm", tuple(self.run_rmse)).std_error if self.run_rmse else None
 
 
 def llm_predict_pipeline(

@@ -6,10 +6,14 @@ matrix under the logistic link, and a low-rank learner-by-question-by-attempt
 tensor under the clamp link. Each returns the drawn Dataset together with the
 latent quantities that produced it, so parameter-recovery tests can check
 estimates against the truth.
+Rows stream into ``Dataset.from_records`` with no list of them kept. The
+low-rank generators draw all cells at once, in C order (learner, question,
+attempt): the same random stream as one draw per cell.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -59,18 +63,7 @@ class SimResult:
     truth: dict = field(default_factory=dict)
 
     def truth_json(self) -> str:
-        def _convert(value):
-            if isinstance(value, np.ndarray):
-                return value.tolist()
-            if isinstance(value, dict):
-                return {str(k): _convert(v) for k, v in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [_convert(v) for v in value]
-            if isinstance(value, (np.floating, np.integer)):
-                return value.item()
-            return value
-
-        return json.dumps(_convert(self.truth), indent=2)
+        return json.dumps(self.truth, indent=2, default=lambda v: v.tolist())
 
 
 def _learner_ids(n: int) -> list[str]:
@@ -92,23 +85,25 @@ def simulate_bkt(spec: SimSpec) -> SimResult:
         raise ValueError("simulate_bkt requires generator='bkt-process'")
     params = spec.bkt or BktParams(p_init=0.3, p_learn=0.2, p_slip=0.1, p_guess=0.25)
     rng = np.random.default_rng(spec.seed)
-    records = []
     mastery: dict[str, list[int]] = {}
-    for lid in _learner_ids(spec.n_learners):
-        for qid in _question_ids(spec.n_questions):
-            mastered = bool(rng.random() < params.p_init)
-            chain = []
-            for attempt in range(1, spec.max_attempt + 1):
-                chain.append(int(mastered))
-                p_correct = bkt_predict_next(1.0 if mastered else 0.0, params)
-                obs = int(rng.random() < p_correct)
-                records.append((lid, qid, attempt, obs))
-                if spec.stop_on_correct and obs == 1:
-                    break
-                if not mastered:
-                    mastered = bool(rng.random() < params.p_learn)
-            mastery[f"{lid}|{qid}"] = chain
-    dataset = Dataset.from_records(records, lesson_name=f"sim-bkt-{spec.seed}")
+
+    def records():
+        for lid in _learner_ids(spec.n_learners):
+            for qid in _question_ids(spec.n_questions):
+                mastered = bool(rng.random() < params.p_init)
+                chain = []
+                for attempt in range(1, spec.max_attempt + 1):
+                    chain.append(int(mastered))
+                    p_correct = bkt_predict_next(1.0 if mastered else 0.0, params)
+                    obs = int(rng.random() < p_correct)
+                    yield lid, qid, attempt, obs
+                    if spec.stop_on_correct and obs == 1:
+                        break
+                    if not mastered:
+                        mastered = bool(rng.random() < params.p_learn)
+                mastery[f"{lid}|{qid}"] = chain
+
+    dataset = Dataset.from_records(records(), lesson_name=f"sim-bkt-{spec.seed}")
     return SimResult(dataset=dataset, truth={"params": params.to_dict(), "mastery": mastery})
 
 
@@ -138,48 +133,40 @@ def simulate_lowrank(spec: SimSpec) -> SimResult:
         intercepts = rng.normal(0.0, 0.5, size=spec.n_questions)
         logits = learner_factors @ question_factors + intercepts
         probs = 1.0 / (1.0 + np.exp(-logits))
-        cells = [(li, qi, 1) for li in range(spec.n_learners) for qi in range(spec.n_questions)]
+        attempts = [1]
         truth: dict = {
             "learner_factors": learner_factors,
             "question_factors": question_factors,
             "intercepts": intercepts,
             "probs": probs,
         }
-        prob_of = lambda li, qi, a: probs[li, qi]  # noqa: E731
     elif spec.generator == "low-rank-tensor":
         scale = spec.factor_scale / np.sqrt(r)
         learner_factors = rng.uniform(0.0, scale, size=(spec.n_learners, r))
         qa_factors = rng.uniform(0.0, scale, size=(r, spec.n_questions, spec.max_attempt))
         probs = np.clip(np.einsum("lr,rqa->lqa", learner_factors, qa_factors), 0.0, 1.0)
-        cells = [
-            (li, qi, a)
-            for li in range(spec.n_learners)
-            for qi in range(spec.n_questions)
-            for a in range(1, spec.max_attempt + 1)
-        ]
+        attempts = range(1, spec.max_attempt + 1)
         truth = {
             "learner_factors": learner_factors,
             "qa_factors": qa_factors,
             "probs": probs,
         }
-        prob_of = lambda li, qi, a: probs[li, qi, a - 1]  # noqa: E731
     else:
         raise ValueError("simulate_lowrank requires a low-rank-matrix or low-rank-tensor spec")
 
-    draws = {cell: int(rng.random() < prob_of(*cell)) for cell in cells}
-    n_masked = int(np.floor(spec.mask_fraction * len(cells)))
-    masked = set()
+    # cells in C order of ``probs``: learner, then question, then attempt
+    draws = (rng.random(probs.size) < probs.ravel()).astype(int).tolist()
+    masked = np.zeros(probs.size, dtype=bool)
+    n_masked = int(np.floor(spec.mask_fraction * probs.size))
     if n_masked:
-        chosen = rng.choice(len(cells), size=n_masked, replace=False)
-        masked = {cells[i] for i in chosen}
+        masked[rng.choice(probs.size, size=n_masked, replace=False)] = True
 
-    records = [
-        (lids[li], qids[qi], a, None if (li, qi, a) in masked else draws[(li, qi, a)])
-        for (li, qi, a) in cells
-    ]
-    dataset = Dataset.from_records(records, lesson_name=f"sim-{spec.generator}-{spec.seed}")
-    truth["obs"] = {f"{lids[li]}|{qids[qi]}|{a}": draws[(li, qi, a)] for (li, qi, a) in cells}
-    truth["masked"] = [f"{lids[li]}|{qids[qi]}|{a}" for (li, qi, a) in sorted(masked)]
+    ids = list(itertools.product(lids, qids, attempts))
+    keys = [f"{lid}|{qid}|{a}" for lid, qid, a in ids]
+    rows = ((*cell, None if hidden else obs) for cell, obs, hidden in zip(ids, draws, masked.tolist()))
+    dataset = Dataset.from_records(rows, lesson_name=f"sim-{spec.generator}-{spec.seed}")
+    truth["obs"] = dict(zip(keys, draws))
+    truth["masked"] = [keys[i] for i in np.flatnonzero(masked)]
     return SimResult(dataset=dataset, truth=truth)
 
 

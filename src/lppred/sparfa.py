@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, _sigmoid, encode_keys
+from .data import Dataset, _logloss, _sigmoid, encode_keys
 from .seeds import derive_seed
 
 DEFAULT_RANK_CANDIDATES = (1, 2, 3, 4)
@@ -87,10 +87,6 @@ def _first_attempt_cells(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     _, first_seen = np.unique(pair, return_index=True)
     cells = earliest[np.argsort(first_seen)]
     return ds.learner[cells], ds.question[cells], ds.obs[cells].astype(float)
-
-
-def _cell_logloss(logits, y):
-    return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
 
 
 def _fit_intercept_only(rows, cols, vals, n_q):
@@ -255,14 +251,14 @@ def sparfa_fit(
         fit_rows, fit_cols, fit_vals = rows[~hold], cols[~hold], vals[~hold]
         val_rows, val_cols, val_vals = rows[hold], cols[hold], vals[hold]
         mu0 = _fit_intercept_only(fit_rows, fit_cols, fit_vals, n_q)
-        val_scores[0] += _cell_logloss(mu0[val_cols], val_vals) * len(val_vals)
+        val_scores[0] += _logloss(mu0[val_cols], val_vals) * len(val_vals)
         for r in candidates:
             w, c, mu, _, converged = _fit_rank(
                 fit_rows, fit_cols, fit_vals, n_l, n_q, r, derive_seed(seed, "sparfa-fit", fold, r)
             )
             stalled += not converged
             z = np.sum(w[val_rows] * c[:, val_cols].T, axis=1) + mu[val_cols]
-            val_scores[r] += _cell_logloss(z, val_vals) * len(val_vals)
+            val_scores[r] += _logloss(z, val_vals) * len(val_vals)
 
     best_rank = min(val_scores, key=lambda r: (val_scores[r], r))
     if best_rank == 0:

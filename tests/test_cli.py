@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -115,6 +116,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "fold" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--learning-rate", "0"],  # gbt, the model the mock client names
+        ["--l2", "-1"],  # pfa, the other model a client can name
+    ], ids=" ".join)
+    def test_llm_gbt_flag_out_of_range_exits_before_any_client_call(
+        self, sim_data, tmp_path, capsys, monkeypatch, flags
+    ):
+        import lppred.cli as cli_mod
+
+        calls = []
+
+        class CountingClient(MockHeuristicClient):
+            def send(self, messages):
+                calls.append(messages)
+                return super().send(messages)
+
+        monkeypatch.setattr(cli_mod, "MockHeuristicClient", CountingClient)
+        out = tmp_path / "o"
+        code = main(["cv", "--model", "llm-gbt", "--mock", *flags, "--data", str(sim_data),
+                     "--k", "3", "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and "fold" not in captured.err
+        assert "selected method" not in captured.out
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("command", ["cv", "fit"])
     def test_non_integer_ranks_is_usage_error(self, sim_data, tmp_path, command):
@@ -402,6 +429,21 @@ class TestCommands:
         lines = (out2 / "predictions.csv").read_text().strip().splitlines()
         assert lines[0] == "learner_id,question_id,attempt,prediction"
         assert len(lines) == 3
+
+    def test_predictions_csv_quotes_ids_with_commas_and_quotes(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text(
+            'learner_id,question_id,attempt,obs\n"L,1",Q1,1,1\n"L,1",Q1,2,0\n'
+            'L2,"Q""2",1,1\nL2,Q1,1,0\n"L,1","Q""2",1,\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "pred"
+        assert main(["predict", "--model", "pfa", "--data", str(data), "--out", str(out)]) == EXIT_OK
+        with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["learner_id", "question_id", "attempt", "prediction"]
+        assert [row[:3] for row in rows] == [["L,1", 'Q"2', "1"]]
+        assert all(len(row) == 4 for row in rows)
 
     def test_tune_grid_file(self, sim_data, tmp_path):
         grid_file = tmp_path / "grid.json"
