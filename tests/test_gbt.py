@@ -164,6 +164,34 @@ class TestFit:
             walk(tree, 0)
         assert splits, "expected at least one materialized split"
 
+    def test_every_threshold_is_the_midpoint_of_its_node_rows(self):
+        """At each internal node the threshold is exactly (largest left + smallest right) / 2.
+
+        With ``subsample`` 1 every tree sees every row, so the rows that reach
+        a node follow from the feature matrix and the thresholds above it.
+        """
+        res = simulate_bkt(SimSpec(30, 6, 6, seed=8))
+        config = GbtConfig(n_trees=60, max_depth=6, colsample_bytree=0.67, subsample=1.0)
+        model = gbt_fit(res.dataset, config, seed=2)
+        x = model.feature_matrix(res.dataset.keys())
+        internal = 0
+
+        def walk(node, idx):
+            nonlocal internal
+            if node.is_leaf:
+                return
+            internal += 1
+            column = x[idx, node.feature]
+            left = column < node.threshold
+            assert left.any() and not left.all()
+            assert node.threshold == (column[left].max() + column[~left].min()) / 2.0
+            walk(node.left, idx[left])
+            walk(node.right, idx[~left])
+
+        for tree in model.trees:
+            walk(tree, np.arange(len(x)))
+        assert internal > 60 * 4
+
     def test_tiny_learning_rate_stays_at_base(self, rng):
         ds = random_dataset(rng, n_rows=40)
         model = gbt_fit(ds, GbtConfig(n_trees=20, learning_rate=1e-6), seed=0)

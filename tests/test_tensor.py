@@ -197,6 +197,40 @@ class TestDatasetFit:
         warm = model.learner_factors[[0, 1]].mean(axis=0)
         assert np.allclose(model.learner_factors[2], warm)
 
+    def test_unseen_fibers_copy_the_nearest_fitted_attempt(self):
+        """Each unseen fiber equals its question's nearest fitted fiber, the lower on a tie.
+
+        QT is labeled at attempts 1 and 3 only (attempt 2 ties), QF at attempt 1
+        only, QN at every attempt, and L4 has no labeled row at all.
+        """
+        rows = []
+        for learner, outcomes in (("L1", (1, 0, 1, 1, 0, 0)), ("L2", (0, 1, 1, 0, 1, 1)), ("L3", (1, 1, 0, 0, 0, 1))):
+            rows += [(learner, "QT", 1, outcomes[0]), (learner, "QT", 3, outcomes[1]), (learner, "QF", 1, outcomes[2])]
+            rows += [(learner, "QN", a, o) for a, o in zip((1, 2, 3), outcomes[3:])]
+        rows += [("L1", "QT", 2, None), ("L4", "QT", 1, None), ("L4", "QN", 2, None)]
+        ds = Dataset.from_records(make_records(rows))
+        model = tensor_fit_als(ds, rank=2, ridge=0.1, seed=3)
+        v = model.qa_factors
+        n_q, n_a = v.shape[1:]
+        fitted = np.zeros((n_q, n_a), dtype=bool)
+        labeled = ds.obs >= 0
+        fitted[ds.question[labeled], ds.attempt[labeled] - 1] = True
+        copied = 0
+        for q in range(n_q):  # reference: one cell at a time
+            have = [a for a in range(n_a) if fitted[q, a]]
+            for a in range(n_a):
+                if have and not fitted[q, a]:
+                    nearest = min(have, key=lambda h: (abs(h - a), h))
+                    assert np.array_equal(v[:, q, a], v[:, q, nearest])
+                    copied += 1
+        assert copied == 3  # QT attempt 2, QF attempts 2 and 3
+        qt = ds.question_index["QT"]
+        assert np.array_equal(v[:, qt, 1], v[:, qt, 0]) and not np.array_equal(v[:, qt, 1], v[:, qt, 2])
+        assert model.cold_learners == ("L4",)
+        u = model.learner_factors
+        cold = ds.learner_index["L4"]
+        assert np.array_equal(u[cold], u[np.arange(len(u)) != cold].mean(axis=0))
+
 
 def per_row_reference(model, rows):
     out = []
