@@ -88,6 +88,15 @@ def bkt_posterior_update(belief: float, obs: int, params: BktParams) -> float:
     return posterior + (1.0 - posterior) * params.p_learn
 
 
+def _belief_step(belief, outcome, params):
+    """The belief one slot on: Bayes rule on an outcome of 1 or 0, the learning transition alone at -1."""
+    return np.select(
+        [outcome == 1, outcome == 0],
+        [bkt_posterior_update(belief, 1, params), bkt_posterior_update(belief, 0, params)],
+        belief + (1.0 - belief) * params.p_learn,
+    )
+
+
 def sequence_predictions(observations: Sequence[int], params: BktParams) -> list[float]:
     """Filtered correctness probabilities: P(correct at t | outcomes before t)."""
     belief = params.p_init
@@ -348,20 +357,20 @@ def _fit_learner_offsets(
     labeled = observed.any(axis=0)
     if not labeled.any():
         return {}
-    params = _question_params(fit, ds.question_index, np.arange(len(ds.question_index))[:, None])
+    params = _question_params(fit, ds.question_index, np.arange(ds.n_questions)[:, None])
+    outcomes = np.where(observed, obs, -1.0)
 
     def neg_loglik(delta: np.ndarray) -> np.ndarray:
         belief = _offset_p_init(params.p_init, delta[learners])
         loglik = np.zeros(belief.shape)
-        for o, seen in zip(obs == 1.0, observed):
+        for outcome in outcomes:
             p = _clamp(bkt_predict_next(belief, params))
-            loglik = np.where(seen, loglik + np.where(o, np.log(p), np.log(1.0 - p)), loglik)
-            updated = np.where(o, bkt_posterior_update(belief, 1, params), bkt_posterior_update(belief, 0, params))
-            belief = np.where(seen, updated, belief + (1.0 - belief) * params.p_learn)
+            loglik = np.where(outcome >= 0, loglik + np.where(outcome == 1, np.log(p), np.log(1.0 - p)), loglik)
+            belief = _belief_step(belief, outcome, params)
         return -np.bincount(learners.ravel(), weights=loglik.ravel(), minlength=len(delta))
 
     phi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = np.full((2, len(ds.learner_index)), [[-4.0], [4.0]])
+    lo, hi = np.full((2, ds.n_learners), [[-4.0], [4.0]])
     x1, x2 = hi - phi * (hi - lo), lo + phi * (hi - lo)
     f1, f2 = neg_loglik(x1), neg_loglik(x2)
     for _ in range(40):
@@ -425,15 +434,7 @@ class BktModel:
         belief = params.p_init
         for past in range(1, int(attempt.max(initial=1))):
             seen = outcomes[learner, question, min(past, outcomes.shape[2]) - 1]
-            belief = np.select(
-                [attempt <= past, seen == 1, seen == 0],
-                [
-                    belief,
-                    bkt_posterior_update(belief, 1, params),
-                    bkt_posterior_update(belief, 0, params),
-                ],
-                belief + (1.0 - belief) * params.p_learn,
-            )
+            belief = np.where(attempt <= past, belief, _belief_step(belief, seen, params))
         return np.clip(bkt_predict_next(belief, params), 0.0, 1.0)
 
     def export_json(self) -> dict:

@@ -310,11 +310,9 @@ def _require_labeled(ds: Dataset, path) -> None:
 
 def cmd_ingest(args) -> int:
     ds = _load_dataset(args)
-    s = summarize(ds)
     print(
         f"ok: {ds.n_records} records ({len(ds.labeled_positions())} labeled), "
-        f"{s.meta.n_learners} learners, {s.meta.n_questions} questions, "
-        f"max attempt {s.meta.max_attempt}"
+        f"{ds.n_learners} learners, {ds.n_questions} questions, max attempt {ds.max_attempt}"
     )
     return EXIT_OK
 
@@ -426,11 +424,8 @@ def cmd_simulate(args) -> int:
     write_dataset(result.dataset, out / "data.csv")
     print(f"wrote {out / 'data.csv'}")
     _write(out / "truth.json", result.truth_json())
-    s = summarize(result.dataset)
-    print(
-        f"{spec.generator}: {result.dataset.n_records} records, "
-        f"{s.meta.n_learners}x{s.meta.n_questions}x{s.meta.max_attempt}"
-    )
+    ds = result.dataset
+    print(f"{spec.generator}: {ds.n_records} records, {ds.n_learners}x{ds.n_questions}x{ds.max_attempt}")
     return EXIT_OK
 
 

@@ -32,7 +32,7 @@ import csv
 import json
 import re
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,12 +54,9 @@ class QuestionInfo:
 
 @dataclass(frozen=True)
 class LessonMeta:
-    """Lesson-level counts plus optional question texts keyed by question id."""
+    """The lesson metadata file: a lesson name and question texts keyed by question id."""
 
-    lesson_name: str
-    n_learners: int
-    n_questions: int
-    max_attempt: int
+    lesson_name: str = ""
     questions: dict[str, QuestionInfo] = field(default_factory=dict)
 
 
@@ -81,12 +78,7 @@ class Dataset:
     obs: np.ndarray
 
     @classmethod
-    def from_records(
-        cls,
-        rows,
-        lesson_name: str = "",
-        questions: dict[str, QuestionInfo] | None = None,
-    ) -> "Dataset":
+    def from_records(cls, rows, meta: LessonMeta | None = None) -> "Dataset":
         """Columns of ``(learner_id, question_id, attempt, obs-or-None)`` rows, read once and not kept."""
         learner_index: dict[str, int] = {}
         question_index: dict[str, int] = {}
@@ -104,14 +96,7 @@ class Dataset:
         if not attempts:
             raise DataError("dataset has no records")
         learner, question, attempt, obs = (np.frombuffer(c, dtype=np.int64) for c in columns)
-        meta = LessonMeta(
-            lesson_name=lesson_name,
-            n_learners=len(learner_index),
-            n_questions=len(question_index),
-            max_attempt=int(attempt.max()),
-            questions=dict(questions) if questions else {},
-        )
-        ds = cls(meta, learner_index, question_index, learner, question, attempt, obs)
+        ds = cls(meta or LessonMeta(), learner_index, question_index, learner, question, attempt, obs)
         for role, ids, codes in (("learner_id", learner_index, learner), ("question_id", question_index, question)):
             padded = next((i for i in ids if i != i.strip()), None)
             if padded is not None:
@@ -128,6 +113,18 @@ class Dataset:
     @property
     def n_records(self) -> int:
         return len(self.obs)
+
+    @property
+    def n_learners(self) -> int:
+        return len(self.learner_index)
+
+    @property
+    def n_questions(self) -> int:
+        return len(self.question_index)
+
+    @property
+    def max_attempt(self) -> int:
+        return int(self.attempt.max())
 
     def keys(self, positions=None) -> list[tuple[str, str, int]]:
         """``(learner_id, question_id, attempt)`` of the rows at ``positions``, default all."""
@@ -153,14 +150,7 @@ class Dataset:
             raise DataError("dataset has no records")
         learner, learner_index = _redensify(self.learner[pos], self.learner_index)
         question, question_index = _redensify(self.question[pos], self.question_index)
-        attempt = self.attempt[pos]
-        meta = replace(
-            self.meta,
-            n_learners=len(learner_index),
-            n_questions=len(question_index),
-            max_attempt=int(attempt.max()),
-        )
-        return Dataset(meta, learner_index, question_index, learner, question, attempt, self.obs[pos])
+        return Dataset(self.meta, learner_index, question_index, learner, question, self.attempt[pos], self.obs[pos])
 
     def outcome_table(self) -> np.ndarray:
         """Outcomes by (learner code, question code, attempt - 1), -1 where unknown.
@@ -168,9 +158,7 @@ class Dataset:
         A trailing row, column and attempt slot of -1 pad the table, so code
         -1 (an unseen id) and attempts past ``max_attempt`` find no outcome.
         """
-        meta = self.meta
-        shape = (meta.n_learners + 1, meta.n_questions + 1, meta.max_attempt + 1)
-        table = np.full(shape, -1, dtype=np.int8)
+        table = np.full((self.n_learners + 1, self.n_questions + 1, self.max_attempt + 1), -1, dtype=np.int8)
         table[self.learner, self.question, self.attempt - 1] = self.obs
         return table
 
@@ -242,7 +230,7 @@ def open_input(path, **kwargs):
         raise DataError(f"{path}: cannot read input file ({exc.strerror or exc})") from None
 
 
-def parse_meta(meta_path) -> tuple[str, dict[str, QuestionInfo]]:
+def parse_meta(meta_path) -> LessonMeta:
     """Read the optional lesson metadata JSON file."""
     with open_input(meta_path) as fh:
         try:
@@ -251,7 +239,6 @@ def parse_meta(meta_path) -> tuple[str, dict[str, QuestionInfo]]:
             raise DataError(f"metadata file {meta_path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise DataError(f"metadata file {meta_path}: expected a JSON object")
-    lesson_name = str(payload.get("lesson_name", ""))
     entries = payload.get("questions") or {}
     if not isinstance(entries, dict):
         raise DataError(f"metadata file {meta_path}: questions must be a JSON object")
@@ -267,7 +254,7 @@ def parse_meta(meta_path) -> tuple[str, dict[str, QuestionInfo]]:
             options=tuple(str(o) for o in options),
             answer=str(info.get("answer", "")),
         )
-    return lesson_name, questions
+    return LessonMeta(str(payload.get("lesson_name", "")), questions)
 
 
 def _csv_rows(fh):
@@ -311,12 +298,10 @@ def parse_dataset(path, meta_path=None) -> Dataset:
     malformed row (wrong column count, non-binary obs, attempt < 1) by its
     line, a duplicate (learner, question, attempt) triple by its key.
     """
-    lesson_name, questions = ("", {})
-    if meta_path is not None:
-        lesson_name, questions = parse_meta(meta_path)
+    meta = None if meta_path is None else parse_meta(meta_path)
     with open_input(path, newline="") as fh:
         try:
-            return Dataset.from_records(_csv_rows(fh), lesson_name=lesson_name, questions=questions)
+            return Dataset.from_records(_csv_rows(fh), meta)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
 
@@ -352,9 +337,12 @@ def make_folds(ds: Dataset, k: int, seed: int) -> FoldSplit:
 
 @dataclass(frozen=True)
 class DatasetSummary:
-    """Descriptive statistics to accompany LessonMeta."""
+    """Descriptive statistics of a Dataset."""
 
-    meta: LessonMeta
+    lesson_name: str
+    n_learners: int
+    n_questions: int
+    max_attempt: int
     n_records: int
     n_labeled: int
     correct_rate: float
@@ -363,10 +351,10 @@ class DatasetSummary:
 
     def to_dict(self) -> dict:
         return {
-            "lesson_name": self.meta.lesson_name,
-            "n_learners": self.meta.n_learners,
-            "n_questions": self.meta.n_questions,
-            "max_attempt": self.meta.max_attempt,
+            "lesson_name": self.lesson_name,
+            "n_learners": self.n_learners,
+            "n_questions": self.n_questions,
+            "max_attempt": self.max_attempt,
             "n_records": self.n_records,
             "n_labeled": self.n_labeled,
             "correct_rate": self.correct_rate,
@@ -376,9 +364,8 @@ class DatasetSummary:
 
     def to_text(self) -> str:
         lines = [
-            f"lesson: {self.meta.lesson_name or '(unnamed)'}",
-            f"learners: {self.meta.n_learners}  questions: {self.meta.n_questions}  "
-            f"max attempt: {self.meta.max_attempt}",
+            f"lesson: {self.lesson_name or '(unnamed)'}",
+            f"learners: {self.n_learners}  questions: {self.n_questions}  max attempt: {self.max_attempt}",
             f"records: {self.n_records} ({self.n_labeled} labeled), "
             f"overall correct rate {self.correct_rate:.3f}",
             "per-question correct rate:",
@@ -394,12 +381,15 @@ class DatasetSummary:
 def summarize(ds: Dataset) -> DatasetSummary:
     """Counts, per-question correct rates (labeled rows), and attempts histogram."""
     labeled = ds.obs >= 0
-    totals = np.bincount(ds.question[labeled], minlength=len(ds.question_index))
+    totals = np.bincount(ds.question[labeled], minlength=ds.n_questions)
     correct = np.bincount(ds.question[labeled], weights=ds.obs[labeled], minlength=len(totals))
     n_labeled, n_correct = int(labeled.sum()), int(ds.obs[labeled].sum())
     attempts, counts = np.unique(ds.attempt, return_counts=True)
     return DatasetSummary(
-        meta=ds.meta,
+        lesson_name=ds.meta.lesson_name,
+        n_learners=ds.n_learners,
+        n_questions=ds.n_questions,
+        max_attempt=ds.max_attempt,
         n_records=ds.n_records,
         n_labeled=n_labeled,
         correct_rate=(n_correct / n_labeled) if n_labeled else 0.0,

@@ -202,8 +202,6 @@ def _grow_tree(rows, gx, hx, codes, values, feature_mask, config) -> TreeNode:
 
     for depth in range(config.max_depth + 1):
         n_active = len(nodes)
-        if n_active == 0 or len(cur_rows) == 0:
-            break
         g_tot = np.bincount(nid, weights=cur_g, minlength=n_active)
         h_tot = np.bincount(nid, weights=cur_h, minlength=n_active)
         leaf = -g_tot / (h_tot + LEAF_L2)
@@ -227,11 +225,6 @@ def _grow_tree(rows, gx, hx, codes, values, feature_mask, config) -> TreeNode:
         tot_g, tot_h = gl[:, :, -1:], hl[:, :, -1:]
         gr, hr = tot_g - gl, tot_h - hl
         present = hist_n > 0
-        # value of the next distinct feature value present at the node
-        rev = np.where(present, values, np.inf)[:, :, ::-1]
-        suffix_min = np.minimum.accumulate(rev, axis=2)[:, :, ::-1]
-        nxt = np.full(grid, np.inf)
-        nxt[:, :, :-1] = suffix_min[:, :, 1:]
         gain = 0.5 * (
             gl * gl / (hl + LEAF_L2)
             + gr * gr / (hr + LEAF_L2)
@@ -252,7 +245,10 @@ def _grow_tree(rows, gx, hx, codes, values, feature_mask, config) -> TreeNode:
         cutoff = best - GAIN_TIE_RTOL * np.maximum(1.0, np.abs(best))
         pick = np.argmax(gains >= cutoff[:, None], axis=1)
         at = (np.arange(n_active), pick)
-        thresholds = (values.ravel()[pick] + nxt.reshape(n_active, n_bins)[at]) / 2.0
+        # a split leaves rows right of it in its feature (cum_n < total), so the
+        # first present bin after the pick holds that feature's next value
+        upper = np.argmax(present.reshape(n_active, n_bins) & (np.arange(n_bins) > pick[:, None]), axis=1)
+        thresholds = (values.ravel()[pick] + values.ravel()[upper]) / 2.0
         best_gain = gains[at]
         hl_pick = hl.reshape(n_active, n_bins)[at]
         hr_pick = hr.reshape(n_active, n_bins)[at]

@@ -153,8 +153,7 @@ def pfa_fit(train: Dataset, l2: float = DEFAULT_L2, max_iter: int = 50, seed: in
         raise ValueError("pfa_fit requires at least one labeled record")
 
     successes, failures = pfa_features(train)
-    n_q = len(train.question_index)
-    n_l = len(train.learner_index)
+    n_q, n_l = train.n_questions, train.n_learners
     q_idx = train.question[labeled]
     l_idx = train.learner[labeled]
     s = successes[labeled].astype(float)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bkt import BktParams, bkt_predict_next
-from .data import Dataset
+from .data import Dataset, LessonMeta
 
 GENERATORS = ("bkt-process", "low-rank-matrix", "low-rank-tensor")
 
@@ -103,7 +103,7 @@ def simulate_bkt(spec: SimSpec) -> SimResult:
                         mastered = bool(rng.random() < params.p_learn)
                 mastery[f"{lid}|{qid}"] = chain
 
-    dataset = Dataset.from_records(records(), lesson_name=f"sim-bkt-{spec.seed}")
+    dataset = Dataset.from_records(records(), LessonMeta(f"sim-bkt-{spec.seed}"))
     return SimResult(dataset=dataset, truth={"params": params.to_dict(), "mastery": mastery})
 
 
@@ -164,7 +164,7 @@ def simulate_lowrank(spec: SimSpec) -> SimResult:
     ids = list(itertools.product(lids, qids, attempts))
     keys = [f"{lid}|{qid}|{a}" for lid, qid, a in ids]
     rows = ((*cell, None if hidden else obs) for cell, obs, hidden in zip(ids, draws, masked.tolist()))
-    dataset = Dataset.from_records(rows, lesson_name=f"sim-{spec.generator}-{spec.seed}")
+    dataset = Dataset.from_records(rows, LessonMeta(f"sim-{spec.generator}-{spec.seed}"))
     truth["obs"] = dict(zip(keys, draws))
     truth["masked"] = [keys[i] for i in np.flatnonzero(masked)]
     return SimResult(dataset=dataset, truth=truth)

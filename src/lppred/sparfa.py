@@ -79,7 +79,7 @@ def _first_attempt_cells(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Cells come in order of each pair's first labeled record.
     """
     labeled = np.flatnonzero(ds.obs >= 0)
-    pair = ds.learner[labeled] * len(ds.question_index) + ds.question[labeled]
+    pair = ds.learner[labeled] * ds.n_questions + ds.question[labeled]
     by_attempt = np.lexsort((ds.attempt[labeled], pair))
     head = np.ones(len(by_attempt), dtype=bool)
     head[1:] = pair[by_attempt[1:]] != pair[by_attempt[:-1]]
@@ -209,10 +209,9 @@ def sparfa_fit(
     held-out log-loss over the parts, and the winner is refitted on all
     cells. An all-constant observation matrix short-circuits to rank 0.
     """
-    if len(train.learner_index) < 2 or len(train.question_index) < 2:
+    n_l, n_q = train.n_learners, train.n_questions
+    if n_l < 2 or n_q < 2:
         raise ValueError("need at least 2 learners and 2 questions")
-    n_l = len(train.learner_index)
-    n_q = len(train.question_index)
     rows, cols, vals = _first_attempt_cells(train)
     global_mean = float(vals.mean())
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -165,11 +166,9 @@ def tensor_fit_als(
     the mean of the fitted rows and are listed in ``cold_learners``.
     """
     _check_rank_ridge(rank, ridge)
-    n_l = len(train.learner_index)
+    n_l, n_q, n_a = train.n_learners, train.n_questions, train.max_attempt
     if rank > n_l:
         raise ValueError(f"rank {rank} exceeds number of learners {n_l}")
-    n_q = len(train.question_index)
-    n_a = train.meta.max_attempt
 
     labeled = train.obs >= 0
     li = train.learner[labeled]
@@ -184,36 +183,29 @@ def tensor_fit_als(
     if not converged:
         warnings.warn(f"tensor_fit_als: ALS stopped at max_sweeps={max_sweeps} before TOL")
 
-    cells_per_learner = np.bincount(li, minlength=n_l)
-    observed_learners = np.flatnonzero(cells_per_learner > 0)
-    cold = [lid for lid, l in train.learner_index.items() if cells_per_learner[l] == 0]
-    if cold:
-        mean_row = u[observed_learners].mean(axis=0)
-        for lid in cold:
-            u[train.learner_index[lid]] = mean_row
+    cold = np.bincount(li, minlength=n_l) == 0
+    u[cold] = u[~cold].mean(axis=0)
 
     # fibers that never appeared in training: borrow the nearest fitted
-    # attempt slice of the same question so queries there are not random
-    fitted = np.bincount(qa, minlength=n_q * n_a) > 0
-    for q in range(n_q):
-        have = [a for a in range(n_a) if fitted[q * n_a + a]]
-        if not have or len(have) == n_a:
-            continue
-        for a in range(n_a):
-            if not fitted[q * n_a + a]:
-                nearest = min(have, key=lambda h: (abs(h - a), h))
-                v[:, q * n_a + a] = v[:, q * n_a + nearest]
+    # attempt slice of the same question (the lower on a tie, as argmin picks
+    # the first) so queries there are not random
+    fitted = (np.bincount(qa, minlength=n_q * n_a) > 0).reshape(n_q, n_a)
+    slots = np.arange(n_a)
+    gap = np.where(fitted[:, None, :], np.abs(slots[:, None] - slots), n_a)  # (question, attempt, fitted h)
+    v = v.reshape(rank, n_q, n_a)
+    some = fitted.any(axis=1)
+    v[:, some] = np.take_along_axis(v, np.argmin(gap, axis=2)[None], axis=2)[:, some]
 
     return TensorModel(
         learner_factors=u,
-        qa_factors=v.reshape(rank, n_q, n_a),
+        qa_factors=v,
         rank=rank,
         ridge=ridge,
         learner_index=dict(train.learner_index),
         question_index=dict(train.question_index),
         global_mean=float(y.mean()),
         objective_trace=tuple(trace),
-        cold_learners=tuple(cold),
+        cold_learners=tuple(compress(train.learner_index, cold)),
         converged=converged,
     )
 

@@ -341,9 +341,9 @@ class TestCommands:
         code = main(["simulate", "--generator", "bkt-process", "--shape", "66x8x9", "--out", str(out)])
         assert code == EXIT_OK
         ds = parse_dataset(out / "data.csv")
-        assert ds.meta.n_learners == 66
-        assert ds.meta.n_questions == 8
-        assert ds.meta.max_attempt == 9
+        assert ds.n_learners == 66
+        assert ds.n_questions == 8
+        assert ds.max_attempt == 9
         assert (out / "truth.json").exists()
 
     def test_cv_writes_five_fold_report(self, sim_data, tmp_path):

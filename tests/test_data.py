@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lppred.data import (
     DataError,
     Dataset,
+    LessonMeta,
     encode_keys,
     make_folds,
     parse_dataset,
@@ -48,9 +49,9 @@ class TestParse:
         f = write_csv(tmp_path / "d.csv", "learner_id,question_id,attempt,obs\nL1,Q1,1,1\nL1,Q1,2,0\n")
         ds = parse_dataset(f)
         assert ds.n_records == 2
-        assert ds.meta.n_learners == 1
-        assert ds.meta.n_questions == 1
-        assert ds.meta.max_attempt == 2
+        assert ds.n_learners == 1
+        assert ds.n_questions == 1
+        assert ds.max_attempt == 2
         assert ds.obs.tolist() == [1, 0]
 
     def test_absent_obs_flagged(self, tmp_path):
@@ -161,8 +162,8 @@ class TestParse:
         ds = parse_dataset(f, meta_path=meta)
         assert ds.meta.lesson_name == "Minor Burns"
         assert ds.meta.questions["Q1"].text == "What is the topic?"
-        name, questions = parse_meta(meta)
-        assert name == "Minor Burns" and questions["Q1"].answer == "a"
+        lesson = parse_meta(meta)
+        assert lesson.lesson_name == "Minor Burns" and lesson.questions["Q1"].answer == "a"
 
     def test_parse_keeps_no_copy_of_the_rows(self, tmp_path):
         # a lesson-sized log (42,315 rows): the parse may hold little beyond
@@ -184,15 +185,15 @@ class TestParse:
 class TestDatasetInvariants:
     def test_index_density(self, rng):
         ds = random_dataset(rng, n_rows=50)
-        assert sorted(ds.learner_index.values()) == list(range(ds.meta.n_learners))
-        assert sorted(ds.question_index.values()) == list(range(ds.meta.n_questions))
+        assert sorted(ds.learner_index.values()) == list(range(ds.n_learners))
+        assert sorted(ds.question_index.values()) == list(range(ds.n_questions))
 
     def test_meta_matches_records(self, rng):
         ds = random_dataset(rng, n_rows=50)
         keys = ds.keys()
-        assert ds.meta.n_learners == len({lid for lid, _, _ in keys})
-        assert ds.meta.n_questions == len({qid for _, qid, _ in keys})
-        assert ds.meta.max_attempt == max(attempt for _, _, attempt in keys)
+        assert ds.n_learners == len({lid for lid, _, _ in keys})
+        assert ds.n_questions == len({qid for _, qid, _ in keys})
+        assert ds.max_attempt == max(attempt for _, _, attempt in keys)
 
     def test_first_repeated_key_is_named(self):
         rows = [("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0), ("L2", "Q1", 1, 1), ("L1", "Q1", 1, 0)]
@@ -207,7 +208,7 @@ class TestDatasetInvariants:
         ds = random_dataset(rng, n_rows=30)
         sub = ds.subset(range(10))
         assert sub.n_records == 10
-        assert sub.meta.n_learners == len({lid for lid, _, _ in sub.keys()})
+        assert sub.n_learners == len({lid for lid, _, _ in sub.keys()})
 
 
 class TestColumns:
@@ -245,16 +246,17 @@ class TestColumns:
         n_rows = data.draw(st.integers(1, 40))
         labeled = data.draw(st.booleans())
         ds = random_dataset(np.random.default_rng(seed), n_rows=n_rows, labeled=labeled)
-        ds = Dataset.from_records(rows_of(ds), lesson_name="lesson", questions={})
+        ds = Dataset.from_records(rows_of(ds), LessonMeta("lesson", {}))
         positions = data.draw(
             st.lists(st.integers(0, ds.n_records - 1), min_size=1, max_size=ds.n_records, unique=True)
         )
         sub = ds.subset(positions)
-        rebuilt = Dataset.from_records(
-            [rows_of(ds)[i] for i in positions], lesson_name="lesson", questions={}
-        )
+        rebuilt = Dataset.from_records([rows_of(ds)[i] for i in positions], LessonMeta("lesson", {}))
         assert rows_of(sub) == rows_of(rebuilt)
         assert sub.meta == rebuilt.meta
+        assert (sub.n_learners, sub.n_questions, sub.max_attempt) == (
+            rebuilt.n_learners, rebuilt.n_questions, rebuilt.max_attempt
+        )
         assert list(sub.learner_index.items()) == list(rebuilt.learner_index.items())
         assert list(sub.question_index.items()) == list(rebuilt.question_index.items())
         for name in ("learner", "question", "attempt", "obs"):
@@ -349,9 +351,9 @@ class TestSummarize:
 
         res = simulate_bkt(SimSpec(n_learners=86, n_questions=11, max_attempt=5, seed=0))
         s = summarize(res.dataset)
-        assert s.meta.n_learners == 86
-        assert s.meta.n_questions == 11
-        assert s.meta.max_attempt == 5
+        assert s.n_learners == 86
+        assert s.n_questions == 11
+        assert s.max_attempt == 5
 
     def test_text_and_json_render(self, rng):
         ds = random_dataset(rng, n_rows=25)

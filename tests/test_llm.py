@@ -40,9 +40,6 @@ def encode(rows, questions):
 def lesson_meta():
     return LessonMeta(
         lesson_name="Minor Burns",
-        n_learners=1,
-        n_questions=2,
-        max_attempt=2,
         questions={
             "Q1": QuestionInfo(text="Minor Burns Q1", options=("a", "b"), answer="a"),
             "Q2": QuestionInfo(text="Minor Burns Q2", options=("a", "b"), answer="b"),

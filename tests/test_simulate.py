@@ -59,8 +59,11 @@ class TestBktProcess:
 
     def test_dataset_passes_validation(self):
         res = simulate_bkt(SimSpec(30, 6, 5, seed=4))
-        rebuilt = Dataset.from_records(rows_of(res.dataset), lesson_name=res.dataset.meta.lesson_name)
+        rebuilt = Dataset.from_records(rows_of(res.dataset), res.dataset.meta)
         assert rebuilt.meta == res.dataset.meta
+        assert (rebuilt.n_learners, rebuilt.n_questions, rebuilt.max_attempt) == (
+            res.dataset.n_learners, res.dataset.n_questions, res.dataset.max_attempt
+        )
         assert rows_of(rebuilt) == rows_of(res.dataset)
 
     def test_chi_square_emission_frequencies(self):
@@ -76,8 +79,8 @@ class TestBktProcess:
 class TestLowRank:
     def test_lesson3_shape(self):
         res = simulate_lowrank(SimSpec(86, 11, 5, generator="low-rank-tensor", rank=2, seed=0))
-        meta = res.dataset.meta
-        assert (meta.n_learners, meta.n_questions, meta.max_attempt) == (86, 11, 5)
+        ds = res.dataset
+        assert (ds.n_learners, ds.n_questions, ds.max_attempt) == (86, 11, 5)
 
     def test_mask_count_exact_floor(self):
         spec = SimSpec(10, 10, 1, generator="low-rank-matrix", rank=2, seed=1, mask_fraction=0.2)
