@@ -10,11 +10,10 @@ plain-text rendering. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -93,7 +92,7 @@ def _inject_config_args(argv: list[str]) -> list[str]:
         raise UsageError("--config given without a subcommand")
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 cannot be read either
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     injected: list[str] = []
     for raw in lines:
@@ -352,12 +351,19 @@ def _fit_local(args, ds: Dataset):
 
 
 def _write_predictions(path: Path, rows, preds):
-    """Write ``predictions.csv``; an id holding a comma, quote or newline is quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("learner_id", "question_id", "attempt", "prediction"))
-    writer.writerows((lid, qid, attempt, f"{p:.6f}") for (lid, qid, attempt), p in zip(rows, preds))
-    _write(path, buf.getvalue())
+    """Write ``predictions.csv`` with ``\\n`` line ends, quoting an id that holds a comma, quote or line break.
+
+    A lone ``\\r`` counts as a line break. Python 3.11's ``csv.writer`` with
+    ``\\n`` line ends leaves it unquoted, and that row would read back split.
+    """
+    special = re.compile('[,"\r\n]').search
+
+    def cell(text: str) -> str:
+        return '"' + text.replace('"', '""') + '"' if special(text) else text
+
+    lines = ["learner_id,question_id,attempt,prediction\n"]
+    lines += [f"{cell(lid)},{cell(qid)},{attempt},{p:.6f}\n" for (lid, qid, attempt), p in zip(rows, preds)]
+    _write(path, "".join(lines))
 
 
 def cmd_fit(args) -> int:
@@ -408,17 +414,20 @@ def cmd_tune(args) -> int:
 
 def cmd_simulate(args) -> int:
     n_l, n_q, n_a = args.shape
-    spec = SimSpec(
-        n_learners=n_l,
-        n_questions=n_q,
-        max_attempt=n_a,
-        generator=args.generator,
-        seed=args.seed,
-        bkt=args.bkt_params,
-        rank=args.rank,
-        mask_fraction=args.mask,
-        stop_on_correct=args.stop_on_correct,
-    )
+    try:
+        spec = SimSpec(
+            n_learners=n_l,
+            n_questions=n_q,
+            max_attempt=n_a,
+            generator=args.generator,
+            seed=args.seed,
+            bkt=args.bkt_params,
+            rank=args.rank,
+            mask_fraction=args.mask,
+            stop_on_correct=args.stop_on_correct,
+        )
+    except ValueError as exc:  # a flag the chosen generator ignores
+        raise UsageError(str(exc)) from None
     result = simulate(spec)
     out = _outdir(args)
     write_dataset(result.dataset, out / "data.csv")

@@ -10,7 +10,9 @@ The on-disk format is comma-separated UTF-8 text with the header
 tabs around a cell are dropped; a learner or question id may not begin or
 end with whitespace, so every Dataset survives a write and re-read. An optional
 lesson metadata file is a JSON object with ``lesson_name`` and a
-``questions`` map from question id to ``{text, options, answer}``.
+``questions`` map from question id to ``{text, options, answer}``; a
+``LessonMeta`` holds exactly that. An input file that cannot be opened or is
+not UTF-8 is a ``DataError`` naming the file.
 
 This module is the one place where ids become integers. A ``Dataset`` is
 four int columns: ``learner`` and ``question`` (dense codes in order of first
@@ -18,9 +20,12 @@ appearance, the values of ``learner_index``/``question_index``), ``attempt``,
 and ``obs`` (-1 for rows without an outcome). Models fit on these columns;
 ``Dataset.keys`` looks rows up as raw ``(learner, question, attempt)``
 triples. Queries arrive as such triples, and ``encode_keys`` turns them into
-the same codes, with -1 for ids unseen in training. ``Dataset.subset`` takes
-distinct positions; it indexes the columns and re-densifies the codes
-without validating the rows again.
+the same codes, with -1 for ids unseen in training. The counts
+``n_learners``, ``n_questions``, ``max_attempt`` and ``n_records`` are read
+from the id maps and the columns; nothing else stores them.
+``Dataset.subset`` takes distinct positions; it indexes the columns and
+re-densifies the codes without validating the rows again, and keeps the
+``LessonMeta``.
 
 ``Dataset.from_records`` reads any iterable of rows once and keeps none;
 ``parse_dataset`` streams a file into it line by line, never a list of rows.
@@ -32,6 +37,7 @@ import csv
 import json
 import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,12 +228,18 @@ class FoldSplit:
         return np.flatnonzero((folds != fold) & (folds >= 0)).tolist()
 
 
+@contextmanager
 def open_input(path, **kwargs):
-    """Open an input file for reading as UTF-8; a file that cannot be opened is a DataError."""
+    """An input file open for reading as UTF-8; one that cannot be opened or decoded is a DataError."""
     try:
-        return open(path, encoding="utf-8", **kwargs)
+        fh = open(path, encoding="utf-8", **kwargs)
     except OSError as exc:
         raise DataError(f"{path}: cannot read input file ({exc.strerror or exc})") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x}: {exc.reason})") from None
 
 
 def parse_meta(meta_path) -> LessonMeta:

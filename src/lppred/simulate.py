@@ -53,6 +53,11 @@ class SimSpec:
             raise ValueError(f"unknown generator {self.generator!r}, expected one of {GENERATORS}")
         if not 0.0 <= self.mask_fraction < 1.0:
             raise ValueError("mask_fraction must lie in [0, 1)")
+        # a field the generator never reads is an error, not silently dropped
+        ignored = ("mask_fraction",) if self.generator == "bkt-process" else ("stop_on_correct", "bkt")
+        for name in ignored:
+            if getattr(self, name):
+                raise ValueError(f"{name} is not used by the {self.generator} generator")
 
 
 @dataclass

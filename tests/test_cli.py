@@ -168,6 +168,36 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_DATA
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--data", "--meta", "--targets", "--grid", "--train",
+                                      "--test", "--inputs"])
+    def test_input_file_not_utf8_is_data_error(self, train_test_files, tmp_path, capsys, flag):
+        train, test = train_test_files
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes({
+            "--meta": b'{"lesson_name": "Minor \xff Burns"}',
+            "--grid": json.dumps(SMALL_GRID).encode()[:-1] + b', "x": "\xff"}',
+            "--inputs": b'{"bkt": {"fold_rmse": [0.4], "dataset": "\xff"}}',
+        }.get(flag, train.read_bytes() + b"L\xff,Q1,1,1\n"))
+        argv = {
+            "--data": ["cv", "--model", "bkt", "--data", str(bad)],
+            "--meta": ["cv", "--model", "bkt", "--data", str(train), "--meta", str(bad)],
+            "--targets": ["predict", "--model", "gbt", "--data", str(train), "--targets", str(bad)],
+            "--grid": ["tune", "--data", str(train), "--grid", str(bad)],
+            "--train": ["llm-run", "--mock", "--train", str(bad), "--test", str(test)],
+            "--test": ["llm-run", "--mock", "--train", str(train), "--test", str(bad)],
+            "--inputs": ["report", "--inputs", str(bad)],
+        }[flag]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: not UTF-8 text") and "0xff" in err
+
+    def test_config_file_not_utf8_is_usage_error(self, sim_data, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"model = bkt\nk = \xff\n")
+        argv = ["cv", "--config", str(config), "--data", str(sim_data), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_USAGE
+        assert f"cannot read config file {config}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text, named", [
         (json.dumps({**SMALL_GRID, "n_trees": 5}), "'n_trees' must be a non-empty list, got 5"),
         (json.dumps({**SMALL_GRID, "ntrees": [5]}), "unknown grid key 'ntrees'"),
@@ -241,6 +271,20 @@ class TestExitCodes:
         code = main(["simulate", "--shape", "4x2x2", "--bkt-params", value, "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert "argument --bkt-params: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--generator", "bkt-process", "--mask", "0.5"],
+        ["--generator", "low-rank-matrix", "--stop-on-correct"],
+        ["--generator", "low-rank-tensor", "--bkt-params",
+         '{"p_init": 0.3, "p_learn": 0.2, "p_slip": 0.1, "p_guess": 0.2}'],
+    ], ids=["bkt-mask", "matrix-stop-on-correct", "tensor-bkt-params"])
+    def test_simulate_flag_its_generator_ignores_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        assert main(["simulate", "--shape", "4x3x2", *flags, "--out", str(out)]) == EXIT_USAGE
+        field = {"--mask": "mask_fraction", "--stop-on-correct": "stop_on_correct", "--bkt-params": "bkt"}
+        err = capsys.readouterr().err
+        assert field[flags[2]] in err and flags[1] in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--shape", "0x8x9"],
@@ -443,6 +487,18 @@ class TestCommands:
             header, *rows = list(csv.reader(fh))
         assert header == ["learner_id", "question_id", "attempt", "prediction"]
         assert [row[:3] for row in rows] == [["L,1", 'Q"2', "1"]]
+        assert all(len(row) == 4 for row in rows)
+
+    def test_predictions_csv_quotes_ids_with_a_carriage_return(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b'learner_id,question_id,attempt,obs\nL1,Q1,1,1\nL2,Q1,1,0\nL1,"Q1\rx",2,\n')
+        out = tmp_path / "pred"
+        assert main(["predict", "--model", "pfa", "--data", str(data), "--out", str(out)]) == EXIT_OK
+        written = (out / "predictions.csv").read_bytes()
+        assert b"\r\n" not in written and written.count(b"\n") == 2  # header and one row, \n ends
+        with open(out / "predictions.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert [row[:3] for row in rows] == [["L1", "Q1\rx", "2"]]
         assert all(len(row) == 4 for row in rows)
 
     def test_tune_grid_file(self, sim_data, tmp_path):

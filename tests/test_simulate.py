@@ -24,6 +24,15 @@ class TestSpec:
         with pytest.raises(ValueError):
             SimSpec(5, 5, 3, mask_fraction=1.0)
 
+    @pytest.mark.parametrize("generator, field, value", [
+        ("bkt-process", "mask_fraction", 0.5),
+        ("low-rank-matrix", "stop_on_correct", True),
+        ("low-rank-tensor", "bkt", BktParams(0.3, 0.2, 0.1, 0.2)),
+    ])
+    def test_field_the_generator_ignores_is_rejected(self, generator, field, value):
+        with pytest.raises(ValueError, match=f"{field} is not used by the {generator} generator"):
+            SimSpec(5, 5, 3, generator=generator, **{field: value})
+
 
 class TestBktProcess:
     def test_noiseless_mastered_all_correct(self):
