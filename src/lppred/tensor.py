@@ -14,7 +14,10 @@ pseudo-inverse, the minimum-norm solution, when the ridge is 0). Each
 subproblem is solved exactly, so the regularized squared-error objective
 never increases between sweeps. Sweeps stop once one gains less than
 ``TOL``; a fit that runs out of sweeps first warns and reports
-``converged=False``. Predictions are clamped to [0, 1].
+``converged=False``. After the sweeps, a learner with no labeled cell gets
+the mean of the fitted rows, and a fiber with no labeled cell copies the
+nearest fitted attempt of its question, the lower one on a tie; both are
+whole-array assignments. Predictions are clamped to [0, 1].
 """
 
 from __future__ import annotations
