@@ -92,7 +92,7 @@ def _inject_config_args(argv: list[str]) -> list[str]:
         raise UsageError("--config given without a subcommand")
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 cannot be read either
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     injected: list[str] = []
     for raw in lines:
@@ -413,12 +413,9 @@ def cmd_tune(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    n_l, n_q, n_a = args.shape
     try:
         spec = SimSpec(
-            n_learners=n_l,
-            n_questions=n_q,
-            max_attempt=n_a,
+            *args.shape,
             generator=args.generator,
             seed=args.seed,
             bkt=args.bkt_params,

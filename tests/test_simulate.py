@@ -28,7 +28,7 @@ class TestSpec:
         ("bkt-process", "mask_fraction", 0.5),
         ("low-rank-matrix", "stop_on_correct", True),
         ("low-rank-tensor", "bkt", BktParams(0.3, 0.2, 0.1, 0.2)),
-    ])
+    ], ids=["bkt-process-mask", "low-rank-matrix-stop-on-correct", "low-rank-tensor-bkt"])
     def test_field_the_generator_ignores_is_rejected(self, generator, field, value):
         with pytest.raises(ValueError, match=f"{field} is not used by the {generator} generator"):
             SimSpec(5, 5, 3, generator=generator, **{field: value})
