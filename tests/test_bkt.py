@@ -266,6 +266,17 @@ def assert_em_matches_reference(fit, ds, max_iter=100, tol=1e-6, seed=0):
     return expected
 
 
+def assert_em_equals_reference(fit, ds, **kwargs):
+    """``assert_em_matches_reference``, then every fitted parameter and trace equal to the bit.
+
+    Each question's sums are formed in the per-question order, so the stacked
+    fit agrees with the loop to the bit, whatever slots other questions add.
+    """
+    expected = assert_em_matches_reference(fit, ds, **kwargs)
+    assert {q: p for q, (p, _, _) in expected.items()} == {q: fit.question_params[q] for q in expected}
+    assert {q: t for q, (_, t, _) in expected.items()} == {q: fit.loglik_trace[q] for q in expected}
+
+
 class TestStackedEm:
     """The stacked EM against a per-question loop of the same Baum-Welch steps."""
 
@@ -280,7 +291,7 @@ class TestStackedEm:
         lengths = {qid: len(trace) for qid, trace in fit.loglik_trace.items()}
         assert fit.converged["QS"] and fit.converged["Q1x"] and lengths["QS"] < lengths["Q1x"] < 30
         assert not fit.converged["Q2"] and lengths["Q2"] == 30
-        assert_em_matches_reference(fit, ds, max_iter=30, tol=1e-6, seed=3)
+        assert_em_equals_reference(fit, ds, max_iter=30, tol=1e-6, seed=3)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_lesson_fold_with_held_out_gaps(self, seed):
@@ -288,13 +299,16 @@ class TestStackedEm:
         ds = simulate(spec).dataset
         train = ds.subset(make_folds(ds, 5, seed).train_positions(seed))
         fit = bkt_fit_em(train, seed=seed)
-        expected = assert_em_matches_reference(fit, train, seed=seed)
-        # questions end at different slots here; each one's sums are formed in
-        # the per-question order, so the numbers agree to the bit
-        assert {q: p for q, (p, _, _) in expected.items()} == fit.question_params
-        assert {q: t for q, (_, t, _) in expected.items()} == fit.loglik_trace
+        assert_em_equals_reference(fit, train, seed=seed)  # questions end at different slots here
         loose = bkt_fit_em(train, seed=seed, tol=1e-2)
         assert_em_matches_reference(loose, train, tol=1e-2, seed=seed)
+
+    def test_large_log_fold_to_the_bit(self):
+        # 30 questions, each with its own row and slot counts
+        spec = SimSpec(600, 30, 9, generator="bkt-process", seed=1, stop_on_correct=True)
+        ds = simulate(spec).dataset
+        train = ds.subset(make_folds(ds, 5, 0).train_positions(0))
+        assert_em_equals_reference(bkt_fit_em(train, seed=0), train)
 
     def test_question_without_sequences_keeps_fallback(self):
         records = make_records(
@@ -304,7 +318,7 @@ class TestStackedEm:
         ds = Dataset.from_records(records)
         with pytest.warns(UserWarning, match="Q2"):
             fit = bkt_fit_em(ds, seed=4)
-        assert_em_matches_reference(fit, ds, seed=4)
+        assert_em_equals_reference(fit, ds, seed=4)
 
     def test_no_labeled_rows(self):
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, None), ("L2", "Q2", 2, None)]))
