@@ -135,11 +135,12 @@ def _stacked_sequences(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return learners[:, :n_rows], (table == 1).astype(float), table >= 0, lengths[:, :n_rows]
 
 
-def _forward_backward(obs, observed, lengths, params):
+def _forward_backward(obs, observed, slots, params):
     """Log-space forward-backward over every question's sequences at once.
 
-    ``obs``/``observed``/``lengths`` are stacked as by ``_stacked_sequences``,
-    each question with at least one sequence, and ``params`` is
+    ``obs``/``observed`` are stacked as by ``_stacked_sequences``, each
+    question with at least one sequence; ``slots`` holds each question's
+    slot count (its longest sequence's length), and ``params`` is
     (4, questions): p_init, p_learn, p_slip, p_guess. Returns
     (loglik_seq, gamma, learn) where loglik_seq[q, i] is the log-likelihood
     of sequence i of question q, gamma[k, t, q, i] the posterior of state k
@@ -169,7 +170,7 @@ def _forward_backward(obs, observed, lengths, params):
         np.logaddexp(la[0, t - 1] + log_learn, la[1, t - 1], out=la[1, t])
         la[1, t] += log_e[1, t]
 
-    last_slot = lengths.max(axis=1) - 1
+    last_slot = slots - 1
     lb = np.zeros(log_e.shape)
     for t in range(t_max - 2, -1, -1):
         np.add(lb[:, t + 1], log_e[:, t + 1], out=lb[:, t])
@@ -190,27 +191,17 @@ def _em(obs, observed, lengths, params, max_iter, tol):
     """Baum-Welch for every stacked question at once, from (4, questions) ``params``.
 
     One forward-backward per iteration covers all questions. The M-step
-    sums run per question, each over that question's own (rows, slots)
-    block in row order, so a question's numbers do not depend on the
+    sums run per question, each over the question's own (rows, slots) block
+    sequence by sequence, so a question's numbers do not depend on the
     others. A question freezes at the first iteration whose log-likelihood
     gains less than ``tol`` on the one before: its parameters and trace stop
     there, while the others run on until they freeze too or ``max_iter``
     runs out. Returns (params, per-question log-likelihood traces,
     per-question flags that EM stopped on ``tol``).
     """
-    n_slots, n_q, n_rows = obs.shape
+    n_slots, n_q, _ = obs.shape
     rows, slots = (lengths > 0).sum(axis=1), lengths.max(axis=1, initial=0)
-    # Each question's sequences, their (sequence, slot) cells and their
-    # (sequence, slot with a next slot) steps, flattened sequence by sequence
-    # and laid end to end, question after question; ``bounds`` delimit the
-    # questions in each.
-    in_rows = np.arange(n_rows) < rows[:, None]
-    seqs = np.flatnonzero(in_rows)
-    q, i, t = np.nonzero(in_rows[:, :, None] & (np.arange(n_slots) < slots[:, None, None]))
-    cells, cell_obs, cell_seen = (t * n_q + q) * n_rows + i, obs[t, q, i], observed[t, q, i]
-    q, i, t = np.nonzero(in_rows[:, :, None] & (np.arange(max(n_slots - 1, 0)) < slots[:, None, None] - 1))
-    steps, step_valid = (t * n_q + q) * n_rows + i, t < lengths[q, i] - 1
-    bounds = [np.cumsum(np.concatenate([[0], rows * s])) for s in (1, slots, np.maximum(slots - 1, 0))]
+    steps = np.arange(n_slots - 1)[:, None, None] < lengths - 1  # slot t has a next slot in its sequence
 
     params = params.copy()
     traces: list[list[float]] = [[] for _ in range(n_q)]
@@ -218,19 +209,17 @@ def _em(obs, observed, lengths, params, max_iter, tol):
     for _ in range(max_iter):
         if not active.any():
             break
-        loglik_seq, gamma, learn = _forward_backward(obs, observed, lengths, params)
-        unmastered = gamma[0].ravel()[cells] * cell_seen
-        mastered = gamma[1].ravel()[cells] * cell_seen
-        per_block = [
-            np.stack([loglik_seq.ravel()[seqs], gamma[1, 0].ravel()[seqs]]),
-            np.stack([unmastered, unmastered * cell_obs, mastered, mastered * (1.0 - cell_obs)]),
-            np.stack([learn.ravel()[steps] * step_valid, gamma[0].ravel()[steps] * step_valid]),
-        ]
+        loglik_seq, gamma, learn = _forward_backward(obs, observed, slots, params)
+        unmastered, mastered = gamma * observed
+        per_slot = [unmastered, unmastered * obs, mastered, mastered * (1.0 - obs)]
+        per_step = [learn * steps, gamma[0, :-1] * steps]
         sums = np.zeros((8, n_q))
         for k in np.flatnonzero(active):
-            sums[:, k] = np.concatenate(
-                [block[:, b[k] : b[k + 1]].sum(axis=1) for block, b in zip(per_block, bounds)]
-            )
+            r, s = rows[k], slots[k]
+            blocks = [loglik_seq[k, :r], gamma[1, 0, k, :r]]
+            blocks += [a[:s, k, :r].T.ravel() for a in per_slot]
+            blocks += [a[: s - 1, k, :r].T.ravel() for a in per_step]
+            sums[:, k] = [block.sum() for block in blocks]
             trace = traces[k]
             trace.append(float(sums[0, k]))
             if len(trace) >= 2 and trace[-1] - trace[-2] < tol:

@@ -386,8 +386,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    if args.model != "gbt":
-        raise UsageError("tuning targets the gbt model")
     ds = _load_dataset(args)
     _require_labeled(ds, args.data)
     if args.grid == "default":
@@ -547,7 +545,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tune", help="hyperparameter search for gbt")
     _add_common(p)
-    p.add_argument("--model", default="gbt")
+    p.add_argument("--model", choices=("gbt",), default="gbt")
     p.add_argument("--method", choices=("grid", "llm"), default="grid")
     p.add_argument("--grid", default="default", help="'default' or a JSON grid file")
     p.add_argument("--budget", type=_at_least(1), default=10, help="llm method: evaluations")

@@ -38,7 +38,7 @@ import json
 import re
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -362,17 +362,8 @@ class DatasetSummary:
     attempts_histogram: dict[int, int]
 
     def to_dict(self) -> dict:
-        return {
-            "lesson_name": self.lesson_name,
-            "n_learners": self.n_learners,
-            "n_questions": self.n_questions,
-            "max_attempt": self.max_attempt,
-            "n_records": self.n_records,
-            "n_labeled": self.n_labeled,
-            "correct_rate": self.correct_rate,
-            "question_correct_rate": self.question_correct_rate,
-            "attempts_histogram": {str(a): c for a, c in sorted(self.attempts_histogram.items())},
-        }
+        histogram = {str(a): c for a, c in sorted(self.attempts_histogram.items())}
+        return {**asdict(self), "attempts_histogram": histogram}
 
     def to_text(self) -> str:
         lines = [

@@ -364,6 +364,7 @@ class MockHeuristicClient:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
 class HttpChatClient:
     """Minimal chat-completion HTTP client: message list in, text out.
 
@@ -374,21 +375,12 @@ class HttpChatClient:
     with a linear backoff.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str = "gpt-4",
-        temperature: float = 0.0,
-        timeout: float = 120.0,
-        max_retries: int = 2,
-        backoff: float = 1.0,
-    ):
-        self.endpoint = endpoint
-        self.model = model
-        self.temperature = temperature
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
+    endpoint: str
+    model: str = "gpt-4"
+    temperature: float = 0.0
+    timeout: float = 120.0
+    max_retries: int = 2
+    backoff: float = 1.0
 
     def send(self, messages: Sequence[dict[str, str]]) -> str:
         payload = json.dumps(
@@ -540,24 +532,16 @@ def llm_predict_pipeline(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(concurrency, repeats)) as pool:
-            outcomes = list(pool.map(one_run, range(repeats)))
+            runs = list(pool.map(one_run, range(repeats)))
     else:
-        outcomes = [one_run(run) for run in range(repeats)]
+        runs = [one_run(run) for run in range(repeats)]
 
-    run_predictions: list[np.ndarray] = []
-    imputed_per_run: list[int] = []
-    run_rmse: list[float] = [] if labels is not None else None
-    for preds, imputed in outcomes:
-        run_predictions.append(preds)
-        imputed_per_run.append(imputed)
-        if labels is not None:
-            run_rmse.append(rmse(preds, labels))
-
+    run_predictions, imputed_per_run = (list(column) for column in zip(*runs))
     return PipelineResult(
         test_keys=test_keys,
         run_predictions=run_predictions,
         imputed_per_run=imputed_per_run,
-        run_rmse=run_rmse,
+        run_rmse=None if labels is None else [rmse(preds, labels) for preds in run_predictions],
         script_text=script.to_text(),
     )
 
