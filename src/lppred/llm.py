@@ -310,8 +310,9 @@ def decode_response(text: str) -> DecodeResult:
 # Clients
 # ---------------------------------------------------------------------------
 
+# the ids may hold spaces, so they end where the sentence's fixed words resume
 _RECORD_SENTENCE = re.compile(
-    r"learner (\S+) attempted to answer the question (\S+) .*?"
+    r"The current learner (.*?) attempted to answer the question (.*?) titled as '.*?' "
     r"on their (\d+)\w{2} attempt\.(?: Their performance was observed as ([01])\.)?"
 )
 

@@ -287,6 +287,14 @@ class TestPipeline:
         assert result.std_error == 0.0
         assert len(set(result.run_rmse)) == 1
 
+    def test_mock_reads_ids_with_inner_spaces(self):
+        train = Dataset.from_records(make_records([("L 1", "Q1", 1, 1), ("L2", "Q1", 1, 0), ("L 5", "Q 2", 1, 1)]))
+        test = Dataset.from_records(make_records([("L7", "Q1", 1, 0), ("L 1", "Q 2", 1, 1), ("L 5", "Q 2", 2, 0)]))
+        result = llm_predict_pipeline(train, test, MockHeuristicClient())
+        assert result.coverage == 1.0
+        # Q1 counts both training rows, (1 + 0.5 * 2) / (2 + 2); Q 2 its one, then the attempt-2 discount
+        assert result.mean_predictions.tolist() == pytest.approx([0.5, 2 / 3, 2 / 3 * 0.9])
+
     def test_pipeline_equals_direct_heuristic(self, rng):
         res = simulate_bkt(SimSpec(15, 4, 3, seed=2, stop_on_correct=True))
         train, test = split_dataset(res.dataset, rng)
