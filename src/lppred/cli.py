@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -256,14 +257,25 @@ def _load_dataset(args) -> Dataset:
     return parse_dataset(args.data, meta_path=args.meta)
 
 
+@contextmanager
+def _writing(path: Path):
+    """An OSError inside is a usage error naming ``path``: --out does not name a usable directory."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _outdir(args) -> Path:
     path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    with _writing(path):
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _write(path: Path, content: str):
-    path.write_text(content, encoding="utf-8")
+    with _writing(path):
+        path.write_text(content, encoding="utf-8")
     print(f"wrote {path}")
 
 
@@ -425,7 +437,8 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from None
     result = simulate(spec)
     out = _outdir(args)
-    write_dataset(result.dataset, out / "data.csv")
+    with _writing(out / "data.csv"):
+        write_dataset(result.dataset, out / "data.csv")
     print(f"wrote {out / 'data.csv'}")
     _write(out / "truth.json", result.truth_json())
     ds = result.dataset
@@ -494,7 +507,14 @@ def _read_cv_reports(path) -> list[CvReport]:
 
 
 def cmd_report(args) -> int:
-    reports = [report for path in args.inputs for report in _read_cv_reports(path)]
+    reports, source = [], {}
+    for path in args.inputs:
+        for report in _read_cv_reports(path):
+            pair = (report.model_name, report.dataset or "RMSE")
+            if pair in source:
+                raise DataError(f"{pair[0]} on {pair[1]} is reported in both {source[pair]} and {path}")
+            source[pair] = path
+            reports.append(report)
     if not reports:
         raise DataError("no cross-validation reports found in the given files")
     out = _outdir(args)

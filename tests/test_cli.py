@@ -229,6 +229,41 @@ class TestExitCodes:
         assert main(["report", "--inputs", str(bad), "--out", str(tmp_path / "o")]) == EXIT_DATA
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_report_pair_given_twice_is_data_error(self, sim_data, tmp_path, capsys):
+        """Two runs of one model on one dataset would fill one table cell; neither is dropped silently."""
+        inputs = []
+        for name, flags in (("a", ["--seed", "1"]), ("b", ["--seed", "2", "--l2", "10"])):
+            out = tmp_path / name
+            assert main(["cv", "--model", "pfa", "--data", str(sim_data), "--k", "3", "--out", str(out),
+                         *flags]) == EXIT_OK
+            inputs.append(str(out / "report.json"))
+        capsys.readouterr()
+        assert main(["report", "--inputs", *inputs, "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert f"pfa on data is reported in both {inputs[0]} and {inputs[1]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_tune_takes_only_gbt(self, sim_data, tmp_path, capsys):
+        assert main(["tune", "--model", "pfa", "--data", str(sim_data), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert "argument --model: invalid choice: 'pfa'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["summarize", "simulate", "cv"])
+    @pytest.mark.parametrize("where", ["out-is-a-file", "out-under-a-file", "output-is-a-directory"])
+    def test_unusable_out_is_usage_error(self, sim_data, tmp_path, capsys, command, where):
+        argv, first_output = {
+            "summarize": (["summarize", "--data", str(sim_data)], "summary.json"),
+            "simulate": (["simulate", "--shape", "4x2x2"], "data.csv"),
+            "cv": (["cv", "--model", "pfa", "--k", "2", "--data", str(sim_data)], "report.json"),
+        }[command]
+        taken = tmp_path / "taken"
+        if where == "output-is-a-directory":
+            (taken / first_output).mkdir(parents=True)
+            out, named = taken, taken / first_output
+        else:
+            taken.write_text("", encoding="utf-8")
+            out = named = taken if where == "out-is-a-file" else taken / "sub"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert f"usage error: cannot write {named}: " in capsys.readouterr().err
+
     def test_unreachable_endpoint_in_cv_fold_is_client_error(self, sim_data, tmp_path, capsys):
         code = main(
             ["cv", "--model", "llm", "--endpoint", "http://127.0.0.1:1", "--retries", "0",
