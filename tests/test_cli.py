@@ -243,7 +243,8 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     def test_tune_takes_only_gbt(self, sim_data, tmp_path, capsys):
-        assert main(["tune", "--model", "pfa", "--data", str(sim_data), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        code = main(["tune", "--model", "pfa", "--data", str(sim_data), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
         assert "argument --model: invalid choice: 'pfa'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["summarize", "simulate", "cv"])
