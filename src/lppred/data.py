@@ -261,8 +261,12 @@ def parse_meta(meta_path) -> LessonMeta:
         options = info.get("options", [])
         if not isinstance(options, list):
             raise DataError(f"metadata file {meta_path}: options of question {qid!r} must be a JSON array")
+        text = str(info.get("text", ""))
+        # a prompt writes one record per line, so a line break would split one
+        if "\n" in text or "\r" in text:
+            raise DataError(f"metadata file {meta_path}: text of question {qid!r} holds a line break")
         questions[str(qid)] = QuestionInfo(
-            text=str(info.get("text", "")),
+            text=text,
             options=tuple(str(o) for o in options),
             answer=str(info.get("answer", "")),
         )

@@ -181,41 +181,55 @@ def _split_codes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, values
 
 
-def _grow_tree(rows, gx, hx, codes, values, feature_mask, config) -> TreeNode:
-    """Grow one tree level by level; all nodes of a level share one histogram pass.
+def _grow_tree(rows, gx, hx, codes, values, feature_mask, config) -> tuple[TreeNode, np.ndarray]:
+    """Grow one tree level by level; return it and the leaf weight of each row grown on.
 
-    Each level's histograms have shape (nodes, features, width) and every
-    feature is scored at once along the last axis. Candidate thresholds are
-    midpoints between consecutive distinct values present at the node; a
-    boundary is materialized only when its feature is in ``feature_mask``,
-    its score strictly exceeds gamma and both child hessian sums reach
-    min_child_weight. Gains within GAIN_TIE_RTOL of a node's best count as
-    tied and resolve to the first in bin order: the lowest feature index,
-    then the lowest threshold.
+    All nodes of a level share one histogram pass of shape (nodes, features,
+    width), and every feature is scored at once along the last axis.
+    Candidate thresholds are midpoints between consecutive distinct values
+    present at the node; a boundary is materialized only when its feature is
+    in ``feature_mask``, its score strictly exceeds gamma and both child
+    hessian sums reach min_child_weight. Gains within GAIN_TIE_RTOL of a
+    node's best count as tied and resolve to the first in bin order: the
+    lowest feature index, then the lowest threshold.
+
+    The rows' codes are gathered once per tree into one C-contiguous block,
+    and the gradients are tiled once to match it. Rows never move after that:
+    a row whose node became a leaf is sent to a spare slot after the level's
+    active nodes, and each bincount's spare entries are sliced off. Since
+    bincount adds in input order and finished rows land only in the spare
+    slot, every live bin sums the same rows in the same order as a pass over
+    the live rows alone would.
     """
     n_feat, width = values.shape
     n_bins = n_feat * width
+    n = len(rows)
     root = TreeNode()
     nodes = [root]
-    nid = np.zeros(len(rows), dtype=np.int64)
-    cur_rows, cur_g, cur_h = rows, gx, hx
+    c = codes.take(rows, axis=1)
+    g_all, h_all = np.tile(gx, n_feat), np.tile(hx, n_feat)
+    row = np.arange(n)
+    nid = np.zeros(n, dtype=np.int64)
+    row_weight = np.empty(n)
 
     for depth in range(config.max_depth + 1):
         n_active = len(nodes)
-        g_tot = np.bincount(nid, weights=cur_g, minlength=n_active)
-        h_tot = np.bincount(nid, weights=cur_h, minlength=n_active)
+        g_tot = np.bincount(nid, weights=gx, minlength=n_active + 1)[:n_active]
+        h_tot = np.bincount(nid, weights=hx, minlength=n_active + 1)[:n_active]
         leaf = -g_tot / (h_tot + LEAF_L2)
         if depth == config.max_depth:
             for j, node in enumerate(nodes):
                 node.weight = leaf[j]
+            live = nid < n_active
+            row_weight[live] = leaf[nid[live]]
             break
 
-        flat = (nid * n_bins + codes[:, cur_rows]).ravel()
-        length = n_active * n_bins
+        flat = (nid * n_bins + c).ravel()
+        length = (n_active + 1) * n_bins
         grid = (n_active, n_feat, width)
-        hist_g = np.bincount(flat, weights=np.tile(cur_g, n_feat), minlength=length).reshape(grid)
-        hist_h = np.bincount(flat, weights=np.tile(cur_h, n_feat), minlength=length).reshape(grid)
-        hist_n = np.bincount(flat, minlength=length).reshape(grid)
+        hist_g = np.bincount(flat, weights=g_all, minlength=length)[: n_active * n_bins].reshape(grid)
+        hist_h = np.bincount(flat, weights=h_all, minlength=length)[: n_active * n_bins].reshape(grid)
+        hist_n = np.bincount(flat, minlength=length)[: n_active * n_bins].reshape(grid)
 
         # padded bins hold zero counts after each feature's last value, so the
         # last cumulative entry is every feature's node total
@@ -267,16 +281,20 @@ def _grow_tree(rows, gx, hx, codes, values, feature_mask, config) -> TreeNode:
             node.right = TreeNode()
             next_nodes.extend((node.left, node.right))
 
+        finished = np.append(~splittable, False)[nid]
+        row_weight[finished] = leaf[nid[finished]]
         if not next_nodes:
             break
-        keep = splittable[nid]
-        cur_rows, cur_g, cur_h, nid = cur_rows[keep], cur_g[keep], cur_h[keep], nid[keep]
-        sel_bin = pick[nid]
-        go_right = codes[sel_bin // width, cur_rows] > sel_bin
+        # the spare slot never splits: its rows and those of this level's
+        # leaves go to the next spare slot, sent left by a bin past every code
+        splits = np.append(splittable, False)
+        sel_bin = np.where(splits, np.append(pick, 0), n_bins - 1)[nid]
+        go_right = c.ravel()[sel_bin // width * n + row] > sel_bin
         # node j's children follow those of the split nodes before it
-        nid = 2 * (np.cumsum(splittable) - 1)[nid] + go_right
+        child = np.where(splits, 2 * (np.cumsum(splits) - 1), len(next_nodes))
+        nid = child[nid] + go_right
         nodes = next_nodes
-    return root
+    return root, row_weight
 
 
 def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> GbtEnsemble:
@@ -317,9 +335,10 @@ def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> G
                 feature_mask[:] = False
                 feature_mask[rng.choice(3, size=n_feats, replace=False)] = True
 
-        tree = _grow_tree(rows, g[rows], h[rows], codes, values, feature_mask, config)
+        tree, row_weight = _grow_tree(rows, g[rows], h[rows], codes, values, feature_mask, config)
         trees.append(tree)
-        margins += config.learning_rate * tree.apply(x)
+        # a tree grown on every row already knows each row's leaf
+        margins += config.learning_rate * (row_weight if len(rows) == n else tree.apply(x))
         loss_trace.append(_logloss(margins, y))
 
     return GbtEnsemble(

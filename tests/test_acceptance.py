@@ -265,6 +265,7 @@ def test_criterion_7_harness_and_metrics():
     report(7, f"hand RMSE {hand:.4f}; {checked} fold partitions verified; constant-0.5 exact")
 
 
+@pytest.mark.slow
 def test_criterion_8_grid_sweep_fidelity():
     grid = default_grid()
     assert grid.size == 1296

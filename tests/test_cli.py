@@ -91,13 +91,28 @@ class TestExitCodes:
         ('{"questions": {"Q1": "text"}}', "question 'Q1' must be a JSON object"),
         ('{"questions": ["Q1"]}', "questions must be a JSON object"),
         ('{"questions": {"Q1": {"options": 5}}}', "options of question 'Q1' must be a JSON array"),
-    ], ids=["question-not-object", "questions-not-object", "options-not-array"])
+        ('{"questions": {"Q1": {"text": "Cool\\nthe burn"}}}', "text of question 'Q1' holds a line break"),
+        ('{"questions": {"Q1": {"text": "Cool\\rthe burn"}}}', "text of question 'Q1' holds a line break"),
+    ], ids=["question-not-object", "questions-not-object", "options-not-array", "text-with-lf",
+            "text-with-cr"])
     def test_malformed_lesson_metadata_is_data_error(self, sim_data, tmp_path, capsys, payload, named):
         meta = tmp_path / "meta.json"
         meta.write_text(payload, encoding="utf-8")
         code = main(["ingest", "--data", str(sim_data), "--meta", str(meta), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"data error: metadata file {meta}: {named}\n"
+
+    def test_llm_run_meta_with_a_line_break_is_data_error(self, train_test_files, tmp_path, capsys):
+        """A line break in a title would split its records, hiding them from ``--mock``."""
+        train, test = train_test_files
+        question = test.read_text(encoding="utf-8").splitlines()[1].split(",")[1]
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps({"questions": {question: {"text": "Cool\nthe burn"}}}),
+                        encoding="utf-8")
+        code = main(["llm-run", "--mock", "--train", str(train), "--test", str(test),
+                     "--meta", str(meta), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert f"question {question!r} holds a line break" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--model", "gbt", "--learning-rate", "nan"],

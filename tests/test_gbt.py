@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lppred.data import Dataset, _sigmoid
 from lppred.gbt import (
@@ -125,7 +127,7 @@ class TestFit:
             for features in subsets:
                 expected = brute_force_stump(x, y, margins, mcw=0.0, features=features)
                 mask = np.isin(np.arange(3), features)
-                root = _grow_tree(np.arange(n), p - y, p * (1.0 - p), codes, values, mask, config)
+                root, _ = _grow_tree(np.arange(n), p - y, p * (1.0 - p), codes, values, mask, config)
                 if len(features) == 3:
                     assert root.to_dict() == model.trees[0].to_dict()
                 got = None if root.is_leaf else (root.feature, root.threshold)
@@ -191,6 +193,51 @@ class TestFit:
         for tree in model.trees:
             walk(tree, np.arange(len(x)))
         assert internal > 60 * 4
+
+    def test_grown_row_weights_are_the_tree_applied_to_its_rows(self):
+        """The per-row leaf weights ``_grow_tree`` returns equal ``apply`` bit for bit.
+
+        Random data sets, margins and configs, with row and column subsampling.
+        Rows whose node stops splitting while other nodes grow on wait in a
+        spare slot; the examples must include such trees.
+        """
+        early = []
+
+        @settings(max_examples=80, deadline=None, database=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            n_rows=st.integers(2, 90),
+            max_depth=st.integers(1, 6),
+            gamma=st.floats(0.0, 2.0),
+            min_child_weight=st.floats(0.0, 5.0),
+            subsample=st.floats(0.3, 1.0),
+            n_feats=st.integers(1, 3),
+        )
+        @example(seed=3, n_rows=80, max_depth=4, gamma=0.0, min_child_weight=1.0, subsample=0.8,
+                 n_feats=3)  # leaves at depths 1 to 4
+        def check(seed, n_rows, max_depth, gamma, min_child_weight, subsample, n_feats):
+            rng = np.random.default_rng(seed)
+            ds = random_dataset(rng, n_learners=6, n_questions=4, max_attempt=4, n_rows=n_rows)
+            x = gbt_fit(ds, GbtConfig(n_trees=0)).feature_matrix(ds.keys())
+            p = _sigmoid(rng.normal(size=n_rows))
+            g, h = p - ds.obs_array(), p * (1.0 - p)
+            rows = np.sort(rng.choice(n_rows, size=max(1, round(subsample * n_rows)), replace=False))
+            mask = np.isin(np.arange(3), rng.choice(3, size=n_feats, replace=False))
+            config = GbtConfig(max_depth=max_depth, gamma=gamma, min_child_weight=min_child_weight)
+            codes, values = _split_codes(x)
+            root, row_weight = _grow_tree(rows, g[rows], h[rows], codes, values, mask, config)
+            assert row_weight.tobytes() == root.apply(x[rows]).tobytes()
+
+            def leaf_depths(node, depth):
+                if node.is_leaf:
+                    return [depth]
+                return leaf_depths(node.left, depth + 1) + leaf_depths(node.right, depth + 1)
+
+            depths = leaf_depths(root, 0)
+            early.append(min(depths) < max(depths))
+
+        check()
+        assert any(early)
 
     def test_tiny_learning_rate_stays_at_base(self, rng):
         ds = random_dataset(rng, n_rows=40)

@@ -49,6 +49,11 @@ The four ``sim-matrix`` and ``sim-tensor`` entries were recorded before the
 low-rank generators moved from one draw per cell in a Python loop to one
 array draw. They pin each generator's ``data.csv`` and ``truth.json`` with a
 quarter of the cells masked.
+
+``fit-gbt-deep/gbt-model.json`` was recorded before each GBT tree began to
+be grown from one gather of its rows, with finished rows parked in a spare
+node slot. It pins a depth-6 fit with gamma and min_child_weight set, on a
+larger simulation, so nodes finish at every depth from the root to the last.
 """
 
 import hashlib
@@ -100,6 +105,8 @@ GOLDEN = {
     "sim-matrix/truth.json": "817638fa4894e4fdb4a26acdddb7722c1c0dff2bc69fea1ad04284ae31ecc4b8",
     "sim-tensor/data.csv": "ebe065178c5255d07fa1b2129f054625fbf48003e6f2ef57fbeea3c0fc9f1ef6",
     "sim-tensor/truth.json": "1395adfd0b4733cf2e92100fa20b08243466375c80e6ad0fdfaf0e0bc22c325f",
+    "fit-gbt-deep/gbt-model.json":
+        "31e4874b4b3b905de09ba34772c74dec98f3a525d89f8c051954c85b490f2dd1",
 }
 
 
@@ -178,6 +185,12 @@ def run_commands(root) -> dict[str, str]:
     runs["sim-tensor/data.csv"] = ["simulate", "--generator", "low-rank-tensor", "--shape", "6x4x3",
                                    "--mask", "0.25", "--seed", "4"]
     runs["sim-tensor/truth.json"] = None
+    deep = root / "sim-deep"
+    assert main(["simulate", "--generator", "bkt-process", "--shape", "120x10x6", "--seed", "5",
+                 "--stop-on-correct", "--out", str(deep)]) == EXIT_OK
+    runs["fit-gbt-deep/gbt-model.json"] = ["fit", "--model", "gbt", "--data", str(deep / "data.csv"),
+                                           "--max-depth", "6", "--gbt-gamma", "0.5",
+                                           "--min-child-weight", "4"]
 
     digests = {}
     for name, argv in runs.items():
