@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import threading
@@ -405,6 +406,55 @@ class TestPipeline:
         train, test = split_dataset(res.dataset, rng)
         with pytest.raises(ValueError):
             llm_predict_pipeline(train, test, MockHeuristicClient(), repeats=0)
+
+
+class RecordingClient:
+    """Answers as the mock does, and keeps every message list it is sent."""
+
+    def __init__(self):
+        self.requests = []
+
+    def send(self, messages):
+        self.requests.append(messages)
+        return MockHeuristicClient().send(messages)
+
+
+def request_digest(messages):
+    return hashlib.sha256(json.dumps(messages).encode("utf-8")).hexdigest()
+
+
+# sha256 of the JSON of each request; a change to the request builder keeps these bytes
+PIPELINE_REQUEST_SHA256 = "ff38abe157ec82d8bdd7c11f563bb0b06c91b7bc734372a322d018c4fc4f0233"
+CV_FOLD_REQUEST_SHA256 = "4b2cb44418cb10b597293d2bd08d1b0a6ae02975a60952a1909eb29f7ab8e373"
+SELECT_METHOD_REQUEST_SHA256 = "c0ad1015b6be91de30ab625e68b3fb2e810ad837edd6db99d1a16233445b79fb"
+
+
+class TestRequestBytes:
+    """The exact messages a client receives, pinned by sha256 of their JSON."""
+
+    @pytest.fixture
+    def lesson(self):
+        res = simulate_bkt(SimSpec(12, 3, 3, seed=5, stop_on_correct=True))
+        return Dataset.from_records(rows_of(res.dataset), meta=lesson_meta())
+
+    def test_pipeline_request_with_metadata_and_chunks(self, lesson):
+        train, test = split_dataset(lesson, np.random.default_rng(0), holdout=0.3)
+        client = RecordingClient()
+        llm_predict_pipeline(train, test, client, repeats=2, rows_per_chunk=7)
+        assert len(client.requests) == 2 and client.requests[0] == client.requests[1]
+        assert request_digest(client.requests[0]) == PIPELINE_REQUEST_SHA256
+
+    def test_cv_fold_request(self, lesson):
+        client = RecordingClient()
+        cross_validate(lambda s: LlmPredictor(client), lesson, k=3, seed=0, model_name="llm")
+        assert len(client.requests) == 3
+        assert request_digest(client.requests[0]) == CV_FOLD_REQUEST_SHA256
+
+    def test_method_selection_request(self, lesson):
+        client = RecordingClient()
+        assert select_method(client, lesson) == "gbt"
+        (messages,) = client.requests
+        assert request_digest(messages) == SELECT_METHOD_REQUEST_SHA256
 
 
 GOOD_REPLY = {
