@@ -1,15 +1,16 @@
 """Encode / predict / decode pipeline for chat-completion language models.
 
-Interaction records are verbalized into contextual sentences, assembled into
-a staged chain-of-thought prompt script, sent to a chat-completion client,
-and the client's structured answer records are parsed back into numeric
-predictions. The sentences are grouped by role: labeled history, then the
-rows awaiting prediction. Question titles and the learning materials come
-from the training Dataset's lesson metadata. A deterministic offline mock
-client implements the same heuristic a capable assistant applies to such
-transcripts (per-question difficulty shrunk toward 0.5, discounted for
-repeated attempts), which makes the whole pipeline testable without any
-network access.
+A request is built in three steps. ``encode_records`` turns the keys of
+each role into one sentence per row: the labeled history with its outcomes,
+and the rows awaiting prediction without. ``build_cot_script`` wraps the two
+sentence lists in the staged chain-of-thought prompt as ``(stage, text)``
+steps, and each step becomes one user chat message. The client's structured
+answer records are parsed back into numeric predictions. Question titles and
+the learning materials come from the training Dataset's lesson metadata.
+A deterministic offline mock client implements the same heuristic a capable
+assistant applies to such transcripts (per-question difficulty shrunk toward
+0.5, discounted for repeated attempts), which makes the whole pipeline
+testable without any network access.
 
 Prompt stages are tagged a-j in order: (a) learning materials,
 (b) transcription of the performance data, (c) analysis request,
@@ -28,6 +29,7 @@ import re
 import time
 import urllib.request
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -60,59 +62,25 @@ def _ordinal(n: int) -> str:
     return f"{n}{suffix}"
 
 
-@dataclass(frozen=True)
-class EncodedBatch:
-    """Contextual sentences by role: labeled history, and targets with their keys."""
+def encode_records(keys, questions: dict[str, QuestionInfo], outcomes=None) -> list[str]:
+    """One sentence per ``(learner_id, question_id, attempt)`` key, in order.
 
-    train: tuple[str, ...]
-    test: tuple[str, ...]
-    test_keys: tuple[tuple[str, str, int], ...]
-
-
-def encode_records(keys, outcomes, questions: dict[str, QuestionInfo]) -> EncodedBatch:
-    """Verbalize ``(learner_id, question_id, attempt)`` keys in order, with their outcomes.
-
-    An outcome of 0 or 1 makes a history sentence; -1 (no outcome) makes the
-    row a prediction target. The question id always appears verbatim in the
+    With ``outcomes`` (0 or 1, aligned with ``keys``) each sentence ends with
+    its observed outcome, making a history sentence; without, the sentences
+    are prediction targets. The question id always appears verbatim in the
     sentence so the text round-trips losslessly; the title comes from
     ``questions`` when present, else the placeholder "question <id>".
     """
-    train: list[str] = []
-    test: list[str] = []
-    test_keys: list[tuple[str, str, int]] = []
-    for (learner_id, question_id, attempt), obs in zip(keys, outcomes):
+    sentences: list[str] = []
+    for (learner_id, question_id, attempt), obs in zip(keys, repeat(None) if outcomes is None else outcomes):
         info = questions.get(question_id)
         title = info.text if info and info.text else f"question {question_id}"
         sentence = (
             f"The current learner {learner_id} attempted to answer the question "
             f"{question_id} titled as '{title}' on their {_ordinal(attempt)} attempt."
         )
-        if obs < 0:
-            test.append(sentence)
-            test_keys.append((learner_id, question_id, attempt))
-        else:
-            train.append(f"{sentence} Their performance was observed as {obs}.")
-    return EncodedBatch(tuple(train), tuple(test), tuple(test_keys))
-
-
-@dataclass(frozen=True)
-class PromptStep:
-    stage: str  # one letter of STAGE_ORDER
-    content: str
-
-
-@dataclass(frozen=True)
-class PromptScript:
-    """Ordered prompt stages; convertible to chat messages or audit text."""
-
-    steps: tuple[PromptStep, ...]
-
-    def messages(self) -> list[dict[str, str]]:
-        return [{"role": "user", "content": s.content} for s in self.steps]
-
-    def to_text(self) -> str:
-        blocks = [f"[{s.stage}] {s.content}" for s in self.steps]
-        return "\n\n".join(blocks)
+        sentences.append(sentence if obs is None else f"{sentence} Their performance was observed as {obs}.")
+    return sentences
 
 
 PREDICTION_FORMAT = (
@@ -120,7 +88,7 @@ PREDICTION_FORMAT = (
     "'Prediction': ..., 'Assessment': ...}"
 )
 
-# stages c-j are fixed text; a and b are built from the materials and the batch
+# stages c-j are fixed text; a and b are built from the materials and the sentences
 STAGE_TEXT = {
     "c": (
         "Analyze these records for patterns in question difficulty and how "
@@ -147,26 +115,27 @@ STAGE_TEXT = {
 
 
 def build_cot_script(
-    batch: EncodedBatch,
+    history: Sequence[str],
+    targets: Sequence[str],
     meta: LessonMeta | None = None,
     stages: str = STAGE_ORDER,
     rows_per_chunk: int = 0,
-) -> PromptScript:
-    """Assemble the staged prompt sequence around an encoded batch.
+) -> list[tuple[str, str]]:
+    """The staged prompt around history and target sentences, as ``(stage, text)`` steps.
 
     ``stages`` restricts which of the a-j steps appear (order is always
     a-j); stages a and h are dropped when no lesson metadata is available.
-    ``rows_per_chunk`` > 0 splits the transcription stage into several
-    messages of at most that many sentences.
+    ``rows_per_chunk`` > 0 splits the history block of the transcription
+    stage into several steps of at most that many sentences.
     """
-    if not batch.train and not batch.test:
-        raise ValueError("cannot build a script from an empty batch")
+    if not history and not targets:
+        raise ValueError("cannot build a script without history or target sentences")
     has_meta = meta is not None and bool(meta.questions)
     wanted = [s for s in STAGE_ORDER if s in stages]
     if not has_meta:
         wanted = [s for s in wanted if s not in ("a", "h")]
 
-    steps: list[PromptStep] = []
+    steps: list[tuple[str, str]] = []
     for stage in wanted:
         if stage == "a":
             lines = [
@@ -179,24 +148,23 @@ def build_cot_script(
                     lines.append("  Options: " + "; ".join(info.options))
                 if info.answer:
                     lines.append(f"  Answer: {info.answer}")
-            steps.append(PromptStep("a", "\n".join(lines)))
+            steps.append(("a", "\n".join(lines)))
         elif stage == "b":
-            train = batch.train
-            chunks = [train]
+            chunks = [history]
             if rows_per_chunk > 0:
                 # one empty chunk keeps the header, with "(none)", when no row is labeled
-                chunks = [train[i : i + rows_per_chunk]
-                          for i in range(0, len(train), rows_per_chunk)] or [()]
+                chunks = [history[i : i + rows_per_chunk]
+                          for i in range(0, len(history), rows_per_chunk)] or [()]
             for ci, chunk in enumerate(chunks):
                 label = "Historical learning performance records:" if ci == 0 else "More historical records:"
                 body = "\n".join(chunk) if chunk else "(none)"
-                steps.append(PromptStep("b", f"{label}\n{body}"))
-            if batch.test:
-                body = "\n".join(batch.test)
-                steps.append(PromptStep("b", f"Rows awaiting prediction (outcome withheld):\n{body}"))
+                steps.append(("b", f"{label}\n{body}"))
+            if targets:
+                body = "\n".join(targets)
+                steps.append(("b", f"Rows awaiting prediction (outcome withheld):\n{body}"))
         else:
-            steps.append(PromptStep(stage, STAGE_TEXT[stage]))
-    return PromptScript(tuple(steps))
+            steps.append((stage, STAGE_TEXT[stage]))
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +394,20 @@ METHOD_REGISTRY = {
 def select_method(client, ds_train: Dataset) -> str:
     """Ask the client to name a method (stage d); return the local model it maps to.
 
+    The request shows the labeled rows of ``ds_train`` as history (stage b).
+
     The result is "gbt" or "pfa", via ``METHOD_REGISTRY``; unrecognized
     answers fall back to "gbt". The chosen model is always fit locally; no
     code from the client is executed.
     """
-    batch = encode_records(ds_train.keys(), ds_train.obs.tolist(), ds_train.meta.questions)
-    script = build_cot_script(batch, ds_train.meta, stages="bd")
-    answer = client.send(script.messages()).lower()
+    labeled = ds_train.labeled_positions()
+    steps = build_cot_script(
+        encode_records(ds_train.keys(labeled), ds_train.meta.questions, ds_train.obs[labeled].tolist()),
+        [],
+        ds_train.meta,
+        stages="bd",
+    )
+    answer = client.send([{"role": "user", "content": text} for _, text in steps]).lower()
     for phrase, model_name in METHOD_REGISTRY.items():
         if phrase in answer:
             return model_name
@@ -443,7 +418,7 @@ def select_method(client, ds_train: Dataset) -> str:
 class PipelineResult:
     """Aligned predictions and diagnostics from repeated pipeline runs."""
 
-    test_keys: tuple[tuple[str, str, int], ...]
+    test_keys: list[tuple[str, str, int]]
     run_predictions: list[np.ndarray]
     imputed_per_run: list[int]
     run_rmse: list[float] | None
@@ -504,22 +479,28 @@ def llm_predict_pipeline(
     shown = next((key for key in history if key in target_set), None)
     if shown is not None:
         raise DataError(f"test row {shown} repeats a labeled training row; the client would see its outcome")
-    outcomes = ds_train.obs[labeled].tolist() + [-1] * len(targets)  # test outcomes stay masked
-    batch = encode_records(history + targets, outcomes, ds_train.meta.questions)
-    script = build_cot_script(batch, ds_train.meta, stages=stages, rows_per_chunk=rows_per_chunk)
-    test_keys = batch.test_keys
-    key_pos = {key: i for i, key in enumerate(test_keys)}
+    questions = ds_train.meta.questions
+    # unnamed, the sentence lists are freed once joined into the steps; test outcomes are never encoded
+    steps = build_cot_script(
+        encode_records(history, questions, ds_train.obs[labeled].tolist()),
+        encode_records(targets, questions),
+        ds_train.meta,
+        stages=stages,
+        rows_per_chunk=rows_per_chunk,
+    )
+    messages = [{"role": "user", "content": text} for _, text in steps]
+    key_pos = {key: i for i, key in enumerate(targets)}
 
-    # test_keys follow the test records, so labels align with them
+    # targets follow the test records, so labels align with them
     labels = ds_test.obs_array() if np.all(ds_test.obs >= 0) else None
 
     def one_run(run: int) -> tuple[np.ndarray, int]:
         try:
-            response = client.send(script.messages())
+            response = client.send(messages)
         except ClientError as exc:
             raise ClientError(f"run {run}: {exc}") from exc
         decoded = decode_response(response)
-        preds = np.full(len(test_keys), 0.5)
+        preds = np.full(len(targets), 0.5)
         seen: set[tuple[str, str, int]] = set()
         for record in decoded.predictions:
             pos = key_pos.get(record.key())
@@ -527,7 +508,7 @@ def llm_predict_pipeline(
                 continue
             seen.add(record.key())
             preds[pos] = record.prediction
-        return preds, len(test_keys) - len(seen)
+        return preds, len(targets) - len(seen)
 
     if concurrency > 1 and repeats > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -539,11 +520,11 @@ def llm_predict_pipeline(
 
     run_predictions, imputed_per_run = (list(column) for column in zip(*runs))
     return PipelineResult(
-        test_keys=test_keys,
+        test_keys=targets,
         run_predictions=run_predictions,
         imputed_per_run=imputed_per_run,
         run_rmse=None if labels is None else [rmse(preds, labels) for preds in run_predictions],
-        script_text=script.to_text(),
+        script_text="\n\n".join(f"[{stage}] {text}" for stage, text in steps),
     )
 
 

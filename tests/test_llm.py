@@ -13,6 +13,7 @@ from lppred.cli import EXIT_CLIENT, main
 from lppred.data import Dataset, LessonMeta, QuestionInfo, write_dataset
 from lppred.llm import (
     _KEY_ALIASES,
+    _RECORD_SENTENCE,
     ClientError,
     DecodeError,
     HttpChatClient,
@@ -33,11 +34,6 @@ from lppred.simulate import SimSpec, simulate_bkt
 from conftest import make_records, rows_of
 
 
-def encode(rows, questions):
-    """``encode_records`` of (learner, question, attempt, obs-or-None) rows."""
-    return encode_records([r[:3] for r in rows], [-1 if r[3] is None else r[3] for r in rows], questions)
-
-
 def lesson_meta():
     return LessonMeta(
         lesson_name="Minor Burns",
@@ -50,83 +46,83 @@ def lesson_meta():
 
 class TestEncode:
     def test_train_sentence_contains_ordinal_and_outcome(self):
-        batch = encode([("L1", "Q1", 1, 1)], lesson_meta().questions)
-        sentence = batch.train[0]
+        (sentence,) = encode_records([("L1", "Q1", 1)], lesson_meta().questions, [1])
         assert "1st attempt" in sentence
         assert "observed as 1" in sentence
         assert "Minor Burns Q1" in sentence
 
     def test_test_sentence_has_no_outcome_clause(self):
-        batch = encode([("L2", "Q3", 2, None)], {})
-        assert batch.train == ()
-        assert "observed as" not in batch.test[0]
-        assert "2nd attempt" in batch.test[0]
-        assert batch.test_keys == (("L2", "Q3", 2),)
+        sentences = encode_records([("L2", "Q3", 2)], {})
+        assert len(sentences) == 1
+        assert "observed as" not in sentences[0]
+        assert "2nd attempt" in sentences[0]
+        assert sentences[0].startswith("The current learner L2 attempted to answer the question Q3 ")
 
     def test_placeholder_title_without_metadata(self):
-        batch = encode([("L1", "Q7", 1, 0)], {})
-        assert "'question Q7'" in batch.train[0]
+        (sentence,) = encode_records([("L1", "Q7", 1)], {}, [0])
+        assert "'question Q7'" in sentence
 
     def test_sentence_count_and_order(self):
-        records = make_records([("L1", "Q1", 1, 0), ("L2", "Q1", 1, None), ("L1", "Q1", 2, 1),
-                                ("L2", "Q2", 1, None), ("L3", "Q2", 1, 1)])
-        batch = encode_records(iter([r[:3] for r in records]), iter([0, -1, 1, -1, 1]), {})
-        labeled = [r for r in records if r[3] is not None]
-        targets = [r for r in records if r[3] is None]
-        # each role keeps record order, and a sentence does not depend on its neighbours
-        assert batch.train == tuple(encode([r], {}).train[0] for r in labeled)
-        assert batch.test == tuple(encode([r], {}).test[0] for r in targets)
-        assert batch.test_keys == tuple(r[:3] for r in targets)
+        keys = [("L1", "Q1", 1), ("L2", "Q1", 1), ("L1", "Q1", 2), ("L2", "Q2", 1), ("L3", "Q2", 1)]
+        outcomes = [0, 1, 1, 0, 1]
+        history = encode_records(iter(keys), {}, iter(outcomes))
+        targets = encode_records(iter(keys), {})
+        # one sentence per key, in key order, and a sentence does not depend on its neighbours
+        assert history == [encode_records([k], {}, [o])[0] for k, o in zip(keys, outcomes)]
+        assert targets == [encode_records([k], {})[0] for k in keys]
+        # the keys read back from the target sentences
+        read = [(m[1], m[2], int(m[3])) for m in _RECORD_SENTENCE.finditer("\n".join(targets))]
+        assert read == keys
 
 
 class TestScript:
-    def batch(self):
-        return encode([("L1", "Q1", 1, 1), ("L1", "Q2", 1, None)], lesson_meta().questions)
+    def sentences(self):
+        questions = lesson_meta().questions
+        return encode_records([("L1", "Q1", 1)], questions, [1]), encode_records([("L1", "Q2", 1)], questions)
 
     def test_full_stage_sequence_with_metadata(self):
-        script = build_cot_script(self.batch(), lesson_meta())
-        tags = [s.stage for s in script.steps]
+        steps = build_cot_script(*self.sentences(), lesson_meta())
+        tags = [stage for stage, _ in steps]
         assert set(tags) == set("abcdefghij")
         # stage letters never decrease
         assert list(tags) == sorted(tags)
 
     def test_stages_a_and_h_dropped_without_metadata(self):
-        script = build_cot_script(self.batch(), None)
-        tags = [s.stage for s in script.steps]
+        steps = build_cot_script(*self.sentences(), None)
+        tags = [stage for stage, _ in steps]
         assert "a" not in tags and "h" not in tags
         assert set(tags) == set("bcdefgij")
 
     def test_stage_subset_preserves_order(self):
-        script = build_cot_script(self.batch(), lesson_meta(), stages="dbfa")
-        tags = [s.stage for s in script.steps]
+        steps = build_cot_script(*self.sentences(), lesson_meta(), stages="dbfa")
+        tags = [stage for stage, _ in steps]
         assert set(tags) == set("abdf")
         assert list(tags) == sorted(tags)  # b may repeat (train + test blocks)
 
     def test_chunked_transcription(self):
-        rows = [("L1", "Q1", a, 1) for a in range(1, 8)] + [("L2", "Q1", 1, None)]
-        batch = encode(rows, {})
-        script = build_cot_script(batch, None, stages="b", rows_per_chunk=3)
-        b_steps = [s for s in script.steps if s.stage == "b"]
+        history = encode_records([("L1", "Q1", a) for a in range(1, 8)], {}, [1] * 7)
+        targets = encode_records([("L2", "Q1", 1)], {})
+        steps = build_cot_script(history, targets, None, stages="b", rows_per_chunk=3)
+        b_steps = [text for stage, text in steps if stage == "b"]
         assert len(b_steps) == 4  # ceil(7/3) train chunks + one test block
 
     @pytest.mark.parametrize("rows_per_chunk", [0, 3])
     def test_history_header_without_labeled_rows(self, rows_per_chunk):
-        batch = encode([("L1", "Q1", 1, None)], {})
-        script = build_cot_script(batch, None, stages="b", rows_per_chunk=rows_per_chunk)
-        first = script.steps[0]
-        assert first.stage == "b"
-        assert first.content == "Historical learning performance records:\n(none)"
-        assert len(script.steps) == 2  # the header, then the rows awaiting prediction
+        targets = encode_records([("L1", "Q1", 1)], {})
+        steps = build_cot_script([], targets, None, stages="b", rows_per_chunk=rows_per_chunk)
+        stage, text = steps[0]
+        assert stage == "b"
+        assert text == "Historical learning performance records:\n(none)"
+        assert len(steps) == 2  # the header, then the rows awaiting prediction
 
     def test_empty_batch_rejected(self):
-        from lppred.llm import EncodedBatch
-
         with pytest.raises(ValueError):
-            build_cot_script(EncodedBatch((), (), ()), None)
+            build_cot_script([], [], None)
 
     def test_to_text_audit_dump(self):
-        script = build_cot_script(self.batch(), lesson_meta())
-        text = script.to_text()
+        train = Dataset.from_records([("L1", "Q1", 1, 1)], meta=lesson_meta())
+        test = Dataset.from_records([("L1", "Q2", 1, None)])
+        text = llm_predict_pipeline(train, test, MockHeuristicClient()).script_text
         assert text.startswith("[a]")
         assert "[b]" in text
 
@@ -259,10 +255,9 @@ class TestMockHeuristic:
         assert heuristic_prediction(0, 0, 1) == pytest.approx(0.5)
 
     def test_client_no_test_rows_with_prediction_request_errors(self):
-        records = make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)])
-        script = build_cot_script(encode(records, {}), None)
+        steps = build_cot_script(encode_records([("L1", "Q1", 1), ("L2", "Q1", 1)], {}, [1, 0]), [], None)
         with pytest.raises(ValueError, match="no prediction rows"):
-            MockHeuristicClient().send(script.messages())
+            MockHeuristicClient().send([{"role": "user", "content": text} for _, text in steps])
 
     def test_method_selection(self):
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)]))
