@@ -255,20 +255,25 @@ _CONFIG_KEYS = {re.sub(r"[^a-z]", "", name): name for name in GRID_FIELDS}
 def parse_config_proposal(text: str) -> GbtConfig | None:
     """The first braced block holding all seven fields as valid numbers, if any.
 
-    A block in which any recognised field is not a number is skipped.
+    A block is skipped when a recognised field is not a finite number, when
+    n_trees or max_depth is not a whole number (as a grid file rejects them),
+    or when the values fail ``GbtConfig``'s checks.
     """
     for _, raw in braced_records(text, _CONFIG_KEYS):
         try:
             values = {name: float(value) for name, value in raw.items()}
         except ValueError:
             continue
-        if set(values) == set(GRID_FIELDS):
-            try:
-                return GbtConfig(
-                    **{name: int(v) if name in _INTEGER_FIELDS else v for name, v in values.items()}
-                )
-            except ValueError:
-                continue
+        if (
+            set(values) != set(GRID_FIELDS)
+            or not all(map(math.isfinite, values.values()))
+            or not all(values[name].is_integer() for name in _INTEGER_FIELDS)
+        ):
+            continue
+        try:
+            return GbtConfig(**{name: int(v) if name in _INTEGER_FIELDS else v for name, v in values.items()})
+        except ValueError:
+            continue
     return None
 
 

@@ -134,6 +134,13 @@ class TestGridSearch:
         assert header == ["Method", "Mean", "Median", "Std.", "Min.", "Max."]
 
 
+def proposal(**overrides):
+    """One braced configuration block; ``overrides`` replace the text of a field's value."""
+    values = {"n_trees": "100", "learning_rate": "0.1", "max_depth": "4", "subsample": "0.8",
+              "colsample_bytree": "1.0", "gamma": "0.0", "min_child_weight": "3", **overrides}
+    return "{" + ", ".join(f"'{name}': {value}" for name, value in values.items()) + "}"
+
+
 class TestProposalParsing:
     def test_full_config_parsed(self):
         text = (
@@ -155,6 +162,21 @@ class TestProposalParsing:
             "'colsample_bytree': 1.0, 'gamma': 0.0, 'min_child_weight': 3}"
         )
         assert parse_config_proposal(text) is None
+
+    @pytest.mark.parametrize("name, value", [("n_trees", "inf"), ("max_depth", "4.9"),
+                                             ("gamma", "inf"), ("learning_rate", "nan")])
+    def test_non_finite_or_fractional_values_unparsable(self, name, value):
+        assert parse_config_proposal(proposal(**{name: value})) is None
+
+    def test_whole_values_of_integer_fields_may_carry_a_point(self):
+        config = parse_config_proposal(proposal(n_trees="100.0", max_depth="4.0"))
+        assert (config.n_trees, config.max_depth) == (100, 4)
+        assert type(config.n_trees) is int and type(config.max_depth) is int
+
+    def test_second_block_used_when_the_first_is_unusable(self):
+        config = parse_config_proposal(f"Try {proposal(n_trees='inf')} or else {proposal(n_trees='50')}")
+        assert config == GbtConfig(n_trees=50, learning_rate=0.1, max_depth=4, subsample=0.8,
+                                   colsample_bytree=1.0, gamma=0.0, min_child_weight=3.0)
 
 
 class TestLlmLoop:
@@ -187,6 +209,22 @@ class TestLlmLoop:
         assert len(report.entries) == 2
         assert len(report.failures) == 2
         assert all("random grid point" in msg for _, msg in report.failures)
+
+    @pytest.mark.parametrize("name, value", [("n_trees", "inf"), ("max_depth", "4.9")])
+    def test_unusable_values_reprompt_then_fall_back(self, small_ds, name, value):
+        class Proposer:
+            def __init__(self):
+                self.calls = 0
+
+            def send(self, messages):
+                self.calls += 1
+                return f"Try this configuration next: {proposal(**{name: value})}"
+
+        client = Proposer()
+        report = llm_tuning_loop(small_ds, client, budget=1, k=3, seed=0)
+        assert client.calls == 2
+        assert len(report.entries) == 1
+        assert report.failures == [(0, "unparsable proposal, random grid point used")]
 
     def test_doubling_budget_never_worsens_best(self, small_ds):
         small = llm_tuning_loop(small_ds, CyclingProposalClient(), budget=2, k=3, seed=0)
