@@ -28,6 +28,7 @@ import os
 import re
 import time
 import urllib.request
+import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Sequence
@@ -544,4 +545,7 @@ class LlmPredictor:
             raise RuntimeError("predict called before fit")
         test = Dataset.from_records((*row, None) for row in rows)
         result = llm_predict_pipeline(self._train, test, self.client, repeats=1, stages="bc")
+        (imputed,) = result.imputed_per_run
+        if imputed:
+            warnings.warn(f"LlmPredictor: the reply left out {imputed} of {test.n_records} rows, scored at 0.5")
         return result.run_predictions[0]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -359,6 +360,30 @@ class TestPipeline:
             model_name="llm",
         )
         assert len(report.fold_rmse) == 3
+
+    def test_predictor_adapter_warns_of_imputed_rows(self):
+        ds = simulate_bkt(SimSpec(12, 3, 3, seed=5, stop_on_correct=True)).dataset
+
+        class HalvingClient:
+            """Forwards to the mock, then keeps only the first half of its records."""
+
+            def send(self, messages):
+                first, *records = MockHeuristicClient().send(messages).splitlines()
+                kept = len(records) // 2
+                self.dropped = len(records) - kept
+                return "\n".join([first, *records[:kept]])
+
+        client = HalvingClient()
+        with pytest.warns(UserWarning, match="left out") as caught:
+            report = cross_validate(lambda s: LlmPredictor(client), ds, k=3, seed=0, model_name="llm")
+        assert len(report.fold_rmse) == 3
+        assert f"left out {client.dropped} of " in str(caught[-1].message)
+
+    def test_predictor_adapter_with_the_mock_does_not_warn(self):
+        ds = simulate_bkt(SimSpec(12, 3, 3, seed=5, stop_on_correct=True)).dataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cross_validate(lambda s: LlmPredictor(MockHeuristicClient()), ds, k=3, seed=0, model_name="llm")
 
     def test_duplicate_decoded_keys_use_first(self, rng):
         res = simulate_bkt(SimSpec(8, 2, 2, seed=8))
