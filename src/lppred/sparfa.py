@@ -89,7 +89,7 @@ def _first_attempt_cells(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return ds.learner[cells], ds.question[cells], ds.obs[cells].astype(float)
 
 
-def _fit_intercept_only(rows, cols, vals, n_q):
+def _fit_intercept_only(cols, vals, n_q):
     """Per-question intercepts at the smoothed empirical log-odds."""
     totals = np.bincount(cols, minlength=n_q).astype(float)
     correct = np.bincount(cols, weights=vals, minlength=n_q)
@@ -154,7 +154,7 @@ def _fit_rank(rows, cols, vals, n_l, n_q, rank, seed):
     """
     rng = np.random.default_rng(seed)
     n_cells, cells = len(vals), rows * n_q + cols
-    mu = _fit_intercept_only(rows, cols, vals, n_q)
+    mu = _fit_intercept_only(cols, vals, n_q)
 
     # spectral start: leading factors of the intercept-centered residuals
     resid_mat = np.zeros((n_l, n_q))
@@ -236,7 +236,7 @@ def sparfa_fit(
         )
 
     if np.all(vals == vals[0]):
-        mu = _fit_intercept_only(rows, cols, vals, n_q)
+        mu = _fit_intercept_only(cols, vals, n_q)
         return build(0, np.zeros((n_l, 0)), np.zeros((0, n_q)), mu, (), {})
 
     rng = np.random.default_rng(derive_seed(seed, "sparfa-val"))
@@ -249,7 +249,7 @@ def sparfa_fit(
         hold = folds == fold
         fit_rows, fit_cols, fit_vals = rows[~hold], cols[~hold], vals[~hold]
         val_rows, val_cols, val_vals = rows[hold], cols[hold], vals[hold]
-        mu0 = _fit_intercept_only(fit_rows, fit_cols, fit_vals, n_q)
+        mu0 = _fit_intercept_only(fit_cols, fit_vals, n_q)
         val_scores[0] += _logloss(mu0[val_cols], val_vals) * len(val_vals)
         for r in candidates:
             w, c, mu, _, converged = _fit_rank(
@@ -261,7 +261,7 @@ def sparfa_fit(
 
     best_rank = min(val_scores, key=lambda r: (val_scores[r], r))
     if best_rank == 0:
-        mu = _fit_intercept_only(rows, cols, vals, n_q)
+        mu = _fit_intercept_only(cols, vals, n_q)
         w, c, trace = np.zeros((n_l, 0)), np.zeros((0, n_q)), ()
     else:
         w, c, mu, trace, converged = _fit_rank(

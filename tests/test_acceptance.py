@@ -118,8 +118,8 @@ def test_criterion_4_sparfa_recovery_and_rank_selection():
         model = sparfa_fit(train, rank_candidates=(1, 2, 4), seed=trial)
         picks_rank2 += model.rank == 2
         pred = sparfa_predict(model, test)
-        rows, cols, vals = _first_attempt_cells(train)
-        mu = _fit_intercept_only(rows, cols, vals, len(train.question_index))
+        _, cols, vals = _first_attempt_cells(train)
+        mu = _fit_intercept_only(cols, vals, len(train.question_index))
         base = np.array(
             [
                 float(_sigmoid(mu[train.question_index[qid]]))

@@ -29,8 +29,8 @@ def all_ones_dataset():
 
 def intercept_baseline(train, test_keys):
     """Independent intercept-only predictor used as the comparison oracle."""
-    rows, cols, vals = _first_attempt_cells(train)
-    mu = _fit_intercept_only(rows, cols, vals, len(train.question_index))
+    _, cols, vals = _first_attempt_cells(train)
+    mu = _fit_intercept_only(cols, vals, len(train.question_index))
     out = []
     for _, qid, _ in test_keys:
         qi = train.question_index.get(qid)
