@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -662,3 +664,19 @@ class TestCommands:
         assert main(argv + ["--config", str(config), "--out", str(tmp_path / "a")]) == EXIT_OK
         assert main(argv + ["--model", "bkt", "--k", "3", "--out", str(tmp_path / "b")]) == EXIT_OK
         assert (tmp_path / "a" / "report.json").read_text() == (tmp_path / "b" / "report.json").read_text()
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"^```bash\n(.*?)^```", readme, flags=re.S | re.M)
+        for line in block.splitlines()
+        if line.startswith("lppred ")
+    ]
+    assert lines
+    for argv in lines:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: lppred {shlex.join(argv)}")
