@@ -4,9 +4,11 @@ A request is built in three steps. ``encode_records`` turns the keys of
 each role into one sentence per row: the labeled history with its outcomes,
 and the rows awaiting prediction without. ``build_cot_script`` wraps the two
 sentence lists in the staged chain-of-thought prompt as ``(stage, text)``
-steps, and each step becomes one user chat message. The client's structured
-answer records are parsed back into numeric predictions. Question titles and
-the learning materials come from the training Dataset's lesson metadata.
+steps, and each step becomes one user chat message. Each reply decodes to one
+map from ``(learner_id, question_id, attempt)`` to prediction, in which the
+first valid record of each key counts; the prompt asks for an Assessment with
+each record, but it is not kept. Question titles and the learning materials
+come from the training Dataset's lesson metadata.
 A deterministic offline mock client implements the same heuristic a capable
 assistant applies to such transcripts (per-question difficulty shrunk toward
 0.5, discounted for repeated attempts), which makes the whole pipeline
@@ -151,11 +153,9 @@ def build_cot_script(
                     lines.append(f"  Answer: {info.answer}")
             steps.append(("a", "\n".join(lines)))
         elif stage == "b":
-            chunks = [history]
-            if rows_per_chunk > 0:
-                # one empty chunk keeps the header, with "(none)", when no row is labeled
-                chunks = [history[i : i + rows_per_chunk]
-                          for i in range(0, len(history), rows_per_chunk)] or [()]
+            # one empty chunk keeps the header, with "(none)", when no row is labeled
+            size = rows_per_chunk if rows_per_chunk > 0 else max(len(history), 1)
+            chunks = [history[i : i + size] for i in range(0, len(history), size)] or [()]
             for ci, chunk in enumerate(chunks):
                 label = "Historical learning performance records:" if ci == 0 else "More historical records:"
                 body = "\n".join(chunk) if chunk else "(none)"
@@ -173,21 +173,10 @@ def build_cot_script(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecodedPrediction:
-    learner_id: str
-    question_id: str
-    attempt: int
-    prediction: float
-    assessment: str = ""
-
-    def key(self) -> tuple[str, str, int]:
-        return (self.learner_id, self.question_id, self.attempt)
-
-
 @dataclass
 class DecodeResult:
-    predictions: list[DecodedPrediction]
+    # (learner_id, question_id, attempt) -> prediction of the first valid record with that key
+    predictions: dict[tuple[str, str, int], float]
     rejected: list[tuple[str, str]] = field(default_factory=list)  # (snippet, reason)
 
 
@@ -204,8 +193,8 @@ _KEY_ALIASES = {
     "attempt": "attempt",
     "attempts": "attempt",
     "prediction": "prediction",
-    "assessment": "assessment",
 }
+_REQUIRED = frozenset(_KEY_ALIASES.values())  # every field read is required
 
 
 def strip_quotes(text: str) -> str:
@@ -232,20 +221,20 @@ def braced_records(text: str, aliases: dict[str, str]):
 
 
 def decode_response(text: str) -> DecodeResult:
-    """Extract every braced prediction record from free-form response text.
+    """Map each key of a braced prediction record in free-form text to its prediction.
 
     Tolerates single or double quotes, arbitrary key order, and unquoted id
-    values. Records missing required keys, with a non-numeric attempt or
-    prediction, or with a prediction outside [0, 1] are collected under
-    ``rejected`` with a reason; text outside all braced blocks is ignored.
-    Raises DecodeError if nothing decodes.
+    values. The first valid record of a key counts; later ones are ignored.
+    Records missing required keys, with a non-numeric attempt or prediction,
+    or with a prediction outside [0, 1] are collected under ``rejected`` with
+    a reason; text outside all braced blocks is ignored. Raises DecodeError
+    if nothing decodes.
     """
-    predictions: list[DecodedPrediction] = []
+    predictions: dict[tuple[str, str, int], float] = {}
     rejected: list[tuple[str, str]] = []
     for match, fields in braced_records(text, _KEY_ALIASES):
         snippet = match.group(0)
-        required = {"learner_id", "question_id", "attempt", "prediction"}
-        if not required <= set(fields):
+        if not _REQUIRED <= fields.keys():
             rejected.append((snippet, "missing keys"))
             continue
         try:
@@ -261,15 +250,7 @@ def decode_response(text: str) -> DecodeResult:
         if not 0.0 <= pred <= 1.0:
             rejected.append((snippet, "prediction out of range"))
             continue
-        predictions.append(
-            DecodedPrediction(
-                learner_id=fields["learner_id"],
-                question_id=fields["question_id"],
-                attempt=attempt,
-                prediction=pred,
-                assessment=fields.get("assessment", ""),
-            )
-        )
+        predictions.setdefault((fields["learner_id"], fields["question_id"], attempt), pred)
     if not predictions:
         raise DecodeError("no predictions found in response")
     return DecodeResult(predictions=predictions, rejected=rejected)
@@ -303,23 +284,25 @@ class MockHeuristicClient:
     """
 
     def send(self, messages: Sequence[dict[str, str]]) -> str:
-        text = "\n".join(m.get("content", "") for m in messages)
+        contents = [m.get("content", "") for m in messages]
         train: dict[str, list[int]] = {}  # question -> [train rows, correct rows]
         test_rows: list[tuple[str, str, int]] = []
-        for m in _RECORD_SENTENCE.finditer(text):
-            lid, qid, attempt, obs = m.group(1), m.group(2), int(m.group(3)), m.group(4)
-            if obs is None:
-                test_rows.append((lid, qid, attempt))
-            else:
-                counts = train.setdefault(qid, [0, 0])
-                counts[0] += 1
-                counts[1] += int(obs)
+        # no sentence spans two messages, so each is scanned in place
+        for content in contents:
+            for m in _RECORD_SENTENCE.finditer(content):
+                lid, qid, attempt, obs = m.group(1), m.group(2), int(m.group(3)), m.group(4)
+                if obs is None:
+                    test_rows.append((lid, qid, attempt))
+                else:
+                    counts = train.setdefault(qid, [0, 0])
+                    counts[0] += 1
+                    counts[1] += int(obs)
         recommendation = (
             "Based on per-question difficulty and attempt counts, I recommend XGBoost "
             "for this data."
         )
         if not test_rows:
-            if "'Prediction'" in text:
+            if any("'Prediction'" in content for content in contents):
                 raise ValueError("no prediction rows found in the prompt script")
             return recommendation
 
@@ -490,7 +473,6 @@ def llm_predict_pipeline(
         rows_per_chunk=rows_per_chunk,
     )
     messages = [{"role": "user", "content": text} for _, text in steps]
-    key_pos = {key: i for i, key in enumerate(targets)}
 
     # targets follow the test records, so labels align with them
     labels = ds_test.obs_array() if np.all(ds_test.obs >= 0) else None
@@ -500,16 +482,9 @@ def llm_predict_pipeline(
             response = client.send(messages)
         except ClientError as exc:
             raise ClientError(f"run {run}: {exc}") from exc
-        decoded = decode_response(response)
-        preds = np.full(len(targets), 0.5)
-        seen: set[tuple[str, str, int]] = set()
-        for record in decoded.predictions:
-            pos = key_pos.get(record.key())
-            if pos is None or record.key() in seen:
-                continue
-            seen.add(record.key())
-            preds[pos] = record.prediction
-        return preds, len(targets) - len(seen)
+        decoded = decode_response(response).predictions
+        preds = np.array([decoded.get(key, 0.5) for key in targets], dtype=float)
+        return preds, sum(key not in decoded for key in targets)
 
     if concurrency > 1 and repeats > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import threading
+import tracemalloc
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -134,11 +135,7 @@ class TestDecode:
             "preamble {'learner ID': L1, 'Question ID': Q2, 'Attempt': 1, "
             "'Prediction': 0.73, 'Assessment': 'likely correct'} trailer"
         )
-        assert len(result.predictions) == 1
-        rec = result.predictions[0]
-        assert rec.key() == ("L1", "Q2", 1)
-        assert rec.prediction == pytest.approx(0.73)
-        assert rec.assessment == "likely correct"
+        assert result.predictions == {("L1", "Q2", 1): pytest.approx(0.73)}
 
     def test_key_order_insensitive(self):
         a = decode_response("{'learner ID': L1, 'Question ID': Q2, 'Attempt': 1, 'Prediction': 0.73}")
@@ -147,7 +144,7 @@ class TestDecode:
 
     def test_double_quotes_and_spacing(self):
         result = decode_response('{"Learner ID" : "L9" , "question id": "Q1", "Attempt": 3, "Prediction": 0.5}')
-        assert result.predictions[0].key() == ("L9", "Q1", 3)
+        assert list(result.predictions) == [("L9", "Q1", 3)]
 
     def test_out_of_range_rejected_with_reason(self):
         result = decode_response(
@@ -178,7 +175,19 @@ class TestDecode:
             "{'learner ID': L1, 'Question ID': Q1, 'Attempt': 2, 'Prediction': 0.2, "
             "'Assessment': 'weak, hesitant, slow'}"
         )
-        assert result.predictions[0].assessment == "weak, hesitant, slow"
+        # the commas inside the quoted Assessment do not split the record
+        assert result.predictions == {("L1", "Q1", 2): pytest.approx(0.2)}
+        assert result.rejected == []
+
+    def test_first_valid_record_of_a_key_counts(self):
+        result = decode_response(
+            "{'learner ID': L1, 'Question ID': Q1, 'Attempt': 1, 'Prediction': 0.4}"
+            "{'learner ID': L1, 'Question ID': Q1, 'Attempt': 1, 'Prediction': 0.9}"
+            "{'learner ID': L1, 'Question ID': Q1, 'Attempt': 1, 'Prediction': 1.4}"
+        )
+        assert result.predictions == {("L1", "Q1", 1): 0.4}
+        assert [reason for _, reason in result.rejected] == ["prediction out of range"]
+        assert "1.4" in result.rejected[0][0]
 
 
 def split_pairs_reference(body: str) -> list[str]:
@@ -263,6 +272,26 @@ class TestMockHeuristic:
     def test_method_selection(self):
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)]))
         assert select_method(MockHeuristicClient(), ds) == "gbt"
+
+    @pytest.mark.parametrize("rows_per_chunk", [0, 500])
+    def test_send_does_not_copy_the_prompt(self, rows_per_chunk):
+        history = [(f"L{i}", f"Q{j}", a) for i in range(200) for j in range(20) for a in (1, 2, 3)]
+        targets = [(f"L{i}", "Q0", 4) for i in range(10)]
+        steps = build_cot_script(
+            encode_records(history, {}, [(i + a) % 2 for i, (_, _, a) in enumerate(history)]),
+            encode_records(targets, {}),
+            rows_per_chunk=rows_per_chunk,
+        )
+        messages = [{"role": "user", "content": text} for _, text in steps]
+        prompt_chars = sum(len(text) for _, text in steps)
+        tracemalloc.start()
+        try:
+            reply = MockHeuristicClient().send(messages)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(decode_response(reply).predictions) == 10
+        assert peak < prompt_chars / 10, (peak, prompt_chars)
 
 
 def split_dataset(ds, rng, holdout=0.2):
