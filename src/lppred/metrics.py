@@ -61,8 +61,9 @@ class CvReport:
     def __post_init__(self):
         if not self.fold_rmse:
             raise ValueError("CvReport requires at least one fold RMSE")
-        if any(v < 0 for v in self.fold_rmse):
-            raise ValueError("fold RMSE values must be non-negative")
+        # an RMSE of probabilities against 0/1 outcomes lies in [0, 1]; NaN fails too
+        if any(not 0 <= v <= 1 for v in self.fold_rmse):
+            raise ValueError("fold RMSE values must be numbers in [0, 1]")
 
     @property
     def mean_rmse(self) -> float:

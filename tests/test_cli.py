@@ -10,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppred.bkt import BktModel
-from lppred.cli import EXIT_CLIENT, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, build_parser, main
+from lppred.cli import (
+    EXIT_CLIENT,
+    EXIT_DATA,
+    EXIT_MODEL,
+    EXIT_OK,
+    EXIT_USAGE,
+    LOCAL_MODELS,
+    _model_flags,
+    build_parser,
+    main,
+)
 from lppred.data import make_folds, parse_dataset
 from lppred.gbt import GbtConfig, GbtModel
 from lppred.llm import _RECORD_SENTENCE, MockHeuristicClient
@@ -245,6 +255,15 @@ class TestExitCodes:
         bad.write_text('{"bkt": {"fold_rmse": [0.4,', encoding="utf-8")
         assert main(["report", "--inputs", str(bad), "--out", str(tmp_path / "o")]) == EXIT_DATA
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_report_nan_fold_rmse_is_data_error(self, tmp_path, capsys):
+        """NaN would reach report.json as a bare NaN, which strict JSON parsers reject."""
+        bad = tmp_path / "report.json"
+        bad.write_text('{"bkt": {"fold_rmse": [0.4, NaN]}}', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["report", "--inputs", str(bad), "--out", str(out)]) == EXIT_DATA
+        assert f"{bad}: not a cv report" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_report_pair_given_twice_is_data_error(self, sim_data, tmp_path, capsys):
         """Two runs of one model on one dataset would fill one table cell; neither is dropped silently."""
@@ -680,3 +699,18 @@ def test_readme_command_lines_parse():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: lppred {shlex.join(argv)}")
+
+
+def test_readme_model_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("`cv`, `fit` and `predict` share one set of model flags", 1)[1]
+    table = re.search(r"^\|.*?(?=^[^|])", after, flags=re.S | re.M).group(0)
+    documented = {
+        model: sorted(re.findall(r"`(--[\w-]+)`", flags))
+        for model, flags in re.findall(r"^\| `([\w-]+)`\s*\|(.*)\|$", table, flags=re.M)
+    }
+    actions = _model_flags()._actions
+    assert documented == {
+        model: sorted(opt for action in actions if action.dest in names for opt in action.option_strings)
+        for model, (_, names) in LOCAL_MODELS.items()
+    }

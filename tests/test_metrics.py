@@ -178,8 +178,9 @@ class TestReports:
         assert rep.std_error == pytest.approx(np.std([0.4, 0.5, 0.6], ddof=1) / math.sqrt(3))
         with pytest.raises(ValueError):
             CvReport("m", ())
-        with pytest.raises(ValueError):
-            CvReport("m", (-0.1,))
+        for bad in (-0.1, math.nan, math.inf, 1.5):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                CvReport("m", (0.4, bad))
 
     def test_table_marks_all_minima(self):
         reports = [
