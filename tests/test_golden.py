@@ -54,6 +54,13 @@ quarter of the cells masked.
 be grown from one gather of its rows, with finished rows parked in a spare
 node slot. It pins a depth-6 fit with gamma and min_child_weight set, on a
 larger simulation, so nodes finish at every depth from the root to the last.
+
+``tune-mixed/tune.json`` was recorded before the folds of each ``n_trees``
+group began to be boosted in lockstep. Its grid has 32 groups that differ in
+``max_depth`` (1, 4), ``gamma``, ``min_child_weight``, ``subsample`` (0.6,
+1.0) and ``colsample_bytree`` (0.67, 1.0). Its data holds one learner with a
+single row, so the training rows of that row's fold lack the learner's id.
+The sweep runs at ``--workers`` 1 and 2, and both must give these bytes.
 """
 
 import hashlib
@@ -107,7 +114,10 @@ GOLDEN = {
     "sim-tensor/truth.json": "1395adfd0b4733cf2e92100fa20b08243466375c80e6ad0fdfaf0e0bc22c325f",
     "fit-gbt-deep/gbt-model.json":
         "31e4874b4b3b905de09ba34772c74dec98f3a525d89f8c051954c85b490f2dd1",
+    "tune-mixed/tune.json": "ae57e039faaa40004d60b217e76b33bad6820346531df8473199a4f6bdd035ab",
 }
+# the worker count changes no byte of a sweep
+GOLDEN["tune-mixed-workers2/tune.json"] = GOLDEN["tune-mixed/tune.json"]
 
 
 def _sha(path) -> str:
@@ -191,6 +201,17 @@ def run_commands(root) -> dict[str, str]:
     runs["fit-gbt-deep/gbt-model.json"] = ["fit", "--model", "gbt", "--data", str(deep / "data.csv"),
                                            "--max-depth", "6", "--gbt-gamma", "0.5",
                                            "--min-child-weight", "4"]
+
+    mixed = root / "mixed.csv"
+    mixed.write_text(data.read_text(encoding="utf-8") + "LZ,Q2,1,0\n", encoding="utf-8")
+    mixed_grid = root / "mixed-grid.json"
+    mixed_grid.write_text(json.dumps({"n_trees": [4, 9], "learning_rate": [0.3], "max_depth": [1, 4],
+                                      "subsample": [0.6, 1.0], "colsample_bytree": [0.67, 1.0],
+                                      "gamma": [0.0, 0.5], "min_child_weight": [1.0, 3.0]}),
+                          encoding="utf-8")
+    for name, workers in (("tune-mixed", "1"), ("tune-mixed-workers2", "2")):
+        runs[f"{name}/tune.json"] = ["tune", "--model", "gbt", "--data", str(mixed), "--grid",
+                                     str(mixed_grid), "--k", "5", "--workers", workers]
 
     digests = {}
     for name, argv in runs.items():
