@@ -19,6 +19,15 @@ Prediction is sigmoid(base_score + learning_rate * sum of leaf weights),
 with base_score the log-odds of the training mean, read from
 ``GbtEnsemble.staged_margins`` at the full tree count. The JSON export
 (``GbtEnsemble.to_dict``) is write-only: no command reads a model back.
+
+``gbt_fit_lockstep`` boosts several ensembles at once, each with its own
+rows, seed and config: round t grows tree t of every ensemble in one
+``_grow_tree`` call, whose node ids span the ensembles, so numpy's per-call
+cost is paid once per round instead of once per ensemble. Every bin sums the
+same rows in the same order as a fit of its ensemble alone, so each result
+equals that ensemble's ``gbt_fit`` bit for bit; ``gbt_fit`` is the
+one-ensemble case. The grid sweep boosts the k folds of a configuration
+group this way.
 """
 
 from __future__ import annotations
@@ -68,9 +77,12 @@ class GbtConfig:
         return asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
-    """Internal node (feature/threshold/children set) or leaf (weight set)."""
+    """Internal node (feature/threshold/children set) or leaf (weight set).
+
+    Slots keep a node small: a tuning job holds the trees of k ensembles at once.
+    """
 
     weight: float = 0.0
     feature: int = -1
@@ -86,18 +98,34 @@ class TreeNode:
         return self.left is None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Leaf weights for a feature matrix, vectorized by recursive masking."""
-        out = np.empty(len(x))
-        self._apply_into(x, np.arange(len(x)), out)
-        return out
+        """Leaf weights for a feature matrix, walking all rows down one level at a time.
 
-    def _apply_into(self, x, idx, out):
-        if self.is_leaf:
-            out[idx] = self.weight
-            return
-        go_left = x[idx, self.feature] < self.threshold
-        self.left._apply_into(x, idx[go_left], out)
-        self.right._apply_into(x, idx[~go_left], out)
+        The nodes are numbered breadth first into flat arrays. Each level
+        takes one gather of each row's feature value and one comparison; a
+        row goes right unless its value is less than the threshold. A leaf's
+        threshold is NaN, which no value is less than, and its right child
+        is itself, so a row that reached a leaf stays there.
+        """
+        nodes, feature, threshold, right, depth = [self], [], [], [], [0]
+        for j, node in enumerate(nodes):
+            if node.left is None:
+                feature.append(0)
+                threshold.append(np.nan)
+                right.append(j)
+            else:
+                nodes += (node.left, node.right)
+                depth += (depth[j] + 1,) * 2
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                right.append(len(nodes) - 1)
+        n = len(x)
+        column_start, threshold, right = np.array(feature) * n, np.array(threshold), np.array(right)
+        by_column = np.ravel(x, order="F")
+        rows = np.arange(n)
+        nid = np.zeros(n, dtype=np.int64)
+        for _ in range(depth[-1]):
+            nid = right.take(nid) - (by_column.take(column_start.take(nid) + rows) < threshold.take(nid))
+        return np.array([node.weight for node in nodes]).take(nid)
 
     def to_dict(self) -> dict:
         if self.is_leaf:
@@ -153,6 +181,13 @@ class GbtEnsemble:
     def feature_matrix(self, keys: Sequence[tuple[str, str, int]]) -> np.ndarray:
         return _features(*encode_keys(keys, self.learner_index, self.question_index))
 
+    def predict_staged(self, keys: Sequence[tuple[str, str, int]], stages: Sequence[int]) -> list[np.ndarray]:
+        """Probabilities from the first ``n`` trees for each ``n`` in ``stages``.
+
+        Each array equals the prediction of a model fitted with ``n_trees=n``.
+        """
+        return [_sigmoid(m) for m in self.staged_margins(self.feature_matrix(keys), stages)]
+
     def to_dict(self) -> dict:
         return {
             "base_score": self.base_score,
@@ -163,138 +198,245 @@ class GbtEnsemble:
         }
 
 
-def _split_codes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bin every feature value on one (feature x bin) grid shared by all nodes.
+def _split_codes(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Bin the feature values of each ensemble's rows on grids of one shape.
 
-    ``width`` is the largest feature's count of distinct values. ``values`` is
-    features x width: each feature's sorted distinct values, padded with +inf.
-    ``codes`` is features x rows: the value of rank ``c`` of feature ``f`` falls
-    in bin ``f * width + c`` of the flattened grid, so one bincount per level
-    covers every feature and the bin order is feature first, then value.
+    ``width`` is the largest count of distinct values of any feature in any
+    ensemble. ``values`` is ensembles x features x width: each feature's
+    sorted distinct values in that ensemble's rows, padded with +inf.
+    ``codes`` is features x rows, the rows of each ensemble after those of
+    the one before: the value of rank ``c`` of feature ``f`` falls in bin
+    ``f * width + c`` of its ensemble's flattened grid, so one bincount per
+    level covers every feature and the bin order is feature first, then
+    value. Padding bins hold no rows, so a grid made wider for another
+    ensemble leaves every real bin's sums and order as they are.
     """
-    uniques, ranks = zip(*(np.unique(column, return_inverse=True) for column in x.T))
-    width = max(len(u) for u in uniques)
-    values = np.full((len(uniques), width), np.inf)
-    for f, u in enumerate(uniques):
-        values[f, : len(u)] = u
-    codes = np.vstack(ranks) + width * np.arange(len(uniques))[:, None]
+    uniques, ranks = zip(*(
+        zip(*(np.unique(column, return_inverse=True) for column in x.T)) for x in xs
+    ))
+    width = max(len(u) for per_feature in uniques for u in per_feature)
+    n_feat = xs[0].shape[1]
+    values = np.full((len(xs), n_feat, width), np.inf)
+    for e, per_feature in enumerate(uniques):
+        for f, u in enumerate(per_feature):
+            values[e, f, : len(u)] = u
+    codes = np.hstack([np.vstack(r) for r in ranks]) + width * np.arange(n_feat)[:, None]
     return codes, values
 
 
-def _grow_tree(rows, gx, hx, codes, values, feature_mask, config) -> tuple[TreeNode, np.ndarray]:
-    """Grow one tree level by level; return it and the leaf weight of each row grown on.
+def _grow_tree(rows, sizes, gx, hx, codes, values, feature_mask, configs) -> tuple[list[TreeNode], np.ndarray]:
+    """Grow one tree per ensemble, level by level; return their roots and the leaf weight of each row.
 
-    All nodes of a level share one histogram pass of shape (nodes, features,
-    width), and every feature is scored at once along the last axis.
-    Candidate thresholds are midpoints between consecutive distinct values
-    present at the node; a boundary is materialized only when its feature is
-    in ``feature_mask``, its score strictly exceeds gamma and both child
-    hessian sums reach min_child_weight. Gains within GAIN_TIE_RTOL of a
-    node's best count as tied and resolve to the first in bin order: the
-    lowest feature index, then the lowest threshold.
+    ``rows`` are columns of ``codes``, ``sizes[e]`` of them for ensemble
+    ``e`` after those of ensemble ``e - 1``, with gradients ``gx`` and
+    hessians ``hx``. Ensemble ``e`` splits on the grid ``values[e]``, on the
+    features in ``feature_mask[e]``, under ``configs[e]``'s max_depth, gamma
+    and min_child_weight.
 
-    The rows' codes are gathered once per tree into one C-contiguous block,
+    Node ids span the ensembles: the roots are nodes 0..E-1, and each
+    level's nodes follow in ensemble order. All nodes of a level share one
+    histogram pass of shape (nodes, features, width), and every feature is
+    scored at once along the last axis. Candidate thresholds are midpoints
+    between consecutive distinct values present at the node; a boundary is
+    materialized only when its feature is in the node's mask, its score
+    strictly exceeds gamma and both child hessian sums reach
+    min_child_weight. Gains within GAIN_TIE_RTOL of a node's best count as
+    tied and resolve to the first in bin order: the lowest feature index,
+    then the lowest threshold.
+
+    The rows' codes are gathered once per call into one C-contiguous block,
     and the gradients are tiled once to match it. Rows never move after that:
     a row whose node became a leaf is sent to a spare slot after the level's
     active nodes, and each bincount's spare entries are sliced off. Since
     bincount adds in input order and finished rows land only in the spare
     slot, every live bin sums the same rows in the same order as a pass over
-    the live rows alone would.
+    one ensemble's live rows alone would. Node totals, which only leaves
+    read, are summed only at levels where some node stops.
     """
-    n_feat, width = values.shape
+    n_feat, width = values.shape[1:]
     n_bins = n_feat * width
     n = len(rows)
-    root = TreeNode()
-    nodes = [root]
-    c = codes.take(rows, axis=1)
-    g_all, h_all = np.tile(gx, n_feat), np.tile(hx, n_feat)
+    roots = [TreeNode() for _ in configs]
+    nodes = list(roots)
+    ens = np.arange(len(roots))  # each node's ensemble
+    # per ensemble: each feature's gamma, +inf where the feature is masked out
+    # (no gain exceeds it), then min_child_weight and max_depth
+    limits = np.array([
+        [config.gamma if sampled else np.inf for sampled in mask] + [config.min_child_weight, config.max_depth]
+        for config, mask in zip(configs, feature_mask.tolist())
+    ])
+    flat_values = values.reshape(-1)
+    # rows covering every column are all of them, in order
+    c = codes if n == codes.shape[1] else codes.take(rows, axis=1)
+    g_all, h_all = np.concatenate((gx,) * n_feat), np.concatenate((hx,) * n_feat)
     row = np.arange(n)
-    nid = np.zeros(n, dtype=np.int64)
+    nid = np.repeat(ens, sizes)
     row_weight = np.empty(n)
 
-    for depth in range(config.max_depth + 1):
+    for depth in range(max(config.max_depth for config in configs) + 1):
         n_active = len(nodes)
-        g_tot = np.bincount(nid, weights=gx, minlength=n_active + 1)[:n_active]
-        h_tot = np.bincount(nid, weights=hx, minlength=n_active + 1)[:n_active]
-        leaf = -g_tot / (h_tot + LEAF_L2)
-        if depth == config.max_depth:
-            for j, node in enumerate(nodes):
-                node.weight = leaf[j]
-            live = nid < n_active
-            row_weight[live] = leaf[nid[live]]
-            break
+        node_limits = limits[ens]
+        stops = node_limits[:, -1] == depth
+        stop_list = stops.tolist()
+        if not all(stop_list):
+            flat = (nid * n_bins + c).ravel()
+            length = (n_active + 1) * n_bins
+            grid = (n_active, n_feat, width)
+            hist_g = np.bincount(flat, weights=g_all, minlength=length)[: n_active * n_bins].reshape(grid)
+            hist_h = np.bincount(flat, weights=h_all, minlength=length)[: n_active * n_bins].reshape(grid)
+            hist_n = np.bincount(flat, minlength=length)[: n_active * n_bins].reshape(grid)
 
-        flat = (nid * n_bins + c).ravel()
-        length = (n_active + 1) * n_bins
-        grid = (n_active, n_feat, width)
-        hist_g = np.bincount(flat, weights=g_all, minlength=length)[: n_active * n_bins].reshape(grid)
-        hist_h = np.bincount(flat, weights=h_all, minlength=length)[: n_active * n_bins].reshape(grid)
-        hist_n = np.bincount(flat, minlength=length)[: n_active * n_bins].reshape(grid)
+            # padded bins hold zero counts after each feature's last value, so the
+            # last cumulative entry is every feature's node total
+            gl = hist_g.cumsum(axis=2)
+            hl = hist_h.cumsum(axis=2)
+            cum_n = hist_n.cumsum(axis=2)
+            tot_g, tot_h = gl[:, :, -1:], hl[:, :, -1:]
+            gr, hr = tot_g - gl, tot_h - hl
+            present = hist_n > 0
+            gain = 0.5 * (
+                gl * gl / (hl + LEAF_L2)
+                + gr * gr / (hr + LEAF_L2)
+                - tot_g * tot_g / (tot_h + LEAF_L2)
+            )
+            ok = (
+                present
+                & (cum_n < cum_n[:, :, -1:])
+                & (gain > node_limits[:, :n_feat, None])
+                & (np.minimum(hl, hr) >= node_limits[:, n_feat, None, None])
+            )
+            gains = np.where(ok, gain, -np.inf).reshape(n_active, n_bins)
 
-        # padded bins hold zero counts after each feature's last value, so the
-        # last cumulative entry is every feature's node total
-        gl = np.cumsum(hist_g, axis=2)
-        hl = np.cumsum(hist_h, axis=2)
-        cum_n = np.cumsum(hist_n, axis=2)
-        tot_g, tot_h = gl[:, :, -1:], hl[:, :, -1:]
-        gr, hr = tot_g - gl, tot_h - hl
-        present = hist_n > 0
-        gain = 0.5 * (
-            gl * gl / (hl + LEAF_L2)
-            + gr * gr / (hr + LEAF_L2)
-            - tot_g * tot_g / (tot_h + LEAF_L2)
-        )
-        ok = (
-            present
-            & feature_mask[:, None]
-            & (cum_n < cum_n[:, :, -1:])
-            & (gain > config.gamma)
-            & (hl >= config.min_child_weight)
-            & (hr >= config.min_child_weight)
-        )
-        gains = np.where(ok, gain, -np.inf).reshape(n_active, n_bins)
+            best = np.maximum.reduce(gains, axis=1)
+            stops |= best == -np.inf
+            stop_list = stops.tolist()
+            cutoff = best - GAIN_TIE_RTOL * np.maximum(1.0, np.abs(best))
+            pick = (gains >= cutoff[:, None]).argmax(axis=1)
+            at = np.arange(0, n_active * n_bins, n_bins) + pick
+            # a split leaves rows right of it in its feature (cum_n < total), so the
+            # first present bin after the pick holds that feature's next value
+            upper = (present.reshape(n_active, n_bins) & (np.arange(n_bins) > pick[:, None])).argmax(axis=1)
+            grid_start = ens * n_bins
+            thresholds = (flat_values.take(grid_start + pick) + flat_values.take(grid_start + upper)) / 2.0
+            best_gain, hl_pick, hr_pick = (a.reshape(-1).take(at) for a in (gains, hl, hr))
 
-        best = gains.max(axis=1)
-        splittable = np.isfinite(best)
-        cutoff = best - GAIN_TIE_RTOL * np.maximum(1.0, np.abs(best))
-        pick = np.argmax(gains >= cutoff[:, None], axis=1)
-        at = (np.arange(n_active), pick)
-        # a split leaves rows right of it in its feature (cum_n < total), so the
-        # first present bin after the pick holds that feature's next value
-        upper = np.argmax(present.reshape(n_active, n_bins) & (np.arange(n_bins) > pick[:, None]), axis=1)
-        thresholds = (values.ravel()[pick] + values.ravel()[upper]) / 2.0
-        best_gain = gains[at]
-        hl_pick = hl.reshape(n_active, n_bins)[at]
-        hr_pick = hr.reshape(n_active, n_bins)[at]
+        if any(stop_list):
+            g_tot = np.bincount(nid, weights=gx, minlength=n_active + 1)[:n_active]
+            h_tot = np.bincount(nid, weights=hx, minlength=n_active + 1)[:n_active]
+            leaf = -g_tot / (h_tot + LEAF_L2)
+            finished = np.concatenate((stops, [False]))[nid]
+            row_weight[finished] = leaf[nid[finished]]
+            for node, stop, weight in zip(nodes, stop_list, leaf.tolist()):
+                if stop:
+                    node.weight = weight
+            if all(stop_list):
+                break
 
         next_nodes: list[TreeNode] = []
-        for j, node in enumerate(nodes):
-            if not splittable[j]:
-                node.weight = leaf[j]
+        for node, stop, feature, threshold, node_gain, hess_left, hess_right in zip(
+            nodes, stop_list, (pick // width).tolist(), thresholds.tolist(),
+            best_gain.tolist(), hl_pick.tolist(), hr_pick.tolist(),
+        ):
+            if stop:
                 continue
-            node.feature = int(pick[j] // width)
-            node.threshold = float(thresholds[j])
-            node.gain = float(best_gain[j])
-            node.hess_left = float(hl_pick[j])
-            node.hess_right = float(hr_pick[j])
-            node.left = TreeNode()
-            node.right = TreeNode()
-            next_nodes.extend((node.left, node.right))
-
-        finished = np.append(~splittable, False)[nid]
-        row_weight[finished] = leaf[nid[finished]]
-        if not next_nodes:
-            break
+            node.feature, node.threshold, node.gain = feature, threshold, node_gain
+            node.hess_left, node.hess_right = hess_left, hess_right
+            node.left, node.right = TreeNode(), TreeNode()
+            next_nodes += (node.left, node.right)
         # the spare slot never splits: its rows and those of this level's
         # leaves go to the next spare slot, sent left by a bin past every code
-        splits = np.append(splittable, False)
-        sel_bin = np.where(splits, np.append(pick, 0), n_bins - 1)[nid]
+        keep = ~stops
+        sel_bin = np.concatenate((np.where(keep, pick, n_bins - 1), [n_bins - 1]))[nid]
         go_right = c.ravel()[sel_bin // width * n + row] > sel_bin
         # node j's children follow those of the split nodes before it
-        child = np.where(splits, 2 * (np.cumsum(splits) - 1), len(next_nodes))
+        spare = len(next_nodes)
+        child = np.concatenate((np.where(keep, 2 * keep.cumsum() - 2, spare), [spare]))
         nid = child[nid] + go_right
+        ens = ens[keep].repeat(2)
         nodes = next_nodes
-    return root, row_weight
+    return roots, row_weight
+
+
+def gbt_fit_lockstep(
+    trains: Sequence[Dataset], configs: Sequence[GbtConfig], seeds: Sequence[int]
+) -> list[GbtEnsemble]:
+    """Boost one ensemble per (train, config, seed), all of them in lockstep.
+
+    In round ``t`` one ``_grow_tree`` call grows tree ``t`` of every ensemble
+    with more than ``t`` trees. Each ensemble keeps its own labeled rows, bin
+    grid, seed, feature masks and config, and every bin sums the same rows
+    in the same order as a fit of that ensemble alone would, so each result
+    equals ``gbt_fit`` of its (train, config, seed) bit for bit.
+    """
+    ys, xs = [], []
+    for train in trains:
+        labeled = train.obs >= 0
+        if labeled.sum() < 2:
+            raise ValueError("gbt_fit requires at least 2 labeled rows")
+        ys.append(train.obs[labeled].astype(float))
+        xs.append(_features(train.learner[labeled], train.question[labeled], train.attempt[labeled]))
+    codes, values = _split_codes(xs)
+    sizes = [len(y) for y in ys]
+    starts = np.cumsum([0] + sizes)
+    parts = [slice(a, b) for a, b in zip(starts, starts[1:])]
+    y = np.concatenate(ys)
+
+    base_scores = []
+    for labels in ys:
+        mean = min(max(float(labels.mean()), 1e-6), 1.0 - 1e-6)
+        base_scores.append(float(np.log(mean / (1.0 - mean))))
+    margins = np.repeat(base_scores, sizes)
+    loss_traces = [[_logloss(margins[part], y[part])] for part in parts]
+
+    trees: list[list[TreeNode]] = [[] for _ in configs]
+    for t in range(max((config.n_trees for config in configs), default=0)):
+        p = _sigmoid(margins)
+        g = p - y
+        h = p * (1.0 - p)
+
+        active = [e for e, config in enumerate(configs) if t < config.n_trees]
+        rows, grown, feature_mask = [], [], np.ones((len(active), 3), dtype=bool)
+        for i, e in enumerate(active):
+            config, n = configs[e], sizes[e]
+            sample = np.arange(n)
+            if config.subsample < 1.0 or config.colsample_bytree < 1.0:
+                rng = np.random.default_rng(derive_seed(seeds[e], "tree", t))
+                if config.subsample < 1.0:
+                    size = max(1, int(round(config.subsample * n)))
+                    sample = np.sort(rng.choice(n, size=size, replace=False))
+                if config.colsample_bytree < 1.0:
+                    n_feats = max(1, int(round(config.colsample_bytree * 3)))
+                    feature_mask[i] = False
+                    feature_mask[i, rng.choice(3, size=n_feats, replace=False)] = True
+            rows.append(sample + starts[e])
+            grown.append(len(sample))
+        rows = np.concatenate(rows)
+        roots, row_weight = _grow_tree(
+            rows, grown, g[rows], h[rows], codes, values[active], feature_mask, [configs[e] for e in active]
+        )
+
+        end = 0
+        for e, tree, size in zip(active, roots, grown):
+            trees[e].append(tree)
+            # a tree grown on every row already knows each row's leaf
+            weights = row_weight[end : end + size] if size == sizes[e] else tree.apply(xs[e])
+            end += size
+            margins[parts[e]] += configs[e].learning_rate * weights
+            loss_traces[e].append(_logloss(margins[parts[e]], y[parts[e]]))
+
+    return [
+        GbtEnsemble(
+            base_score=base_score,
+            trees=ensemble_trees,
+            config=config,
+            learner_index=dict(train.learner_index),
+            question_index=dict(train.question_index),
+            train_logloss=tuple(loss_trace),
+        )
+        for train, config, base_score, ensemble_trees, loss_trace in zip(
+            trains, configs, base_scores, trees, loss_traces
+        )
+    ]
 
 
 def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> GbtEnsemble:
@@ -302,58 +444,15 @@ def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> G
 
     Row subsampling (without replacement) and column subsampling are redrawn
     per tree from a seed derived as (seed, tree index); with both ratios at 1
-    the fit is deterministic and reproducible bit for bit.
+    the fit is deterministic and reproducible bit for bit. This is the
+    one-ensemble case of ``gbt_fit_lockstep``.
     """
-    labeled = train.obs >= 0
-    if labeled.sum() < 2:
-        raise ValueError("gbt_fit requires at least 2 labeled rows")
-    y = train.obs[labeled].astype(float)
-    x = _features(train.learner[labeled], train.question[labeled], train.attempt[labeled])
-    codes, values = _split_codes(x)
-
-    mean = min(max(float(y.mean()), 1e-6), 1.0 - 1e-6)
-    base_score = float(np.log(mean / (1.0 - mean)))
-    margins = np.full(len(y), base_score)
-    loss_trace = [_logloss(margins, y)]
-
-    n = len(y)
-    trees: list[TreeNode] = []
-    for t in range(config.n_trees):
-        p = _sigmoid(margins)
-        g = p - y
-        h = p * (1.0 - p)
-
-        rows = np.arange(n)
-        feature_mask = np.ones(3, dtype=bool)
-        if config.subsample < 1.0 or config.colsample_bytree < 1.0:
-            rng = np.random.default_rng(derive_seed(seed, "tree", t))
-            if config.subsample < 1.0:
-                size = max(1, int(round(config.subsample * n)))
-                rows = np.sort(rng.choice(n, size=size, replace=False))
-            if config.colsample_bytree < 1.0:
-                n_feats = max(1, int(round(config.colsample_bytree * 3)))
-                feature_mask[:] = False
-                feature_mask[rng.choice(3, size=n_feats, replace=False)] = True
-
-        tree, row_weight = _grow_tree(rows, g[rows], h[rows], codes, values, feature_mask, config)
-        trees.append(tree)
-        # a tree grown on every row already knows each row's leaf
-        margins += config.learning_rate * (row_weight if len(rows) == n else tree.apply(x))
-        loss_trace.append(_logloss(margins, y))
-
-    return GbtEnsemble(
-        base_score=base_score,
-        trees=trees,
-        config=config,
-        learner_index=dict(train.learner_index),
-        question_index=dict(train.question_index),
-        train_logloss=tuple(loss_trace),
-    )
+    return gbt_fit_lockstep([train], [config], [seed])[0]
 
 
 def gbt_predict(model: GbtEnsemble, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
     """Probabilities for (learner, question, attempt) keys; unseen ids become -1."""
-    return _sigmoid(model.staged_margins(model.feature_matrix(rows), [len(model.trees)])[0])
+    return model.predict_staged(rows, [len(model.trees)])[0]
 
 
 class GbtModel:
@@ -372,16 +471,6 @@ class GbtModel:
         if self.model is None:
             raise RuntimeError("predict called before fit")
         return gbt_predict(self.model, rows)
-
-    def predict_staged(self, rows: Sequence[tuple[str, str, int]], stages: Sequence[int]) -> list[np.ndarray]:
-        """Probabilities from the first ``n`` trees for each ``n`` in ``stages``.
-
-        Each array equals ``predict`` of a model fitted with ``n_trees=n``.
-        """
-        if self.model is None:
-            raise RuntimeError("predict called before fit")
-        x = self.model.feature_matrix(rows)
-        return [_sigmoid(m) for m in self.model.staged_margins(x, stages)]
 
     def export_json(self) -> dict:
         if self.model is None:

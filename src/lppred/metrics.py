@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -95,7 +95,8 @@ class FoldFitError(RuntimeError):
         self.cause = cause
 
 
-FoldPredict = Callable[[int, Dataset, list], Sequence[np.ndarray]]
+Fold = tuple[int, Dataset, list]  # (fold_seed, train, test_keys)
+FoldPredict = Callable[[Iterator[Fold]], Iterable[Sequence[np.ndarray]]]
 
 
 def fold_rmse_table(
@@ -103,25 +104,35 @@ def fold_rmse_table(
 ) -> list[tuple[float, ...]]:
     """The k-fold loop: fold RMSEs of each prediction ``fit_predict`` returns.
 
-    For each fold, ``fit_predict(fold_seed, train, test_keys)`` fits on the
-    other k-1 folds and returns one or more prediction arrays for the held-out
-    keys, with ``fold_seed = derive_seed(seed, "fold", index)``. Returns one
-    tuple of k fold RMSEs per array. Test outcomes are withheld: the callback
-    only ever sees the key triples.
+    ``fit_predict`` gets an iterator over the k folds, each a ``(fold_seed,
+    train, test_keys)`` triple with ``fold_seed = derive_seed(seed, "fold",
+    index)`` and ``train`` the other k-1 folds. It returns, fold by fold, one
+    or more prediction arrays for the held-out keys: either a generator that
+    draws, fits and predicts one fold at a time, or a list after taking
+    every fold at once. Returns one tuple of k fold RMSEs per array. An
+    error raised while fold ``i``'s predictions are drawn from a generator
+    is re-raised as ``FoldFitError(i)``. Test outcomes are withheld: the
+    callback only ever sees the key triples.
     """
     if ds.unlabeled_positions():
         raise ValueError("cross-validation requires a fully labeled dataset")
     split = make_folds(ds, k, seed)
+    folds = (
+        (
+            derive_seed(seed, "fold", fold),
+            ds.subset(split.train_positions(fold)),
+            ds.keys(split.fold_positions(fold)),
+        )
+        for fold in range(k)
+    )
+    results = iter(fit_predict(folds))
     per_fold = []
     for fold in range(k):
-        test_pos = split.fold_positions(fold)
-        train_ds = ds.subset(split.train_positions(fold))
-        test_keys = ds.keys(test_pos)
-        actual = ds.obs_array(test_pos)
         try:
-            predictions = fit_predict(derive_seed(seed, "fold", fold), train_ds, test_keys)
+            predictions = next(results)
         except Exception as exc:  # noqa: BLE001 - annotate fold and re-raise
             raise FoldFitError(fold, exc) from exc
+        actual = ds.obs_array(split.fold_positions(fold))
         per_fold.append([rmse(predicted, actual) for predicted in predictions])
     return list(zip(*per_fold))
 
@@ -141,10 +152,11 @@ def cross_validate(
     (see ``fold_rmse_table``).
     """
 
-    def fit_predict(fold_seed, train_ds, test_keys):
-        model = factory(fold_seed)
-        model.fit(train_ds)
-        return [model.predict(test_keys)]
+    def fit_predict(folds):
+        for fold_seed, train_ds, test_keys in folds:
+            model = factory(fold_seed)
+            model.fit(train_ds)
+            yield [model.predict(test_keys)]
 
     (fold_scores,) = fold_rmse_table(fit_predict, ds, k, seed)
     return CvReport(

@@ -6,6 +6,11 @@ LLM-driven loop that asks a chat client to propose the next configuration
 given the history of (configuration, RMSE) pairs. Both evaluate candidates
 with the shared cross-validation harness on identical folds, so results are
 comparable and deterministic given the seed.
+
+The grid sweep's unit of work is a group of configurations that differ only
+in n_trees. A group fits its largest n_trees once per fold, with the k fold
+ensembles boosted in lockstep (``gbt.gbt_fit_lockstep``), and scores each
+configuration from the first n_trees trees of every fold's fit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, Dataset
-from .gbt import GbtConfig, GbtModel
+from .gbt import GbtConfig, gbt_fit_lockstep
 from .llm import braced_records
 from .metrics import CvReport, fold_rmse_table
 from .seeds import derive_seed
@@ -177,10 +182,11 @@ def _prefix_groups(configs: Sequence[GbtConfig]) -> list[tuple[tuple[int, ...], 
 def _evaluate_config(job) -> tuple[tuple[int, ...], list[float] | None, str]:
     """Mean CV RMSE of each configuration in one n_trees group of the running sweep.
 
-    Each fold fits the group's largest n_trees once and scores every
-    configuration from the margins of its first n_trees trees, which are
-    exactly that configuration's standalone fit. So every mean RMSE equals a
-    standalone ``cross_validate`` of its configuration. A failure in any fold
+    The k folds' ensembles of the group's largest n_trees are boosted in
+    lockstep (``gbt_fit_lockstep``), and every configuration is scored from
+    the margins of each ensemble's first n_trees trees, which are exactly
+    that configuration's standalone fit on the fold. So every mean RMSE
+    equals a standalone ``cross_validate`` of its configuration. A failure
     fails the whole group: the RMSE list is None and the message is returned.
     """
     indices, configs = job
@@ -188,8 +194,10 @@ def _evaluate_config(job) -> tuple[tuple[int, ...], list[float] | None, str]:
     largest = max(configs, key=lambda c: c.n_trees)
     stages = [c.n_trees for c in configs]
 
-    def fit_predict(fold_seed, train, test_keys):
-        return GbtModel(largest, seed=fold_seed).fit(train).predict_staged(test_keys, stages)
+    def fit_predict(folds):
+        fold_seeds, trains, test_keys = zip(*folds)
+        ensembles = gbt_fit_lockstep(trains, [largest] * len(trains), fold_seeds)
+        return [ensemble.predict_staged(keys, stages) for ensemble, keys in zip(ensembles, test_keys)]
 
     try:
         table = fold_rmse_table(fit_predict, ds, k=k, seed=seed)

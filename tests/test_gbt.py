@@ -14,6 +14,7 @@ from lppred.gbt import (
     _grow_tree,
     _split_codes,
     gbt_fit,
+    gbt_fit_lockstep,
     gbt_predict,
 )
 from lppred.simulate import SimSpec, simulate_bkt
@@ -52,6 +53,13 @@ def brute_force_stump(x, y, margins, gamma=0.0, mcw=1.0, lam=1.0, tie_rtol=1e-9,
         if gain >= cutoff:
             return f, threshold
     return None
+
+
+def leaf_depths(node, depth=0):
+    """The depth of every leaf under ``node``, left to right."""
+    if node.is_leaf:
+        return [depth]
+    return leaf_depths(node.left, depth + 1) + leaf_depths(node.right, depth + 1)
 
 
 def crafted_six_rows():
@@ -123,11 +131,12 @@ class TestFit:
             y = ds.obs_array()
             margins = np.full(n, model.base_score)
             p = _sigmoid(margins)
-            codes, values = _split_codes(x)
+            codes, values = _split_codes([x])
             for features in subsets:
                 expected = brute_force_stump(x, y, margins, mcw=0.0, features=features)
                 mask = np.isin(np.arange(3), features)
-                root, _ = _grow_tree(np.arange(n), p - y, p * (1.0 - p), codes, values, mask, config)
+                (root,), _ = _grow_tree(np.arange(n), [n], p - y, p * (1.0 - p), codes, values, mask[None],
+                                        [config])
                 if len(features) == 3:
                     assert root.to_dict() == model.trees[0].to_dict()
                 got = None if root.is_leaf else (root.feature, root.threshold)
@@ -224,16 +233,12 @@ class TestFit:
             rows = np.sort(rng.choice(n_rows, size=max(1, round(subsample * n_rows)), replace=False))
             mask = np.isin(np.arange(3), rng.choice(3, size=n_feats, replace=False))
             config = GbtConfig(max_depth=max_depth, gamma=gamma, min_child_weight=min_child_weight)
-            codes, values = _split_codes(x)
-            root, row_weight = _grow_tree(rows, g[rows], h[rows], codes, values, mask, config)
+            codes, values = _split_codes([x])
+            (root,), row_weight = _grow_tree(rows, [len(rows)], g[rows], h[rows], codes, values, mask[None],
+                                             [config])
             assert row_weight.tobytes() == root.apply(x[rows]).tobytes()
 
-            def leaf_depths(node, depth):
-                if node.is_leaf:
-                    return [depth]
-                return leaf_depths(node.left, depth + 1) + leaf_depths(node.right, depth + 1)
-
-            depths = leaf_depths(root, 0)
+            depths = leaf_depths(root)
             early.append(min(depths) < max(depths))
 
         check()
@@ -266,6 +271,62 @@ class TestFit:
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1)]))
         with pytest.raises(ValueError):
             gbt_fit(ds, GbtConfig())
+
+
+class TestLockstep:
+    def test_each_ensemble_equals_its_standalone_fit(self):
+        """A lockstep fit gives every ensemble exactly what ``gbt_fit`` alone gives it.
+
+        The ensembles differ in training rows (so in bin-grid width), seed
+        and every config field: depths 1 to 6, gammas and min_child_weights
+        that stop nodes early, and row and column subsampling. Trees,
+        staged predictions and the training loss trace must match bit for
+        bit; the examples must include trees whose leaves sit at different
+        depths and ensembles that stop growing before others.
+        """
+        seen = {"early leaf": False, "ragged n_trees": False}
+        configs = st.builds(
+            GbtConfig,
+            n_trees=st.integers(0, 8),
+            learning_rate=st.sampled_from([0.1, 0.3, 1.0]),
+            max_depth=st.integers(1, 6),
+            subsample=st.sampled_from([0.5, 0.8, 1.0]),
+            colsample_bytree=st.sampled_from([0.34, 0.67, 1.0]),
+            gamma=st.sampled_from([0.0, 0.05, 0.5]),
+            min_child_weight=st.sampled_from([0.0, 1.0, 3.0]),
+        )
+
+        @settings(max_examples=40, deadline=None, database=None)
+        @given(data_seed=st.integers(0, 2**32 - 1), configs=st.lists(configs, min_size=2, max_size=4),
+               seeds=st.lists(st.integers(0, 2**31), min_size=4, max_size=4))
+        @example(data_seed=1, seeds=[3, 4, 5, 6], configs=[
+            GbtConfig(n_trees=6, max_depth=6, subsample=0.8, colsample_bytree=0.67, min_child_weight=1.0),
+            GbtConfig(n_trees=3, max_depth=1, gamma=0.5),
+            GbtConfig(n_trees=5, max_depth=4, subsample=0.5, gamma=0.05, min_child_weight=3.0),
+        ])
+        def check(data_seed, configs, seeds):
+            rng = np.random.default_rng(data_seed)
+            trains = [
+                random_dataset(rng, n_learners=int(rng.integers(4, 10)), n_questions=4, max_attempt=4,
+                               n_rows=int(rng.integers(2, 60)))
+                for _ in configs
+            ]
+            seeds = seeds[: len(configs)]
+            together = gbt_fit_lockstep(trains, configs, seeds)
+            keys = trains[0].keys() + [("GHOST", "Q1", 1), ("L1", "PHANTOM", 7)]
+            for ensemble, train, config, seed in zip(together, trains, configs, seeds):
+                alone = gbt_fit(train, config, seed=seed)
+                assert ensemble.to_dict() == alone.to_dict()
+                assert ensemble.train_logloss == alone.train_logloss
+                stages = range(config.n_trees + 1)
+                for a, b in zip(ensemble.predict_staged(keys, stages), alone.predict_staged(keys, stages)):
+                    assert a.tobytes() == b.tobytes()
+                if any(min(d) < max(d) for d in map(leaf_depths, ensemble.trees)):
+                    seen["early leaf"] = True
+            seen["ragged n_trees"] |= len({c.n_trees for c in configs}) > 1
+
+        check()
+        assert all(seen.values()), seen
 
 
 class TestPredict:

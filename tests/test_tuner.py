@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lppred.gbt import GbtConfig, GbtModel
+from lppred.gbt import GbtConfig, GbtModel, gbt_fit_lockstep
 from lppred.metrics import cross_validate
 from lppred.simulate import SimSpec, simulate_bkt
 from lppred.tuner import (
@@ -109,13 +109,12 @@ class TestGridSearch:
     def test_failures_recorded_and_excluded(self, small_ds, monkeypatch):
         import lppred.tuner as tuner_mod
 
-        class FlakyGbt(GbtModel):
-            def fit(self, train):
-                if self.config.max_depth == 2:
-                    raise RuntimeError("synthetic failure")
-                return super().fit(train)
+        def flaky_fit(trains, configs, seeds):
+            if any(config.max_depth == 2 for config in configs):
+                raise RuntimeError("synthetic failure")
+            return gbt_fit_lockstep(trains, configs, seeds)
 
-        monkeypatch.setattr(tuner_mod, "GbtModel", FlakyGbt)
+        monkeypatch.setattr(tuner_mod, "gbt_fit_lockstep", flaky_fit)
         grid = dataclasses.replace(tiny_grid(), max_depth=(2, 3))  # two n_trees groups
         report = grid_search(small_ds, grid, k=3, seed=0)
         configs = grid.combinations()
