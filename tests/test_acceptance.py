@@ -5,6 +5,7 @@ full 1,296-combination sweep and takes several minutes; criterion 11 runs
 only when the real lesson files are available (CSAL_DATA_DIR, see README).
 """
 
+import hashlib
 import itertools
 import os
 import time
@@ -265,6 +266,10 @@ def test_criterion_7_harness_and_metrics():
     report(7, f"hand RMSE {hand:.4f}; {checked} fold partitions verified; constant-0.5 exact")
 
 
+# sha256 of the default-grid sweep's tune.json on criterion 8's data
+SWEEP_SHA256 = "7eb5008d0f012ee5e3a7ddd6b8fe60d1ea70d30f2cd5868b88afc833f14cfb07"
+
+
 @pytest.mark.slow
 def test_criterion_8_grid_sweep_fidelity():
     grid = default_grid()
@@ -278,6 +283,8 @@ def test_criterion_8_grid_sweep_fidelity():
     elapsed = time.time() - start
     assert len(tune.entries) + len(tune.failures) == 1296
     assert elapsed < 600, f"sweep took {elapsed:.0f}s"
+    # every score of the sweep, pinned: a faster sweep must report the same bytes
+    assert hashlib.sha256(tune.to_json().encode()).hexdigest() == SWEEP_SHA256
 
     text = tune.summary_text()
     assert text.splitlines()[0].split() == ["Method", "Mean", "Median", "Std.", "Min.", "Max."]
