@@ -26,8 +26,16 @@ rows, seed and config: round t grows tree t of every ensemble in one
 cost is paid once per round instead of once per ensemble. Every bin sums the
 same rows in the same order as a fit of its ensemble alone, so each result
 equals that ensemble's ``gbt_fit`` bit for bit; ``gbt_fit`` is the
-one-ensemble case. The grid sweep boosts the k folds of a configuration
-group this way.
+one-ensemble case.
+
+``gbt_eval_lockstep`` runs the same boosting loop but keeps no trees: it
+routes each ensemble's evaluation rows through every tree as it grows, as
+XGBoost scores its ``evals`` sets, and returns their margins at the
+requested tree counts, the same floats ``staged_margins`` gives from kept
+trees. The grid sweep scores the held-out rows of a configuration group's k
+folds this way, so it builds no ``TreeNode``. Rows a subsample left out are
+routed the same way in both. ``train_logloss`` is computed from the trees
+when read.
 """
 
 from __future__ import annotations
@@ -81,7 +89,8 @@ class GbtConfig:
 class TreeNode:
     """Internal node (feature/threshold/children set) or leaf (weight set).
 
-    Slots keep a node small: a tuning job holds the trees of k ensembles at once.
+    Slots keep a node small. Nodes are built only for fitted models; the
+    grid sweep scores its rows while boosting and builds none.
     """
 
     weight: float = 0.0
@@ -158,7 +167,20 @@ class GbtEnsemble:
     config: GbtConfig
     learner_index: dict[str, int] = field(default_factory=dict)
     question_index: dict[str, int] = field(default_factory=dict)
-    train_logloss: tuple[float, ...] = ()
+    train: Dataset | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def train_logloss(self) -> tuple[float, ...]:
+        """Mean log loss on the labeled training rows after 0, 1, ..., all trees.
+
+        Computed when read, from the trees: ``staged_margins`` forms the same
+        margins as boosting did, so each value is the loss boosting saw.
+        Empty for an ensemble built without its training data.
+        """
+        if self.train is None:
+            return ()
+        x, y = _labeled_rows(self.train)
+        return tuple(_logloss(m, y) for m in self.staged_margins(x, range(len(self.trees) + 1)))
 
     def staged_margins(self, x: np.ndarray, stages: Sequence[int]) -> list[np.ndarray]:
         """Margins after the first ``n`` trees, for each ``n`` in ``stages``.
@@ -224,7 +246,9 @@ def _split_codes(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return codes, values
 
 
-def _grow_tree(rows, sizes, gx, hx, codes, values, feature_mask, configs) -> tuple[list[TreeNode], np.ndarray]:
+def _grow_tree(
+    rows, sizes, gx, hx, codes, values, feature_mask, configs, routed, routed_sizes, keep_nodes
+) -> tuple[list[TreeNode], np.ndarray]:
     """Grow one tree per ensemble, level by level; return their roots and the leaf weight of each row.
 
     ``rows`` are columns of ``codes``, ``sizes[e]`` of them for ensemble
@@ -232,6 +256,15 @@ def _grow_tree(rows, sizes, gx, hx, codes, values, feature_mask, configs) -> tup
     hessians ``hx``. Ensemble ``e`` splits on the grid ``values[e]``, on the
     features in ``feature_mask[e]``, under ``configs[e]``'s max_depth, gamma
     and min_child_weight.
+
+    ``routed`` holds rows that the trees score but do not grow on, by
+    feature value: features x rows, ``routed_sizes[e]`` of them for ensemble
+    ``e`` in the same order. At each split such a row goes left when its
+    value is less than the threshold, the comparison ``TreeNode.apply``
+    makes, so it reaches the leaf that ``apply`` would give it. The returned
+    weights are those of the grown rows, then those of the routed rows.
+    Only with ``keep_nodes`` are ``TreeNode``s built; otherwise the list of
+    roots is empty.
 
     Node ids span the ensembles: the roots are nodes 0..E-1, and each
     level's nodes follow in ensemble order. All nodes of a level share one
@@ -255,10 +288,10 @@ def _grow_tree(rows, sizes, gx, hx, codes, values, feature_mask, configs) -> tup
     """
     n_feat, width = values.shape[1:]
     n_bins = n_feat * width
-    n = len(rows)
-    roots = [TreeNode() for _ in configs]
+    n, m = len(rows), routed.shape[1]
+    roots = [TreeNode() for _ in configs] if keep_nodes else []
     nodes = list(roots)
-    ens = np.arange(len(roots))  # each node's ensemble
+    ens = np.arange(len(configs))  # each node's ensemble
     # per ensemble: each feature's gamma, +inf where the feature is masked out
     # (no gain exceeds it), then min_child_weight and max_depth
     limits = np.array([
@@ -271,10 +304,15 @@ def _grow_tree(rows, sizes, gx, hx, codes, values, feature_mask, configs) -> tup
     g_all, h_all = np.concatenate((gx,) * n_feat), np.concatenate((hx,) * n_feat)
     row = np.arange(n)
     nid = np.repeat(ens, sizes)
-    row_weight = np.empty(n)
+    weight = np.empty(n + m)
+    row_weight, routed_weight = weight[:n], weight[n:]
+    if m:
+        by_column = routed.ravel()
+        routed_row = np.arange(m)
+        rid = np.repeat(ens, routed_sizes)
 
     for depth in range(max(config.max_depth for config in configs) + 1):
-        n_active = len(nodes)
+        n_active = len(ens)
         node_limits = limits[ens]
         stops = node_limits[:, -1] == depth
         stop_list = stops.tolist()
@@ -324,59 +362,82 @@ def _grow_tree(rows, sizes, gx, hx, codes, values, feature_mask, configs) -> tup
             g_tot = np.bincount(nid, weights=gx, minlength=n_active + 1)[:n_active]
             h_tot = np.bincount(nid, weights=hx, minlength=n_active + 1)[:n_active]
             leaf = -g_tot / (h_tot + LEAF_L2)
-            finished = np.concatenate((stops, [False]))[nid]
+            stopped = np.concatenate((stops, [False]))
+            finished = stopped[nid]
             row_weight[finished] = leaf[nid[finished]]
-            for node, stop, weight in zip(nodes, stop_list, leaf.tolist()):
-                if stop:
-                    node.weight = weight
+            if m:
+                finished = stopped[rid]
+                routed_weight[finished] = leaf[rid[finished]]
+            if keep_nodes:
+                for node, stop, leaf_weight in zip(nodes, stop_list, leaf.tolist()):
+                    if stop:
+                        node.weight = leaf_weight
             if all(stop_list):
                 break
 
-        next_nodes: list[TreeNode] = []
-        for node, stop, feature, threshold, node_gain, hess_left, hess_right in zip(
-            nodes, stop_list, (pick // width).tolist(), thresholds.tolist(),
-            best_gain.tolist(), hl_pick.tolist(), hr_pick.tolist(),
-        ):
-            if stop:
-                continue
-            node.feature, node.threshold, node.gain = feature, threshold, node_gain
-            node.hess_left, node.hess_right = hess_left, hess_right
-            node.left, node.right = TreeNode(), TreeNode()
-            next_nodes += (node.left, node.right)
+        if keep_nodes:
+            next_nodes: list[TreeNode] = []
+            for node, stop, feature, threshold, node_gain, hess_left, hess_right in zip(
+                nodes, stop_list, (pick // width).tolist(), thresholds.tolist(),
+                best_gain.tolist(), hl_pick.tolist(), hr_pick.tolist(),
+            ):
+                if stop:
+                    continue
+                node.feature, node.threshold, node.gain = feature, threshold, node_gain
+                node.hess_left, node.hess_right = hess_left, hess_right
+                node.left, node.right = TreeNode(), TreeNode()
+                next_nodes += (node.left, node.right)
+            nodes = next_nodes
         # the spare slot never splits: its rows and those of this level's
         # leaves go to the next spare slot, sent left by a bin past every code
         keep = ~stops
         sel_bin = np.concatenate((np.where(keep, pick, n_bins - 1), [n_bins - 1]))[nid]
         go_right = c.ravel()[sel_bin // width * n + row] > sel_bin
         # node j's children follow those of the split nodes before it
-        spare = len(next_nodes)
+        spare = 2 * stop_list.count(False)
         child = np.concatenate((np.where(keep, 2 * keep.cumsum() - 2, spare), [spare]))
         nid = child[nid] + go_right
+        if m:
+            # a routed row goes right unless its value is less than the threshold;
+            # the spare slot's +inf threshold sends every row left, to the next one
+            column = np.concatenate((np.where(keep, pick // width * m, 0), [0]))
+            threshold = np.concatenate((np.where(keep, thresholds, np.inf), [np.inf]))
+            rid = (child + 1).take(rid) - (by_column.take(column.take(rid) + routed_row) < threshold.take(rid))
         ens = ens[keep].repeat(2)
-        nodes = next_nodes
-    return roots, row_weight
+    return roots, weight
 
 
-def gbt_fit_lockstep(
-    trains: Sequence[Dataset], configs: Sequence[GbtConfig], seeds: Sequence[int]
-) -> list[GbtEnsemble]:
-    """Boost one ensemble per (train, config, seed), all of them in lockstep.
+def _labeled_rows(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix and 0/1 outcomes of a data set's labeled rows."""
+    labeled = train.obs >= 0
+    x = _features(train.learner[labeled], train.question[labeled], train.attempt[labeled])
+    return x, train.obs[labeled].astype(float)
+
+
+def _boost(trains, configs, seeds, evals, stages, keep_trees):
+    """The boosting loop of every fit: ``gbt_fit_lockstep`` and ``gbt_eval_lockstep``.
 
     In round ``t`` one ``_grow_tree`` call grows tree ``t`` of every ensemble
     with more than ``t`` trees. Each ensemble keeps its own labeled rows, bin
     grid, seed, feature masks and config, and every bin sums the same rows
-    in the same order as a fit of that ensemble alone would, so each result
-    equals ``gbt_fit`` of its (train, config, seed) bit for bit.
+    in the same order as a fit of that ensemble alone would.
+
+    The training rows a subsample left out, and the rows of ``evals[e]``
+    (keys, coded with ensemble ``e``'s id maps), are routed through each
+    tree as it grows, and each row adds its leaf weight in tree order: the
+    same floats as ``GbtEnsemble.staged_margins`` gives from the kept trees.
+    Returns each ensemble's base score, its trees (empty lists unless
+    ``keep_trees``) and the margins of its evaluation rows after the first
+    ``n`` trees for each ``n`` in ``stages[e]``.
     """
-    ys, xs = [], []
-    for train in trains:
-        labeled = train.obs >= 0
-        if labeled.sum() < 2:
-            raise ValueError("gbt_fit requires at least 2 labeled rows")
-        ys.append(train.obs[labeled].astype(float))
-        xs.append(_features(train.learner[labeled], train.question[labeled], train.attempt[labeled]))
+    xs, ys = zip(*map(_labeled_rows, trains))
+    if min(map(len, ys)) < 2:
+        raise ValueError("gbt_fit requires at least 2 labeled rows")
+    for config, wanted in zip(configs, stages):
+        if min(wanted, default=0) < 0 or max(wanted, default=0) > config.n_trees:
+            raise ValueError(f"stages must lie in 0..{config.n_trees}, got {sorted(wanted)}")
     codes, values = _split_codes(xs)
-    sizes = [len(y) for y in ys]
+    sizes = [len(labels) for labels in ys]
     starts = np.cumsum([0] + sizes)
     parts = [slice(a, b) for a, b in zip(starts, starts[1:])]
     y = np.concatenate(ys)
@@ -386,7 +447,18 @@ def gbt_fit_lockstep(
         mean = min(max(float(labels.mean()), 1e-6), 1.0 - 1e-6)
         base_scores.append(float(np.log(mean / (1.0 - mean))))
     margins = np.repeat(base_scores, sizes)
-    loss_traces = [[_logloss(margins[part], y[part])] for part in parts]
+
+    eval_xs = [_features(*encode_keys(keys, train.learner_index, train.question_index))
+               for keys, train in zip(evals, trains)]
+    eval_margins = [np.full(len(x), base_score) for x, base_score in zip(eval_xs, base_scores)]
+    staged = [{0: total.copy()} if 0 in wanted else {} for total, wanted in zip(eval_margins, stages)]
+    # values of every row a tree may route: all training rows, then the evaluation rows
+    routing = any(len(x) for x in eval_xs) or any(config.subsample < 1.0 for config in configs)
+    if routing:
+        points = np.hstack([x.T for x in (*xs, *eval_xs)])
+        eval_ends = np.cumsum([starts[-1]] + [len(x) for x in eval_xs])
+        eval_columns = [np.arange(a, b) for a, b in zip(eval_ends, eval_ends[1:])]
+    routed = np.empty((3, 0))
 
     trees: list[list[TreeNode]] = [[] for _ in configs]
     for t in range(max((config.n_trees for config in configs), default=0)):
@@ -395,7 +467,8 @@ def gbt_fit_lockstep(
         h = p * (1.0 - p)
 
         active = [e for e, config in enumerate(configs) if t < config.n_trees]
-        rows, grown, feature_mask = [], [], np.ones((len(active), 3), dtype=bool)
+        rows, samples, left_outs, routed_columns, routed_sizes = [], [], [], [], []
+        feature_mask = np.ones((len(active), 3), dtype=bool)
         for i, e in enumerate(active):
             config, n = configs[e], sizes[e]
             sample = np.arange(n)
@@ -409,21 +482,60 @@ def gbt_fit_lockstep(
                     feature_mask[i] = False
                     feature_mask[i, rng.choice(3, size=n_feats, replace=False)] = True
             rows.append(sample + starts[e])
-            grown.append(len(sample))
+            samples.append(sample)
+            if routing:
+                left_out = sample[:0]
+                if len(sample) < n:
+                    left_out = np.delete(np.arange(n), sample)
+                    routed_columns.append(left_out + starts[e])
+                left_outs.append(left_out)
+                routed_columns.append(eval_columns[e])
+                routed_sizes.append(len(left_out) + len(eval_columns[e]))
         rows = np.concatenate(rows)
-        roots, row_weight = _grow_tree(
-            rows, grown, g[rows], h[rows], codes, values[active], feature_mask, [configs[e] for e in active]
+        if routing:
+            routed = points.take(np.concatenate(routed_columns), axis=1)
+        roots, weight = _grow_tree(
+            rows, list(map(len, samples)), g[rows], h[rows], codes, values[active], feature_mask,
+            [configs[e] for e in active], routed, routed_sizes, keep_trees,
         )
 
-        end = 0
-        for e, tree, size in zip(active, roots, grown):
-            trees[e].append(tree)
-            # a tree grown on every row already knows each row's leaf
-            weights = row_weight[end : end + size] if size == sizes[e] else tree.apply(xs[e])
-            end += size
-            margins[parts[e]] += configs[e].learning_rate * weights
-            loss_traces[e].append(_logloss(margins[parts[e]], y[parts[e]]))
+        end, routed_end = 0, len(rows)  # the routed rows' weights follow the grown rows'
+        for i, e in enumerate(active):
+            sample, lr = samples[i], configs[e].learning_rate
+            grown = weight[end : end + len(sample)]
+            end += len(sample)
+            if len(sample) == sizes[e]:
+                weights = grown
+            else:  # the left-out rows' weights lead this ensemble's routed rows
+                left_out = left_outs[i]
+                weights = np.empty(sizes[e])
+                weights[sample] = grown
+                weights[left_out] = weight[routed_end : routed_end + len(left_out)]
+                routed_end += len(left_out)
+            margins[parts[e]] += lr * weights
+            n_eval = len(eval_margins[e])
+            if n_eval:
+                eval_margins[e] += lr * weight[routed_end : routed_end + n_eval]
+                routed_end += n_eval
+            if t + 1 in stages[e]:
+                staged[e][t + 1] = eval_margins[e].copy()
+            if keep_trees:
+                trees[e].append(roots[i])
 
+    return base_scores, trees, [[by_stage[n] for n in wanted] for by_stage, wanted in zip(staged, stages)]
+
+
+def gbt_fit_lockstep(
+    trains: Sequence[Dataset], configs: Sequence[GbtConfig], seeds: Sequence[int]
+) -> list[GbtEnsemble]:
+    """Boost one ensemble per (train, config, seed), all of them in lockstep.
+
+    Every bin sums the same rows in the same order as a fit of that
+    ensemble alone would, so each result equals ``gbt_fit`` of its (train,
+    config, seed) bit for bit.
+    """
+    none = [()] * len(trains)
+    base_scores, trees, _ = _boost(trains, configs, seeds, none, none, keep_trees=True)
     return [
         GbtEnsemble(
             base_score=base_score,
@@ -431,12 +543,28 @@ def gbt_fit_lockstep(
             config=config,
             learner_index=dict(train.learner_index),
             question_index=dict(train.question_index),
-            train_logloss=tuple(loss_trace),
+            train=train,
         )
-        for train, config, base_score, ensemble_trees, loss_trace in zip(
-            trains, configs, base_scores, trees, loss_traces
-        )
+        for train, config, base_score, ensemble_trees in zip(trains, configs, base_scores, trees)
     ]
+
+
+def gbt_eval_lockstep(
+    trains: Sequence[Dataset],
+    configs: Sequence[GbtConfig],
+    seeds: Sequence[int],
+    evals: Sequence[Sequence[tuple[str, str, int]]],
+    stages: Sequence[Sequence[int]],
+) -> list[list[np.ndarray]]:
+    """Staged margins of evaluation keys, boosted as ``gbt_fit_lockstep`` boosts, keeping no trees.
+
+    For each ensemble ``e``, the margins of the keys ``evals[e]`` after the
+    first ``n`` trees, for each ``n`` in ``stages[e]``: bit for bit what
+    ``gbt_fit_lockstep``'s ensemble ``e`` gives from ``staged_margins`` of
+    those keys' feature matrix. The keys are scored while the trees grow,
+    so no ``TreeNode`` is built and none is applied.
+    """
+    return _boost(trains, configs, seeds, evals, stages, keep_trees=False)[2]
 
 
 def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> GbtEnsemble:

@@ -8,9 +8,10 @@ with the shared cross-validation harness on identical folds, so results are
 comparable and deterministic given the seed.
 
 The grid sweep's unit of work is a group of configurations that differ only
-in n_trees. A group fits its largest n_trees once per fold, with the k fold
-ensembles boosted in lockstep (``gbt.gbt_fit_lockstep``), and scores each
-configuration from the first n_trees trees of every fold's fit.
+in n_trees. A group boosts its largest n_trees once per fold, with the k fold
+ensembles in lockstep (``gbt.gbt_eval_lockstep``). Each fold's held-out rows
+are scored while the trees grow, so each configuration is scored from the
+margins after its first n_trees trees, and no tree is kept.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset
-from .gbt import GbtConfig, gbt_fit_lockstep
+from .data import DataError, Dataset, _sigmoid
+from .gbt import GbtConfig, gbt_eval_lockstep
 from .llm import braced_records
 from .metrics import CvReport, fold_rmse_table
 from .seeds import derive_seed
@@ -183,11 +184,13 @@ def _evaluate_config(job) -> tuple[tuple[int, ...], list[float] | None, str]:
     """Mean CV RMSE of each configuration in one n_trees group of the running sweep.
 
     The k folds' ensembles of the group's largest n_trees are boosted in
-    lockstep (``gbt_fit_lockstep``), and every configuration is scored from
-    the margins of each ensemble's first n_trees trees, which are exactly
+    lockstep (``gbt_eval_lockstep``), each fold's held-out keys are scored
+    as the trees grow, and every configuration is scored from the margins
+    after each ensemble's first n_trees trees, which are exactly those of
     that configuration's standalone fit on the fold. So every mean RMSE
-    equals a standalone ``cross_validate`` of its configuration. A failure
-    fails the whole group: the RMSE list is None and the message is returned.
+    equals a standalone ``cross_validate`` of its configuration, and no tree
+    is built. A failure fails the whole group: the RMSE list is None and the
+    message is returned.
     """
     indices, configs = job
     ds, k, seed = _SWEEP
@@ -196,8 +199,8 @@ def _evaluate_config(job) -> tuple[tuple[int, ...], list[float] | None, str]:
 
     def fit_predict(folds):
         fold_seeds, trains, test_keys = zip(*folds)
-        ensembles = gbt_fit_lockstep(trains, [largest] * len(trains), fold_seeds)
-        return [ensemble.predict_staged(keys, stages) for ensemble, keys in zip(ensembles, test_keys)]
+        staged = gbt_eval_lockstep(trains, [largest] * len(trains), fold_seeds, test_keys, [stages] * len(trains))
+        return [[_sigmoid(m) for m in margins] for margins in staged]
 
     try:
         table = fold_rmse_table(fit_predict, ds, k=k, seed=seed)

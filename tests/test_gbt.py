@@ -13,6 +13,7 @@ from lppred.gbt import (
     TreeNode,
     _grow_tree,
     _split_codes,
+    gbt_eval_lockstep,
     gbt_fit,
     gbt_fit_lockstep,
     gbt_predict,
@@ -60,6 +61,19 @@ def leaf_depths(node, depth=0):
     if node.is_leaf:
         return [depth]
     return leaf_depths(node.left, depth + 1) + leaf_depths(node.right, depth + 1)
+
+
+def reaches_its_threshold(node, x):
+    """Whether some row of ``x`` reaches a split whose threshold equals the row's value."""
+    if node.is_leaf or not len(x):
+        return False
+    column = x[:, node.feature]
+    left = column < node.threshold
+    return (
+        bool((column == node.threshold).any())
+        or reaches_its_threshold(node.left, x[left])
+        or reaches_its_threshold(node.right, x[~left])
+    )
 
 
 def crafted_six_rows():
@@ -136,7 +150,7 @@ class TestFit:
                 expected = brute_force_stump(x, y, margins, mcw=0.0, features=features)
                 mask = np.isin(np.arange(3), features)
                 (root,), _ = _grow_tree(np.arange(n), [n], p - y, p * (1.0 - p), codes, values, mask[None],
-                                        [config])
+                                        [config], np.empty((3, 0)), [0], True)
                 if len(features) == 3:
                     assert root.to_dict() == model.trees[0].to_dict()
                 got = None if root.is_leaf else (root.feature, root.threshold)
@@ -208,9 +222,13 @@ class TestFit:
 
         Random data sets, margins and configs, with row and column subsampling.
         Rows whose node stops splitting while other nodes grow on wait in a
-        spare slot; the examples must include such trees.
+        spare slot; the examples must include such trees. The routed rows
+        are the rows the subsample left out plus rows on a half-step grid,
+        so some fall between a node's values and some sit on a threshold;
+        their weights must equal ``apply`` too, and be the same whether or
+        not nodes are built.
         """
-        early = []
+        early, on_split = [], []
 
         @settings(max_examples=80, deadline=None, database=None)
         @given(
@@ -234,15 +252,21 @@ class TestFit:
             mask = np.isin(np.arange(3), rng.choice(3, size=n_feats, replace=False))
             config = GbtConfig(max_depth=max_depth, gamma=gamma, min_child_weight=min_child_weight)
             codes, values = _split_codes([x])
-            (root,), row_weight = _grow_tree(rows, [len(rows)], g[rows], h[rows], codes, values, mask[None],
-                                             [config])
-            assert row_weight.tobytes() == root.apply(x[rows]).tobytes()
+            grid = rng.integers(-3, 2 * x.max(axis=0) + 3, size=(20, 3)) / 2.0
+            routed = np.vstack((np.delete(x, rows, axis=0), grid))
+            (root,), weight = _grow_tree(rows, [len(rows)], g[rows], h[rows], codes, values, mask[None],
+                                         [config], routed.T.copy(), [len(routed)], True)
+            assert weight.tobytes() == root.apply(np.vstack((x[rows], routed))).tobytes()
+            roots, unkept = _grow_tree(rows, [len(rows)], g[rows], h[rows], codes, values, mask[None],
+                                       [config], routed.T.copy(), [len(routed)], False)
+            assert roots == [] and unkept.tobytes() == weight.tobytes()
 
             depths = leaf_depths(root)
             early.append(min(depths) < max(depths))
+            on_split.append(reaches_its_threshold(root, routed))
 
         check()
-        assert any(early)
+        assert any(early) and any(on_split)
 
     def test_tiny_learning_rate_stays_at_base(self, rng):
         ds = random_dataset(rng, n_rows=40)
@@ -283,8 +307,14 @@ class TestLockstep:
         staged predictions and the training loss trace must match bit for
         bit; the examples must include trees whose leaves sit at different
         depths and ensembles that stop growing before others.
+
+        ``gbt_eval_lockstep`` of the same ensembles scores evaluation keys
+        while boosting; its staged margins must equal ``staged_margins`` of
+        the standalone trees bit for bit. The keys include unseen ids (code
+        -1) and values that sit on a threshold between two of a node's
+        training values.
         """
-        seen = {"early leaf": False, "ragged n_trees": False}
+        seen = dict.fromkeys(("early leaf", "ragged n_trees", "subsample", "unseen id", "on a threshold"), False)
         configs = st.builds(
             GbtConfig,
             n_trees=st.integers(0, 8),
@@ -306,27 +336,48 @@ class TestLockstep:
         ])
         def check(data_seed, configs, seeds):
             rng = np.random.default_rng(data_seed)
-            trains = [
-                random_dataset(rng, n_learners=int(rng.integers(4, 10)), n_questions=4, max_attempt=4,
-                               n_rows=int(rng.integers(2, 60)))
+            trains = []
+            for _ in configs:
+                train = random_dataset(rng, n_learners=int(rng.integers(4, 10)), n_questions=4, max_attempt=4,
+                                       n_rows=int(rng.integers(2, 60)))
+                # without its second attempts, an attempt-2 key sits on a 1|3 threshold
+                kept = np.flatnonzero(train.attempt != 2).tolist()
+                trains.append(train.subset(kept) if len(kept) >= 2 and rng.random() < 0.5 else train)
+            seeds = seeds[: len(configs)]
+            evals = [
+                [(f"L{rng.integers(12) + 1}", f"Q{rng.integers(5) + 1}", int(rng.integers(0, 7)))
+                 for _ in range(int(rng.integers(0, 30)))]
                 for _ in configs
             ]
-            seeds = seeds[: len(configs)]
+            eval_stages = [sorted(set(rng.integers(0, c.n_trees + 1, size=3).tolist())) for c in configs]
             together = gbt_fit_lockstep(trains, configs, seeds)
+            eval_margins = gbt_eval_lockstep(trains, configs, seeds, evals, eval_stages)
             keys = trains[0].keys() + [("GHOST", "Q1", 1), ("L1", "PHANTOM", 7)]
-            for ensemble, train, config, seed in zip(together, trains, configs, seeds):
+            for ensemble, train, config, seed, eval_keys, wanted, margins in zip(
+                together, trains, configs, seeds, evals, eval_stages, eval_margins
+            ):
                 alone = gbt_fit(train, config, seed=seed)
                 assert ensemble.to_dict() == alone.to_dict()
                 assert ensemble.train_logloss == alone.train_logloss
                 stages = range(config.n_trees + 1)
                 for a, b in zip(ensemble.predict_staged(keys, stages), alone.predict_staged(keys, stages)):
                     assert a.tobytes() == b.tobytes()
+                x = alone.feature_matrix(eval_keys)
+                assert [m.tobytes() for m in margins] == [m.tobytes() for m in alone.staged_margins(x, wanted)]
                 if any(min(d) < max(d) for d in map(leaf_depths, ensemble.trees)):
                     seen["early leaf"] = True
+                seen["subsample"] |= config.subsample < 1.0 and config.n_trees > 0
+                seen["unseen id"] |= bool((x[:, :2] == -1).any())
+                seen["on a threshold"] |= any(reaches_its_threshold(tree, x) for tree in alone.trees)
             seen["ragged n_trees"] |= len({c.n_trees for c in configs}) > 1
 
         check()
         assert all(seen.values()), seen
+
+    def test_stages_outside_an_ensemble_are_rejected(self, rng):
+        ds = random_dataset(rng, n_rows=20)
+        with pytest.raises(ValueError, match="stages must lie in 0..3"):
+            gbt_eval_lockstep([ds], [GbtConfig(n_trees=3)], [0], [ds.keys()], [[0, 4]])
 
 
 class TestPredict:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lppred.gbt import GbtConfig, GbtModel, gbt_fit_lockstep
+from lppred.gbt import GbtConfig, GbtModel, gbt_eval_lockstep
 from lppred.metrics import cross_validate
 from lppred.simulate import SimSpec, simulate_bkt
 from lppred.tuner import (
@@ -109,12 +109,12 @@ class TestGridSearch:
     def test_failures_recorded_and_excluded(self, small_ds, monkeypatch):
         import lppred.tuner as tuner_mod
 
-        def flaky_fit(trains, configs, seeds):
+        def flaky_fit(trains, configs, seeds, evals, stages):
             if any(config.max_depth == 2 for config in configs):
                 raise RuntimeError("synthetic failure")
-            return gbt_fit_lockstep(trains, configs, seeds)
+            return gbt_eval_lockstep(trains, configs, seeds, evals, stages)
 
-        monkeypatch.setattr(tuner_mod, "gbt_fit_lockstep", flaky_fit)
+        monkeypatch.setattr(tuner_mod, "gbt_eval_lockstep", flaky_fit)
         grid = dataclasses.replace(tiny_grid(), max_depth=(2, 3))  # two n_trees groups
         report = grid_search(small_ds, grid, k=3, seed=0)
         configs = grid.combinations()
@@ -125,6 +125,31 @@ class TestGridSearch:
         for entry in report.entries:
             standalone = cross_validate(lambda s: GbtModel(entry.config, seed=s), small_ds, k=3, seed=0)
             assert entry.mean_rmse == standalone.mean_rmse
+
+    def test_sweep_keeps_no_trees(self, small_ds, monkeypatch):
+        """A serial sweep scores held-out rows while boosting: no node, apply or loss trace."""
+        import lppred.gbt as gbt_mod
+
+        calls = dict.fromkeys(("TreeNode", "apply", "_logloss"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gbt_mod.TreeNode, "__init__", counted("TreeNode", gbt_mod.TreeNode.__init__))
+        monkeypatch.setattr(gbt_mod.TreeNode, "apply", counted("apply", gbt_mod.TreeNode.apply))
+        monkeypatch.setattr(gbt_mod, "_logloss", counted("_logloss", gbt_mod._logloss))
+        slice_grid = Grid(n_trees=(50, 100, 200), learning_rate=(0.1,), max_depth=(4,), subsample=(0.8, 1.0),
+                          colsample_bytree=(0.8, 1.0), gamma=(0.0,), min_child_weight=(1.0,))
+        report = grid_search(small_ds, slice_grid, k=3, seed=0, workers=1)
+        assert len(report.entries) == 12 and not report.failures
+        assert calls == dict.fromkeys(calls, 0)
+        # the patches do see a fit that keeps its trees
+        model = GbtModel(GbtConfig(n_trees=2, subsample=0.8)).fit(small_ds).model
+        assert len(model.train_logloss) == 3
+        assert all(calls.values()), calls
 
     def test_five_column_text_format(self, small_ds):
         report = grid_search(small_ds, tiny_grid(), k=3, seed=0)
