@@ -458,6 +458,11 @@ def cmd_llm_run(args) -> int:
         rows_per_chunk=args.rows_per_chunk,
         concurrency=args.workers,
     )
+    rejected = sum(result.rejected_per_run)
+    if rejected:
+        replies = sum(n > 0 for n in result.rejected_per_run)
+        print(f"warning: {replies} of {result.repeats} replies held rejected records, {rejected} in all "
+              f"(first: {result.first_rejection})", file=sys.stderr)
     out = _outdir(args)
     payload = {
         "repeats": result.repeats,

@@ -7,8 +7,10 @@ sentence lists in the staged chain-of-thought prompt as ``(stage, text)``
 steps, and each step becomes one user chat message. Each reply decodes to one
 map from ``(learner_id, question_id, attempt)`` to prediction, in which the
 first valid record of each key counts; the prompt asks for an Assessment with
-each record, but it is not kept. Question titles and the learning materials
-come from the training Dataset's lesson metadata.
+each record, but it is not kept. A record in exactly the layout the prompt
+asks for (``PREDICTION_FORMAT``) is read in one regex match, any other by the
+lenient pair reader, with the same result. Question titles and the learning
+materials come from the training Dataset's lesson metadata.
 A deterministic offline mock client implements the same heuristic a capable
 assistant applies to such transcripts (per-question difficulty shrunk toward
 0.5, discounted for repeated attempts), which makes the whole pipeline
@@ -195,6 +197,15 @@ _KEY_ALIASES = {
     "prediction": "prediction",
 }
 _REQUIRED = frozenset(_KEY_ALIASES.values())  # every field read is required
+# a braced block exactly in PREDICTION_FORMAT's layout, matched only over a
+# span _BRACED found (so it holds no brace). Each group is the string that
+# _read_pairs gives its field: a quoted value holds no single quote, and the
+# attempt and prediction no whitespace, comma or quote that the pair reader
+# would strip or split on.
+_CANONICAL = re.compile(
+    r"\{'learner ID': '([^']*)', 'Question ID': '([^']*)', 'Attempt': (\d+), "
+    r"'Prediction': ([^\s,'\"]+), 'Assessment': '[^']*'\}"
+)
 
 
 def strip_quotes(text: str) -> str:
@@ -204,53 +215,72 @@ def strip_quotes(text: str) -> str:
     return text
 
 
+def _read_pairs(text: str, start: int, end: int, aliases: dict[str, str]) -> dict[str, str]:
+    """The fields of the ``{key: value, ...}`` block spanning ``text[start:end]``, braces included.
+
+    ``aliases`` maps a key, lowercased and stripped of quotes and non-letters,
+    to a field name; other pairs are skipped, and a later pair of a field
+    replaces an earlier one. Values lose surrounding whitespace and quotes.
+    """
+    fields: dict[str, str] = {}
+    for pair in _PAIR.findall(text, start + 1, end - 1):
+        raw_key, colon, raw_val = pair.partition(":")
+        name = aliases.get(_NON_LETTERS.sub("", strip_quotes(raw_key).lower()))
+        if colon and name:
+            fields[name] = strip_quotes(raw_val)
+    return fields
+
+
 def braced_records(text: str, aliases: dict[str, str]):
     """Yield (match, fields) for every innermost ``{key: value, ...}`` block in ``text``.
 
-    ``aliases`` maps a key, lowercased and stripped of quotes and non-letters,
-    to a field name; other pairs are skipped. Values lose surrounding quotes.
+    Each block's fields are what ``_read_pairs`` reads from it.
     """
     for match in _BRACED.finditer(text):
-        fields: dict[str, str] = {}
-        for pair in _PAIR.findall(text, match.start() + 1, match.end() - 1):
-            raw_key, colon, raw_val = pair.partition(":")
-            name = aliases.get(_NON_LETTERS.sub("", strip_quotes(raw_key).lower()))
-            if colon and name:
-                fields[name] = strip_quotes(raw_val)
-        yield match, fields
+        yield match, _read_pairs(text, match.start(), match.end(), aliases)
 
 
 def decode_response(text: str) -> DecodeResult:
     """Map each key of a braced prediction record in free-form text to its prediction.
 
-    Tolerates single or double quotes, arbitrary key order, and unquoted id
-    values. The first valid record of a key counts; later ones are ignored.
-    Records missing required keys, with a non-numeric attempt or prediction,
-    or with a prediction outside [0, 1] are collected under ``rejected`` with
-    a reason; text outside all braced blocks is ignored. Raises DecodeError
-    if nothing decodes.
+    A record laid out exactly as ``PREDICTION_FORMAT`` asks, with single-quoted
+    ids and assessment, is read in one match of ``_CANONICAL``; any other
+    block goes through ``_read_pairs``, which gives the same fields for such a
+    record. So the reader tolerates single or double quotes, arbitrary key
+    order, and unquoted id values. The first valid record of a key counts;
+    later ones are ignored. Records missing required keys, with a non-numeric
+    attempt or prediction, or with a prediction outside [0, 1] are collected
+    under ``rejected`` with a reason; text outside all braced blocks is
+    ignored. Raises DecodeError if nothing decodes.
     """
     predictions: dict[tuple[str, str, int], float] = {}
     rejected: list[tuple[str, str]] = []
-    for match, fields in braced_records(text, _KEY_ALIASES):
-        snippet = match.group(0)
-        if not _REQUIRED <= fields.keys():
-            rejected.append((snippet, "missing keys"))
+    for match in _BRACED.finditer(text):
+        start, end = match.span()
+        canonical = _CANONICAL.fullmatch(text, start, end)
+        if canonical:
+            learner_id, question_id, raw_attempt, raw_pred = canonical.groups()
+        else:
+            fields = _read_pairs(text, start, end, _KEY_ALIASES)
+            if not _REQUIRED <= fields.keys():
+                rejected.append((match.group(0), "missing keys"))
+                continue
+            learner_id, question_id = fields["learner_id"], fields["question_id"]
+            raw_attempt, raw_pred = fields["attempt"], fields["prediction"]
+        try:
+            attempt = int(raw_attempt)
+        except ValueError:
+            rejected.append((match.group(0), "attempt not an integer"))
             continue
         try:
-            attempt = int(fields["attempt"])
+            pred = float(raw_pred)
         except ValueError:
-            rejected.append((snippet, "attempt not an integer"))
-            continue
-        try:
-            pred = float(fields["prediction"])
-        except ValueError:
-            rejected.append((snippet, "prediction not a number"))
+            rejected.append((match.group(0), "prediction not a number"))
             continue
         if not 0.0 <= pred <= 1.0:
-            rejected.append((snippet, "prediction out of range"))
+            rejected.append((match.group(0), "prediction out of range"))
             continue
-        predictions.setdefault((fields["learner_id"], fields["question_id"], attempt), pred)
+        predictions.setdefault((learner_id, question_id, attempt), pred)
     if not predictions:
         raise DecodeError("no predictions found in response")
     return DecodeResult(predictions=predictions, rejected=rejected)
@@ -279,8 +309,9 @@ class MockHeuristicClient:
 
     Parses the transcription stage out of the incoming messages, applies the
     documented difficulty-and-attempts heuristic, and answers with one
-    structured record per prediction row (plus a method recommendation, so
-    method-selection prompts also get an answer). Pure and reentrant.
+    record per prediction row in the layout ``PREDICTION_FORMAT`` names, each
+    id quoted by ``_quote`` (plus a method recommendation, so method-selection
+    prompts also get an answer). Pure and reentrant.
     """
 
     def send(self, messages: Sequence[dict[str, str]]) -> str:
@@ -311,10 +342,19 @@ class MockHeuristicClient:
             pred = heuristic_prediction(*train.get(qid, (0, 0)), attempt)
             note = "likely correct" if pred >= 0.5 else "likely incorrect"
             lines.append(
-                f"{{'learner ID': '{lid}', 'Question ID': '{qid}', 'Attempt': {attempt}, "
+                f"{{'learner ID': {_quote(lid)}, 'Question ID': {_quote(qid)}, 'Attempt': {attempt}, "
                 f"'Prediction': {pred!r}, 'Assessment': '{note}'}}"
             )
         return "\n".join(lines)
+
+
+def _quote(value: str) -> str:
+    """``value`` in single quotes, or in double quotes when it holds a single quote.
+
+    A value holding both quotes, or a brace, cannot be written so that a
+    braced record reads it back.
+    """
+    return f'"{value}"' if "'" in value else f"'{value}'"
 
 
 @dataclass(frozen=True)
@@ -405,6 +445,8 @@ class PipelineResult:
     test_keys: list[tuple[str, str, int]]
     run_predictions: list[np.ndarray]
     imputed_per_run: list[int]
+    rejected_per_run: list[int]  # records each reply held that did not decode
+    first_rejection: str  # reason of the first of those records, in run order; "" when none
     run_rmse: list[float] | None
     script_text: str = ""  # audit dump of the prompt script that was sent
 
@@ -449,9 +491,10 @@ def llm_predict_pipeline(
     encoded; when ``ds_test`` carries labels they are used only to score each
     run's RMSE afterwards. A test row that repeats a labeled training row
     would show the client its outcome, so it is a DataError. Test rows missing
-    from a run's decoded output are imputed at 0.5 and counted. ``concurrency`` > 1
-    sends repeated runs to the client from that many threads; results stay
-    ordered by run index.
+    from a run's decoded output are imputed at 0.5 and counted, as are the
+    reply records that did not decode. ``concurrency`` > 1 sends repeated
+    runs to the client from that many threads; results stay ordered by run
+    index.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -477,14 +520,15 @@ def llm_predict_pipeline(
     # targets follow the test records, so labels align with them
     labels = ds_test.obs_array() if np.all(ds_test.obs >= 0) else None
 
-    def one_run(run: int) -> tuple[np.ndarray, int]:
+    def one_run(run: int) -> tuple[np.ndarray, int, int, str]:
         try:
             response = client.send(messages)
         except ClientError as exc:
             raise ClientError(f"run {run}: {exc}") from exc
-        decoded = decode_response(response).predictions
-        preds = np.array([decoded.get(key, 0.5) for key in targets], dtype=float)
-        return preds, sum(key not in decoded for key in targets)
+        decoded = decode_response(response)
+        found, rejected = decoded.predictions, decoded.rejected
+        preds = np.array([found.get(key, 0.5) for key in targets], dtype=float)
+        return preds, sum(key not in found for key in targets), len(rejected), rejected[0][1] if rejected else ""
 
     if concurrency > 1 and repeats > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -494,11 +538,13 @@ def llm_predict_pipeline(
     else:
         runs = [one_run(run) for run in range(repeats)]
 
-    run_predictions, imputed_per_run = (list(column) for column in zip(*runs))
+    run_predictions, imputed_per_run, rejected_per_run, first_reasons = (list(column) for column in zip(*runs))
     return PipelineResult(
         test_keys=targets,
         run_predictions=run_predictions,
         imputed_per_run=imputed_per_run,
+        rejected_per_run=rejected_per_run,
+        first_rejection=next(filter(None, first_reasons), ""),
         run_rmse=None if labels is None else [rmse(preds, labels) for preds in run_predictions],
         script_text="\n\n".join(f"[{stage}] {text}" for stage, text in steps),
     )
@@ -523,4 +569,8 @@ class LlmPredictor:
         (imputed,) = result.imputed_per_run
         if imputed:
             warnings.warn(f"LlmPredictor: the reply left out {imputed} of {test.n_records} rows, scored at 0.5")
+        (rejected,) = result.rejected_per_run
+        if rejected:
+            reason = result.first_rejection
+            warnings.warn(f"LlmPredictor: the reply held {rejected} rejected records (first: {reason})")
         return result.run_predictions[0]

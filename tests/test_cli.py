@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lppred import cli
 from lppred.bkt import BktModel
 from lppred.cli import (
     EXIT_CLIENT,
@@ -21,7 +22,7 @@ from lppred.cli import (
     build_parser,
     main,
 )
-from lppred.data import make_folds, parse_dataset
+from lppred.data import Dataset, make_folds, parse_dataset, write_dataset
 from lppred.gbt import GbtConfig, GbtModel
 from lppred.llm import _RECORD_SENTENCE, MockHeuristicClient
 from lppred.pfa import PfaModel
@@ -641,6 +642,38 @@ class TestCommands:
         assert payload["repeats"] == 2
         assert payload["coverage"] == 1.0
         assert (out / "predictions.csv").exists()
+
+    def test_llm_run_mock_reads_back_ids_with_quotes_and_separators(self, tmp_path, capsys):
+        learners, questions = ["O'Brien", "Smith, J", "a:b", "L 1"], ["Q'1", "Q, 2", "Q:3 x"]
+        train = Dataset.from_records(
+            (lid, qid, 1, (i + j) % 2) for i, lid in enumerate(learners) for j, qid in enumerate(questions)
+        )
+        test = Dataset.from_records((lid, qid, 2, 1) for lid in learners for qid in questions)
+        write_dataset(train, tmp_path / "train.csv")
+        write_dataset(test, tmp_path / "test.csv")
+        out = tmp_path / "run"
+        code = main(["llm-run", "--mock", "--train", str(tmp_path / "train.csv"),
+                     "--test", str(tmp_path / "test.csv"), "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["coverage"] == 1.0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_llm_run_warns_of_rejected_records(self, train_test_files, tmp_path, capsys, monkeypatch):
+        class RejectingMock(MockHeuristicClient):
+            def send(self, messages):
+                bad = "{'learner ID': 'L1', 'Question ID': 'Q1', 'Attempt': one, 'Prediction': 0.5}"
+                return super().send(messages) + f"\n{bad}\n{bad}"
+
+        monkeypatch.setattr(cli, "MockHeuristicClient", RejectingMock)
+        train, test = train_test_files
+        out = tmp_path / "run"
+        code = main(["llm-run", "--mock", "--train", str(train), "--test", str(test), "--repeats", "3",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert ("warning: 3 of 3 replies held rejected records, 6 in all (first: attempt not an integer)"
+                in capsys.readouterr().err)
+        assert set(json.loads((out / "report.json").read_text())) == {
+            "repeats", "coverage", "imputed_per_run", "run_rmse", "mean_rmse", "std_error"}
 
     def test_report_merges_lessons(self, sim_data, tmp_path):
         outs = []

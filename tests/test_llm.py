@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lppred import llm
 from lppred.cli import EXIT_CLIENT, main
 from lppred.data import Dataset, LessonMeta, QuestionInfo, write_dataset
 from lppred.llm import (
+    _CANONICAL,
     _KEY_ALIASES,
     _RECORD_SENTENCE,
+    PREDICTION_FORMAT,
     ClientError,
     DecodeError,
     HttpChatClient,
@@ -241,12 +244,127 @@ FUZZ_RECORDS = st.lists(FUZZ_PAIRS, max_size=5).map(lambda pairs: "{" + ",".join
 FUZZ_TEXT = st.lists(st.one_of(FUZZ_RECORDS, FUZZ_PIECES, FUZZ_KEYS), max_size=10).map("".join)
 
 
+def decode_response_reference(text: str):
+    """(predictions, rejected) of ``decode_response``, every block read by the character loop."""
+    predictions, rejected = {}, []
+    for (start, end), fields in braced_records_reference(text, _KEY_ALIASES):
+        snippet = text[start:end]
+        if not {"learner_id", "question_id", "attempt", "prediction"} <= fields.keys():
+            rejected.append((snippet, "missing keys"))
+            continue
+        try:
+            attempt = int(fields["attempt"])
+        except ValueError:
+            rejected.append((snippet, "attempt not an integer"))
+            continue
+        try:
+            pred = float(fields["prediction"])
+        except ValueError:
+            rejected.append((snippet, "prediction not a number"))
+            continue
+        if not 0.0 <= pred <= 1.0:
+            rejected.append((snippet, "prediction out of range"))
+            continue
+        predictions.setdefault((fields["learner_id"], fields["question_id"], attempt), pred)
+    return predictions, rejected
+
+
+# records in the layout the prompt asks for, and records one field off it.
+# In the layout, ids and Assessment hold the characters a pair reader splits
+# or strips on, with few distinct ids so that keys repeat, and predictions
+# read as numbers or not, in range or not. Off it, one field is spaced,
+# quoted or followed by a comma, or holds a single quote, a brace or one
+# more pair.
+def layout_record(lid, qid, attempt, pred, note):
+    return (
+        f"{{'learner ID': '{lid}', 'Question ID': '{qid}', 'Attempt': {attempt}, "
+        f"'Prediction': {pred}, 'Assessment': '{note}'}}"
+    )
+
+
+LAYOUT_IDS = st.text(st.sampled_from(["L", "1", " ", '"', ",", ":", "\n"]), max_size=3)
+LAYOUT_FIELDS = (
+    LAYOUT_IDS,
+    LAYOUT_IDS,
+    st.integers(0, 12).map(str),
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["0", "1", "0.25", "1.4", "-0.1", "nan", "inf", "1_0", "1e-05", "1e400", "0x1", "abc"]),
+    ),
+    st.text(st.sampled_from(["a", " ", '"', ",", ":", "\n"]), max_size=4),
+)
+OFF_LAYOUT_IDS = st.sampled_from(["O'B", "a}b", "L', 'Question ID': 'Q9", " L", "L\n"])
+OFF_LAYOUT_FIELDS = (
+    OFF_LAYOUT_IDS,
+    OFF_LAYOUT_IDS,
+    st.sampled_from(["\u0663", "-1", "1.0", "", " 3", "3 ", "'2'", '"2"', "2,", "2, 'x': 1"]),
+    st.sampled_from(["", " 0.3", "0.3 ", "0. 3", "'0.3'", '"0.3"', "0.3,", "0.3, 'x': 1", "'0.3", "0.3'"]),
+    st.sampled_from(["O'B", "', 'Prediction': 0.75, 'x': '", "', 'Attempt': 3, '", "}"]),
+)
+LAYOUT_RECORDS = st.builds(layout_record, *LAYOUT_FIELDS)
+OFF_LAYOUT_RECORDS = st.integers(0, 4).flatmap(
+    lambda off: st.builds(layout_record, *LAYOUT_FIELDS[:off], OFF_LAYOUT_FIELDS[off], *LAYOUT_FIELDS[off + 1 :])
+)
+DECODE_FUZZ_TEXT = st.lists(
+    st.one_of(LAYOUT_RECORDS, OFF_LAYOUT_RECORDS, FUZZ_TEXT, st.just("\n")), max_size=8
+).map("".join)
+
+
 class TestDecodeProperties:
     @settings(max_examples=400, deadline=None)
     @given(FUZZ_TEXT)
     def test_braced_records_match_the_character_loop(self, text):
         got = [(m.span(), fields) for m, fields in braced_records(text, _KEY_ALIASES)]
         assert got == list(braced_records_reference(text, _KEY_ALIASES))
+
+    @settings(max_examples=600, deadline=None)
+    @given(DECODE_FUZZ_TEXT)
+    def test_decode_matches_the_reference_decoder(self, text):
+        predictions, rejected = decode_response_reference(text)
+        if not predictions:
+            with pytest.raises(DecodeError):
+                decode_response(text)
+            return
+        result = decode_response(text)
+        # key order too: the first valid record of a key counts
+        assert list(result.predictions.items()) == list(predictions.items())
+        assert result.rejected == rejected
+
+
+class TestDecodeFastPath:
+    """Records in the layout the prompt asks for are read without the pair reader."""
+
+    @pytest.fixture
+    def pair_reads(self, monkeypatch):
+        calls = []
+        read_pairs = llm._read_pairs
+
+        def counting(*args):
+            calls.append(args)
+            return read_pairs(*args)
+
+        monkeypatch.setattr(llm, "_read_pairs", counting)
+        return calls
+
+    def test_the_requested_layout_skips_the_pair_reader(self, pair_reads):
+        values = iter(["'L1'", "'Q1'", "2", "0.5", "'likely correct'"])
+        record = re.sub(r"\.\.\.", lambda _: next(values), PREDICTION_FORMAT)
+        assert _CANONICAL.fullmatch(record)
+        assert decode_response(record).predictions == {("L1", "Q1", 2): 0.5}
+        assert pair_reads == []
+
+    def test_the_mocks_reply_skips_the_pair_reader(self, pair_reads):
+        res = simulate_bkt(SimSpec(66, 8, 9, seed=3, stop_on_correct=True))
+        train, test = split_dataset(res.dataset, np.random.default_rng(0))
+        steps = build_cot_script(
+            encode_records(train.keys(), {}, train.obs.tolist()), encode_records(test.keys(), {})
+        )
+        reply = MockHeuristicClient().send([{"role": "user", "content": text} for _, text in steps])
+        assert len(decode_response(reply).predictions) == test.n_records
+        assert pair_reads == []
+        off_layout = "{'Prediction': 0.5, 'Attempt': 1, 'Question ID': 'Q1', 'learner ID': 'L0'}"
+        assert ("L0", "Q1", 1) in decode_response(f"{reply}\n{off_layout}").predictions
+        assert len(pair_reads) == 1
 
 
 class TestMockHeuristic:
@@ -408,6 +526,21 @@ class TestPipeline:
         assert len(report.fold_rmse) == 3
         assert f"left out {client.dropped} of " in str(caught[-1].message)
 
+    def test_rejected_records_are_counted_per_run(self, rng):
+        res = simulate_bkt(SimSpec(12, 3, 3, seed=3, stop_on_correct=True))
+        train, test = split_dataset(res.dataset, rng)
+        result = llm_predict_pipeline(train, test, RejectingClient(), repeats=2)
+        assert result.rejected_per_run == [2, 2]
+        assert result.first_rejection == "prediction out of range"
+        assert result.coverage == 1.0
+        clean = llm_predict_pipeline(train, test, MockHeuristicClient())
+        assert (clean.rejected_per_run, clean.first_rejection) == ([0], "")
+
+    def test_predictor_adapter_warns_of_rejected_records(self):
+        ds = simulate_bkt(SimSpec(12, 3, 3, seed=5, stop_on_correct=True)).dataset
+        with pytest.warns(UserWarning, match=r"held 2 rejected records \(first: prediction out of range\)"):
+            cross_validate(lambda s: LlmPredictor(RejectingClient()), ds, k=3, seed=0, model_name="llm")
+
     def test_predictor_adapter_with_the_mock_does_not_warn(self):
         ds = simulate_bkt(SimSpec(12, 3, 3, seed=5, stop_on_correct=True)).dataset
         with warnings.catch_warnings():
@@ -455,6 +588,16 @@ class TestPipeline:
         train, test = split_dataset(res.dataset, rng)
         with pytest.raises(ValueError):
             llm_predict_pipeline(train, test, MockHeuristicClient(), repeats=0)
+
+
+class RejectingClient:
+    """Answers as the mock does, plus two records that do not decode."""
+
+    def send(self, messages):
+        return MockHeuristicClient().send(messages) + (
+            "\n{'learner ID': 'L1', 'Question ID': 'Q1', 'Attempt': 1, 'Prediction': 1.5, 'Assessment': ''}"
+            "\n{'learner ID': 'L1', 'Attempt': 1, 'Prediction': 0.5}"
+        )
 
 
 class RecordingClient:
