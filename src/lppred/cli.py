@@ -164,18 +164,22 @@ def _shape(text: str) -> tuple[int, ...]:
     return counts
 
 
-def _add_common(p: _Parser, data: bool = True):
-    if data:
+def _add_common(p: _Parser, *names: str):
+    """Add the shared flags a command reads: any of data (with --meta), seed, out and workers."""
+    if "data" in names:
         p.add_argument("--data", required=True, help="interaction-record CSV file")
         p.add_argument("--meta", help="optional lesson metadata JSON file")
-    p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    p.add_argument("--out", default="out", help="output directory (default ./out)")
-    p.add_argument(
-        "--workers",
-        type=_at_least(1),
-        default=_usable_cpus(),
-        help="worker processes for parallel sections (default: usable CPUs)",
-    )
+    if "seed" in names:
+        p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    if "out" in names:
+        p.add_argument("--out", default="out", help="output directory (default ./out)")
+    if "workers" in names:
+        p.add_argument(
+            "--workers",
+            type=_at_least(1),
+            default=_usable_cpus(),
+            help="worker processes for parallel sections (default: usable CPUs)",
+        )
 
 
 def _add_client_flags(p: _Parser):
@@ -535,11 +539,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="validate a data file", parents=[], add_help=True)
-    _add_common(p)
+    _add_common(p, "data")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("summarize", help="descriptive statistics")
-    _add_common(p)
+    _add_common(p, "data", "out")
     p.set_defaults(func=cmd_summarize)
 
     model_flags = _model_flags()
@@ -547,7 +551,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "cv", help="k-fold cross-validated RMSE for one model", parents=[model_flags]
     )
-    _add_common(p)
+    # cv reads no --workers; it stays because the benchmark's commands pass it
+    _add_common(p, "data", "seed", "out", "workers")
     p.add_argument("--model", required=True, choices=ALL_MODELS)
     p.add_argument("--k", type=_at_least(2), default=5)
     _add_client_flags(p)
@@ -556,20 +561,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "fit", help="fit a local model on all labeled rows, export JSON", parents=[model_flags]
     )
-    _add_common(p)
+    _add_common(p, "data", "seed", "out")
     p.add_argument("--model", required=True, choices=LOCAL_MODELS)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser(
         "predict", help="fit on labeled rows, predict targets", parents=[model_flags]
     )
-    _add_common(p)
+    _add_common(p, "data", "seed", "out")
     p.add_argument("--model", required=True, choices=LOCAL_MODELS)
     p.add_argument("--targets", help="CSV of rows to predict (defaults to unlabeled rows of --data)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("tune", help="hyperparameter search for gbt")
-    _add_common(p)
+    _add_common(p, "data", "seed", "out", "workers")
     p.add_argument("--model", choices=("gbt",), default="gbt")
     p.add_argument("--method", choices=("grid", "llm"), default="grid")
     p.add_argument("--grid", default="default", help="'default' or a JSON grid file")
@@ -579,7 +584,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset with ground truth")
-    _add_common(p, data=False)
+    _add_common(p, "seed", "out")
     p.add_argument("--generator", choices=GENERATORS, default="bkt-process")
     p.add_argument("--shape", required=True, type=_shape,
                    help="learners x questions x attempts, e.g. 66x8x9")
@@ -591,7 +596,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("llm-run", help="encode -> client -> decode prediction pipeline")
-    _add_common(p, data=False)
+    # llm-run reads no --seed; it stays because the benchmark's commands pass it
+    _add_common(p, "seed", "out", "workers")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--meta")
@@ -601,7 +607,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_llm_run)
 
     p = sub.add_parser("report", help="merge cv report JSONs into one comparison table")
-    _add_common(p, data=False)
+    _add_common(p, "out")
     p.add_argument("--inputs", nargs="+", required=True)
     p.set_defaults(func=cmd_report)
 

@@ -20,22 +20,20 @@ with base_score the log-odds of the training mean, read from
 ``GbtEnsemble.staged_margins`` at the full tree count. The JSON export
 (``GbtEnsemble.to_dict``) is write-only: no command reads a model back.
 
-``gbt_fit_lockstep`` boosts several ensembles at once, each with its own
-rows, seed and config: round t grows tree t of every ensemble in one
+``gbt_eval_lockstep`` boosts the k fold ensembles of one config at once,
+keeping no trees: round t grows tree t of every ensemble in one
 ``_grow_tree`` call, whose node ids span the ensembles, so numpy's per-call
-cost is paid once per round instead of once per ensemble. Every bin sums the
-same rows in the same order as a fit of its ensemble alone, so each result
-equals that ensemble's ``gbt_fit`` bit for bit; ``gbt_fit`` is the
-one-ensemble case.
-
-``gbt_eval_lockstep`` runs the same boosting loop but keeps no trees: it
-routes each ensemble's evaluation rows through every tree as it grows, as
-XGBoost scores its ``evals`` sets, and returns their margins at the
-requested tree counts, the same floats ``staged_margins`` gives from kept
-trees. The grid sweep scores the held-out rows of a configuration group's k
-folds this way, so it builds no ``TreeNode``. Rows a subsample left out are
-routed the same way in both. ``train_logloss`` is computed from the trees
-when read.
+cost is paid once per round instead of once per ensemble. Each ensemble's
+evaluation rows are routed through every tree as it grows, as XGBoost
+scores its ``evals`` sets, and their margins come back at the requested
+tree counts, the same floats ``staged_margins`` gives from kept trees. Every
+bin sums the same rows in the same order as a fit of its ensemble alone, so
+each result equals that ensemble's ``gbt_fit`` bit for bit; ``gbt_fit`` is
+the one-ensemble case of the same loop, ``_boost``. The grid sweep scores
+the held-out rows of a configuration group's k folds this way, so it builds
+no ``TreeNode``. The rows a tree routes are fixed for a call and gathered
+once: the evaluation rows, and every training row when the trees grow on
+subsamples. ``train_logloss`` is computed from the trees when read.
 """
 
 from __future__ import annotations
@@ -203,13 +201,6 @@ class GbtEnsemble:
     def feature_matrix(self, keys: Sequence[tuple[str, str, int]]) -> np.ndarray:
         return _features(*encode_keys(keys, self.learner_index, self.question_index))
 
-    def predict_staged(self, keys: Sequence[tuple[str, str, int]], stages: Sequence[int]) -> list[np.ndarray]:
-        """Probabilities from the first ``n`` trees for each ``n`` in ``stages``.
-
-        Each array equals the prediction of a model fitted with ``n_trees=n``.
-        """
-        return [_sigmoid(m) for m in self.staged_margins(self.feature_matrix(keys), stages)]
-
     def to_dict(self) -> dict:
         return {
             "base_score": self.base_score,
@@ -247,24 +238,24 @@ def _split_codes(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grow_tree(
-    rows, sizes, gx, hx, codes, values, feature_mask, configs, routed, routed_sizes, keep_nodes
+    rows, sizes, gx, hx, codes, values, feature_mask, config, routed, routed_ens, keep_nodes
 ) -> tuple[list[TreeNode], np.ndarray]:
-    """Grow one tree per ensemble, level by level; return their roots and the leaf weight of each row.
+    """Grow one tree per ensemble under ``config``, level by level; return their roots and the leaf weight of each row.
 
     ``rows`` are columns of ``codes``, ``sizes[e]`` of them for ensemble
     ``e`` after those of ensemble ``e - 1``, with gradients ``gx`` and
     hessians ``hx``. Ensemble ``e`` splits on the grid ``values[e]``, on the
-    features in ``feature_mask[e]``, under ``configs[e]``'s max_depth, gamma
+    features in ``feature_mask[e]``; all share ``config``'s max_depth, gamma
     and min_child_weight.
 
     ``routed`` holds rows that the trees score but do not grow on, by
-    feature value: features x rows, ``routed_sizes[e]`` of them for ensemble
-    ``e`` in the same order. At each split such a row goes left when its
-    value is less than the threshold, the comparison ``TreeNode.apply``
-    makes, so it reaches the leaf that ``apply`` would give it. The returned
-    weights are those of the grown rows, then those of the routed rows.
-    Only with ``keep_nodes`` are ``TreeNode``s built; otherwise the list of
-    roots is empty.
+    feature value (features x rows), and ``routed_ens`` the ensemble of
+    each, in any order. At each split such a row goes left when its value
+    is less than the threshold, the comparison ``TreeNode.apply`` makes, so
+    it reaches the leaf that ``apply`` would give it. The returned weights
+    are those of the grown rows, then those of the routed rows. Only with
+    ``keep_nodes`` are ``TreeNode``s built; otherwise the list of roots is
+    empty.
 
     Node ids span the ensembles: the roots are nodes 0..E-1, and each
     level's nodes follow in ensemble order. All nodes of a level share one
@@ -289,15 +280,11 @@ def _grow_tree(
     n_feat, width = values.shape[1:]
     n_bins = n_feat * width
     n, m = len(rows), routed.shape[1]
-    roots = [TreeNode() for _ in configs] if keep_nodes else []
+    roots = [TreeNode() for _ in sizes] if keep_nodes else []
     nodes = list(roots)
-    ens = np.arange(len(configs))  # each node's ensemble
-    # per ensemble: each feature's gamma, +inf where the feature is masked out
-    # (no gain exceeds it), then min_child_weight and max_depth
-    limits = np.array([
-        [config.gamma if sampled else np.inf for sampled in mask] + [config.min_child_weight, config.max_depth]
-        for config, mask in zip(configs, feature_mask.tolist())
-    ])
+    ens = np.arange(len(sizes))  # each node's ensemble
+    # each ensemble's gamma per feature, +inf where the feature is masked out (no gain exceeds it)
+    gammas = np.where(feature_mask, config.gamma, np.inf)
     flat_values = values.reshape(-1)
     # rows covering every column are all of them, in order
     c = codes if n == codes.shape[1] else codes.take(rows, axis=1)
@@ -309,14 +296,12 @@ def _grow_tree(
     if m:
         by_column = routed.ravel()
         routed_row = np.arange(m)
-        rid = np.repeat(ens, routed_sizes)
+        rid = routed_ens  # a root's node id is its ensemble's
 
-    for depth in range(max(config.max_depth for config in configs) + 1):
+    for depth in range(config.max_depth + 1):
         n_active = len(ens)
-        node_limits = limits[ens]
-        stops = node_limits[:, -1] == depth
-        stop_list = stops.tolist()
-        if not all(stop_list):
+        stops = np.ones(n_active, dtype=bool)
+        if depth < config.max_depth:
             flat = (nid * n_bins + c).ravel()
             length = (n_active + 1) * n_bins
             grid = (n_active, n_feat, width)
@@ -340,14 +325,13 @@ def _grow_tree(
             ok = (
                 present
                 & (cum_n < cum_n[:, :, -1:])
-                & (gain > node_limits[:, :n_feat, None])
-                & (np.minimum(hl, hr) >= node_limits[:, n_feat, None, None])
+                & (gain > gammas[ens][:, :, None])
+                & (np.minimum(hl, hr) >= config.min_child_weight)
             )
             gains = np.where(ok, gain, -np.inf).reshape(n_active, n_bins)
 
             best = np.maximum.reduce(gains, axis=1)
-            stops |= best == -np.inf
-            stop_list = stops.tolist()
+            stops = best == -np.inf
             cutoff = best - GAIN_TIE_RTOL * np.maximum(1.0, np.abs(best))
             pick = (gains >= cutoff[:, None]).argmax(axis=1)
             at = np.arange(0, n_active * n_bins, n_bins) + pick
@@ -357,6 +341,7 @@ def _grow_tree(
             grid_start = ens * n_bins
             thresholds = (flat_values.take(grid_start + pick) + flat_values.take(grid_start + upper)) / 2.0
             best_gain, hl_pick, hr_pick = (a.reshape(-1).take(at) for a in (gains, hl, hr))
+        stop_list = stops.tolist()
 
         if any(stop_list):
             g_tot = np.bincount(nid, weights=gx, minlength=n_active + 1)[:n_active]
@@ -414,33 +399,39 @@ def _labeled_rows(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return x, train.obs[labeled].astype(float)
 
 
-def _boost(trains, configs, seeds, evals, stages, keep_trees):
-    """The boosting loop of every fit: ``gbt_fit_lockstep`` and ``gbt_eval_lockstep``.
+def _boost(trains, config, seeds, evals, stages, keep_trees):
+    """The boosting loop of every fit: ``gbt_fit`` and ``gbt_eval_lockstep``.
 
-    In round ``t`` one ``_grow_tree`` call grows tree ``t`` of every ensemble
-    with more than ``t`` trees. Each ensemble keeps its own labeled rows, bin
-    grid, seed, feature masks and config, and every bin sums the same rows
-    in the same order as a fit of that ensemble alone would.
+    Boosts one ensemble per (train, seed), all under ``config``. In round
+    ``t`` one ``_grow_tree`` call grows tree ``t`` of every ensemble. Each
+    ensemble keeps its own labeled rows, bin grid, seed and feature masks,
+    and every bin sums the same rows in the same order as a fit of that
+    ensemble alone would.
 
-    The training rows a subsample left out, and the rows of ``evals[e]``
-    (keys, coded with ensemble ``e``'s id maps), are routed through each
-    tree as it grows, and each row adds its leaf weight in tree order: the
-    same floats as ``GbtEnsemble.staged_margins`` gives from the kept trees.
-    Returns each ensemble's base score, its trees (empty lists unless
-    ``keep_trees``) and the margins of its evaluation rows after the first
-    ``n`` trees for each ``n`` in ``stages[e]``.
+    The rows each tree routes are fixed for the call and gathered once:
+    every ensemble's rows of ``evals[e]`` (keys, coded with its id maps),
+    after every training row when ``config.subsample`` < 1. A routed row
+    reaches the leaf its bin code reaches, so each margin adds the same leaf
+    weight in tree order as ``GbtEnsemble.staged_margins`` gives from the
+    kept trees. Each round then updates the training and evaluation margins
+    of all ensembles in one vector step each. Returns each ensemble's base
+    score, its trees (empty lists unless ``keep_trees``) and the margins of
+    its evaluation rows after the first ``n`` trees for each ``n`` in
+    ``stages``.
     """
     xs, ys = zip(*map(_labeled_rows, trains))
     if min(map(len, ys)) < 2:
         raise ValueError("gbt_fit requires at least 2 labeled rows")
-    for config, wanted in zip(configs, stages):
-        if min(wanted, default=0) < 0 or max(wanted, default=0) > config.n_trees:
-            raise ValueError(f"stages must lie in 0..{config.n_trees}, got {sorted(wanted)}")
+    if min(stages, default=0) < 0 or max(stages, default=0) > config.n_trees:
+        raise ValueError(f"stages must lie in 0..{config.n_trees}, got {sorted(stages)}")
     codes, values = _split_codes(xs)
     sizes = [len(labels) for labels in ys]
     starts = np.cumsum([0] + sizes)
-    parts = [slice(a, b) for a, b in zip(starts, starts[1:])]
     y = np.concatenate(ys)
+    all_rows = np.arange(len(y))
+    subsampled = config.subsample < 1.0
+    sample_sizes = [max(1, int(round(config.subsample * n))) for n in sizes] if subsampled else sizes
+    n_feats = max(1, int(round(config.colsample_bytree * 3)))
 
     base_scores = []
     for labels in ys:
@@ -450,121 +441,74 @@ def _boost(trains, configs, seeds, evals, stages, keep_trees):
 
     eval_xs = [_features(*encode_keys(keys, train.learner_index, train.question_index))
                for keys, train in zip(evals, trains)]
-    eval_margins = [np.full(len(x), base_score) for x, base_score in zip(eval_xs, base_scores)]
-    staged = [{0: total.copy()} if 0 in wanted else {} for total, wanted in zip(eval_margins, stages)]
-    # values of every row a tree may route: all training rows, then the evaluation rows
-    routing = any(len(x) for x in eval_xs) or any(config.subsample < 1.0 for config in configs)
-    if routing:
-        points = np.hstack([x.T for x in (*xs, *eval_xs)])
-        eval_ends = np.cumsum([starts[-1]] + [len(x) for x in eval_xs])
-        eval_columns = [np.arange(a, b) for a, b in zip(eval_ends, eval_ends[1:])]
-    routed = np.empty((3, 0))
+    eval_sizes = [len(x) for x in eval_xs]
+    eval_margins = np.repeat(base_scores, eval_sizes)
+    wanted = set(stages)
+    staged = {0: eval_margins.copy()} if 0 in wanted else {}
+    # every row a tree routes, by feature value, and its ensemble: the evaluation
+    # rows, after every training row when the trees grow on subsamples
+    ensembles = np.arange(len(trains))
+    routed = np.hstack([x.T for x in ([*xs, *eval_xs] if subsampled else eval_xs)])
+    routed_ens = ensembles.repeat(eval_sizes)
+    if subsampled:
+        routed_ens = np.concatenate((ensembles.repeat(sizes), routed_ens))
+    # the training rows' weights lead the evaluation rows' at the end of each tree's weights
+    n_train, n_eval = len(y), len(eval_margins)
 
-    trees: list[list[TreeNode]] = [[] for _ in configs]
-    for t in range(max((config.n_trees for config in configs), default=0)):
+    rounds: list[list[TreeNode]] = []
+    for t in range(config.n_trees):
         p = _sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
 
-        active = [e for e, config in enumerate(configs) if t < config.n_trees]
-        rows, samples, left_outs, routed_columns, routed_sizes = [], [], [], [], []
-        feature_mask = np.ones((len(active), 3), dtype=bool)
-        for i, e in enumerate(active):
-            config, n = configs[e], sizes[e]
-            sample = np.arange(n)
-            if config.subsample < 1.0 or config.colsample_bytree < 1.0:
-                rng = np.random.default_rng(derive_seed(seeds[e], "tree", t))
-                if config.subsample < 1.0:
-                    size = max(1, int(round(config.subsample * n)))
-                    sample = np.sort(rng.choice(n, size=size, replace=False))
+        rows = all_rows
+        feature_mask = np.ones((len(ensembles), 3), dtype=bool)
+        if subsampled or config.colsample_bytree < 1.0:
+            samples = []
+            for e, (seed, n) in enumerate(zip(seeds, sizes)):
+                rng = np.random.default_rng(derive_seed(seed, "tree", t))
+                sample = np.arange(n)
+                if subsampled:
+                    sample = np.sort(rng.choice(n, size=sample_sizes[e], replace=False))
                 if config.colsample_bytree < 1.0:
-                    n_feats = max(1, int(round(config.colsample_bytree * 3)))
-                    feature_mask[i] = False
-                    feature_mask[i, rng.choice(3, size=n_feats, replace=False)] = True
-            rows.append(sample + starts[e])
-            samples.append(sample)
-            if routing:
-                left_out = sample[:0]
-                if len(sample) < n:
-                    left_out = np.delete(np.arange(n), sample)
-                    routed_columns.append(left_out + starts[e])
-                left_outs.append(left_out)
-                routed_columns.append(eval_columns[e])
-                routed_sizes.append(len(left_out) + len(eval_columns[e]))
-        rows = np.concatenate(rows)
-        if routing:
-            routed = points.take(np.concatenate(routed_columns), axis=1)
+                    feature_mask[e] = False
+                    feature_mask[e, rng.choice(3, size=n_feats, replace=False)] = True
+                samples.append(sample + starts[e])
+            rows = np.concatenate(samples)
         roots, weight = _grow_tree(
-            rows, list(map(len, samples)), g[rows], h[rows], codes, values[active], feature_mask,
-            [configs[e] for e in active], routed, routed_sizes, keep_trees,
+            rows, sample_sizes, g[rows], h[rows], codes, values, feature_mask,
+            config, routed, routed_ens, keep_trees,
         )
+        weight = weight[len(weight) - n_train - n_eval :]
+        margins += config.learning_rate * weight[:n_train]
+        eval_margins += config.learning_rate * weight[n_train:]
+        if t + 1 in wanted:
+            staged[t + 1] = eval_margins.copy()
+        if keep_trees:
+            rounds.append(roots)
 
-        end, routed_end = 0, len(rows)  # the routed rows' weights follow the grown rows'
-        for i, e in enumerate(active):
-            sample, lr = samples[i], configs[e].learning_rate
-            grown = weight[end : end + len(sample)]
-            end += len(sample)
-            if len(sample) == sizes[e]:
-                weights = grown
-            else:  # the left-out rows' weights lead this ensemble's routed rows
-                left_out = left_outs[i]
-                weights = np.empty(sizes[e])
-                weights[sample] = grown
-                weights[left_out] = weight[routed_end : routed_end + len(left_out)]
-                routed_end += len(left_out)
-            margins[parts[e]] += lr * weights
-            n_eval = len(eval_margins[e])
-            if n_eval:
-                eval_margins[e] += lr * weight[routed_end : routed_end + n_eval]
-                routed_end += n_eval
-            if t + 1 in stages[e]:
-                staged[e][t + 1] = eval_margins[e].copy()
-            if keep_trees:
-                trees[e].append(roots[i])
-
-    return base_scores, trees, [[by_stage[n] for n in wanted] for by_stage, wanted in zip(staged, stages)]
-
-
-def gbt_fit_lockstep(
-    trains: Sequence[Dataset], configs: Sequence[GbtConfig], seeds: Sequence[int]
-) -> list[GbtEnsemble]:
-    """Boost one ensemble per (train, config, seed), all of them in lockstep.
-
-    Every bin sums the same rows in the same order as a fit of that
-    ensemble alone would, so each result equals ``gbt_fit`` of its (train,
-    config, seed) bit for bit.
-    """
-    none = [()] * len(trains)
-    base_scores, trees, _ = _boost(trains, configs, seeds, none, none, keep_trees=True)
-    return [
-        GbtEnsemble(
-            base_score=base_score,
-            trees=ensemble_trees,
-            config=config,
-            learner_index=dict(train.learner_index),
-            question_index=dict(train.question_index),
-            train=train,
-        )
-        for train, config, base_score, ensemble_trees in zip(trains, configs, base_scores, trees)
-    ]
+    trees = [list(ensemble) for ensemble in zip(*rounds)] if rounds else [[] for _ in trains]
+    eval_starts = np.cumsum([0] + eval_sizes)
+    return base_scores, trees, [[staged[n][a:b] for n in stages] for a, b in zip(eval_starts, eval_starts[1:])]
 
 
 def gbt_eval_lockstep(
     trains: Sequence[Dataset],
-    configs: Sequence[GbtConfig],
+    config: GbtConfig,
     seeds: Sequence[int],
     evals: Sequence[Sequence[tuple[str, str, int]]],
-    stages: Sequence[Sequence[int]],
+    stages: Sequence[int],
 ) -> list[list[np.ndarray]]:
-    """Staged margins of evaluation keys, boosted as ``gbt_fit_lockstep`` boosts, keeping no trees.
+    """Staged margins of evaluation keys, one ensemble per (train, seed) under ``config``, keeping no trees.
 
     For each ensemble ``e``, the margins of the keys ``evals[e]`` after the
-    first ``n`` trees, for each ``n`` in ``stages[e]``: bit for bit what
-    ``gbt_fit_lockstep``'s ensemble ``e`` gives from ``staged_margins`` of
-    those keys' feature matrix. The keys are scored while the trees grow,
-    so no ``TreeNode`` is built and none is applied.
+    first ``n`` trees, for each ``n`` in ``stages``: bit for bit what
+    ``gbt_fit(trains[e], config, seeds[e])`` gives from ``staged_margins``
+    of those keys' feature matrix. The k ensembles grow in lockstep, one
+    ``_grow_tree`` call per round, and the keys are scored while the trees
+    grow, so no ``TreeNode`` is built and none is applied.
     """
-    return _boost(trains, configs, seeds, evals, stages, keep_trees=False)[2]
+    return _boost(trains, config, seeds, evals, stages, keep_trees=False)[2]
 
 
 def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> GbtEnsemble:
@@ -572,15 +516,22 @@ def gbt_fit(train: Dataset, config: GbtConfig = GbtConfig(), seed: int = 0) -> G
 
     Row subsampling (without replacement) and column subsampling are redrawn
     per tree from a seed derived as (seed, tree index); with both ratios at 1
-    the fit is deterministic and reproducible bit for bit. This is the
-    one-ensemble case of ``gbt_fit_lockstep``.
+    the fit is deterministic and reproducible bit for bit.
     """
-    return gbt_fit_lockstep([train], [config], [seed])[0]
+    (base_score,), (trees,), _ = _boost([train], config, [seed], [()], (), keep_trees=True)
+    return GbtEnsemble(
+        base_score=base_score,
+        trees=trees,
+        config=config,
+        learner_index=dict(train.learner_index),
+        question_index=dict(train.question_index),
+        train=train,
+    )
 
 
 def gbt_predict(model: GbtEnsemble, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
     """Probabilities for (learner, question, attempt) keys; unseen ids become -1."""
-    return model.predict_staged(rows, [len(model.trees)])[0]
+    return _sigmoid(model.staged_margins(model.feature_matrix(rows), [len(model.trees)])[0])
 
 
 class GbtModel:

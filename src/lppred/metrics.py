@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
@@ -111,8 +112,10 @@ def fold_rmse_table(
     draws, fits and predicts one fold at a time, or a list after taking
     every fold at once. Returns one tuple of k fold RMSEs per array. An
     error raised while fold ``i``'s predictions are drawn from a generator
-    is re-raised as ``FoldFitError(i)``. Test outcomes are withheld: the
-    callback only ever sees the key triples.
+    is re-raised as ``FoldFitError(i)``. A warning issued meanwhile is
+    re-issued as ``fold i: <message>`` from its own line, so a fitter that
+    warns on several folds shows once per fold, not once per process. Test
+    outcomes are withheld: the callback only ever sees the key triples.
     """
     if ds.unlabeled_positions():
         raise ValueError("cross-validation requires a fully labeled dataset")
@@ -129,9 +132,14 @@ def fold_rmse_table(
     per_fold = []
     for fold in range(k):
         try:
-            predictions = next(results)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                predictions = next(results)
         except Exception as exc:  # noqa: BLE001 - annotate fold and re-raise
             raise FoldFitError(fold, exc) from exc
+        finally:
+            for w in caught:
+                warnings.warn_explicit(f"fold {fold}: {w.message}", w.category, w.filename, w.lineno)
         actual = ds.obs_array(split.fold_positions(fold))
         per_fold.append([rmse(predicted, actual) for predicted in predictions])
     return list(zip(*per_fold))

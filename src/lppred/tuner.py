@@ -9,9 +9,10 @@ comparable and deterministic given the seed.
 
 The grid sweep's unit of work is a group of configurations that differ only
 in n_trees. A group boosts its largest n_trees once per fold, with the k fold
-ensembles in lockstep (``gbt.gbt_eval_lockstep``). Each fold's held-out rows
-are scored while the trees grow, so each configuration is scored from the
-margins after its first n_trees trees, and no tree is kept.
+ensembles in lockstep under that one config (``gbt.gbt_eval_lockstep``).
+Each fold's held-out rows are scored while the trees grow, so each
+configuration is scored from the margins after its first n_trees trees,
+and no tree is kept.
 """
 
 from __future__ import annotations
@@ -184,13 +185,13 @@ def _evaluate_config(job) -> tuple[tuple[int, ...], list[float] | None, str]:
     """Mean CV RMSE of each configuration in one n_trees group of the running sweep.
 
     The k folds' ensembles of the group's largest n_trees are boosted in
-    lockstep (``gbt_eval_lockstep``), each fold's held-out keys are scored
-    as the trees grow, and every configuration is scored from the margins
-    after each ensemble's first n_trees trees, which are exactly those of
-    that configuration's standalone fit on the fold. So every mean RMSE
-    equals a standalone ``cross_validate`` of its configuration, and no tree
-    is built. A failure fails the whole group: the RMSE list is None and the
-    message is returned.
+    lockstep under that one config (``gbt_eval_lockstep``), each fold's
+    held-out keys are scored as the trees grow, and every configuration is
+    scored from the margins after each ensemble's first n_trees trees, which
+    are exactly those of that configuration's standalone fit on the fold.
+    So every mean RMSE equals a standalone ``cross_validate`` of its
+    configuration, and no tree is built. A failure fails the whole group:
+    the RMSE list is None and the message is returned.
     """
     indices, configs = job
     ds, k, seed = _SWEEP
@@ -199,7 +200,7 @@ def _evaluate_config(job) -> tuple[tuple[int, ...], list[float] | None, str]:
 
     def fit_predict(folds):
         fold_seeds, trains, test_keys = zip(*folds)
-        staged = gbt_eval_lockstep(trains, [largest] * len(trains), fold_seeds, test_keys, [stages] * len(trains))
+        staged = gbt_eval_lockstep(trains, largest, fold_seeds, test_keys, stages)
         return [[_sigmoid(m) for m in margins] for margins in staged]
 
     try:

@@ -3,6 +3,7 @@ import json
 import re
 import shlex
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,7 @@ class TestExitCodes:
     def test_malformed_data_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("learner_id,question_id,attempt,obs\nL1,Q1,1,7\n", encoding="utf-8")
-        code = main(["ingest", "--data", str(bad), "--out", str(tmp_path / "o")])
+        code = main(["ingest", "--data", str(bad)])
         assert code == EXIT_DATA
 
     def test_whitespace_padded_id_is_data_error(self, sim_data, tmp_path, capsys):
@@ -111,7 +112,7 @@ class TestExitCodes:
     def test_malformed_lesson_metadata_is_data_error(self, sim_data, tmp_path, capsys, payload, named):
         meta = tmp_path / "meta.json"
         meta.write_text(payload, encoding="utf-8")
-        code = main(["ingest", "--data", str(sim_data), "--meta", str(meta), "--out", str(tmp_path / "o")])
+        code = main(["ingest", "--data", str(sim_data), "--meta", str(meta)])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"data error: metadata file {meta}: {named}\n"
 
@@ -359,6 +360,27 @@ class TestExitCodes:
         assert field[flags[2]] in err and flags[1] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("ingest", "--seed"), ("ingest", "--out"), ("ingest", "--workers"),
+        ("summarize", "--seed"), ("summarize", "--workers"),
+        ("fit", "--workers"), ("predict", "--workers"), ("simulate", "--workers"),
+        ("report", "--seed"), ("report", "--workers"),
+    ])
+    def test_flag_the_command_never_reads_is_usage_error(self, sim_data, tmp_path, capsys, command, flag):
+        out = tmp_path / "o"
+        argv = {
+            "ingest": ["ingest", "--data", str(sim_data)],
+            "summarize": ["summarize", "--data", str(sim_data), "--out", str(out)],
+            "fit": ["fit", "--model", "pfa", "--data", str(sim_data), "--out", str(out)],
+            "predict": ["predict", "--model", "pfa", "--data", str(sim_data), "--out", str(out)],
+            "simulate": ["simulate", "--shape", "4x2x2", "--out", str(out)],
+            "report": ["report", "--inputs", str(tmp_path / "report.json"), "--out", str(out)],
+        }[command]
+        value = str(out) if flag == "--out" else "1"
+        assert main(argv + [flag, value]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--shape", "0x8x9"],
         ["simulate", "--shape", "4x2x2", "--mask", "1.5"],
@@ -444,7 +466,7 @@ class TestWorkersDefault:
 
 class TestCommands:
     def test_ingest_ok(self, sim_data, tmp_path, capsys):
-        assert main(["ingest", "--data", str(sim_data), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert main(["ingest", "--data", str(sim_data)]) == EXIT_OK
         assert "records" in capsys.readouterr().out
 
     def test_summarize_writes_json(self, sim_data, tmp_path):
@@ -475,6 +497,40 @@ class TestCommands:
         payload = json.loads((out / "report.json").read_text())
         assert len(payload["gbt"]["fold_rmse"]) == 5
         assert "_{" in (out / "report.txt").read_text()
+
+    def test_cv_shows_a_fitter_warning_once_per_fold(self, tmp_path):
+        """Four of the five tensor folds run out of ALS sweeps; each shows, named by its fold."""
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--shape", "66x8x9", "--seed", "1", "--stop-on-correct",
+                     "--out", str(sim)]) == EXIT_OK
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("default")  # show each message text once per location
+            assert main(["cv", "--model", "tensor", "--k", "5", "--seed", "0", "--data", str(sim / "data.csv"),
+                         "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert [str(w.message) for w in shown] == [
+            f"fold {fold}: tensor_fit_als: ALS stopped at max_sweeps=200 before TOL" for fold in (1, 2, 3, 4)
+        ]
+
+    def test_cv_llm_shows_each_folds_rejected_records(self, sim_data, tmp_path, monkeypatch):
+        import lppred.cli as cli_mod
+
+        class OutOfRangeClient(MockHeuristicClient):
+            """Answers as the mock does, plus one record whose prediction is out of range."""
+
+            def send(self, messages):
+                return super().send(messages) + (
+                    "\n{'learner ID': 'L1', 'Question ID': 'Q1', 'Attempt': 1, 'Prediction': 1.5, 'Assessment': ''}"
+                )
+
+        monkeypatch.setattr(cli_mod, "MockHeuristicClient", OutOfRangeClient)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("default")
+            assert main(["cv", "--model", "llm", "--mock", "--k", "5", "--data", str(sim_data),
+                         "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert [str(w.message) for w in shown] == [
+            f"fold {fold}: LlmPredictor: the reply held 1 rejected records (first: prediction out of range)"
+            for fold in range(5)
+        ]
 
     def test_cv_deterministic_artifacts(self, sim_data, tmp_path):
         args = ["cv", "--model", "bkt", "--data", str(sim_data), "--k", "3", "--seed", "5"]
@@ -747,3 +803,19 @@ def test_readme_model_flag_table_matches_the_parser():
         model: sorted(opt for action in actions if action.dest in names for opt in action.option_strings)
         for model, (_, names) in LOCAL_MODELS.items()
     }
+
+
+def test_readme_shared_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("Each command accepts only the shared flags it reads", 1)[1]
+    table = re.search(r"^\|.*?(?=^[^|])", after, flags=re.S | re.M).group(0)
+    header, _, *rows = ([cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines())
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    shared = {"--data", "--meta", "--seed", "--out", "--workers"}
+    documented = {}
+    for commands, *cells in rows:
+        # a filled cell names its column's flags, unless it names its own in parentheses
+        flags = {flag for column, cell in zip(header[1:], cells) if cell
+                 for flag in re.findall(r"`(--[\w-]+)`", cell if cell.startswith("(") else column)}
+        documented.update(dict.fromkeys(re.findall(r"`([\w-]+)`", commands), flags))
+    assert documented == {name: shared & set(p._option_string_actions) for name, p in subcommands.items()}

@@ -15,9 +15,9 @@ from lppred.gbt import (
     _split_codes,
     gbt_eval_lockstep,
     gbt_fit,
-    gbt_fit_lockstep,
     gbt_predict,
 )
+from lppred.seeds import derive_seed
 from lppred.simulate import SimSpec, simulate_bkt
 
 from conftest import make_records, random_dataset
@@ -150,7 +150,7 @@ class TestFit:
                 expected = brute_force_stump(x, y, margins, mcw=0.0, features=features)
                 mask = np.isin(np.arange(3), features)
                 (root,), _ = _grow_tree(np.arange(n), [n], p - y, p * (1.0 - p), codes, values, mask[None],
-                                        [config], np.empty((3, 0)), [0], True)
+                                        config, np.empty((3, 0)), np.empty(0, dtype=np.int64), True)
                 if len(features) == 3:
                     assert root.to_dict() == model.trees[0].to_dict()
                 got = None if root.is_leaf else (root.feature, root.threshold)
@@ -254,11 +254,12 @@ class TestFit:
             codes, values = _split_codes([x])
             grid = rng.integers(-3, 2 * x.max(axis=0) + 3, size=(20, 3)) / 2.0
             routed = np.vstack((np.delete(x, rows, axis=0), grid))
+            routed_ens = np.zeros(len(routed), dtype=np.int64)
             (root,), weight = _grow_tree(rows, [len(rows)], g[rows], h[rows], codes, values, mask[None],
-                                         [config], routed.T.copy(), [len(routed)], True)
+                                         config, routed.T.copy(), routed_ens, True)
             assert weight.tobytes() == root.apply(np.vstack((x[rows], routed))).tobytes()
             roots, unkept = _grow_tree(rows, [len(rows)], g[rows], h[rows], codes, values, mask[None],
-                                       [config], routed.T.copy(), [len(routed)], False)
+                                       config, routed.T.copy(), routed_ens, False)
             assert roots == [] and unkept.tobytes() == weight.tobytes()
 
             depths = leaf_depths(root)
@@ -299,22 +300,19 @@ class TestFit:
 
 class TestLockstep:
     def test_each_ensemble_equals_its_standalone_fit(self):
-        """A lockstep fit gives every ensemble exactly what ``gbt_fit`` alone gives it.
+        """``gbt_eval_lockstep`` gives each ensemble the staged margins of its standalone fit.
 
-        The ensembles differ in training rows (so in bin-grid width), seed
-        and every config field: depths 1 to 6, gammas and min_child_weights
-        that stop nodes early, and row and column subsampling. Trees,
-        staged predictions and the training loss trace must match bit for
-        bit; the examples must include trees whose leaves sit at different
-        depths and ensembles that stop growing before others.
-
-        ``gbt_eval_lockstep`` of the same ensembles scores evaluation keys
-        while boosting; its staged margins must equal ``staged_margins`` of
-        the standalone trees bit for bit. The keys include unseen ids (code
-        -1) and values that sit on a threshold between two of a node's
-        training values.
+        One config, drawn over every field (depths 1 to 6, gammas and
+        min_child_weights that stop nodes early, row and column
+        subsampling), boosts 2 to 4 (train, seed) pairs whose training rows
+        differ, and so do their bin-grid widths. Each ensemble's staged
+        margins of its evaluation keys must equal ``staged_margins`` of
+        ``gbt_fit`` on its (train, seed) bit for bit. The examples must
+        include trees whose leaves sit at different depths, subsampled
+        ensembles, unseen ids (code -1) and keys whose value sits on a
+        threshold between two of a node's training values.
         """
-        seen = dict.fromkeys(("early leaf", "ragged n_trees", "subsample", "unseen id", "on a threshold"), False)
+        seen = dict.fromkeys(("early leaf", "subsample", "unseen id", "on a threshold"), False)
         configs = st.builds(
             GbtConfig,
             n_trees=st.integers(0, 8),
@@ -327,57 +325,75 @@ class TestLockstep:
         )
 
         @settings(max_examples=40, deadline=None, database=None)
-        @given(data_seed=st.integers(0, 2**32 - 1), configs=st.lists(configs, min_size=2, max_size=4),
-               seeds=st.lists(st.integers(0, 2**31), min_size=4, max_size=4))
-        @example(data_seed=1, seeds=[3, 4, 5, 6], configs=[
-            GbtConfig(n_trees=6, max_depth=6, subsample=0.8, colsample_bytree=0.67, min_child_weight=1.0),
-            GbtConfig(n_trees=3, max_depth=1, gamma=0.5),
-            GbtConfig(n_trees=5, max_depth=4, subsample=0.5, gamma=0.05, min_child_weight=3.0),
-        ])
-        def check(data_seed, configs, seeds):
+        @given(data_seed=st.integers(0, 2**32 - 1), config=configs,
+               seeds=st.lists(st.integers(0, 2**31), min_size=2, max_size=4))
+        @example(data_seed=1, seeds=[3, 4, 5], config=GbtConfig(
+            n_trees=6, max_depth=6, subsample=0.8, colsample_bytree=0.67, min_child_weight=1.0))
+        def check(data_seed, config, seeds):
             rng = np.random.default_rng(data_seed)
             trains = []
-            for _ in configs:
+            for _ in seeds:
                 train = random_dataset(rng, n_learners=int(rng.integers(4, 10)), n_questions=4, max_attempt=4,
                                        n_rows=int(rng.integers(2, 60)))
                 # without its second attempts, an attempt-2 key sits on a 1|3 threshold
                 kept = np.flatnonzero(train.attempt != 2).tolist()
                 trains.append(train.subset(kept) if len(kept) >= 2 and rng.random() < 0.5 else train)
-            seeds = seeds[: len(configs)]
             evals = [
                 [(f"L{rng.integers(12) + 1}", f"Q{rng.integers(5) + 1}", int(rng.integers(0, 7)))
                  for _ in range(int(rng.integers(0, 30)))]
-                for _ in configs
+                for _ in seeds
             ]
-            eval_stages = [sorted(set(rng.integers(0, c.n_trees + 1, size=3).tolist())) for c in configs]
-            together = gbt_fit_lockstep(trains, configs, seeds)
-            eval_margins = gbt_eval_lockstep(trains, configs, seeds, evals, eval_stages)
-            keys = trains[0].keys() + [("GHOST", "Q1", 1), ("L1", "PHANTOM", 7)]
-            for ensemble, train, config, seed, eval_keys, wanted, margins in zip(
-                together, trains, configs, seeds, evals, eval_stages, eval_margins
-            ):
+            stages = sorted(set(rng.integers(0, config.n_trees + 1, size=3).tolist()))
+            eval_margins = gbt_eval_lockstep(trains, config, seeds, evals, stages)
+            assert len(eval_margins) == len(seeds)
+            for train, seed, eval_keys, margins in zip(trains, seeds, evals, eval_margins):
                 alone = gbt_fit(train, config, seed=seed)
-                assert ensemble.to_dict() == alone.to_dict()
-                assert ensemble.train_logloss == alone.train_logloss
-                stages = range(config.n_trees + 1)
-                for a, b in zip(ensemble.predict_staged(keys, stages), alone.predict_staged(keys, stages)):
-                    assert a.tobytes() == b.tobytes()
                 x = alone.feature_matrix(eval_keys)
-                assert [m.tobytes() for m in margins] == [m.tobytes() for m in alone.staged_margins(x, wanted)]
-                if any(min(d) < max(d) for d in map(leaf_depths, ensemble.trees)):
-                    seen["early leaf"] = True
+                assert [m.tobytes() for m in margins] == [m.tobytes() for m in alone.staged_margins(x, stages)]
+                seen["early leaf"] |= any(min(d) < max(d) for d in map(leaf_depths, alone.trees))
                 seen["subsample"] |= config.subsample < 1.0 and config.n_trees > 0
                 seen["unseen id"] |= bool((x[:, :2] == -1).any())
                 seen["on a threshold"] |= any(reaches_its_threshold(tree, x) for tree in alone.trees)
-            seen["ragged n_trees"] |= len({c.n_trees for c in configs}) > 1
 
         check()
         assert all(seen.values()), seen
 
+    def test_reference_boosting_loop_grows_the_same_trees(self):
+        """A tree-by-tree reference loop, sharing no line of ``_boost``, grows ``gbt_fit``'s trees.
+
+        Each reference tree is one direct ``_grow_tree`` call on the sample
+        and feature mask drawn from the tree's seed, with gradients from
+        ``staged_margins`` of the reference trees so far, that is from
+        ``TreeNode.apply``. A wrong training margin in ``_boost`` shifts the
+        gradients of every later tree, so the trees differ.
+        """
+        ds = simulate_bkt(SimSpec(30, 6, 6, seed=5)).dataset
+        config = GbtConfig(n_trees=12, max_depth=4, subsample=0.7, colsample_bytree=0.67, min_child_weight=0.5)
+        seed = 3
+        model = gbt_fit(ds, config, seed=seed)
+
+        x, y = model.feature_matrix(ds.keys()), ds.obs_array()
+        n = len(y)
+        reference = GbtEnsemble(base_score=float(np.log(y.mean() / (1.0 - y.mean()))), trees=[], config=config)
+        assert reference.base_score == model.base_score
+        codes, values = _split_codes([x])
+        for t in range(config.n_trees):
+            (margins,) = reference.staged_margins(x, [t])
+            p = _sigmoid(margins)
+            g, h = p - y, p * (1.0 - p)
+            rng = np.random.default_rng(derive_seed(seed, "tree", t))
+            rows = np.sort(rng.choice(n, size=round(0.7 * n), replace=False))
+            mask = np.isin(np.arange(3), rng.choice(3, size=2, replace=False))
+            (root,), _ = _grow_tree(rows, [len(rows)], g[rows], h[rows], codes, values, mask[None],
+                                    config, np.empty((3, 0)), np.empty(0, dtype=np.int64), True)
+            reference.trees.append(root)
+        assert sum(not tree.is_leaf for tree in reference.trees) == config.n_trees
+        assert [tree.to_dict() for tree in reference.trees] == [tree.to_dict() for tree in model.trees]
+
     def test_stages_outside_an_ensemble_are_rejected(self, rng):
         ds = random_dataset(rng, n_rows=20)
         with pytest.raises(ValueError, match="stages must lie in 0..3"):
-            gbt_eval_lockstep([ds], [GbtConfig(n_trees=3)], [0], [ds.keys()], [[0, 4]])
+            gbt_eval_lockstep([ds], GbtConfig(n_trees=3), [0], [ds.keys()], [0, 4])
 
 
 class TestPredict:

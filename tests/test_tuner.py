@@ -109,10 +109,10 @@ class TestGridSearch:
     def test_failures_recorded_and_excluded(self, small_ds, monkeypatch):
         import lppred.tuner as tuner_mod
 
-        def flaky_fit(trains, configs, seeds, evals, stages):
-            if any(config.max_depth == 2 for config in configs):
+        def flaky_fit(trains, config, seeds, evals, stages):
+            if config.max_depth == 2:
                 raise RuntimeError("synthetic failure")
-            return gbt_eval_lockstep(trains, configs, seeds, evals, stages)
+            return gbt_eval_lockstep(trains, config, seeds, evals, stages)
 
         monkeypatch.setattr(tuner_mod, "gbt_eval_lockstep", flaky_fit)
         grid = dataclasses.replace(tiny_grid(), max_depth=(2, 3))  # two n_trees groups
