@@ -312,12 +312,6 @@ def _make_factory(name: str, args):
     return lambda fold_seed: _ClientSelectedModel(client, factories, fold_seed)
 
 
-def _require_labeled(ds: Dataset, path) -> None:
-    unlabeled = len(ds.unlabeled_positions())
-    if unlabeled:
-        raise DataError(f"{path}: cross-validation needs every row labeled; {unlabeled} rows have no obs")
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -343,7 +337,6 @@ def cmd_summarize(args) -> int:
 
 def cmd_cv(args) -> int:
     ds = _load_dataset(args)
-    _require_labeled(ds, args.data)
     factory = _make_factory(args.model, args)
     report = cross_validate(
         factory,
@@ -354,16 +347,20 @@ def cmd_cv(args) -> int:
         dataset_name=ds.meta.lesson_name or Path(args.data).stem,
     )
     out = _outdir(args)
+    table = report_table([report])
     _write(out / "report.json", reports_to_json([report]))
-    _write(out / "report.txt", report_table([report]))
-    print(report_table([report]))
+    _write(out / "report.txt", table)
+    print(table)
     return EXIT_OK
 
 
 def _fit_local(args, ds: Dataset):
     """The chosen local model, fitted on the labeled rows of ``ds``."""
     model = _local_factory(args.model, args)(derive_seed(args.seed, "fit", args.model))
-    return model.fit(ds.subset(ds.labeled_positions()))
+    labeled = ds.labeled_positions()
+    if not labeled:
+        raise DataError(f"{args.data}: no row is labeled, so there is nothing to fit")
+    return model.fit(ds.subset(labeled))
 
 
 def _write_predictions(path: Path, rows, preds):
@@ -403,7 +400,6 @@ def cmd_predict(args) -> int:
 
 def cmd_tune(args) -> int:
     ds = _load_dataset(args)
-    _require_labeled(ds, args.data)
     if args.grid == "default":
         grid = default_grid()
     else:
@@ -497,19 +493,17 @@ def _read_cv_reports(path) -> list[CvReport]:
     reports = []
     try:
         for model_name, value in payload.items():
-            if isinstance(value, dict) and "fold_rmse" in value:
-                reports.append(
-                    CvReport(
-                        model_name=model_name,
-                        fold_rmse=tuple(value["fold_rmse"]),
-                        dataset=value.get("dataset", "") or Path(path).stem,
-                    )
-                )
+            if isinstance(value, dict) and "fold_rmse" in value:  # flat: model -> record
+                records = [(value.get("dataset", ""), value)]
             else:  # nested: model -> dataset -> record
-                for dataset, record in value.items():
-                    reports.append(
-                        CvReport(model_name=model_name, fold_rmse=tuple(record["fold_rmse"]), dataset=dataset)
-                    )
+                records = value.items()
+            for dataset, record in records:
+                if not isinstance(dataset, str):
+                    raise TypeError(f"dataset of {model_name!r} is {json.dumps(dataset)}, not a string")
+                reports.append(
+                    CvReport(model_name=model_name, fold_rmse=tuple(record["fold_rmse"]),
+                             dataset=dataset or Path(path).stem)
+                )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: not a cv report ({type(exc).__name__}: {exc})") from None
     return reports
@@ -632,13 +626,14 @@ def _exit_for(exc: Exception) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; every failure is classed by ``_exit_for``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         argv = _inject_config_args(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, RuntimeError, KeyError) as exc:
+    except Exception as exc:  # noqa: BLE001 - the process boundary: report and exit with the class's code
         code, label = _exit_for(exc)
         print(f"{label}: {exc}", file=sys.stderr)
         return code

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .data import Dataset, make_folds
+from .data import DataError, Dataset, make_folds
 from .seeds import derive_seed
 
 
@@ -115,10 +115,12 @@ def fold_rmse_table(
     is re-raised as ``FoldFitError(i)``. A warning issued meanwhile is
     re-issued as ``fold i: <message>`` from its own line, so a fitter that
     warns on several folds shows once per fold, not once per process. Test
-    outcomes are withheld: the callback only ever sees the key triples.
+    outcomes are withheld: the callback only ever sees the key triples. An
+    unlabeled row, or a ``k`` the labeled rows cannot fill, is a ``DataError``.
     """
-    if ds.unlabeled_positions():
-        raise ValueError("cross-validation requires a fully labeled dataset")
+    unlabeled = len(ds.unlabeled_positions())
+    if unlabeled:
+        raise DataError(f"cross-validation needs every row labeled; {unlabeled} rows have no obs")
     split = make_folds(ds, k, seed)
     folds = (
         (

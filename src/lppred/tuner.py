@@ -190,8 +190,8 @@ def _evaluate_config(job) -> tuple[tuple[int, ...], list[float] | None, str]:
     scored from the margins after each ensemble's first n_trees trees, which
     are exactly those of that configuration's standalone fit on the fold.
     So every mean RMSE equals a standalone ``cross_validate`` of its
-    configuration, and no tree is built. A failure fails the whole group:
-    the RMSE list is None and the message is returned.
+    configuration, and no tree is kept. A ``DataError`` is raised; any other
+    failure fails the group: its RMSE list is None and the message returned.
     """
     indices, configs = job
     ds, k, seed = _SWEEP
@@ -205,6 +205,8 @@ def _evaluate_config(job) -> tuple[tuple[int, ...], list[float] | None, str]:
 
     try:
         table = fold_rmse_table(fit_predict, ds, k=k, seed=seed)
+    except DataError:
+        raise
     except Exception as exc:  # noqa: BLE001 - recorded per configuration
         return indices, None, str(exc)
     return indices, [CvReport("gbt", fold_rmse).mean_rmse for fold_rmse in table], ""
@@ -240,7 +242,7 @@ def grid_search(
     RMSEs are directly comparable and the best entry reproduces exactly when
     refit standalone. Configurations that differ only in n_trees are
     evaluated together from one fit per fold (see ``_evaluate_config``).
-    Failures are recorded and excluded from the summary.
+    A ``DataError`` stops the sweep; other failures are recorded, not summarized.
     """
     grid = grid or default_grid()
     configs = grid.combinations()
@@ -339,8 +341,8 @@ def llm_tuning_loop(
     """Client-proposed tuning: ask, parse, evaluate locally, repeat to budget.
 
     An unparsable proposal triggers one clarifying re-prompt; if that also
-    fails to parse, a random point from the (default) grid is evaluated
-    instead and the event is recorded under failures.
+    fails, a random point of the grid is evaluated instead and recorded under
+    failures. A ``DataError`` stops the loop at its first evaluation.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -34,6 +37,14 @@ from lppred.tensor import TensorFactorizationModel
 # One candidate per axis, so a grid read leniently stays a single cheap configuration.
 SMALL_GRID = {"n_trees": [5], "learning_rate": [0.1], "max_depth": [2], "subsample": [1.0],
               "colsample_bytree": [1.0], "gamma": [0.0], "min_child_weight": [1.0]}
+
+
+# Any JSON value, nested a few levels deep.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 @pytest.fixture
@@ -252,6 +263,55 @@ class TestExitCodes:
         assert main(argv + ["--data", str(data), "--out", str(tmp_path / "o")]) == EXIT_DATA
         assert "1 rows have no obs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--method", "grid", "--workers", "1"],
+        ["--method", "grid", "--workers", "2"],
+        ["--method", "llm", "--mock", "--budget", "3"],
+    ], ids=["grid-workers-1", "grid-workers-2", "llm-mock"])
+    def test_tune_k_beyond_the_labeled_rows_is_data_error(self, sim_data, tmp_path, capsys, monkeypatch, argv):
+        """Every configuration would meet the same split error, so it stops the sweep at the first."""
+        from lppred.tuner import CyclingProposalClient
+
+        clients = []  # the counting client: each keeps the requests it was sent
+
+        def counted():
+            clients.append(CyclingProposalClient())
+            return clients[-1]
+
+        monkeypatch.setattr(cli, "CyclingProposalClient", counted)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**SMALL_GRID, "max_depth": [2, 3]}), encoding="utf-8")  # two groups
+        labeled = len(parse_dataset(sim_data).labeled_positions())
+        out = tmp_path / "o"
+        assert main(["tune", *argv, "--k", "500", "--grid", str(grid), "--data", str(sim_data),
+                     "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: cannot split {labeled} labeled records into 500 folds\n"
+        assert [len(client.calls) for client in clients] == ([1] if "llm" in argv else [])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_fit_on_data_without_a_labeled_row_is_data_error(self, tmp_path, capsys, command):
+        data = tmp_path / "unlabeled.csv"
+        data.write_text("learner_id,question_id,attempt,obs\nL1,Q1,1,\nL1,Q1,2,\n", encoding="utf-8")
+        assert main([command, "--model", "pfa", "--data", str(data), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {data}: no row is labeled, so there is nothing to fit\n"
+
+    @pytest.mark.parametrize("where", ["cv-fold", "summarize"])
+    def test_an_unlisted_exception_is_a_model_error(self, sim_data, tmp_path, capsys, monkeypatch, where):
+        """A failure of no listed class exits 3, inside a fold or outside any; nothing escapes ``main``."""
+
+        def synthetic(*args, **kwargs):
+            raise TypeError("synthetic")
+
+        if where == "cv-fold":
+            monkeypatch.setattr(PfaModel, "fit", synthetic)
+            argv, shown = ["cv", "--model", "pfa", "--k", "3"], "fold 0: synthetic"
+        else:
+            monkeypatch.setattr(cli, "summarize", synthetic)
+            argv, shown = ["summarize"], "synthetic"
+        assert main(argv + ["--data", str(sim_data), "--out", str(tmp_path / "o")]) == EXIT_MODEL
+        assert capsys.readouterr().err == f"model error: {shown}\n"
+
     def test_malformed_report_json_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "report.json"
         bad.write_text('{"bkt": {"fold_rmse": [0.4,', encoding="utf-8")
@@ -266,6 +326,32 @@ class TestExitCodes:
         assert main(["report", "--inputs", str(bad), "--out", str(out)]) == EXIT_DATA
         assert f"{bad}: not a cv report" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("dataset", [5, ["a"], None, {"a": 1}, True], ids=json.dumps)
+    def test_report_non_string_dataset_is_data_error(self, tmp_path, capsys, dataset):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps({"bkt": {"fold_rmse": [0.4, 0.5], "dataset": dataset}}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["report", "--inputs", str(bad), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}: not a cv report" in err and f"dataset of 'bkt' is {json.dumps(dataset)}, not a string" in err
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=st.one_of(
+        st.dictionaries(
+            st.text(max_size=4),
+            st.fixed_dictionaries({"fold_rmse": st.lists(st.floats(0, 1), min_size=1, max_size=3)},
+                                  optional={"dataset": JSON_VALUES}),
+            max_size=3,
+        ),
+        JSON_VALUES,
+    ))
+    def test_report_on_any_json_input_exits_0_or_2(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            assert main(["report", "--inputs", str(path), "--out", str(Path(tmp) / "o")]) in (EXIT_OK, EXIT_DATA)
 
     def test_report_pair_given_twice_is_data_error(self, sim_data, tmp_path, capsys):
         """Two runs of one model on one dataset would fill one table cell; neither is dropped silently."""
@@ -444,6 +530,28 @@ def test_fit_export_matches_library_model(tmp_path, model):
         written[name] = (out / f"{model}-model.json").read_text(encoding="utf-8")
         assert written[name] == json.dumps(cls(seed=seed, **given).fit(train).export_json(), indent=2)
     assert written["flagged"] != written["default"]
+
+
+@pytest.mark.parametrize("code", [EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_MODEL, EXIT_CLIENT])
+def test_process_exits_with_the_documented_code_and_no_traceback(sim_data, train_test_files, tmp_path, code):
+    """``python -m lppred.cli`` as a process: an escaped exception would show as a traceback and exit 1."""
+    train, test = train_test_files
+    bad_report = tmp_path / "report.json"
+    bad_report.write_text('{"bkt": {"fold_rmse": [0.4, 0.5], "dataset": 5}}', encoding="utf-8")
+    argv = {
+        EXIT_OK: ["summarize", "--data", str(sim_data)],
+        EXIT_USAGE: ["cv", "--model", "nope", "--data", str(sim_data)],
+        EXIT_DATA: ["report", "--inputs", str(bad_report)],
+        EXIT_MODEL: ["cv", "--model", "tensor", "--rank", "999", "--k", "3", "--data", str(sim_data)],
+        EXIT_CLIENT: ["llm-run", "--endpoint", "http://127.0.0.1:1", "--retries", "0",
+                      "--train", str(train), "--test", str(test)],
+    }[code]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "lppred.cli", *argv, "--out", str(tmp_path / "o")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
 
 
 class TestWorkersDefault:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from lppred.data import DataError, Dataset
 from lppred.gbt import GbtConfig, GbtModel, gbt_eval_lockstep
 from lppred.metrics import cross_validate
 from lppred.simulate import SimSpec, simulate_bkt
@@ -19,6 +20,8 @@ from lppred.tuner import (
     llm_tuning_loop,
     parse_config_proposal,
 )
+
+from conftest import rows_of
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +128,19 @@ class TestGridSearch:
         for entry in report.entries:
             standalone = cross_validate(lambda s: GbtModel(entry.config, seed=s), small_ds, k=3, seed=0)
             assert entry.mean_rmse == standalone.mean_rmse
+
+    @pytest.mark.parametrize("method", ["grid-1", "grid-2", "llm"])
+    def test_a_data_error_stops_the_search(self, small_ds, method):
+        """The data fails every configuration alike: no group records it, the search raises it."""
+        ds = Dataset.from_records(rows_of(small_ds) + [("LX", "Q1", 1, None)])
+        client = CyclingProposalClient()
+        with pytest.raises(DataError, match="cross-validation needs every row labeled; 1 rows have no obs"):
+            if method == "llm":
+                llm_tuning_loop(ds, client, budget=4, k=3)
+            else:
+                grid = dataclasses.replace(tiny_grid(), max_depth=(2, 3))  # two n_trees groups
+                grid_search(ds, grid, k=3, workers=int(method[-1]))
+        assert len(client.calls) == (1 if method == "llm" else 0)
 
     def test_sweep_keeps_no_trees(self, small_ds, monkeypatch):
         """A serial sweep scores held-out rows while boosting: no node, apply or loss trace."""
