@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, _sigmoid, encode_keys
+from .metrics import LocalModel
 from .seeds import derive_seed
 
 PROB_FLOOR = 1e-6
@@ -379,7 +380,7 @@ def _fit_learner_offsets(
 # ---------------------------------------------------------------------------
 
 
-class BktModel:
+class BktModel(LocalModel):
     """Predictor wrapper: EM fit at ``fit`` time, belief filtering at ``predict``.
 
     For a queried (learner, question, attempt) the mastery belief is rolled
@@ -395,17 +396,15 @@ class BktModel:
     def __init__(self, seed: int = 0, individualized: bool = False):
         self.seed = seed
         self.individualized = individualized
-        self.fit_result: BktFit | None = None
         self._train: Dataset | None = None
 
     def fit(self, train: Dataset) -> "BktModel":
-        self.fit_result = bkt_fit_em(train, seed=self.seed, individualized=self.individualized)
+        self.model = bkt_fit_em(train, seed=self.seed, individualized=self.individualized)
         self._train = train
         return self
 
-    def _row_params(self, learner: np.ndarray, question: np.ndarray) -> SimpleNamespace:
+    def _row_params(self, fit: BktFit, learner: np.ndarray, question: np.ndarray) -> SimpleNamespace:
         """Chain parameters for each queried row, learner offsets applied to p_init."""
-        fit = self.fit_result
         params = _question_params(fit, self._train.question_index, question)
         offsets = [fit.learner_offsets.get(lid, 0.0) for lid in self._train.learner_index]
         delta = np.array(offsets + [0.0])[learner]
@@ -414,19 +413,12 @@ class BktModel:
         return params
 
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
-        if self.fit_result is None:
-            raise RuntimeError("predict called before fit")
-        train = self._train
+        fit, train = self.fitted(), self._train
         learner, question, attempt = encode_keys(rows, train.learner_index, train.question_index)
-        params = self._row_params(learner, question)
+        params = self._row_params(fit, learner, question)
         outcomes = train.outcome_table()
         belief = params.p_init
         for past in range(1, int(attempt.max(initial=1))):
             seen = outcomes[learner, question, min(past, outcomes.shape[2]) - 1]
             belief = np.where(attempt <= past, belief, _belief_step(belief, seen, params))
         return np.clip(bkt_predict_next(belief, params), 0.0, 1.0)
-
-    def export_json(self) -> dict:
-        if self.fit_result is None:
-            raise RuntimeError("export before fit")
-        return self.fit_result.to_dict()

@@ -61,6 +61,8 @@ LOCAL_MODELS = {
     "gbt": (GbtModel, tuple(f.name for f in fields(GbtConfig))),
 }
 ALL_MODELS = (*LOCAL_MODELS, "llm", "llm-gbt")
+# Model name -> the local models whose flags it reads; llm-gbt fits one the client names.
+FLAGS_READ = {**{m: (m,) for m in LOCAL_MODELS}, "llm": (), "llm-gbt": tuple(METHOD_REGISTRY.values())}
 
 
 class UsageError(Exception):
@@ -227,6 +229,14 @@ def _model_flags() -> argparse.ArgumentParser:
     return p
 
 
+def _reject_unread_model_flags(args):
+    """A model flag given that ``--model`` does not read is a UsageError naming the flag as typed."""
+    read = {n for m in FLAGS_READ[args.model] for n in LOCAL_MODELS[m][1]}
+    for action in _model_flags()._actions:
+        if hasattr(args, action.dest) and action.dest not in read:
+            raise UsageError(f"--model {args.model} does not read {action.option_strings[0]}")
+
+
 def _local_factory(name: str, args):
     """Seed -> unfitted local model, built from the model flags given in ``args``.
 
@@ -302,6 +312,7 @@ class _ClientSelectedModel:
 
 def _make_factory(name: str, args):
     """Factory of per-fold predictors; llm variants wrap a configured client."""
+    _reject_unread_model_flags(args)
     if name in LOCAL_MODELS:
         return _local_factory(name, args)
     client = _build_client(args)
@@ -356,6 +367,7 @@ def cmd_cv(args) -> int:
 
 def _fit_local(args, ds: Dataset):
     """The chosen local model, fitted on the labeled rows of ``ds``."""
+    _reject_unread_model_flags(args)
     model = _local_factory(args.model, args)(derive_seed(args.seed, "fit", args.model))
     labeled = ds.labeled_positions()
     if not labeled:
@@ -433,7 +445,7 @@ def cmd_simulate(args) -> int:
             mask_fraction=args.mask,
             stop_on_correct=args.stop_on_correct,
         )
-    except ValueError as exc:  # a flag the chosen generator ignores
+    except ValueError as exc:  # a flag out of range, or one the chosen generator ignores
         raise UsageError(str(exc)) from None
     result = simulate(spec)
     out = _outdir(args)

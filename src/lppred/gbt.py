@@ -44,6 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, _logloss, _sigmoid, encode_keys
+from .metrics import LocalModel
 from .seeds import derive_seed
 
 LEAF_L2 = 1.0        # leaf-weight ridge constant, not exposed as a tunable
@@ -534,24 +535,16 @@ def gbt_predict(model: GbtEnsemble, rows: Sequence[tuple[str, str, int]]) -> np.
     return _sigmoid(model.staged_margins(model.feature_matrix(rows), [len(model.trees)])[0])
 
 
-class GbtModel:
+class GbtModel(LocalModel):
     """Predictor wrapper around gbt_fit/gbt_predict."""
 
     def __init__(self, config: GbtConfig = GbtConfig(), seed: int = 0):
         self.config = config
         self.seed = seed
-        self.model: GbtEnsemble | None = None
 
     def fit(self, train: Dataset) -> "GbtModel":
         self.model = gbt_fit(train, self.config, seed=self.seed)
         return self
 
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
-        if self.model is None:
-            raise RuntimeError("predict called before fit")
-        return gbt_predict(self.model, rows)
-
-    def export_json(self) -> dict:
-        if self.model is None:
-            raise RuntimeError("export before fit")
-        return self.model.to_dict()
+        return gbt_predict(self.fitted(), rows)

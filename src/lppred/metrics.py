@@ -33,6 +33,25 @@ class Predictor(Protocol):
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray: ...
 
 
+class LocalModel:
+    """Base of the five local models: ``model`` holds the record ``fit`` made.
+
+    Each subclass defines its own ``fit``, which sets ``model``, and its own
+    ``predict``, which reads the record through ``fitted()``.
+    """
+
+    model = None
+
+    def fitted(self):
+        """The fitted record; a RuntimeError naming the class before ``fit``."""
+        if self.model is None:
+            raise RuntimeError(f"{type(self).__name__} used before fit")
+        return self.model
+
+    def export_json(self) -> dict:
+        return self.fitted().to_dict()
+
+
 PredictorFactory = Callable[[int], "Predictor"]
 
 
@@ -62,8 +81,9 @@ class CvReport:
     def __post_init__(self):
         if not self.fold_rmse:
             raise ValueError("CvReport requires at least one fold RMSE")
-        # an RMSE of probabilities against 0/1 outcomes lies in [0, 1]; NaN fails too
-        if any(not 0 <= v <= 1 for v in self.fold_rmse):
+        # an RMSE of probabilities against 0/1 outcomes lies in [0, 1]; NaN fails too,
+        # and so does a bool, which would compare as 0 or 1
+        if any(isinstance(v, bool) or not 0 <= v <= 1 for v in self.fold_rmse):
             raise ValueError("fold RMSE values must be numbers in [0, 1]")
 
     @property

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, _sigmoid, encode_keys
+from .metrics import LocalModel
 from .seeds import derive_seed
 
 DEFAULT_L2 = 0.1    # regularization strength
@@ -217,7 +218,7 @@ def pfa_fit(train: Dataset, l2: float = DEFAULT_L2, max_iter: int = 50, seed: in
     )
 
 
-class PfaModel:
+class PfaModel(LocalModel):
     """Predictor wrapper around pfa_fit.
 
     Prediction features (prior success/failure counts) are counted for all
@@ -228,27 +229,19 @@ class PfaModel:
         _check_l2(l2)
         self.l2 = l2
         self.seed = seed
-        self.params: PfaParams | None = None
         self._train: Dataset | None = None
 
     def fit(self, train: Dataset) -> "PfaModel":
-        self.params = pfa_fit(train, l2=self.l2, seed=self.seed)
+        self.model = pfa_fit(train, l2=self.l2, seed=self.seed)
         self._train = train
         return self
 
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
         """Success probabilities; ids without a fitted weight take weight 0."""
-        if self.params is None:
-            raise RuntimeError("predict called before fit")
-        train, params = self._train, self.params
+        train, params = self._train, self.fitted()
         learner, question, attempt = encode_keys(rows, train.learner_index, train.question_index)
         s, f = _prior_counts(train.outcome_table(), learner, question, attempt)
         # code -1 (unseen id) selects the trailing 0.0
         beta = np.array([params.beta.get(qid, 0.0) for qid in train.question_index] + [0.0])
         gamma = np.array([params.gamma.get(lid, 0.0) for lid in train.learner_index] + [0.0])
         return _sigmoid(beta[question] + gamma[learner] + params.alpha * s + params.rho * f)
-
-    def export_json(self) -> dict:
-        if self.params is None:
-            raise RuntimeError("export before fit")
-        return self.params.to_dict()

@@ -53,6 +53,11 @@ class SimSpec:
             raise ValueError(f"unknown generator {self.generator!r}, expected one of {GENERATORS}")
         if not 0.0 <= self.mask_fraction < 1.0:
             raise ValueError("mask_fraction must lie in [0, 1)")
+        if self.rank < 1:
+            raise ValueError(f"rank {self.rank} is below 1")
+        most = min(self.n_learners, self.n_questions)  # matrix mode orthonormalizes rank columns
+        if self.generator == "low-rank-matrix" and self.rank > most:
+            raise ValueError(f"rank {self.rank} exceeds min(learners, questions) = {most}")
         # a field the generator never reads is an error, not silently dropped
         ignored = ("mask_fraction",) if self.generator == "bkt-process" else ("stop_on_correct", "bkt")
         for name in ignored:

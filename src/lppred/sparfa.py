@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, _logloss, _sigmoid, encode_keys
+from .metrics import LocalModel
 from .seeds import derive_seed
 
 DEFAULT_RANK_CANDIDATES = (1, 2, 3, 4)
@@ -288,25 +289,17 @@ def sparfa_predict(model: LowRankModel, rows: Sequence[tuple[str, str, int]]) ->
     return np.where(question >= 0, _sigmoid(z), model.global_mean)
 
 
-class SparfaModel:
+class SparfaModel(LocalModel):
     """Predictor wrapper. Attempts share the pair's matrix probability."""
 
     def __init__(self, rank_candidates: Sequence[int] = DEFAULT_RANK_CANDIDATES, seed: int = 0):
         _check_rank_candidates(rank_candidates)
         self.rank_candidates = tuple(rank_candidates)
         self.seed = seed
-        self.model: LowRankModel | None = None
 
     def fit(self, train: Dataset) -> "SparfaModel":
         self.model = sparfa_fit(train, rank_candidates=self.rank_candidates, seed=self.seed)
         return self
 
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
-        if self.model is None:
-            raise RuntimeError("predict called before fit")
-        return sparfa_predict(self.model, rows)
-
-    def export_json(self) -> dict:
-        if self.model is None:
-            raise RuntimeError("export before fit")
-        return self.model.to_dict()
+        return sparfa_predict(self.fitted(), rows)

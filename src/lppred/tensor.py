@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, encode_keys
+from .metrics import LocalModel
 from .seeds import derive_seed
 
 DEFAULT_RANK = 3
@@ -231,7 +232,7 @@ def tensor_predict(model: TensorModel, rows: Sequence[tuple[str, str, int]]) -> 
     return np.where(question >= 0, np.clip(est, 0.0, 1.0), model.global_mean)
 
 
-class TensorFactorizationModel:
+class TensorFactorizationModel(LocalModel):
     """Predictor wrapper around tensor_fit_als/tensor_predict."""
 
     def __init__(self, rank: int = DEFAULT_RANK, ridge: float = DEFAULT_RIDGE, seed: int = 0):
@@ -239,18 +240,10 @@ class TensorFactorizationModel:
         self.rank = rank
         self.ridge = ridge
         self.seed = seed
-        self.model: TensorModel | None = None
 
     def fit(self, train: Dataset) -> "TensorFactorizationModel":
         self.model = tensor_fit_als(train, rank=self.rank, ridge=self.ridge, seed=self.seed)
         return self
 
     def predict(self, rows: Sequence[tuple[str, str, int]]) -> np.ndarray:
-        if self.model is None:
-            raise RuntimeError("predict called before fit")
-        return tensor_predict(self.model, rows)
-
-    def export_json(self) -> dict:
-        if self.model is None:
-            raise RuntimeError("export before fit")
-        return self.model.to_dict()
+        return tensor_predict(self.fitted(), rows)

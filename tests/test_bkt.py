@@ -410,7 +410,7 @@ class TestLearnerOffsets:
         assert "LS" in got and "LU" not in got
         with pytest.warns(UserWarning, match="QN"):
             model = BktModel(seed=0, individualized=True).fit(ds)
-        assert list(model.fit_result.learner_offsets.items()) == list(expected.items())
+        assert list(model.model.learner_offsets.items()) == list(expected.items())
 
     def test_held_out_gap_applies_the_learning_transition(self):
         # both answer right, wrong, right; L1's attempts 3 and 4 are held out
@@ -434,7 +434,7 @@ class TestLearnerOffsets:
 
 def per_row_reference(model, train, rows):
     """Each query's belief walked through a dict of the learner's training attempts."""
-    fit = model.fit_result
+    fit = model.model
     history = {}
     for lid, qid, attempt, obs in rows_of(train):
         if obs is not None:
@@ -481,7 +481,7 @@ class TestPredictor:
             make_records([("L1", "Q1", 1, 1)] + [("L2", "Q1", a, 1) for a in (1, 2, 3)])
         )
         model = BktModel(seed=0).fit(ds)
-        model.fit_result.question_params["Q1"] = p
+        model.model.question_params["Q1"] = p
         belief = p.p_init
         belief = bkt_posterior_update(belief, 1, p)
         belief = belief + (1 - belief) * p.p_learn  # gap at attempt 2
@@ -493,13 +493,13 @@ class TestPredictor:
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)]))
         model = BktModel(seed=0).fit(ds)
         pred = model.predict([("L1", "QX", 1)])[0]
-        fb = model.fit_result.fallback
+        fb = model.model.fallback
         assert pred == pytest.approx(bkt_predict_next(fb.p_init, fb))
 
     def test_individualized_offsets_fit(self):
         res = simulate_bkt(SimSpec(12, 3, 5, seed=4))
         model = BktModel(seed=0, individualized=True).fit(res.dataset)
-        assert set(model.fit_result.learner_offsets) == set(res.dataset.learner_index)
+        assert set(model.model.learner_offsets) == set(res.dataset.learner_index)
         preds = model.predict(res.dataset.keys())
         assert np.all((preds >= 0) & (preds <= 1))
 

@@ -157,6 +157,30 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and "fold" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags, named", [
+        ("cv", ["--model", "pfa", "--rank", "3"], "--rank"),
+        ("cv", ["--model", "pfa", "--n-trees", "5"], "--n-trees"),
+        ("cv", ["--model", "pfa", "--individualized"], "--individualized"),
+        ("cv", ["--model", "tensor", "--ranks", "2"], "--ranks"),
+        ("cv", ["--model", "bkt", "--gbt-gamma", "0.1"], "--gbt-gamma"),
+        ("cv", ["--model", "llm", "--mock", "--l2", "7"], "--l2"),
+        ("cv", ["--model", "llm-gbt", "--mock", "--ridge", "1"], "--ridge"),
+        ("fit", ["--model", "gbt", "--l2", "1"], "--l2"),
+        ("predict", ["--model", "sparfa", "--rank", "2", "--targets", "{data}"], "--rank"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_model_flag_the_model_does_not_read_is_usage_error(
+        self, sim_data, tmp_path, capsys, command, flags, named
+    ):
+        out = tmp_path / "o"
+        argv = [command, *flags, "--data", "{data}", "--out", str(out)]
+        assert main([arg.format(data=sim_data) for arg in argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: --model {flags[1]} does not read {named}\n"
+        assert not out.exists()
+
+    def test_llm_gbt_reads_the_gbt_and_pfa_flags(self, sim_data, tmp_path):
+        assert main(["cv", "--model", "llm-gbt", "--mock", "--n-trees", "5", "--l2", "0.5",
+                     "--data", str(sim_data), "--k", "3", "--out", str(tmp_path / "o")]) == EXIT_OK
+
     @pytest.mark.parametrize("flags", [
         ["--learning-rate", "0"],  # gbt, the model the mock client names
         ["--l2", "-1"],  # pfa, the other model a client can name
@@ -327,6 +351,16 @@ class TestExitCodes:
         assert f"{bad}: not a cv report" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_report_boolean_fold_rmse_is_data_error(self, tmp_path, capsys):
+        """JSON true and false compare as 1 and 0, but they are not RMSE values."""
+        bad = tmp_path / "report.json"
+        bad.write_text('{"bkt": {"fold_rmse": [true, false], "dataset": "x"}}', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["report", "--inputs", str(bad), "--out", str(out)]) == EXIT_DATA
+        assert (f"{bad}: not a cv report (ValueError: fold RMSE values must be numbers in [0, 1])"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("dataset", [5, ["a"], None, {"a": 1}, True], ids=json.dumps)
     def test_report_non_string_dataset_is_data_error(self, tmp_path, capsys, dataset):
         bad = tmp_path / "report.json"
@@ -445,6 +479,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field[flags[2]] in err and flags[1] in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("generator, shape, rank", [
+        ("low-rank-tensor", "4x3x2", "0"),
+        ("low-rank-tensor", "4x3x2", "-1"),
+        ("low-rank-matrix", "4x3x1", "-1"),
+        ("low-rank-matrix", "4x3x1", "0"),
+        ("low-rank-matrix", "5x3x1", "4"),
+        ("low-rank-matrix", "1x1x1", "2"),
+    ])
+    def test_simulate_rank_out_of_range_is_usage_error(self, tmp_path, capsys, generator, shape, rank):
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--generator", generator, "--shape", shape, "--rank", rank,
+                         "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage error: rank {rank} ")
+        assert caught == [] and not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("ingest", "--seed"), ("ingest", "--out"), ("ingest", "--workers"),
@@ -843,9 +895,9 @@ class TestCommands:
         outs = []
         for model in ("bkt", "gbt"):
             out = tmp_path / f"cv-{model}"
+            flags = ["--n-trees", "10"] if model == "gbt" else []
             assert main(
-                ["cv", "--model", model, "--data", str(sim_data), "--k", "3", "--out", str(out),
-                 "--n-trees", "10"]
+                ["cv", "--model", model, "--data", str(sim_data), "--k", "3", "--out", str(out), *flags]
             ) == EXIT_OK
             outs.append(str(out / "report.json"))
         merged = tmp_path / "merged"

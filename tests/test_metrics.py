@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from lppred.bkt import BktModel
 from lppred.data import Dataset
+from lppred.gbt import GbtModel
 from lppred.metrics import (
     CvReport,
     FoldFitError,
+    LocalModel,
     cross_validate,
     format_cell,
     report_table,
     reports_to_json,
     rmse,
 )
+from lppred.pfa import PfaModel
+from lppred.sparfa import SparfaModel
+from lppred.tensor import TensorFactorizationModel
 
 from conftest import make_records, random_dataset
 
@@ -178,7 +184,7 @@ class TestReports:
         assert rep.std_error == pytest.approx(np.std([0.4, 0.5, 0.6], ddof=1) / math.sqrt(3))
         with pytest.raises(ValueError):
             CvReport("m", ())
-        for bad in (-0.1, math.nan, math.inf, 1.5):
+        for bad in (-0.1, math.nan, math.inf, 1.5, True):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 CvReport("m", (0.4, bad))
 
@@ -216,3 +222,20 @@ class TestReports:
             )
         )
         assert set(payload["bkt"]) == {"d1", "d2"}
+
+
+@pytest.mark.filterwarnings("ignore")  # a fitter may warn that it stopped early on this small set
+@pytest.mark.parametrize(
+    "cls", [BktModel, PfaModel, SparfaModel, TensorFactorizationModel, GbtModel], ids=lambda cls: cls.__name__
+)
+def test_local_model_is_used_through_its_fitted_record(cls):
+    """Before fit, predict and export_json name the class; after it, the export is the record's."""
+    assert issubclass(cls, LocalModel)
+    assert {"fit", "predict"} <= set(vars(cls))  # the bench wraps each class's own methods
+    model = cls(seed=0)
+    for use in (lambda: model.predict([("L1", "Q1", 1)]), model.export_json):
+        with pytest.raises(RuntimeError, match=f"^{cls.__name__} used before fit$"):
+            use()
+    model.fit(random_dataset(np.random.default_rng(0)))
+    assert model.export_json() == model.model.to_dict()
+    assert model.predict([("L1", "Q1", 1)]).shape == (1,)

@@ -44,7 +44,7 @@ class TestFeatures:
 
 def per_row_reference(model, train, rows):
     """Each query's logit from a scan of the training rows for its earlier attempts."""
-    p = model.params
+    p = model.model
     out = []
     for lid, qid, attempt in rows:
         earlier = [
@@ -69,7 +69,7 @@ def model_with(params, rows=(("L1", "Q1", 1, 1),)):
     """A PfaModel whose history is ``rows`` and whose weights are ``params``."""
     model = PfaModel(seed=0)
     model._train = Dataset.from_records(make_records(rows))
-    model.params = params
+    model.model = params
     return model
 
 
@@ -95,8 +95,8 @@ class TestPredict:
     def test_cold_start_gamma_zero(self, rng):
         ds = random_dataset(rng, n_rows=30)
         model = PfaModel(seed=0).fit(ds)
-        known = model.params.beta[next(iter(model.params.beta))]
-        pred = model.predict([("UNSEEN", next(iter(model.params.beta)), 1)])[0]
+        known = model.model.beta[next(iter(model.model.beta))]
+        pred = model.predict([("UNSEEN", next(iter(model.model.beta)), 1)])[0]
         assert pred == pytest.approx(sigmoid(known), abs=1e-12)
 
 
@@ -217,7 +217,7 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             models = cv_fitted_models(lambda fold_seed: PfaModel(seed=fold_seed), shape, seed)
-        assert [m.params.converged for m in models] == [True] * 5
+        assert [m.model.converged for m in models] == [True] * 5
 
     def test_requires_labeled_rows(self):
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, None)]))
