@@ -10,6 +10,7 @@ plain-text rendering. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -61,8 +62,9 @@ LOCAL_MODELS = {
     "gbt": (GbtModel, tuple(f.name for f in fields(GbtConfig))),
 }
 ALL_MODELS = (*LOCAL_MODELS, "llm", "llm-gbt")
-# Model name -> the local models whose flags it reads; llm-gbt fits one the client names.
-FLAGS_READ = {**{m: (m,) for m in LOCAL_MODELS}, "llm": (), "llm-gbt": tuple(METHOD_REGISTRY.values())}
+# Client flag dest -> the HttpChatClient field it sets; a field left off keeps the class default.
+CLIENT_FIELDS = {"endpoint": "endpoint", "chat_model": "model", "temperature": "temperature",
+                 "timeout": "timeout", "retries": "max_retries"}
 
 
 class UsageError(Exception):
@@ -94,7 +96,7 @@ def _inject_config_args(argv: list[str]) -> list[str]:
     if not rest:
         raise UsageError("--config given without a subcommand")
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     injected: list[str] = []
@@ -184,15 +186,6 @@ def _add_common(p: _Parser, *names: str):
         )
 
 
-def _add_client_flags(p: _Parser):
-    p.add_argument("--mock", action="store_true", help="use the offline heuristic client")
-    p.add_argument("--endpoint", help="chat-completion HTTP endpoint URL")
-    p.add_argument("--chat-model", default="gpt-4", help="model name sent to the endpoint")
-    p.add_argument("--temperature", type=_finite, default=0.0)
-    p.add_argument("--timeout", type=_positive, default=120.0)
-    p.add_argument("--retries", type=_at_least(0), default=2)
-
-
 def _rank_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(r) for r in text.split(","))
@@ -209,6 +202,7 @@ def _bkt_params(text: str) -> BktParams:
         ) from None
 
 
+@functools.cache
 def _model_flags() -> argparse.ArgumentParser:
     """Parent parser for the local models' flags shared by cv, fit and predict.
 
@@ -229,12 +223,38 @@ def _model_flags() -> argparse.ArgumentParser:
     return p
 
 
-def _reject_unread_model_flags(args):
-    """A model flag given that ``--model`` does not read is a UsageError naming the flag as typed."""
-    read = {n for m in FLAGS_READ[args.model] for n in LOCAL_MODELS[m][1]}
-    for action in _model_flags()._actions:
+@functools.cache
+def _client_flags(budget=False) -> argparse.ArgumentParser:
+    """Parent parser for the chat-client flags of cv, tune and llm-run, and with ``budget`` tune's --budget.
+
+    A flag left off is absent from the parsed args, so HttpChatClient's or llm_tuning_loop's default applies.
+    """
+    p = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--mock", action="store_true", help="use the offline heuristic client")
+    source.add_argument("--endpoint", help="chat-completion HTTP endpoint URL")
+    p.add_argument("--chat-model", help="model name sent to the endpoint")
+    p.add_argument("--temperature", type=_finite)
+    p.add_argument("--timeout", type=_positive)
+    p.add_argument("--retries", type=_at_least(0))
+    if budget:
+        p.add_argument("--budget", type=_at_least(1), help="llm method: evaluations")
+    return p
+
+
+def _reject_unread(args, run: str, read=(), client=False):
+    """A model flag, client flag or --budget that ``run`` does not read is a UsageError naming it as typed.
+
+    None of these flags has a default, so one is in ``args`` only when given.
+    A run that builds a client reads --mock alone, or else the other client flags.
+    """
+    mock = client and hasattr(args, "mock")
+    if client:
+        read = (*read, "mock") if mock else (*read, *CLIENT_FIELDS)
+    for action in (*_model_flags()._actions, *_client_flags(budget=True)._actions):
         if hasattr(args, action.dest) and action.dest not in read:
-            raise UsageError(f"--model {args.model} does not read {action.option_strings[0]}")
+            who = "--mock" if mock and action.dest in CLIENT_FIELDS else run
+            raise UsageError(f"{who} does not read {action.option_strings[0]}")
 
 
 def _local_factory(name: str, args):
@@ -253,17 +273,13 @@ def _local_factory(name: str, args):
     return lambda seed: cls(seed=seed, **given)
 
 
-def _build_client(args):
-    if args.mock:
-        return MockHeuristicClient()
-    if args.endpoint:
-        return HttpChatClient(
-            endpoint=args.endpoint,
-            model=args.chat_model,
-            temperature=args.temperature,
-            timeout=args.timeout,
-            max_retries=args.retries,
-        )
+def _build_client(args, mock=None):
+    """The client the flags name: ``mock`` (MockHeuristicClient by default) under --mock, else HttpChatClient."""
+    if hasattr(args, "mock"):
+        return (mock or MockHeuristicClient)()
+    if hasattr(args, "endpoint"):
+        return HttpChatClient(**{field: getattr(args, dest) for dest, field in CLIENT_FIELDS.items()
+                                 if hasattr(args, dest)})
     raise UsageError("llm mode needs --endpoint or --mock")
 
 
@@ -310,16 +326,21 @@ class _ClientSelectedModel:
         return self.model.predict(rows)
 
 
-def _make_factory(name: str, args):
-    """Factory of per-fold predictors; llm variants wrap a configured client."""
-    _reject_unread_model_flags(args)
+def _make_factory(args):
+    """Seed -> unfitted predictor of ``--model``, built from the flags alone; llm variants wrap a client.
+
+    A local model reads its own flags, llm none, and llm-gbt those of each model the client can name.
+    """
+    name = args.model
+    local = {"llm": (), "llm-gbt": tuple(METHOD_REGISTRY.values())}.get(name, (name,))
+    _reject_unread(args, f"--model {name}", [n for m in local for n in LOCAL_MODELS[m][1]],
+                   client=name not in LOCAL_MODELS)
+    factories = {m: _local_factory(m, args) for m in local}
     if name in LOCAL_MODELS:
-        return _local_factory(name, args)
+        return factories[name]
     client = _build_client(args)
     if name == "llm":
         return lambda fold_seed: LlmPredictor(client)
-    # llm-gbt: the flags of each model the client can name are checked before it is asked
-    factories = {m: _local_factory(m, args) for m in METHOD_REGISTRY.values()}
     return lambda fold_seed: _ClientSelectedModel(client, factories, fold_seed)
 
 
@@ -347,16 +368,10 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    factory = _make_factory(args)
     ds = _load_dataset(args)
-    factory = _make_factory(args.model, args)
-    report = cross_validate(
-        factory,
-        ds,
-        k=args.k,
-        seed=args.seed,
-        model_name=args.model,
-        dataset_name=ds.meta.lesson_name or Path(args.data).stem,
-    )
+    report = cross_validate(factory, ds, k=args.k, seed=args.seed, model_name=args.model,
+                            dataset_name=ds.meta.lesson_name or Path(args.data).stem)
     out = _outdir(args)
     table = report_table([report])
     _write(out / "report.json", reports_to_json([report]))
@@ -365,14 +380,12 @@ def cmd_cv(args) -> int:
     return EXIT_OK
 
 
-def _fit_local(args, ds: Dataset):
+def _fit_local(args, factory, ds: Dataset):
     """The chosen local model, fitted on the labeled rows of ``ds``."""
-    _reject_unread_model_flags(args)
-    model = _local_factory(args.model, args)(derive_seed(args.seed, "fit", args.model))
     labeled = ds.labeled_positions()
     if not labeled:
         raise DataError(f"{args.data}: no row is labeled, so there is nothing to fit")
-    return model.fit(ds.subset(labeled))
+    return factory(derive_seed(args.seed, "fit", args.model)).fit(ds.subset(labeled))
 
 
 def _write_predictions(path: Path, rows, preds):
@@ -392,12 +405,14 @@ def _write_predictions(path: Path, rows, preds):
 
 
 def cmd_fit(args) -> int:
-    model = _fit_local(args, _load_dataset(args))
+    factory = _make_factory(args)
+    model = _fit_local(args, factory, _load_dataset(args))
     _write(_outdir(args) / f"{args.model}-model.json", json.dumps(model.export_json(), indent=2))
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
+    factory = _make_factory(args)
     ds = _load_dataset(args)
     if args.targets:
         rows = parse_dataset(args.targets).keys()
@@ -405,12 +420,15 @@ def cmd_predict(args) -> int:
         rows = ds.keys(ds.unlabeled_positions())
         if not rows:
             raise DataError("no rows to predict: data has no unlabeled rows and no --targets given")
-    preds = _fit_local(args, ds).predict(rows)
+    preds = _fit_local(args, factory, ds).predict(rows)
     _write_predictions(_outdir(args) / "predictions.csv", rows, preds)
     return EXIT_OK
 
 
 def cmd_tune(args) -> int:
+    llm = args.method == "llm"
+    _reject_unread(args, f"--method {args.method}", ("budget",) if llm else (), client=llm)
+    client = _build_client(args, CyclingProposalClient) if llm else None
     ds = _load_dataset(args)
     if args.grid == "default":
         grid = default_grid()
@@ -421,11 +439,11 @@ def cmd_tune(args) -> int:
             grid = Grid.from_json(payload)
         except DataError as exc:
             raise DataError(f"grid file {args.grid}: {exc}") from None
-    if args.method == "grid":
-        report = grid_search(ds, grid, k=args.k, seed=args.seed, workers=args.workers)
+    if llm:
+        budget = {"budget": args.budget} if hasattr(args, "budget") else {}
+        report = llm_tuning_loop(ds, client, k=args.k, seed=args.seed, grid=grid, **budget)
     else:
-        client = CyclingProposalClient() if args.mock else _build_client(args)
-        report = llm_tuning_loop(ds, client, budget=args.budget, k=args.k, seed=args.seed, grid=grid)
+        report = grid_search(ds, grid, k=args.k, seed=args.seed, workers=args.workers)
     out = _outdir(args)
     _write(out / "tune.json", report.to_json())
     text = report.summary_text() + f"\nbest: {report.best.config.to_dict()} -> {report.best.mean_rmse:.4f}"
@@ -459,31 +477,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_llm_run(args) -> int:
+    _reject_unread(args, "llm-run", client=True)
+    client = _build_client(args)
     train = parse_dataset(args.train, meta_path=args.meta)
     test = parse_dataset(args.test)
-    client = _build_client(args)
-    result = llm_predict_pipeline(
-        train,
-        test,
-        client,
-        repeats=args.repeats,
-        rows_per_chunk=args.rows_per_chunk,
-        concurrency=args.workers,
-    )
+    result = llm_predict_pipeline(train, test, client, repeats=args.repeats,
+                                  rows_per_chunk=args.rows_per_chunk, concurrency=args.workers)
     rejected = sum(result.rejected_per_run)
     if rejected:
         replies = sum(n > 0 for n in result.rejected_per_run)
         print(f"warning: {replies} of {result.repeats} replies held rejected records, {rejected} in all "
               f"(first: {result.first_rejection})", file=sys.stderr)
     out = _outdir(args)
-    payload = {
-        "repeats": result.repeats,
-        "coverage": result.coverage,
-        "imputed_per_run": result.imputed_per_run,
-        "run_rmse": result.run_rmse,
-        "mean_rmse": result.mean_rmse,
-        "std_error": result.std_error,
-    }
+    fields_kept = ("repeats", "coverage", "imputed_per_run", "run_rmse", "mean_rmse", "std_error")
+    payload = {name: getattr(result, name) for name in fields_kept}
     _write(out / "report.json", json.dumps(payload, indent=2))
     _write(out / "script.txt", result.script_text)
     _write_predictions(out / "predictions.csv", result.test_keys, result.mean_predictions)
@@ -552,41 +559,31 @@ def build_parser() -> _Parser:
     _add_common(p, "data", "out")
     p.set_defaults(func=cmd_summarize)
 
-    model_flags = _model_flags()
-
-    p = sub.add_parser(
-        "cv", help="k-fold cross-validated RMSE for one model", parents=[model_flags]
-    )
+    p = sub.add_parser("cv", help="k-fold cross-validated RMSE for one model",
+                       parents=[_model_flags(), _client_flags()])
     # cv reads no --workers; it stays because the benchmark's commands pass it
     _add_common(p, "data", "seed", "out", "workers")
     p.add_argument("--model", required=True, choices=ALL_MODELS)
     p.add_argument("--k", type=_at_least(2), default=5)
-    _add_client_flags(p)
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser(
-        "fit", help="fit a local model on all labeled rows, export JSON", parents=[model_flags]
-    )
+    p = sub.add_parser("fit", help="fit a local model on all labeled rows, export JSON", parents=[_model_flags()])
     _add_common(p, "data", "seed", "out")
     p.add_argument("--model", required=True, choices=LOCAL_MODELS)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser(
-        "predict", help="fit on labeled rows, predict targets", parents=[model_flags]
-    )
+    p = sub.add_parser("predict", help="fit on labeled rows, predict targets", parents=[_model_flags()])
     _add_common(p, "data", "seed", "out")
     p.add_argument("--model", required=True, choices=LOCAL_MODELS)
     p.add_argument("--targets", help="CSV of rows to predict (defaults to unlabeled rows of --data)")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("tune", help="hyperparameter search for gbt")
+    p = sub.add_parser("tune", help="hyperparameter search for gbt", parents=[_client_flags(budget=True)])
     _add_common(p, "data", "seed", "out", "workers")
     p.add_argument("--model", choices=("gbt",), default="gbt")
     p.add_argument("--method", choices=("grid", "llm"), default="grid")
     p.add_argument("--grid", default="default", help="'default' or a JSON grid file")
-    p.add_argument("--budget", type=_at_least(1), default=10, help="llm method: evaluations")
     p.add_argument("--k", type=_at_least(2), default=5)
-    _add_client_flags(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset with ground truth")
@@ -601,7 +598,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stop-on-correct", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("llm-run", help="encode -> client -> decode prediction pipeline")
+    p = sub.add_parser("llm-run", help="encode -> client -> decode prediction pipeline", parents=[_client_flags()])
     # llm-run reads no --seed; it stays because the benchmark's commands pass it
     _add_common(p, "seed", "out", "workers")
     p.add_argument("--train", required=True)
@@ -609,7 +606,6 @@ def build_parser() -> _Parser:
     p.add_argument("--meta")
     p.add_argument("--repeats", type=_at_least(1), default=1)
     p.add_argument("--rows-per-chunk", type=_at_least(0), default=0)
-    _add_client_flags(p)
     p.set_defaults(func=cmd_llm_run)
 
     p = sub.add_parser("report", help="merge cv report JSONs into one comparison table")

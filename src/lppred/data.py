@@ -230,9 +230,10 @@ class FoldSplit:
 
 @contextmanager
 def open_input(path, **kwargs):
-    """An input file open for reading as UTF-8; one that cannot be opened or decoded is a DataError."""
+    """An input file open for reading as UTF-8, past a leading byte-order mark; one that cannot be
+    opened or decoded is a DataError."""
     try:
-        fh = open(path, encoding="utf-8", **kwargs)
+        fh = open(path, encoding="utf-8-sig", **kwargs)
     except OSError as exc:
         raise DataError(f"{path}: cannot read input file ({exc.strerror or exc})") from None
     with fh:

@@ -488,8 +488,9 @@ def llm_predict_pipeline(
     and align the decoded records back onto the test rows.
 
     Only labeled training rows are encoded as history. Test outcomes are never
-    encoded; when ``ds_test`` carries labels they are used only to score each
-    run's RMSE afterwards. A test row that repeats a labeled training row
+    encoded; when every row of ``ds_test`` carries a label they are used only
+    to score each run's RMSE afterwards, and a test set labeled only in part
+    is a DataError. A test row that repeats a labeled training row
     would show the client its outcome, so it is a DataError. Test rows missing
     from a run's decoded output are imputed at 0.5 and counted, as are the
     reply records that did not decode. ``concurrency`` > 1 sends repeated
@@ -506,6 +507,10 @@ def llm_predict_pipeline(
     shown = next((key for key in history if key in target_set), None)
     if shown is not None:
         raise DataError(f"test row {shown} repeats a labeled training row; the client would see its outcome")
+    n_labeled = int(np.count_nonzero(ds_test.obs >= 0))
+    if 0 < n_labeled < ds_test.n_records:
+        raise DataError(f"test rows must be all labeled or all unlabeled; {n_labeled} are labeled "
+                        f"and {ds_test.n_records - n_labeled} have no obs")
     questions = ds_train.meta.questions
     # unnamed, the sentence lists are freed once joined into the steps; test outcomes are never encoded
     steps = build_cot_script(
@@ -518,7 +523,7 @@ def llm_predict_pipeline(
     messages = [{"role": "user", "content": text} for _, text in steps]
 
     # targets follow the test records, so labels align with them
-    labels = ds_test.obs_array() if np.all(ds_test.obs >= 0) else None
+    labels = ds_test.obs_array() if n_labeled == ds_test.n_records else None
 
     def one_run(run: int) -> tuple[np.ndarray, int, int, str]:
         try:

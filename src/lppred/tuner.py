@@ -333,7 +333,7 @@ class CyclingProposalClient:
 def llm_tuning_loop(
     ds: Dataset,
     client,
-    budget: int,
+    budget: int = 10,
     k: int = 5,
     seed: int = 0,
     grid: Grid | None = None,

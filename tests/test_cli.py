@@ -28,7 +28,7 @@ from lppred.cli import (
 )
 from lppred.data import Dataset, make_folds, parse_dataset, write_dataset
 from lppred.gbt import GbtConfig, GbtModel
-from lppred.llm import _RECORD_SENTENCE, MockHeuristicClient
+from lppred.llm import _RECORD_SENTENCE, HttpChatClient, MockHeuristicClient
 from lppred.pfa import PfaModel
 from lppred.seeds import derive_seed
 from lppred.sparfa import SparfaModel
@@ -205,6 +205,106 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ") and "fold" not in captured.err
         assert "selected method" not in captured.out
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["predict", "--model", "sparfa", "--rank", "2", "--data", "{bad}"], "--model sparfa does not read --rank"),
+        (["predict", "--model", "sparfa", "--rank", "2", "--data", "{data}"], "--model sparfa does not read --rank"),
+        (["cv", "--model", "pfa", "--rank", "3", "--data", "{bad}"], "--model pfa does not read --rank"),
+        (["fit", "--model", "gbt", "--n-trees", "-1", "--data", "{bad}"], "n_trees must be >= 0"),
+        (["cv", "--model", "llm", "--data", "{bad}"], "llm mode needs --endpoint or --mock"),
+        (["tune", "--method", "llm", "--data", "{bad}"], "llm mode needs --endpoint or --mock"),
+        (["llm-run", "--train", "{bad}", "--test", "{bad}"], "llm mode needs --endpoint or --mock"),
+    ], ids=["predict-malformed", "predict-fully-labeled", "cv", "fit", "cv-llm", "tune-llm", "llm-run"])
+    def test_flag_error_is_found_before_any_input_is_read(self, sim_data, tmp_path, capsys, argv, named):
+        """A malformed file, or one with no row to predict, would be a data error if it were read first."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text(sim_data.read_text(encoding="utf-8") + "LX,Q1,1,x\n", encoding="utf-8")
+        out = tmp_path / "o"
+        argv = [arg.format(bad=bad, data=sim_data) for arg in argv]
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cv", "--model", "bkt", "--retries", "9"], "--model bkt does not read --retries"),
+        (["cv", "--model", "bkt", "--mock"], "--model bkt does not read --mock"),
+        (["cv", "--model", "bkt", "--mock", "--endpoint", "http://x", "--retries", "9"],
+         "argument --endpoint: not allowed with argument --mock"),
+        (["cv", "--model", "llm", "--mock", "--endpoint", "http://127.0.0.1:1"],
+         "argument --endpoint: not allowed with argument --mock"),
+        (["cv", "--model", "llm-gbt", "--mock", "--chat-model", "m"], "--mock does not read --chat-model"),
+        (["tune", "--method", "grid", "--mock", "--temperature", "0.7"], "--method grid does not read --mock"),
+        (["tune", "--method", "grid", "--budget", "3"], "--method grid does not read --budget"),
+        (["tune", "--method", "llm", "--mock", "--temperature", "0.7"], "--mock does not read --temperature"),
+        (["llm-run", "--train", "{data}", "--test", "{data}", "--mock", "--timeout", "5"],
+         "--mock does not read --timeout"),
+    ], ids=["cv-bkt-retries", "cv-bkt-mock", "cv-bkt-mock-endpoint", "cv-llm-mock-endpoint",
+            "cv-llm-gbt-mock-chat-model", "tune-grid-mock", "tune-grid-budget", "tune-llm-mock-temperature",
+            "llm-run-mock-timeout"])
+    def test_client_flag_or_budget_the_run_does_not_read_is_usage_error(
+        self, sim_data, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "o"
+        argv = [arg.format(data=sim_data) for arg in argv]
+        data = [] if argv[0] == "llm-run" else ["--data", str(sim_data)]
+        assert main(argv + data + ["--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
+    def test_client_flag_left_off_takes_the_client_default(self):
+        parse = build_parser().parse_args
+        argv = ["llm-run", "--train", "a.csv", "--test", "b.csv", "--endpoint", "http://h"]
+        assert cli._build_client(parse(argv)) == HttpChatClient(endpoint="http://h")
+        given = parse(argv + ["--chat-model", "m", "--temperature", "0.5", "--timeout", "3", "--retries", "1"])
+        assert cli._build_client(given) == HttpChatClient(
+            endpoint="http://h", model="m", temperature=0.5, timeout=3.0, max_retries=1)
+
+    def test_tune_budget_left_off_takes_the_loop_default(self, sim_data, tmp_path):
+        out = tmp_path / "o"
+        assert main(["tune", "--method", "llm", "--mock", "--k", "3", "--data", str(sim_data),
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "tune.json").read_text())["n_evaluated"] == 10
+
+    @pytest.mark.parametrize("kind", ["data", "meta", "grid", "report", "config"])
+    def test_input_that_starts_with_a_byte_order_mark_reads(self, sim_data, tmp_path, capsys, kind):
+        """A spreadsheet's "CSV UTF-8" export starts the file with U+FEFF, which is skipped."""
+        def with_bom(name, text):
+            path = tmp_path / name
+            path.write_text("\ufeff" + text, encoding="utf-8")
+            return str(path)
+
+        out = str(tmp_path / "o")
+        argv = {
+            "data": lambda: ["ingest", "--data", with_bom("d.csv", sim_data.read_text(encoding="utf-8"))],
+            "meta": lambda: ["ingest", "--data", str(sim_data), "--meta",
+                             with_bom("m.json", json.dumps({"lesson_name": "Minor Burns"}))],
+            "grid": lambda: ["tune", "--data", str(sim_data), "--grid", with_bom("g.json", json.dumps(SMALL_GRID)),
+                             "--k", "3", "--workers", "1", "--out", out],
+            "report": lambda: ["report", "--inputs", with_bom("r.json", '{"bkt": {"fold_rmse": [0.4, 0.5]}}'),
+                               "--out", out],
+            "config": lambda: ["ingest", "--config", with_bom("c.cfg", f"data = {sim_data}\n")],
+        }[kind]()
+        assert main(argv) == EXIT_OK, capsys.readouterr().err
+
+    def test_llm_run_partly_labeled_test_is_data_error(self, train_test_files, tmp_path, capsys, monkeypatch):
+        """Scoring only the labeled rows, or none, would hide the gap; no client call is made."""
+        calls = []
+
+        class CountingClient(MockHeuristicClient):
+            def send(self, messages):
+                calls.append(messages)
+                return super().send(messages)
+
+        monkeypatch.setattr(cli, "MockHeuristicClient", CountingClient)
+        train, test = train_test_files
+        with test.open("a", encoding="utf-8") as fh:
+            fh.write("LX,QX,1,\n")
+        labeled = len(test.read_text(encoding="utf-8").splitlines()) - 2
+        out = tmp_path / "o"
+        assert main(["llm-run", "--mock", "--train", str(train), "--test", str(test), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: test rows must be all labeled or all unlabeled; "
+                                           f"{labeled} are labeled and 1 have no obs\n")
         assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("command", ["cv", "fit"])
