@@ -278,8 +278,11 @@ def _build_client(args, mock=None):
     if hasattr(args, "mock"):
         return (mock or MockHeuristicClient)()
     if hasattr(args, "endpoint"):
-        return HttpChatClient(**{field: getattr(args, dest) for dest, field in CLIENT_FIELDS.items()
-                                 if hasattr(args, dest)})
+        try:  # the client checks the endpoint's form
+            return HttpChatClient(**{field: getattr(args, dest) for dest, field in CLIENT_FIELDS.items()
+                                     if hasattr(args, dest)})
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     raise UsageError("llm mode needs --endpoint or --mock")
 
 
@@ -593,7 +596,7 @@ def build_parser() -> _Parser:
                    help="learners x questions x attempts, e.g. 66x8x9")
     p.add_argument("--bkt-params", type=_bkt_params,
                    help='JSON like {"p_init":0.3,...} for bkt-process')
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=int, help="low-rank generators: concepts (default 2)")
     p.add_argument("--mask", type=_fraction, default=0.0, help="fraction of cells left unlabeled")
     p.add_argument("--stop-on-correct", action="store_true")
     p.set_defaults(func=cmd_simulate)

@@ -31,6 +31,7 @@ import json
 import os
 import re
 import time
+import urllib.parse
 import urllib.request
 import warnings
 from dataclasses import dataclass, field
@@ -314,6 +315,10 @@ class MockHeuristicClient:
     prompts also get an answer). Pure and reentrant.
     """
 
+    def send_choices(self, messages: Sequence[dict[str, str]], n: int) -> list[str]:
+        """The one reply to ``messages``, ``n`` times: the mock reads the prompt once per request."""
+        return [self.send(messages)] * n
+
     def send(self, messages: Sequence[dict[str, str]]) -> str:
         contents = [m.get("content", "") for m in messages]
         train: dict[str, list[int]] = {}  # question -> [train rows, correct rows]
@@ -357,15 +362,26 @@ def _quote(value: str) -> str:
     return f'"{value}"' if "'" in value else f"'{value}'"
 
 
+def _choice_text(choice) -> str:
+    """``choice.message.content``; a LookupError or TypeError when the choice holds no text there."""
+    content = choice["message"]["content"]
+    if not isinstance(content, str):
+        raise TypeError(f"reply content is {type(content).__name__}, not text")
+    return content
+
+
 @dataclass(frozen=True)
 class HttpChatClient:
     """Minimal chat-completion HTTP client: message list in, text out.
 
     POSTs ``{"model", "messages", "temperature"}`` as JSON to the endpoint
-    and reads ``choices[0].message.content`` from the reply. The bearer
-    token comes from the environment variable LPPRED_API_TOKEN and is never
-    logged. A failed call, or a reply without text at that path, is retried
-    with a linear backoff.
+    and reads ``choices[0].message.content`` from the reply. ``send_choices``
+    asks for ``n`` > 1 choices by adding ``"n": n`` to that body; a server
+    that ignores it answers with one choice, and one that refuses it fails
+    the call. The bearer token comes from the environment variable
+    LPPRED_API_TOKEN and is never logged. A failed call, or a reply without
+    text in its first choice, is retried with a linear backoff. The endpoint
+    must be an ``http://`` or ``https://`` URL with a host (ValueError).
     """
 
     endpoint: str
@@ -375,10 +391,24 @@ class HttpChatClient:
     max_retries: int = 2
     backoff: float = 1.0
 
+    def __post_init__(self):
+        url = urllib.parse.urlsplit(self.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint {self.endpoint!r} is not an http:// or https:// URL with a host")
+
     def send(self, messages: Sequence[dict[str, str]]) -> str:
-        payload = json.dumps(
-            {"model": self.model, "messages": list(messages), "temperature": self.temperature}
-        ).encode("utf-8")
+        return self.send_choices(messages, 1)[0]
+
+    def send_choices(self, messages: Sequence[dict[str, str]], n: int) -> list[str]:
+        """The texts of the reply's leading choices, 1 to ``n`` of them, in reply order.
+
+        A first choice without text fails the call like any other bad reply;
+        the list ends before any later choice without text.
+        """
+        body = {"model": self.model, "messages": list(messages), "temperature": self.temperature}
+        if n > 1:
+            body["n"] = n
+        payload = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get("LPPRED_API_TOKEN", "")
         if token:
@@ -390,11 +420,14 @@ class HttpChatClient:
                     self.endpoint, data=payload, headers=headers, method="POST"
                 )
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    body = json.loads(response.read().decode("utf-8"))
-                content = body["choices"][0]["message"]["content"]
-                if not isinstance(content, str):
-                    raise TypeError(f"reply content is {type(content).__name__}, not text")
-                return content
+                    choices = json.loads(response.read().decode("utf-8"))["choices"]
+                texts = [_choice_text(choices[0])]
+                for choice in choices[1:n]:
+                    try:
+                        texts.append(_choice_text(choice))
+                    except (LookupError, TypeError):
+                        break
+                return texts
             # transport (URLError is an OSError), a cut-short body, a body that is
             # not JSON, or no text at the path
             except (OSError, http.client.HTTPException, ValueError, LookupError, TypeError) as exc:
@@ -493,9 +526,14 @@ def llm_predict_pipeline(
     is a DataError. A test row that repeats a labeled training row
     would show the client its outcome, so it is a DataError. Test rows missing
     from a run's decoded output are imputed at 0.5 and counted, as are the
-    reply records that did not decode. ``concurrency`` > 1 sends repeated
-    runs to the client from that many threads; results stay ordered by run
-    index.
+    reply records that did not decode.
+
+    With ``repeats`` > 1 and a client that has ``send_choices``, one request
+    asks for all ``repeats`` choices, and each choice decodes as its own run,
+    in choice order. The runs its reply did not cover, and every run of a
+    client without the method, are requested one at a time; ``concurrency``
+    > 1 sends those from that many threads, and results stay ordered by run
+    index. A failed request names its run index.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -525,23 +563,33 @@ def llm_predict_pipeline(
     # targets follow the test records, so labels align with them
     labels = ds_test.obs_array() if n_labeled == ds_test.n_records else None
 
-    def one_run(run: int) -> tuple[np.ndarray, int, int, str]:
-        try:
-            response = client.send(messages)
-        except ClientError as exc:
-            raise ClientError(f"run {run}: {exc}") from exc
+    def decode_run(response: str) -> tuple[np.ndarray, int, int, str]:
         decoded = decode_response(response)
         found, rejected = decoded.predictions, decoded.rejected
         preds = np.array([found.get(key, 0.5) for key in targets], dtype=float)
         return preds, sum(key not in found for key in targets), len(rejected), rejected[0][1] if rejected else ""
 
-    if concurrency > 1 and repeats > 1:
+    def request(run: int, send, *args):
+        try:
+            return send(messages, *args)
+        except ClientError as exc:
+            raise ClientError(f"run {run}: {exc}") from exc
+
+    def one_run(run: int) -> tuple[np.ndarray, int, int, str]:
+        return decode_run(request(run, client.send))
+
+    runs = []
+    if repeats > 1 and hasattr(client, "send_choices"):
+        # one request for every run; the runs a shorter reply left out get one request each below
+        runs = [decode_run(choice) for choice in request(0, client.send_choices, repeats)[:repeats]]
+    rest = range(len(runs), repeats)
+    if concurrency > 1 and len(rest) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(concurrency, repeats)) as pool:
-            runs = list(pool.map(one_run, range(repeats)))
+        with ThreadPoolExecutor(max_workers=min(concurrency, len(rest))) as pool:
+            runs += pool.map(one_run, rest)
     else:
-        runs = [one_run(run) for run in range(repeats)]
+        runs += map(one_run, rest)
 
     run_predictions, imputed_per_run, rejected_per_run, first_reasons = (list(column) for column in zip(*runs))
     return PipelineResult(

@@ -23,6 +23,7 @@ from .bkt import BktParams, bkt_predict_next
 from .data import Dataset, LessonMeta
 
 GENERATORS = ("bkt-process", "low-rank-matrix", "low-rank-tensor")
+DEFAULT_RANK = 2  # latent concepts of the low-rank generators
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class SimSpec:
     generator: str = "bkt-process"
     seed: int = 0
     bkt: BktParams | None = None
-    rank: int = 2
+    rank: int | None = None  # low-rank modes only; None means DEFAULT_RANK there
     mask_fraction: float = 0.0
     # low-rank modes: factor energy per latent concept. Matrix mode
     # orthonormalizes both factor blocks so every concept carries this scale;
@@ -53,16 +54,18 @@ class SimSpec:
             raise ValueError(f"unknown generator {self.generator!r}, expected one of {GENERATORS}")
         if not 0.0 <= self.mask_fraction < 1.0:
             raise ValueError("mask_fraction must lie in [0, 1)")
-        if self.rank < 1:
+        if self.rank is not None and self.rank < 1:
             raise ValueError(f"rank {self.rank} is below 1")
-        most = min(self.n_learners, self.n_questions)  # matrix mode orthonormalizes rank columns
-        if self.generator == "low-rank-matrix" and self.rank > most:
-            raise ValueError(f"rank {self.rank} exceeds min(learners, questions) = {most}")
         # a field the generator never reads is an error, not silently dropped
-        ignored = ("mask_fraction",) if self.generator == "bkt-process" else ("stop_on_correct", "bkt")
+        ignored = ("mask_fraction", "rank") if self.generator == "bkt-process" else ("stop_on_correct", "bkt")
         for name in ignored:
             if getattr(self, name):
                 raise ValueError(f"{name} is not used by the {self.generator} generator")
+        if self.generator != "bkt-process" and self.rank is None:
+            object.__setattr__(self, "rank", DEFAULT_RANK)  # frozen: set once, while the spec is built
+        most = min(self.n_learners, self.n_questions)  # matrix mode orthonormalizes rank columns
+        if self.generator == "low-rank-matrix" and self.rank > most:
+            raise ValueError(f"rank {self.rank} exceeds min(learners, questions) = {most}")
 
 
 @dataclass

@@ -3,9 +3,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from lppred import sparfa
+from lppred import llm, sparfa
 from lppred.data import Dataset
 from lppred.metrics import cross_validate
+from lppred.pfa import PfaModel
 from lppred.simulate import SimSpec, simulate
 
 
@@ -36,6 +37,37 @@ def random_dataset(rng, n_learners=6, n_questions=4, max_attempt=3, n_rows=40, l
         obs = int(rng.integers(2)) if labeled else None
         records.append((lid, qid, attempt, obs))
     return Dataset.from_records(records)
+
+
+class PfaRefitClient:
+    """A chat client that refits PFA from the request text: a known right answer for the whole round trip.
+
+    It reads every record sentence of the messages with ``llm._RECORD_SENTENCE``,
+    fits ``PfaModel()`` on the history sentences and replies with one record per
+    target sentence in ``PREDICTION_FORMAT``, each id quoted by ``llm._quote``.
+    It keeps the number of requests in ``calls``.
+    """
+
+    def __init__(self):
+        self.calls = 0
+
+    def send(self, messages):
+        self.calls += 1
+        history, targets = [], []
+        for message in messages:
+            for m in llm._RECORD_SENTENCE.finditer(message["content"]):
+                lid, qid, attempt, obs = m.group(1), m.group(2), int(m.group(3)), m.group(4)
+                if obs is None:
+                    targets.append((lid, qid, attempt))
+                else:
+                    history.append((lid, qid, attempt, int(obs)))
+        preds = PfaModel().fit(Dataset.from_records(history)).predict(targets)
+        # float(p): a numpy float64 would print as np.float64(...), which no record reads
+        return "\n".join(
+            f"{{'learner ID': {llm._quote(lid)}, 'Question ID': {llm._quote(qid)}, 'Attempt': {attempt}, "
+            f"'Prediction': {float(p)!r}, 'Assessment': ''}}"
+            for (lid, qid, attempt), p in zip(targets, preds)
+        )
 
 
 def cv_fitted_models(factory, shape, seed):

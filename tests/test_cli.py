@@ -215,13 +215,16 @@ class TestExitCodes:
         (["cv", "--model", "llm", "--data", "{bad}"], "llm mode needs --endpoint or --mock"),
         (["tune", "--method", "llm", "--data", "{bad}"], "llm mode needs --endpoint or --mock"),
         (["llm-run", "--train", "{bad}", "--test", "{bad}"], "llm mode needs --endpoint or --mock"),
-    ], ids=["predict-malformed", "predict-fully-labeled", "cv", "fit", "cv-llm", "tune-llm", "llm-run"])
+        (["llm-run", "--train", "{bad}", "--test", "{missing}", "--endpoint", "notaurl", "--retries", "1"],
+         "endpoint 'notaurl' is not an http:// or https:// URL with a host"),
+    ], ids=["predict-malformed", "predict-fully-labeled", "cv", "fit", "cv-llm", "tune-llm", "llm-run",
+            "llm-run-endpoint"])
     def test_flag_error_is_found_before_any_input_is_read(self, sim_data, tmp_path, capsys, argv, named):
         """A malformed file, or one with no row to predict, would be a data error if it were read first."""
         bad = tmp_path / "bad.csv"
         bad.write_text(sim_data.read_text(encoding="utf-8") + "LX,Q1,1,x\n", encoding="utf-8")
         out = tmp_path / "o"
-        argv = [arg.format(bad=bad, data=sim_data) for arg in argv]
+        argv = [arg.format(bad=bad, data=sim_data, missing=tmp_path / "missing.csv") for arg in argv]
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {named}\n"
         assert not out.exists()
@@ -571,11 +574,13 @@ class TestExitCodes:
         ["--generator", "low-rank-matrix", "--stop-on-correct"],
         ["--generator", "low-rank-tensor", "--bkt-params",
          '{"p_init": 0.3, "p_learn": 0.2, "p_slip": 0.1, "p_guess": 0.2}'],
-    ], ids=["bkt-mask", "matrix-stop-on-correct", "tensor-bkt-params"])
+        ["--generator", "bkt-process", "--rank", "3"],
+    ], ids=["bkt-mask", "matrix-stop-on-correct", "tensor-bkt-params", "bkt-rank"])
     def test_simulate_flag_its_generator_ignores_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
         assert main(["simulate", "--shape", "4x3x2", *flags, "--out", str(out)]) == EXIT_USAGE
-        field = {"--mask": "mask_fraction", "--stop-on-correct": "stop_on_correct", "--bkt-params": "bkt"}
+        field = {"--mask": "mask_fraction", "--stop-on-correct": "stop_on_correct", "--bkt-params": "bkt",
+                 "--rank": "rank"}
         err = capsys.readouterr().err
         assert field[flags[2]] in err and flags[1] in err
         assert not out.exists()

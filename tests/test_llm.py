@@ -33,10 +33,11 @@ from lppred.llm import (
     select_method,
     strip_quotes,
 )
-from lppred.metrics import cross_validate
+from lppred.metrics import cross_validate, rmse
+from lppred.pfa import PfaModel
 from lppred.simulate import SimSpec, simulate_bkt
 
-from conftest import make_records, rows_of
+from conftest import PfaRefitClient, make_records, rows_of
 
 
 def lesson_meta():
@@ -590,6 +591,108 @@ class TestPipeline:
             llm_predict_pipeline(train, test, MockHeuristicClient(), repeats=0)
 
 
+def set_predictions(reply, value):
+    """``reply`` with the prediction of every record set to ``value``."""
+    return re.sub(r"'Prediction': [^,]+", f"'Prediction': {value}", reply)
+
+
+class ChoicesClient:
+    """Answers as the mock does; ``send_choices`` gives the first ``served`` of its choices.
+
+    Every prediction of choice i reads (i + 1) / 10, and of a ``send`` reply 0.9.
+    """
+
+    def __init__(self, served):
+        self.served, self.choice_calls, self.send_calls = served, [], 0
+
+    def send_choices(self, messages, n):
+        self.choice_calls.append(n)
+        reply = MockHeuristicClient().send(messages)
+        return [set_predictions(reply, (i + 1) / 10) for i in range(min(n, self.served))]
+
+    def send(self, messages):
+        self.send_calls += 1
+        return set_predictions(MockHeuristicClient().send(messages), 0.9)
+
+
+class TestChoices:
+    """All repeats in one request when the client can ask for several choices."""
+
+    @pytest.fixture
+    def split(self, rng):
+        return split_dataset(simulate_bkt(SimSpec(10, 3, 3, seed=10, stop_on_correct=True)).dataset, rng)
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    @pytest.mark.parametrize("served", [1, 2, 4])
+    def test_each_choice_is_a_run_in_choice_order_and_the_rest_one_request_each(
+        self, split, served, concurrency
+    ):
+        train, test = split
+        client = ChoicesClient(served)
+        result = llm_predict_pipeline(train, test, client, repeats=4, concurrency=concurrency)
+        assert client.choice_calls == [4] and client.send_calls == 4 - served
+        expected = [(i + 1) / 10 for i in range(served)] + [0.9] * (4 - served)
+        assert [set(preds.tolist()) for preds in result.run_predictions] == [{v} for v in expected]
+        assert result.imputed_per_run == [0] * 4 and result.rejected_per_run == [0] * 4
+
+    def test_the_mock_reads_the_prompt_once_for_every_run(self, split):
+        train, test = split
+        sends = []
+
+        class CountingMock(MockHeuristicClient):
+            def send(self, messages):
+                sends.append(messages)
+                return super().send(messages)
+
+        result = llm_predict_pipeline(train, test, CountingMock(), repeats=5)
+        once = llm_predict_pipeline(train, test, MockHeuristicClient(), repeats=1)
+        assert len(sends) == 1 and result.repeats == 5
+        assert all(np.array_equal(preds, once.run_predictions[0]) for preds in result.run_predictions)
+
+
+class TestPfaRefitRoundTrip:
+    """A client that refits PFA from the request text scores exactly as PFA on the same folds.
+
+    So every training row reaches the prompt, and every prediction is read back under its own key.
+    """
+
+    # ids holding quotes, commas, colons and inner spaces; an id holding both
+    # quotes cannot be written so that a record reads it back
+    IDS = st.text(alphabet="ab'\",: ", min_size=1, max_size=5).filter(
+        lambda s: s == s.strip() and not ("'" in s and '"' in s)
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        learners=st.lists(IDS, min_size=3, max_size=5, unique=True),
+        questions=st.lists(IDS, min_size=2, max_size=3, unique=True),
+        seed=st.integers(0, 2**16),
+        with_meta=st.booleans(),
+    )
+    def test_cv_through_the_prompt_equals_pfa_fold_for_fold(self, learners, questions, seed, with_meta):
+        rng = np.random.default_rng(seed)
+        rows = [(lid, qid, attempt, int(rng.integers(2)))
+                for lid in learners for qid in questions for attempt in range(1, int(rng.integers(1, 4)) + 1)]
+        meta = LessonMeta("lesson", {qid: QuestionInfo(text=f"Title {i}") for i, qid in enumerate(questions)})
+        ds = Dataset.from_records(rows, meta if with_meta else None)
+        client = PfaRefitClient()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a PFA fit that stops early warns alike on both sides
+            through_prompt = cross_validate(lambda s: LlmPredictor(client), ds, k=3, seed=0, model_name="llm")
+            direct = cross_validate(lambda s: PfaModel(), ds, k=3, seed=0, model_name="pfa")
+        assert client.calls == 3
+        assert through_prompt.fold_rmse == direct.fold_rmse
+
+    def test_repeated_chunked_runs_each_send_a_request_and_equal_pfa(self, rng):
+        res = simulate_bkt(SimSpec(12, 3, 3, seed=5, stop_on_correct=True))
+        train, test = split_dataset(Dataset.from_records(rows_of(res.dataset), meta=lesson_meta()), rng)
+        client = PfaRefitClient()
+        result = llm_predict_pipeline(train, test, client, repeats=3, rows_per_chunk=4)
+        expected = PfaModel().fit(train).predict(test.keys())
+        assert client.calls == 3
+        assert all(np.array_equal(preds, expected) for preds in result.run_predictions)
+
+
 class RejectingClient:
     """Answers as the mock does, plus two records that do not decode."""
 
@@ -752,3 +855,124 @@ class TestHttpClient:
         client = HttpChatClient(endpoint="http://127.0.0.1:1", max_retries=0, backoff=0.0)
         with pytest.raises(ClientError, match="run 0"):
             llm_predict_pipeline(train, test, client, repeats=2)
+
+
+class _ChoicesHandler(BaseHTTPRequestHandler):
+    """Answers as the mock does, with ``n`` choices; every prediction of choice i reads (i + 1) / 10.
+
+    With ``refuse_n`` set, a request that asks for ``n`` gets HTTP 400.
+    """
+
+    refuse_n = False
+    requests_seen = []
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        type(self).requests_seen.append(body)
+        if type(self).refuse_n and "n" in body:
+            self.send_response(400)
+            self.end_headers()
+            return
+        reply = MockHeuristicClient().send(body["messages"])
+        choices = [{"index": i, "message": {"role": "assistant", "content": set_predictions(reply, (i + 1) / 10)}}
+                   for i in range(body.get("n", 1))]
+        payload = json.dumps({"choices": choices}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def choices_server():
+    server = HTTPServer(("127.0.0.1", 0), _ChoicesHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _ChoicesHandler.refuse_n, _ChoicesHandler.requests_seen = False, []
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+
+
+@pytest.fixture
+def llm_run_files(tmp_path):
+    """``llm-run`` argv, less its client flags, on a labeled train/test split; and the test labels."""
+    train, test = split_dataset(simulate_bkt(SimSpec(10, 3, 3, seed=11)).dataset, np.random.default_rng(3))
+    write_dataset(train, tmp_path / "train.csv")
+    write_dataset(test, tmp_path / "test.csv")
+    return ["llm-run", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv")], test.obs_array()
+
+
+class TestHttpChoices:
+    MESSAGES = [{"role": "user", "content": "x"}]
+
+    @pytest.mark.parametrize("endpoint", ["notaurl", "localhost:8000", "ftp://h/v1", "http://", "http:///v1",
+                                          "http://[::1"])
+    def test_endpoint_that_is_not_an_http_url_with_a_host_is_rejected(self, endpoint):
+        with pytest.raises(ValueError):
+            HttpChatClient(endpoint=endpoint)
+
+    def test_one_run_body_has_exactly_model_messages_and_temperature(self, chat_server, rng):
+        train, test = split_dataset(simulate_bkt(SimSpec(6, 2, 2, seed=7)).dataset, rng)
+        llm_predict_pipeline(train, test, HttpChatClient(endpoint=chat_server), repeats=1)
+        (seen,) = _ChatHandler.requests_seen
+        assert list(seen["body"]) == ["model", "messages", "temperature"]
+
+    def test_a_server_that_honours_n_gives_every_choice_in_one_request(self, choices_server):
+        client = HttpChatClient(endpoint=choices_server, max_retries=0)
+        assert client.send_choices(self.MESSAGES, 3) == ["Based on per-question difficulty and attempt counts, "
+                                                         "I recommend XGBoost for this data."] * 3
+        (body,) = _ChoicesHandler.requests_seen
+        assert body["n"] == 3
+
+    def test_a_server_that_ignores_n_gives_one_choice(self, chat_server):
+        client = HttpChatClient(endpoint=chat_server, max_retries=0)
+        assert client.send_choices(self.MESSAGES, 3) == [GOOD_REPLY["choices"][0]["message"]["content"]]
+        assert _ChatHandler.requests_seen[0]["body"]["n"] == 3
+
+    @pytest.mark.parametrize("later", [{"message": {"content": None}}, {}, "text"])
+    def test_the_choices_end_before_a_later_choice_without_text(self, chat_server, later):
+        _ChatHandler.reply = {"choices": [{"message": {"content": "a"}}, later, {"message": {"content": "c"}}]}
+        client = HttpChatClient(endpoint=chat_server, max_retries=0)
+        assert client.send_choices(self.MESSAGES, 3) == ["a"]
+
+    def test_a_first_choice_without_text_is_retried(self, chat_server):
+        _ChatHandler.reply = {"choices": [{"message": {"content": None}}, {"message": {"content": "b"}}]}
+        client = HttpChatClient(endpoint=chat_server, max_retries=1, backoff=0.01)
+        with pytest.raises(ClientError, match="after 2 attempts"):
+            client.send_choices(self.MESSAGES, 2)
+        assert len(_ChatHandler.requests_seen) == 2
+
+    @pytest.mark.parametrize("server", ["honours-n", "ignores-n"])
+    def test_llm_run_files_do_not_depend_on_workers_or_on_whether_the_server_reads_n(
+        self, request, llm_run_files, tmp_path, server
+    ):
+        endpoint = request.getfixturevalue("choices_server" if server == "honours-n" else "chat_server")
+        seen = _ChoicesHandler.requests_seen if server == "honours-n" else _ChatHandler.requests_seen
+        argv, labels = llm_run_files
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            seen.clear()
+            assert main([*argv, "--endpoint", endpoint, "--repeats", "3", "--workers", workers,
+                         "--out", str(out)]) == 0
+            bodies = [entry.get("body", entry) for entry in seen]
+            # one request for every run, or the first and then one for each run it left out
+            assert [body.get("n") for body in bodies] == ([3] if server == "honours-n" else [3, None, None])
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert written[0] == written[1]
+        if server == "honours-n":  # run i is choice i
+            run_rmse = json.loads(written[0]["report.json"])["run_rmse"]
+            assert run_rmse == [rmse(np.full(len(labels), (i + 1) / 10), labels) for i in range(3)]
+
+    def test_a_server_that_refuses_n_makes_repeats_a_client_error(self, choices_server, llm_run_files, tmp_path,
+                                                                  capsys):
+        _ChoicesHandler.refuse_n = True
+        argv, _ = llm_run_files
+        client = ["--endpoint", choices_server, "--retries", "0"]
+        assert main([*argv, *client, "--repeats", "2", "--out", str(tmp_path / "o2")]) == EXIT_CLIENT
+        assert capsys.readouterr().err.startswith("client error: run 0: chat endpoint failed after 1 attempts")
+        assert main([*argv, *client, "--repeats", "1", "--out", str(tmp_path / "o1")]) == 0
