@@ -9,8 +9,10 @@ map from ``(learner_id, question_id, attempt)`` to prediction, in which the
 first valid record of each key counts; the prompt asks for an Assessment with
 each record, but it is not kept. A record in exactly the layout the prompt
 asks for (``PREDICTION_FORMAT``) is read in one regex match, any other by the
-lenient pair reader, with the same result. Question titles and the learning
-materials come from the training Dataset's lesson metadata.
+lenient pair reader, with the same result. A reply text equal to one already
+decoded in the same pipeline call reuses that decode, so identical choices,
+such as the mock's R copies of its one reply, decode once. Question titles and
+the learning materials come from the training Dataset's lesson metadata.
 A deterministic offline mock client implements the same heuristic a capable
 assistant applies to such transcripts (per-question difficulty shrunk toward
 0.5, discounted for repeated attempts), which makes the whole pipeline
@@ -31,6 +33,7 @@ import json
 import os
 import re
 import time
+import urllib.error
 import urllib.parse
 import urllib.request
 import warnings
@@ -75,15 +78,23 @@ def encode_records(keys, questions: dict[str, QuestionInfo], outcomes=None) -> l
     its observed outcome, making a history sentence; without, the sentences
     are prediction targets. The question id always appears verbatim in the
     sentence so the text round-trips losslessly; the title comes from
-    ``questions`` when present, else the placeholder "question <id>".
+    ``questions`` when present, else the placeholder "question <id>". Each
+    question's titled text and each attempt's ordinal is built once per call.
     """
+    titled: dict[str, str] = {}  # question id -> "<id> titled as '<title>'"
+    ordinals: dict[int, str] = {}
     sentences: list[str] = []
     for (learner_id, question_id, attempt), obs in zip(keys, repeat(None) if outcomes is None else outcomes):
-        info = questions.get(question_id)
-        title = info.text if info and info.text else f"question {question_id}"
+        question = titled.get(question_id)
+        if question is None:
+            info = questions.get(question_id)
+            title = info.text if info and info.text else f"question {question_id}"
+            question = titled[question_id] = f"{question_id} titled as '{title}'"
+        nth = ordinals.get(attempt)
+        if nth is None:
+            nth = ordinals[attempt] = _ordinal(attempt)
         sentence = (
-            f"The current learner {learner_id} attempted to answer the question "
-            f"{question_id} titled as '{title}' on their {_ordinal(attempt)} attempt."
+            f"The current learner {learner_id} attempted to answer the question {question} on their {nth} attempt."
         )
         sentences.append(sentence if obs is None else f"{sentence} Their performance was observed as {obs}.")
     return sentences
@@ -316,7 +327,10 @@ class MockHeuristicClient:
     """
 
     def send_choices(self, messages: Sequence[dict[str, str]], n: int) -> list[str]:
-        """The one reply to ``messages``, ``n`` times: the mock reads the prompt once per request."""
+        """The one reply to ``messages``, ``n`` times: the mock reads the prompt once per request.
+
+        The ``n`` choices are one text, so ``llm_predict_pipeline`` decodes them once.
+        """
         return [self.send(messages)] * n
 
     def send(self, messages: Sequence[dict[str, str]]) -> str:
@@ -362,6 +376,10 @@ def _quote(value: str) -> str:
     return f'"{value}"' if "'" in value else f"'{value}'"
 
 
+# the client-error statuses that a later try of the same request may pass
+RETRIED_4XX = frozenset({408, 429})
+
+
 def _choice_text(choice) -> str:
     """``choice.message.content``; a LookupError or TypeError when the choice holds no text there."""
     content = choice["message"]["content"]
@@ -380,8 +398,11 @@ class HttpChatClient:
     that ignores it answers with one choice, and one that refuses it fails
     the call. The bearer token comes from the environment variable
     LPPRED_API_TOKEN and is never logged. A failed call, or a reply without
-    text in its first choice, is retried with a linear backoff. The endpoint
-    must be an ``http://`` or ``https://`` URL with a host (ValueError).
+    text in its first choice, is retried with a linear backoff; an HTTP 4xx
+    status other than those in ``RETRIED_4XX`` (408 Request Timeout, 429 Too
+    Many Requests) fails at once with a ClientError naming it, since the same
+    request would be refused again. The endpoint must be an ``http://`` or
+    ``https://`` URL with a host (ValueError).
     """
 
     endpoint: str
@@ -431,6 +452,11 @@ class HttpChatClient:
             # transport (URLError is an OSError), a cut-short body, a body that is
             # not JSON, or no text at the path
             except (OSError, http.client.HTTPException, ValueError, LookupError, TypeError) as exc:
+                status = exc.code if isinstance(exc, urllib.error.HTTPError) else None
+                if status is not None and 400 <= status < 500 and status not in RETRIED_4XX:
+                    raise ClientError(
+                        f"chat endpoint failed after {retry + 1} attempts: {exc} (a client error, not retried)"
+                    ) from exc
                 last_error = exc
                 if retry < self.max_retries:
                     time.sleep(self.backoff * (retry + 1))
@@ -534,6 +560,10 @@ def llm_predict_pipeline(
     client without the method, are requested one at a time; ``concurrency``
     > 1 sends those from that many threads, and results stay ordered by run
     index. A failed request names its run index.
+
+    Each distinct reply text is decoded and aligned once, and a run whose text
+    equals an earlier one's reuses that result, with its own copy of the
+    predictions array.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -563,11 +593,22 @@ def llm_predict_pipeline(
     # targets follow the test records, so labels align with them
     labels = ds_test.obs_array() if n_labeled == ds_test.n_records else None
 
+    decoded_runs: dict[str, tuple[np.ndarray, int, int, str]] = {}  # reply text -> its run
+
     def decode_run(response: str) -> tuple[np.ndarray, int, int, str]:
-        decoded = decode_response(response)
-        found, rejected = decoded.predictions, decoded.rejected
-        preds = np.array([found.get(key, 0.5) for key in targets], dtype=float)
-        return preds, sum(key not in found for key in targets), len(rejected), rejected[0][1] if rejected else ""
+        run = decoded_runs.get(response)
+        if run is None:
+            decoded = decode_response(response)
+            rejected = decoded.rejected
+            # NaN marks a missing key: no decoded prediction is NaN, as each lies in [0, 1]
+            preds = np.array([decoded.predictions.get(key, np.nan) for key in targets], dtype=float)
+            missing = np.isnan(preds)
+            preds[missing] = 0.5
+            run = decoded_runs[response] = (
+                preds, int(np.count_nonzero(missing)), len(rejected), rejected[0][1] if rejected else ""
+            )
+        preds, *counts = run
+        return (preds.copy(), *counts)
 
     def request(run: int, send, *args):
         try:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import threading
+import time
 import tracemalloc
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -79,6 +80,43 @@ class TestEncode:
         # the keys read back from the target sentences
         read = [(m[1], m[2], int(m[3])) for m in _RECORD_SENTENCE.finditer("\n".join(targets))]
         assert read == keys
+
+
+def encode_records_reference(keys, questions, outcomes=None):
+    """``encode_records`` as one f-string per row, with the title looked up and the ordinal built per row."""
+    sentences = []
+    for i, (learner_id, question_id, attempt) in enumerate(keys):
+        info = questions.get(question_id)
+        title = info.text if info and info.text else f"question {question_id}"
+        sentence = (
+            f"The current learner {learner_id} attempted to answer the question "
+            f"{question_id} titled as '{title}' on their {llm._ordinal(attempt)} attempt."
+        )
+        if outcomes is not None:
+            sentence += f" Their performance was observed as {outcomes[i]}."
+        sentences.append(sentence)
+    return sentences
+
+
+# ids holding spaces, quotes, commas and colons; attempts around every ordinal suffix change
+ENCODE_IDS = st.text(alphabet="aQ1 '\",:", min_size=1, max_size=5)
+ENCODE_ATTEMPTS = st.one_of(st.sampled_from([1, 2, 3, 4, 11, 12, 13, 21, 22, 23, 111, 112, 113, 1001]),
+                            st.integers(1, 2000))
+
+
+class TestEncodeProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(ENCODE_IDS, ENCODE_IDS, ENCODE_ATTEMPTS, st.sampled_from([0, 1])), max_size=30),
+        st.dictionaries(ENCODE_IDS, st.builds(QuestionInfo, text=st.one_of(st.just(""), ENCODE_IDS)), max_size=4),
+    )
+    def test_sentences_equal_the_per_row_reference(self, rows, questions):
+        # draw a question id from the metadata for some rows, so titled and placeholder rows mix
+        keys = [(lid, list(questions)[attempt % len(questions)] if questions and obs else qid, attempt)
+                for lid, qid, attempt, obs in rows]
+        outcomes = [obs for *_, obs in rows]
+        assert encode_records(keys, questions) == encode_records_reference(keys, questions)
+        assert encode_records(keys, questions, outcomes) == encode_records_reference(keys, questions, outcomes)
 
 
 class TestScript:
@@ -650,6 +688,85 @@ class TestChoices:
         assert all(np.array_equal(preds, once.run_predictions[0]) for preds in result.run_predictions)
 
 
+class TestDecodeOnce:
+    """Each distinct reply text decodes once; every run still gets its own predictions array."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        texts = []
+        decode = llm.decode_response
+
+        def counting(text):
+            texts.append(text)
+            return decode(text)
+
+        monkeypatch.setattr(llm, "decode_response", counting)
+        return texts
+
+    @pytest.fixture
+    def split(self, rng):
+        return split_dataset(simulate_bkt(SimSpec(10, 3, 3, seed=10, stop_on_correct=True)).dataset, rng)
+
+    def test_equal_choices_decode_once_into_separate_arrays(self, split, decodes):
+        train, test = split
+
+        class CopiesClient:
+            def send_choices(self, messages, n):
+                reply = MockHeuristicClient().send(messages)
+                self.choices = [(reply + " ")[:-1] for _ in range(n)]  # equal texts, distinct objects
+                return self.choices
+
+        client = CopiesClient()
+        result = llm_predict_pipeline(train, test, client, repeats=5)
+        assert len({id(choice) for choice in client.choices}) == 5
+        assert len(decodes) == 1 and result.repeats == 5
+        first, *others = result.run_predictions
+        assert all(np.array_equal(first, preds) for preds in others)
+        before = [preds.copy() for preds in others]
+        first[:] = -1.0
+        assert all(np.array_equal(preds, kept) for preds, kept in zip(others, before))
+        assert len({id(preds) for preds in result.run_predictions}) == 5
+
+    def test_alternating_choices_decode_twice_in_choice_order(self, split, decodes):
+        train, test = split
+
+        class AlternatingClient:
+            def send_choices(self, messages, n):
+                reply = MockHeuristicClient().send(messages)
+                a, b = set_predictions(reply, 0.1), set_predictions(reply, 0.2)
+                return [a, b, a, b][:n]
+
+        result = llm_predict_pipeline(train, test, AlternatingClient(), repeats=4)
+        assert len(decodes) == 2
+        assert [set(preds.tolist()) for preds in result.run_predictions] == [{0.1}, {0.2}, {0.1}, {0.2}]
+        assert result.imputed_per_run == [0] * 4 and result.rejected_per_run == [0] * 4
+
+    def test_imputed_and_rejected_counts_survive_the_cache(self, split, decodes):
+        train, test = split
+
+        class PartialClient:
+            def send_choices(self, messages, n):
+                reply = RejectingClient().send(messages).split("\n")
+                return ["\n".join(reply[:1] + reply[2:])] * n  # the first record left out
+
+        result = llm_predict_pipeline(train, test, PartialClient(), repeats=3)
+        assert len(decodes) == 1
+        assert result.imputed_per_run == [1] * 3 and result.rejected_per_run == [2] * 3
+        assert result.first_rejection == "prediction out of range"
+        assert all(np.count_nonzero(preds == 0.5) >= 1 for preds in result.run_predictions)
+
+    def test_llm_run_files_equal_those_of_one_request_per_run(self, llm_run_files, tmp_path, monkeypatch):
+        argv, _ = llm_run_files
+        written = []
+        for name in ("choices", "per-run"):
+            if name == "per-run":
+                monkeypatch.delattr(MockHeuristicClient, "send_choices")
+            out = tmp_path / name
+            assert main([*argv, "--mock", "--repeats", "5", "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert written[0] == written[1]
+
+
 class TestPfaRefitRoundTrip:
     """A client that refits PFA from the request text scores exactly as PFA on the same folds.
 
@@ -770,6 +887,7 @@ MALFORMED_REPLIES = [
 
 class _ChatHandler(BaseHTTPRequestHandler):
     fail_times = 0
+    fail_status = 500
     requests_seen = []
     reply = GOOD_REPLY
     short_by = 0
@@ -781,7 +899,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
         )
         if type(self).fail_times > 0:
             type(self).fail_times -= 1
-            self.send_response(500)
+            self.send_response(type(self).fail_status)
             self.end_headers()
             return
         payload = json.dumps(type(self).reply).encode()
@@ -800,7 +918,7 @@ def chat_server():
     server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    _ChatHandler.fail_times = 0
+    _ChatHandler.fail_times, _ChatHandler.fail_status = 0, 500
     _ChatHandler.requests_seen = []
     _ChatHandler.reply, _ChatHandler.short_by = GOOD_REPLY, 0
     yield f"http://127.0.0.1:{server.server_port}"
@@ -831,6 +949,24 @@ class TestHttpClient:
         client = HttpChatClient(endpoint=chat_server, max_retries=1, backoff=0.01)
         with pytest.raises(ClientError, match="after 2 attempts"):
             client.send([{"role": "user", "content": "x"}])
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_a_client_error_status_fails_at_once(self, chat_server, status):
+        _ChatHandler.fail_times, _ChatHandler.fail_status = 10, status
+        client = HttpChatClient(endpoint=chat_server, max_retries=2, backoff=1.0)
+        start = time.perf_counter()
+        with pytest.raises(ClientError, match=f"after 1 attempts: HTTP Error {status}.*not retried"):
+            client.send([{"role": "user", "content": "x"}])
+        assert time.perf_counter() - start < client.backoff
+        assert len(_ChatHandler.requests_seen) == 1
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_a_timeout_throttle_or_server_status_is_retried(self, chat_server, status):
+        _ChatHandler.fail_times, _ChatHandler.fail_status = 10, status
+        client = HttpChatClient(endpoint=chat_server, max_retries=2, backoff=0.01)
+        with pytest.raises(ClientError, match=f"after 3 attempts: HTTP Error {status}"):
+            client.send([{"role": "user", "content": "x"}])
+        assert len(_ChatHandler.requests_seen) == client.max_retries + 1
 
     @pytest.mark.parametrize("reply,short_by", MALFORMED_REPLIES)
     def test_malformed_reply_retried_then_client_error(self, chat_server, reply, short_by):
