@@ -632,6 +632,8 @@ def llm_predict_pipeline(
     else:
         runs += map(one_run, rest)
 
+    # the cache keys hold every reply text; free them before the script text is joined below
+    decoded_runs.clear()
     run_predictions, imputed_per_run, rejected_per_run, first_reasons = (list(column) for column in zip(*runs))
     return PipelineResult(
         test_keys=targets,
