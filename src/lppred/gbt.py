@@ -31,9 +31,10 @@ bin sums the same rows in the same order as a fit of its ensemble alone, so
 each result equals that ensemble's ``gbt_fit`` bit for bit; ``gbt_fit`` is
 the one-ensemble case of the same loop, ``_boost``. The grid sweep scores
 the held-out rows of a configuration group's k folds this way, so it builds
-no ``TreeNode``. The rows a tree routes are fixed for a call and gathered
-once: the evaluation rows, and every training row when the trees grow on
-subsamples. ``train_logloss`` is computed from the trees when read.
+no ``TreeNode``. Every row a tree touches, each training row and then
+each evaluation row, goes down by ``TreeNode.apply``'s one step, and the
+rows a tree grows on read their node ids from it. ``train_logloss`` is
+computed from the trees when read.
 """
 
 from __future__ import annotations
@@ -239,24 +240,27 @@ def _split_codes(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grow_tree(
-    rows, sizes, gx, hx, codes, values, feature_mask, config, routed, routed_ens, keep_nodes
+    rows, gx, hx, codes, values, feature_mask, config, routed, routed_ens, keep_nodes
 ) -> tuple[list[TreeNode], np.ndarray]:
-    """Grow one tree per ensemble under ``config``, level by level; return their roots and the leaf weight of each row.
+    """Grow one tree per ensemble under ``config``, level by level; return their roots and the leaf weight of each routed row.
 
-    ``rows`` are columns of ``codes``, ``sizes[e]`` of them for ensemble
-    ``e`` after those of ensemble ``e - 1``, with gradients ``gx`` and
-    hessians ``hx``. Ensemble ``e`` splits on the grid ``values[e]``, on the
-    features in ``feature_mask[e]``; all share ``config``'s max_depth, gamma
-    and min_child_weight.
-
-    ``routed`` holds rows that the trees score but do not grow on, by
-    feature value (features x rows), and ``routed_ens`` the ensemble of
-    each, in any order. At each split such a row goes left when its value
-    is less than the threshold, the comparison ``TreeNode.apply`` makes, so
-    it reaches the leaf that ``apply`` would give it. The returned weights
-    are those of the grown rows, then those of the routed rows. Only with
+    ``routed`` holds every row the trees touch, by feature value (features x
+    rows): the columns of ``codes`` in order, then any rows that are only
+    scored; ``routed_ens`` gives the ensemble of each. The trees grow on the
+    columns ``rows``, each ensemble's after those of the one before, with
+    gradients ``gx`` and hessians ``hx``. Ensemble ``e`` splits on the grid
+    ``values[e]``, on the features in ``feature_mask[e]``; all share
+    ``config``'s max_depth, gamma and min_child_weight. Only with
     ``keep_nodes`` are ``TreeNode``s built; otherwise the list of roots is
     empty.
+
+    One node-id array holds every routed row, and each level sends them all
+    down by the step ``TreeNode.apply`` takes: right unless the value is
+    less than the threshold. A threshold, the midpoint of the two values it
+    separates, lies strictly between them while feature values are integers
+    below 2**52, as learner codes, question codes and attempts are. So each
+    grown row goes the way its bin code says, and every row reaches the leaf
+    that ``apply`` gives it.
 
     Node ids span the ensembles: the roots are nodes 0..E-1, and each
     level's nodes follow in ensemble order. All nodes of a level share one
@@ -269,9 +273,11 @@ def _grow_tree(
     tied and resolve to the first in bin order: the lowest feature index,
     then the lowest threshold.
 
-    The rows' codes are gathered once per call into one C-contiguous block,
-    and the gradients are tiled once to match it. Rows never move after that:
-    a row whose node became a leaf is sent to a spare slot after the level's
+    The grown rows' codes are gathered once per call into one C-contiguous
+    block, and the gradients are tiled once to match it. Each level reads
+    the grown rows' node ids from the one array: a view of its head when the
+    trees grow on every column of ``codes``, one gather otherwise. A row
+    whose node became a leaf is sent to a spare slot after the level's
     active nodes, and each bincount's spare entries are sliced off. Since
     bincount adds in input order and finished rows land only in the spare
     slot, every live bin sums the same rows in the same order as a pass over
@@ -281,29 +287,25 @@ def _grow_tree(
     n_feat, width = values.shape[1:]
     n_bins = n_feat * width
     n, m = len(rows), routed.shape[1]
-    roots = [TreeNode() for _ in sizes] if keep_nodes else []
+    every_column = n == codes.shape[1]  # rows covering every column are all of them, in order
+    roots = [TreeNode() for _ in values] if keep_nodes else []
     nodes = list(roots)
-    ens = np.arange(len(sizes))  # each node's ensemble
+    ens = np.arange(len(values))  # each node's ensemble
     # each ensemble's gamma per feature, +inf where the feature is masked out (no gain exceeds it)
     gammas = np.where(feature_mask, config.gamma, np.inf)
     flat_values = values.reshape(-1)
-    # rows covering every column are all of them, in order
-    c = codes if n == codes.shape[1] else codes.take(rows, axis=1)
+    c = codes if every_column else codes.take(rows, axis=1)
     g_all, h_all = np.concatenate((gx,) * n_feat), np.concatenate((hx,) * n_feat)
-    row = np.arange(n)
-    nid = np.repeat(ens, sizes)
-    weight = np.empty(n + m)
-    row_weight, routed_weight = weight[:n], weight[n:]
-    if m:
-        by_column = routed.ravel()
-        routed_row = np.arange(m)
-        rid = routed_ens  # a root's node id is its ensemble's
+    by_column, routed_row = routed.ravel(), np.arange(m)
+    nid = routed_ens  # a root's node id is its ensemble's
+    weight = np.empty(m)
 
     for depth in range(config.max_depth + 1):
+        grown = nid[:n] if every_column else nid.take(rows)
         n_active = len(ens)
         stops = np.ones(n_active, dtype=bool)
         if depth < config.max_depth:
-            flat = (nid * n_bins + c).ravel()
+            flat = (grown * n_bins + c).ravel()
             length = (n_active + 1) * n_bins
             grid = (n_active, n_feat, width)
             hist_g = np.bincount(flat, weights=g_all, minlength=length)[: n_active * n_bins].reshape(grid)
@@ -345,15 +347,12 @@ def _grow_tree(
         stop_list = stops.tolist()
 
         if any(stop_list):
-            g_tot = np.bincount(nid, weights=gx, minlength=n_active + 1)[:n_active]
-            h_tot = np.bincount(nid, weights=hx, minlength=n_active + 1)[:n_active]
+            g_tot = np.bincount(grown, weights=gx, minlength=n_active + 1)[:n_active]
+            h_tot = np.bincount(grown, weights=hx, minlength=n_active + 1)[:n_active]
             leaf = -g_tot / (h_tot + LEAF_L2)
             stopped = np.concatenate((stops, [False]))
             finished = stopped[nid]
-            row_weight[finished] = leaf[nid[finished]]
-            if m:
-                finished = stopped[rid]
-                routed_weight[finished] = leaf[rid[finished]]
+            weight[finished] = leaf[nid[finished]]
             if keep_nodes:
                 for node, stop, leaf_weight in zip(nodes, stop_list, leaf.tolist()):
                     if stop:
@@ -374,21 +373,15 @@ def _grow_tree(
                 node.left, node.right = TreeNode(), TreeNode()
                 next_nodes += (node.left, node.right)
             nodes = next_nodes
-        # the spare slot never splits: its rows and those of this level's
-        # leaves go to the next spare slot, sent left by a bin past every code
+        # node j's children follow those of the split nodes before it. The spare
+        # slot never splits: the +inf threshold of it and of this level's leaves
+        # sends their rows left, to the next spare slot
         keep = ~stops
-        sel_bin = np.concatenate((np.where(keep, pick, n_bins - 1), [n_bins - 1]))[nid]
-        go_right = c.ravel()[sel_bin // width * n + row] > sel_bin
-        # node j's children follow those of the split nodes before it
         spare = 2 * stop_list.count(False)
-        child = np.concatenate((np.where(keep, 2 * keep.cumsum() - 2, spare), [spare]))
-        nid = child[nid] + go_right
-        if m:
-            # a routed row goes right unless its value is less than the threshold;
-            # the spare slot's +inf threshold sends every row left, to the next one
-            column = np.concatenate((np.where(keep, pick // width * m, 0), [0]))
-            threshold = np.concatenate((np.where(keep, thresholds, np.inf), [np.inf]))
-            rid = (child + 1).take(rid) - (by_column.take(column.take(rid) + routed_row) < threshold.take(rid))
+        right = np.concatenate((np.where(keep, 2 * keep.cumsum() - 1, spare + 1), [spare + 1]))
+        column = np.concatenate((np.where(keep, pick // width * m, 0), [0]))
+        threshold = np.concatenate((np.where(keep, thresholds, np.inf), [np.inf]))
+        nid = right.take(nid) - (by_column.take(column.take(nid) + routed_row) < threshold.take(nid))
         ens = ens[keep].repeat(2)
     return roots, weight
 
@@ -409,16 +402,15 @@ def _boost(trains, config, seeds, evals, stages, keep_trees):
     and every bin sums the same rows in the same order as a fit of that
     ensemble alone would.
 
-    The rows each tree routes are fixed for the call and gathered once:
-    every ensemble's rows of ``evals[e]`` (keys, coded with its id maps),
-    after every training row when ``config.subsample`` < 1. A routed row
-    reaches the leaf its bin code reaches, so each margin adds the same leaf
-    weight in tree order as ``GbtEnsemble.staged_margins`` gives from the
-    kept trees. Each round then updates the training and evaluation margins
-    of all ensembles in one vector step each. Returns each ensemble's base
-    score, its trees (empty lists unless ``keep_trees``) and the margins of
-    its evaluation rows after the first ``n`` trees for each ``n`` in
-    ``stages``.
+    Every tree routes the same rows, gathered once: every training row, then
+    every ensemble's rows of ``evals[e]`` (keys, coded with its id maps). A
+    routed row reaches the leaf ``TreeNode.apply`` gives it, so each margin
+    adds the same leaf weight in tree order as ``GbtEnsemble.staged_margins``
+    gives from the kept trees. Each round then updates the training and
+    evaluation margins of all ensembles in one vector step each. Returns
+    each ensemble's base score, its trees (empty lists unless
+    ``keep_trees``) and the margins of its evaluation rows after the first
+    ``n`` trees for each ``n`` in ``stages``.
     """
     xs, ys = zip(*map(_labeled_rows, trains))
     if min(map(len, ys)) < 2:
@@ -431,7 +423,7 @@ def _boost(trains, config, seeds, evals, stages, keep_trees):
     y = np.concatenate(ys)
     all_rows = np.arange(len(y))
     subsampled = config.subsample < 1.0
-    sample_sizes = [max(1, int(round(config.subsample * n))) for n in sizes] if subsampled else sizes
+    sample_sizes = [max(1, int(round(config.subsample * n))) for n in sizes]
     n_feats = max(1, int(round(config.colsample_bytree * 3)))
 
     base_scores = []
@@ -446,15 +438,12 @@ def _boost(trains, config, seeds, evals, stages, keep_trees):
     eval_margins = np.repeat(base_scores, eval_sizes)
     wanted = set(stages)
     staged = {0: eval_margins.copy()} if 0 in wanted else {}
-    # every row a tree routes, by feature value, and its ensemble: the evaluation
-    # rows, after every training row when the trees grow on subsamples
+    # every row a tree routes, by feature value, and its ensemble: the training
+    # rows, then the evaluation rows
     ensembles = np.arange(len(trains))
-    routed = np.hstack([x.T for x in ([*xs, *eval_xs] if subsampled else eval_xs)])
-    routed_ens = ensembles.repeat(eval_sizes)
-    if subsampled:
-        routed_ens = np.concatenate((ensembles.repeat(sizes), routed_ens))
-    # the training rows' weights lead the evaluation rows' at the end of each tree's weights
-    n_train, n_eval = len(y), len(eval_margins)
+    routed = np.hstack([x.T for x in (*xs, *eval_xs)])
+    routed_ens = np.concatenate((ensembles.repeat(sizes), ensembles.repeat(eval_sizes)))
+    n_train = len(y)
 
     rounds: list[list[TreeNode]] = []
     for t in range(config.n_trees):
@@ -477,10 +466,8 @@ def _boost(trains, config, seeds, evals, stages, keep_trees):
                 samples.append(sample + starts[e])
             rows = np.concatenate(samples)
         roots, weight = _grow_tree(
-            rows, sample_sizes, g[rows], h[rows], codes, values, feature_mask,
-            config, routed, routed_ens, keep_trees,
+            rows, g[rows], h[rows], codes, values, feature_mask, config, routed, routed_ens, keep_trees
         )
-        weight = weight[len(weight) - n_train - n_eval :]
         margins += config.learning_rate * weight[:n_train]
         eval_margins += config.learning_rate * weight[n_train:]
         if t + 1 in wanted:

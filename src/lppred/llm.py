@@ -9,9 +9,10 @@ map from ``(learner_id, question_id, attempt)`` to prediction, in which the
 first valid record of each key counts; the prompt asks for an Assessment with
 each record, but it is not kept. A record in exactly the layout the prompt
 asks for (``PREDICTION_FORMAT``) is read in one regex match, any other by the
-lenient pair reader, with the same result. A reply text equal to one already
-decoded in the same pipeline call reuses that decode, so identical choices,
-such as the mock's R copies of its one reply, decode once. Question titles and
+lenient pair reader, with the same result. All replies of a pipeline call
+are fetched before any is decoded, and each distinct text decodes once, so
+identical replies, such as the mock's R copies of its one reply, decode once
+however many threads fetched them. Question titles and
 the learning materials come from the training Dataset's lesson metadata.
 A deterministic offline mock client implements the same heuristic a capable
 assistant applies to such transcripts (per-question difficulty shrunk toward
@@ -561,9 +562,10 @@ def llm_predict_pipeline(
     > 1 sends those from that many threads, and results stay ordered by run
     index. A failed request names its run index.
 
-    Each distinct reply text is decoded and aligned once, and a run whose text
-    equals an earlier one's reuses that result, with its own copy of the
-    predictions array.
+    Every reply is fetched before any is decoded. Then each distinct reply
+    text is decoded and aligned once, on the calling thread, and a run whose
+    text equals an earlier one's reuses that result, with its own copy of
+    the predictions array.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -593,47 +595,38 @@ def llm_predict_pipeline(
     # targets follow the test records, so labels align with them
     labels = ds_test.obs_array() if n_labeled == ds_test.n_records else None
 
-    decoded_runs: dict[str, tuple[np.ndarray, int, int, str]] = {}  # reply text -> its run
-
-    def decode_run(response: str) -> tuple[np.ndarray, int, int, str]:
-        run = decoded_runs.get(response)
-        if run is None:
-            decoded = decode_response(response)
-            rejected = decoded.rejected
-            # NaN marks a missing key: no decoded prediction is NaN, as each lies in [0, 1]
-            preds = np.array([decoded.predictions.get(key, np.nan) for key in targets], dtype=float)
-            missing = np.isnan(preds)
-            preds[missing] = 0.5
-            run = decoded_runs[response] = (
-                preds, int(np.count_nonzero(missing)), len(rejected), rejected[0][1] if rejected else ""
-            )
-        preds, *counts = run
-        return (preds.copy(), *counts)
-
     def request(run: int, send, *args):
         try:
             return send(messages, *args)
         except ClientError as exc:
             raise ClientError(f"run {run}: {exc}") from exc
 
-    def one_run(run: int) -> tuple[np.ndarray, int, int, str]:
-        return decode_run(request(run, client.send))
-
-    runs = []
+    texts = []
     if repeats > 1 and hasattr(client, "send_choices"):
         # one request for every run; the runs a shorter reply left out get one request each below
-        runs = [decode_run(choice) for choice in request(0, client.send_choices, repeats)[:repeats]]
-    rest = range(len(runs), repeats)
+        texts = list(request(0, client.send_choices, repeats)[:repeats])
+    rest = range(len(texts), repeats)
     if concurrency > 1 and len(rest) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(concurrency, len(rest))) as pool:
-            runs += pool.map(one_run, rest)
-    else:
-        runs += map(one_run, rest)
+            texts += pool.map(request, rest, repeat(client.send))
+    elif rest:  # a client that served every run by choices may have no send
+        texts += map(request, rest, repeat(client.send))
 
-    # the cache keys hold every reply text; free them before the script text is joined below
-    decoded_runs.clear()
+    # every reply is in, so each distinct text decodes once, here, whichever thread fetched it
+    decoded_runs = {}
+    for text in dict.fromkeys(texts):
+        decoded = decode_response(text)
+        rejected = decoded.rejected
+        # NaN marks a missing key: no decoded prediction is NaN, as each lies in [0, 1]
+        preds = np.array([decoded.predictions.get(key, np.nan) for key in targets], dtype=float)
+        missing = np.isnan(preds)
+        preds[missing] = 0.5
+        decoded_runs[text] = preds, int(np.count_nonzero(missing)), len(rejected), rejected[0][1] if rejected else ""
+    runs = [(preds.copy(), *counts) for preds, *counts in map(decoded_runs.get, texts)]
+    # these hold the reply texts; free them before the script text is joined below
+    del texts, text, decoded_runs
     run_predictions, imputed_per_run, rejected_per_run, first_reasons = (list(column) for column in zip(*runs))
     return PipelineResult(
         test_keys=targets,

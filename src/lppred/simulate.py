@@ -61,11 +61,13 @@ class SimSpec:
         for name in ignored:
             if getattr(self, name):
                 raise ValueError(f"{name} is not used by the {self.generator} generator")
-        if self.generator != "bkt-process" and self.rank is None:
+        defaulted = self.generator != "bkt-process" and self.rank is None
+        if defaulted:
             object.__setattr__(self, "rank", DEFAULT_RANK)  # frozen: set once, while the spec is built
         most = min(self.n_learners, self.n_questions)  # matrix mode orthonormalizes rank columns
         if self.generator == "low-rank-matrix" and self.rank > most:
-            raise ValueError(f"rank {self.rank} exceeds min(learners, questions) = {most}")
+            default = " (the low-rank generators' default, as no rank was given)" if defaulted else ""
+            raise ValueError(f"rank {self.rank}{default} exceeds min(learners, questions) = {most}")
 
 
 @dataclass

@@ -603,6 +603,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"usage error: rank {rank} ")
         assert caught == [] and not out.exists()
 
+    def test_simulate_default_rank_out_of_range_says_it_is_the_default(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["simulate", "--generator", "low-rank-matrix", "--shape", "5x1x1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: rank 2 ") and "default" in err and "= 1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("ingest", "--seed"), ("ingest", "--out"), ("ingest", "--workers"),
         ("summarize", "--seed"), ("summarize", "--workers"),

@@ -149,8 +149,8 @@ class TestFit:
             for features in subsets:
                 expected = brute_force_stump(x, y, margins, mcw=0.0, features=features)
                 mask = np.isin(np.arange(3), features)
-                (root,), _ = _grow_tree(np.arange(n), [n], p - y, p * (1.0 - p), codes, values, mask[None],
-                                        config, np.empty((3, 0)), np.empty(0, dtype=np.int64), True)
+                (root,), _ = _grow_tree(np.arange(n), p - y, p * (1.0 - p), codes, values, mask[None],
+                                        config, x.T.copy(), np.zeros(n, dtype=np.int64), True)
                 if len(features) == 3:
                     assert root.to_dict() == model.trees[0].to_dict()
                 got = None if root.is_leaf else (root.feature, root.threshold)
@@ -223,10 +223,10 @@ class TestFit:
         Random data sets, margins and configs, with row and column subsampling.
         Rows whose node stops splitting while other nodes grow on wait in a
         spare slot; the examples must include such trees. The routed rows
-        are the rows the subsample left out plus rows on a half-step grid,
-        so some fall between a node's values and some sit on a threshold;
-        their weights must equal ``apply`` too, and be the same whether or
-        not nodes are built.
+        are every row of the data set, grown or left out by the subsample,
+        then rows on a half-step grid, so some fall between a node's values
+        and some sit on a threshold; their weights must equal ``apply`` too,
+        and be the same whether or not nodes are built.
         """
         early, on_split = [], []
 
@@ -253,12 +253,12 @@ class TestFit:
             config = GbtConfig(max_depth=max_depth, gamma=gamma, min_child_weight=min_child_weight)
             codes, values = _split_codes([x])
             grid = rng.integers(-3, 2 * x.max(axis=0) + 3, size=(20, 3)) / 2.0
-            routed = np.vstack((np.delete(x, rows, axis=0), grid))
+            routed = np.vstack((x, grid))
             routed_ens = np.zeros(len(routed), dtype=np.int64)
-            (root,), weight = _grow_tree(rows, [len(rows)], g[rows], h[rows], codes, values, mask[None],
+            (root,), weight = _grow_tree(rows, g[rows], h[rows], codes, values, mask[None],
                                          config, routed.T.copy(), routed_ens, True)
-            assert weight.tobytes() == root.apply(np.vstack((x[rows], routed))).tobytes()
-            roots, unkept = _grow_tree(rows, [len(rows)], g[rows], h[rows], codes, values, mask[None],
+            assert weight.tobytes() == root.apply(routed).tobytes()
+            roots, unkept = _grow_tree(rows, g[rows], h[rows], codes, values, mask[None],
                                        config, routed.T.copy(), routed_ens, False)
             assert roots == [] and unkept.tobytes() == weight.tobytes()
 
@@ -268,6 +268,56 @@ class TestFit:
 
         check()
         assert any(early) and any(on_split)
+
+    def test_split_child_hessians_are_those_of_the_rows_sent_each_way(self):
+        """Each split's ``hess_left`` and ``hess_right`` sum ``h`` over the grown rows ``x < threshold`` sends each way.
+
+        Random data sets, margins, subsamples and feature masks, depths 1 to
+        6. The child sums come from the node's histogram, while the rows go
+        down by the comparison ``TreeNode.apply`` makes; a threshold that is
+        not strictly between the two values it separates sends one bin's
+        rows the wrong way, and the sums disagree. The examples must include
+        a split below a root.
+        """
+        depths = []
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            n_rows=st.integers(2, 90),
+            max_depth=st.integers(1, 6),
+            min_child_weight=st.floats(0.0, 2.0),
+            subsample=st.floats(0.3, 1.0),
+            n_feats=st.integers(1, 3),
+        )
+        @example(seed=3, n_rows=80, max_depth=4, min_child_weight=0.0, subsample=0.8, n_feats=3)
+        def check(seed, n_rows, max_depth, min_child_weight, subsample, n_feats):
+            rng = np.random.default_rng(seed)
+            ds = random_dataset(rng, n_learners=6, n_questions=4, max_attempt=4, n_rows=n_rows)
+            x = gbt_fit(ds, GbtConfig(n_trees=0)).feature_matrix(ds.keys())
+            p = _sigmoid(rng.normal(size=n_rows))
+            g, h = p - ds.obs_array(), p * (1.0 - p)
+            rows = np.sort(rng.choice(n_rows, size=max(1, round(subsample * n_rows)), replace=False))
+            mask = np.isin(np.arange(3), rng.choice(3, size=n_feats, replace=False))
+            config = GbtConfig(max_depth=max_depth, min_child_weight=min_child_weight)
+            codes, values = _split_codes([x])
+            (root,), _ = _grow_tree(rows, g[rows], h[rows], codes, values, mask[None],
+                                    config, x.T.copy(), np.zeros(n_rows, dtype=np.int64), True)
+
+            def walk(node, idx, depth):
+                if node.is_leaf:
+                    return
+                depths.append(depth)
+                left = x[idx, node.feature] < node.threshold
+                assert node.hess_left == pytest.approx(h[idx[left]].sum(), rel=1e-12)
+                assert node.hess_right == pytest.approx(h[idx[~left]].sum(), rel=1e-12)
+                walk(node.left, idx[left], depth + 1)
+                walk(node.right, idx[~left], depth + 1)
+
+            walk(root, rows, 0)
+
+        check()
+        assert max(depths) > 0
 
     def test_tiny_learning_rate_stays_at_base(self, rng):
         ds = random_dataset(rng, n_rows=40)
@@ -384,8 +434,8 @@ class TestLockstep:
             rng = np.random.default_rng(derive_seed(seed, "tree", t))
             rows = np.sort(rng.choice(n, size=round(0.7 * n), replace=False))
             mask = np.isin(np.arange(3), rng.choice(3, size=2, replace=False))
-            (root,), _ = _grow_tree(rows, [len(rows)], g[rows], h[rows], codes, values, mask[None],
-                                    config, np.empty((3, 0)), np.empty(0, dtype=np.int64), True)
+            (root,), _ = _grow_tree(rows, g[rows], h[rows], codes, values, mask[None],
+                                    config, x.T.copy(), np.zeros(n, dtype=np.int64), True)
             reference.trees.append(root)
         assert sum(not tree.is_leaf for tree in reference.trees) == config.n_trees
         assert [tree.to_dict() for tree in reference.trees] == [tree.to_dict() for tree in model.trees]

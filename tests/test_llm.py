@@ -741,6 +741,33 @@ class TestDecodeOnce:
         assert [set(preds.tolist()) for preds in result.run_predictions] == [{0.1}, {0.2}, {0.1}, {0.2}]
         assert result.imputed_per_run == [0] * 4 and result.rejected_per_run == [0] * 4
 
+    def test_equal_replies_fetched_concurrently_decode_once(self, rng, decodes):
+        """A server that ignores ``n``: four runs, each its own request, all in flight at once.
+
+        The replies are long enough that decoding one outlasts the interpreter's
+        thread switch, so equal replies decoded in the threads that fetched them
+        would each decode.
+        """
+        dataset = simulate_bkt(SimSpec(400, 6, 3, seed=10, stop_on_correct=True)).dataset
+        train, test = split_dataset(dataset, rng, holdout=0.5)
+
+        class SlowSendClient:
+            reply = None
+            lock = threading.Lock()
+
+            def send(self, messages):
+                with self.lock:
+                    if self.reply is None:
+                        self.reply = MockHeuristicClient().send(messages)
+                time.sleep(0.05)
+                return (self.reply + " ")[:-1]  # equal texts, distinct objects
+
+        result = llm_predict_pipeline(train, test, SlowSendClient(), repeats=4, concurrency=4)
+        assert len(decodes) == 1 and result.repeats == 4
+        first, *others = result.run_predictions
+        assert all(np.array_equal(first, preds) for preds in others)
+        assert len({id(preds) for preds in result.run_predictions}) == 4
+
     def test_imputed_and_rejected_counts_survive_the_cache(self, split, decodes):
         train, test = split
 
