@@ -26,15 +26,17 @@ keeping no trees: round t grows tree t of every ensemble in one
 cost is paid once per round instead of once per ensemble. Each ensemble's
 evaluation rows are routed through every tree as it grows, as XGBoost
 scores its ``evals`` sets, and their margins come back at the requested
-tree counts, the same floats ``staged_margins`` gives from kept trees. Every
-bin sums the same rows in the same order as a fit of its ensemble alone, so
-each result equals that ensemble's ``gbt_fit`` bit for bit; ``gbt_fit`` is
-the one-ensemble case of the same loop, ``_boost``. The grid sweep scores
-the held-out rows of a configuration group's k folds this way, so it builds
-no ``TreeNode``. Every row a tree touches, each training row and then
-each evaluation row, goes down by ``TreeNode.apply``'s one step, and the
-rows a tree grows on read their node ids from it. ``train_logloss`` is
-computed from the trees when read.
+tree counts, the same floats ``staged_margins`` gives from kept trees. The
+ensembles share one value grid and one margin vector; a value absent from an
+ensemble's rows is never a split there. Every bin sums the same rows in the
+same order as a fit of its ensemble alone, so each result equals that
+ensemble's ``gbt_fit`` bit for bit; ``gbt_fit`` is the one-ensemble case of
+the same loop, ``_boost``. The grid sweep scores the held-out rows of a
+configuration group's k folds this way, so it builds no ``TreeNode``. Every
+row a tree touches, each training row and then each evaluation row, goes
+down by ``TreeNode.apply``'s one step, and the rows a tree grows on read
+their node ids from it. ``train_logloss`` is computed from the trees when
+read.
 """
 
 from __future__ import annotations
@@ -213,29 +215,23 @@ class GbtEnsemble:
         }
 
 
-def _split_codes(xs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Bin the feature values of each ensemble's rows on grids of one shape.
+def _split_codes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin the feature values of the rows ``x`` (features x rows) on one grid.
 
-    ``width`` is the largest count of distinct values of any feature in any
-    ensemble. ``values`` is ensembles x features x width: each feature's
-    sorted distinct values in that ensemble's rows, padded with +inf.
-    ``codes`` is features x rows, the rows of each ensemble after those of
-    the one before: the value of rank ``c`` of feature ``f`` falls in bin
-    ``f * width + c`` of its ensemble's flattened grid, so one bincount per
-    level covers every feature and the bin order is feature first, then
-    value. Padding bins hold no rows, so a grid made wider for another
-    ensemble leaves every real bin's sums and order as they are.
+    ``width`` is the largest count of distinct values of any feature.
+    ``values`` is features x width: each feature's sorted distinct values,
+    padded with +inf. ``codes`` is features x rows: the value of rank ``c``
+    of feature ``f`` falls in bin ``f * width + c`` of the flattened grid, so
+    one bincount per level covers every feature and the bin order is
+    feature first, then value. Padding bins hold no rows, and neither does
+    the bin of a value absent from some ensemble's rows in that ensemble.
     """
-    uniques, ranks = zip(*(
-        zip(*(np.unique(column, return_inverse=True) for column in x.T)) for x in xs
-    ))
-    width = max(len(u) for per_feature in uniques for u in per_feature)
-    n_feat = xs[0].shape[1]
-    values = np.full((len(xs), n_feat, width), np.inf)
-    for e, per_feature in enumerate(uniques):
-        for f, u in enumerate(per_feature):
-            values[e, f, : len(u)] = u
-    codes = np.hstack([np.vstack(r) for r in ranks]) + width * np.arange(n_feat)[:, None]
+    uniques, ranks = zip(*(np.unique(column, return_inverse=True) for column in x))
+    width = max(map(len, uniques))
+    values = np.full((len(x), width), np.inf)
+    for f, u in enumerate(uniques):
+        values[f, : len(u)] = u
+    codes = np.vstack(ranks) + width * np.arange(len(x))[:, None]
     return codes, values
 
 
@@ -248,8 +244,8 @@ def _grow_tree(
     rows): the columns of ``codes`` in order, then any rows that are only
     scored; ``routed_ens`` gives the ensemble of each. The trees grow on the
     columns ``rows``, each ensemble's after those of the one before, with
-    gradients ``gx`` and hessians ``hx``. Ensemble ``e`` splits on the grid
-    ``values[e]``, on the features in ``feature_mask[e]``; all share
+    gradients ``gx`` and hessians ``hx``, on the one grid ``values``.
+    Ensemble ``e`` splits on the features in ``feature_mask[e]``; all share
     ``config``'s max_depth, gamma and min_child_weight. Only with
     ``keep_nodes`` are ``TreeNode``s built; otherwise the list of roots is
     empty.
@@ -284,13 +280,13 @@ def _grow_tree(
     one ensemble's live rows alone would. Node totals, which only leaves
     read, are summed only at levels where some node stops.
     """
-    n_feat, width = values.shape[1:]
+    n_feat, width = values.shape
     n_bins = n_feat * width
     n, m = len(rows), routed.shape[1]
     every_column = n == codes.shape[1]  # rows covering every column are all of them, in order
-    roots = [TreeNode() for _ in values] if keep_nodes else []
+    roots = [TreeNode() for _ in feature_mask] if keep_nodes else []
     nodes = list(roots)
-    ens = np.arange(len(values))  # each node's ensemble
+    ens = np.arange(len(feature_mask))  # each node's ensemble
     # each ensemble's gamma per feature, +inf where the feature is masked out (no gain exceeds it)
     gammas = np.where(feature_mask, config.gamma, np.inf)
     flat_values = values.reshape(-1)
@@ -341,8 +337,7 @@ def _grow_tree(
             # a split leaves rows right of it in its feature (cum_n < total), so the
             # first present bin after the pick holds that feature's next value
             upper = (present.reshape(n_active, n_bins) & (np.arange(n_bins) > pick[:, None])).argmax(axis=1)
-            grid_start = ens * n_bins
-            thresholds = (flat_values.take(grid_start + pick) + flat_values.take(grid_start + upper)) / 2.0
+            thresholds = (flat_values.take(pick) + flat_values.take(upper)) / 2.0
             best_gain, hl_pick, hr_pick = (a.reshape(-1).take(at) for a in (gains, hl, hr))
         stop_list = stops.tolist()
 
@@ -398,26 +393,27 @@ def _boost(trains, config, seeds, evals, stages, keep_trees):
 
     Boosts one ensemble per (train, seed), all under ``config``. In round
     ``t`` one ``_grow_tree`` call grows tree ``t`` of every ensemble. Each
-    ensemble keeps its own labeled rows, bin grid, seed and feature masks,
-    and every bin sums the same rows in the same order as a fit of that
-    ensemble alone would.
+    ensemble keeps its own labeled rows, seed and feature masks; all share
+    one grid of the values in their training rows. The bin of a value absent
+    from an ensemble's rows holds none of them: it is never a split there and
+    adds +0.0 to each cumulative sum, so every bin sums the same rows in the
+    same order as a fit of that ensemble alone would.
 
     Every tree routes the same rows, gathered once: every training row, then
     every ensemble's rows of ``evals[e]`` (keys, coded with its id maps). A
     routed row reaches the leaf ``TreeNode.apply`` gives it, so each margin
     adds the same leaf weight in tree order as ``GbtEnsemble.staged_margins``
-    gives from the kept trees. Each round then updates the training and
-    evaluation margins of all ensembles in one vector step each. Returns
-    each ensemble's base score, its trees (empty lists unless
-    ``keep_trees``) and the margins of its evaluation rows after the first
-    ``n`` trees for each ``n`` in ``stages``.
+    gives from the kept trees. One margin vector spans the routed rows, and
+    each round updates it in one vector step. Returns each ensemble's base
+    score, its trees (empty lists unless ``keep_trees``) and the margins of
+    its evaluation rows after the first ``n`` trees for each ``n`` in
+    ``stages``.
     """
     xs, ys = zip(*map(_labeled_rows, trains))
     if min(map(len, ys)) < 2:
         raise ValueError("gbt_fit requires at least 2 labeled rows")
     if min(stages, default=0) < 0 or max(stages, default=0) > config.n_trees:
         raise ValueError(f"stages must lie in 0..{config.n_trees}, got {sorted(stages)}")
-    codes, values = _split_codes(xs)
     sizes = [len(labels) for labels in ys]
     starts = np.cumsum([0] + sizes)
     y = np.concatenate(ys)
@@ -430,24 +426,24 @@ def _boost(trains, config, seeds, evals, stages, keep_trees):
     for labels in ys:
         mean = min(max(float(labels.mean()), 1e-6), 1.0 - 1e-6)
         base_scores.append(float(np.log(mean / (1.0 - mean))))
-    margins = np.repeat(base_scores, sizes)
 
     eval_xs = [_features(*encode_keys(keys, train.learner_index, train.question_index))
                for keys, train in zip(evals, trains)]
     eval_sizes = [len(x) for x in eval_xs]
-    eval_margins = np.repeat(base_scores, eval_sizes)
-    wanted = set(stages)
-    staged = {0: eval_margins.copy()} if 0 in wanted else {}
     # every row a tree routes, by feature value, and its ensemble: the training
     # rows, then the evaluation rows
     ensembles = np.arange(len(trains))
     routed = np.hstack([x.T for x in (*xs, *eval_xs)])
     routed_ens = np.concatenate((ensembles.repeat(sizes), ensembles.repeat(eval_sizes)))
     n_train = len(y)
+    codes, values = _split_codes(routed[:, :n_train])
+    margins = np.take(base_scores, routed_ens)
+    wanted = set(stages)
+    staged = {0: margins[n_train:].copy()} if 0 in wanted else {}
 
     rounds: list[list[TreeNode]] = []
     for t in range(config.n_trees):
-        p = _sigmoid(margins)
+        p = _sigmoid(margins[:n_train])
         g = p - y
         h = p * (1.0 - p)
 
@@ -468,10 +464,9 @@ def _boost(trains, config, seeds, evals, stages, keep_trees):
         roots, weight = _grow_tree(
             rows, g[rows], h[rows], codes, values, feature_mask, config, routed, routed_ens, keep_trees
         )
-        margins += config.learning_rate * weight[:n_train]
-        eval_margins += config.learning_rate * weight[n_train:]
+        margins += config.learning_rate * weight
         if t + 1 in wanted:
-            staged[t + 1] = eval_margins.copy()
+            staged[t + 1] = margins[n_train:].copy()
         if keep_trees:
             rounds.append(roots)
 

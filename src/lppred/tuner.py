@@ -114,7 +114,11 @@ class TuneReport:
 
     def __post_init__(self):
         if not self.entries:
-            raise ValueError("TuneReport requires at least one successful evaluation")
+            # keyed by index, each configuration keeps its last message: the
+            # evaluation's error, after any note on its proposal
+            last = dict(self.failures)
+            cause = f" ({len(last)} configurations failed; first: {next(iter(last.values()))})" if last else ""
+            raise ValueError(f"TuneReport requires at least one successful evaluation{cause}")
 
     @property
     def best(self) -> TuneEntry:

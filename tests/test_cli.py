@@ -416,6 +416,33 @@ class TestExitCodes:
         assert [len(client.calls) for client in clients] == ([1] if "llm" in argv else [])
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--method", "grid", "--workers", "1"],
+        ["--method", "llm", "--mock", "--budget", "2"],
+    ], ids=["grid", "llm-mock"])
+    def test_tune_in_which_every_configuration_fails_says_why(self, tmp_path, capsys, argv):
+        """Each fold trains on one labeled row, which no fit accepts; the error counts the failures and names the first."""
+        data = tmp_path / "two.csv"
+        data.write_text("learner_id,question_id,attempt,obs\nL1,Q1,1,0\nL2,Q1,1,1\n", encoding="utf-8")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({**SMALL_GRID, "max_depth": [2, 3]}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["tune", *argv, "--k", "2", "--grid", str(grid), "--data", str(data),
+                     "--out", str(out)]) == EXIT_MODEL
+        assert capsys.readouterr().err == (
+            "model error: TuneReport requires at least one successful evaluation "
+            "(2 configurations failed; first: gbt_fit requires at least 2 labeled rows)\n"
+        )
+        assert not out.exists()
+
+    def test_predict_without_unlabeled_rows_or_targets_is_data_error(self, sim_data, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["predict", "--model", "pfa", "--data", str(sim_data), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: no rows to predict: data has no unlabeled rows and no --targets given\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "predict"])
     def test_fit_on_data_without_a_labeled_row_is_data_error(self, tmp_path, capsys, command):
         data = tmp_path / "unlabeled.csv"
@@ -971,6 +998,23 @@ class TestCommands:
         assert payload["repeats"] == 2
         assert payload["coverage"] == 1.0
         assert (out / "predictions.csv").exists()
+
+    def test_llm_run_with_an_unlabeled_test_file_writes_predictions(self, train_test_files, tmp_path, capsys):
+        """Rows whose outcome is not yet known get predictions; no RMSE is reported."""
+        train, test = train_test_files
+        header, *rows = test.read_text(encoding="utf-8").splitlines()
+        unlabeled = tmp_path / "unlabeled.csv"
+        unlabeled.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + "," for row in rows]) + "\n",
+                             encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["llm-run", "--train", str(train), "--test", str(unlabeled), "--mock", "--repeats", "2",
+                     "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["run_rmse"] is None and payload["mean_rmse"] is None and payload["std_error"] is None
+        assert payload["coverage"] == 1.0
+        assert capsys.readouterr().out.splitlines()[-1] == "predictions written (no test labels; coverage 1.000)"
+        predicted = (out / "predictions.csv").read_text(encoding="utf-8").splitlines()
+        assert len(predicted) == 1 + len(rows)
 
     def test_llm_run_mock_reads_back_ids_with_quotes_and_separators(self, tmp_path, capsys):
         learners, questions = ["O'Brien", "Smith, J", "a:b", "L 1"], ["Q'1", "Q, 2", "Q:3 x"]

@@ -145,7 +145,7 @@ class TestFit:
             y = ds.obs_array()
             margins = np.full(n, model.base_score)
             p = _sigmoid(margins)
-            codes, values = _split_codes([x])
+            codes, values = _split_codes(x.T)
             for features in subsets:
                 expected = brute_force_stump(x, y, margins, mcw=0.0, features=features)
                 mask = np.isin(np.arange(3), features)
@@ -251,7 +251,7 @@ class TestFit:
             rows = np.sort(rng.choice(n_rows, size=max(1, round(subsample * n_rows)), replace=False))
             mask = np.isin(np.arange(3), rng.choice(3, size=n_feats, replace=False))
             config = GbtConfig(max_depth=max_depth, gamma=gamma, min_child_weight=min_child_weight)
-            codes, values = _split_codes([x])
+            codes, values = _split_codes(x.T)
             grid = rng.integers(-3, 2 * x.max(axis=0) + 3, size=(20, 3)) / 2.0
             routed = np.vstack((x, grid))
             routed_ens = np.zeros(len(routed), dtype=np.int64)
@@ -300,7 +300,7 @@ class TestFit:
             rows = np.sort(rng.choice(n_rows, size=max(1, round(subsample * n_rows)), replace=False))
             mask = np.isin(np.arange(3), rng.choice(3, size=n_feats, replace=False))
             config = GbtConfig(max_depth=max_depth, min_child_weight=min_child_weight)
-            codes, values = _split_codes([x])
+            codes, values = _split_codes(x.T)
             (root,), _ = _grow_tree(rows, g[rows], h[rows], codes, values, mask[None],
                                     config, x.T.copy(), np.zeros(n_rows, dtype=np.int64), True)
 
@@ -426,7 +426,7 @@ class TestLockstep:
         n = len(y)
         reference = GbtEnsemble(base_score=float(np.log(y.mean() / (1.0 - y.mean()))), trees=[], config=config)
         assert reference.base_score == model.base_score
-        codes, values = _split_codes([x])
+        codes, values = _split_codes(x.T)
         for t in range(config.n_trees):
             (margins,) = reference.staged_margins(x, [t])
             p = _sigmoid(margins)

@@ -430,6 +430,14 @@ class TestMockHeuristic:
         ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)]))
         assert select_method(MockHeuristicClient(), ds) == "gbt"
 
+    def test_method_selection_falls_back_to_gbt_on_an_unlisted_method(self):
+        class NeuralNetClient:
+            def send(self, messages):
+                return "I would use a neural network."
+
+        ds = Dataset.from_records(make_records([("L1", "Q1", 1, 1), ("L2", "Q1", 1, 0)]))
+        assert select_method(NeuralNetClient(), ds) == "gbt"
+
     @pytest.mark.parametrize("rows_per_chunk", [0, 500])
     def test_send_does_not_copy_the_prompt(self, rows_per_chunk):
         history = [(f"L{i}", f"Q{j}", a) for i in range(200) for j in range(20) for a in (1, 2, 3)]
