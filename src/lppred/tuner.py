@@ -114,11 +114,13 @@ class TuneReport:
 
     def __post_init__(self):
         if not self.entries:
-            # keyed by index, each configuration keeps its last message: the
-            # evaluation's error, after any note on its proposal
-            last = dict(self.failures)
-            cause = f" ({len(last)} configurations failed; first: {next(iter(last.values()))})" if last else ""
-            raise ValueError(f"TuneReport requires at least one successful evaluation{cause}")
+            message = "TuneReport requires at least one successful evaluation"
+            if self.failures:
+                # keyed by index, each configuration keeps its last message: the
+                # evaluation's error, after any note on its proposal
+                last = dict(self.failures)
+                message += f" (failed configurations: {len(last)}; first failure: {next(iter(last.values()))})"
+            raise ValueError(message)
 
     @property
     def best(self) -> TuneEntry:

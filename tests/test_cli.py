@@ -431,7 +431,7 @@ class TestExitCodes:
                      "--out", str(out)]) == EXIT_MODEL
         assert capsys.readouterr().err == (
             "model error: TuneReport requires at least one successful evaluation "
-            "(2 configurations failed; first: gbt_fit requires at least 2 labeled rows)\n"
+            "(failed configurations: 2; first failure: gbt_fit requires at least 2 labeled rows)\n"
         )
         assert not out.exists()
 
